@@ -20,6 +20,7 @@ from .ehrhart import (
     hstar_from_counts,
     special_simplex_check,
 )
+from .errors import NotFullError
 from .framing import (
     CoherenceTable,
     Framing,
@@ -34,13 +35,12 @@ from .gentle import (
     gentleness_violations,
     module_to_route,
     objects_t,
+    rigidity_adjacency,
     route_to_module,
-    support_tau_tilting,
-    tau_rigid_pair,
 )
 from .poset import build_poset
 from .triangulation import (
-    dual_graph,
+    bron_kerbosch,
     maximal_cliques,
     maximal_cliques_by_flips,
     verify_unimodular,
@@ -93,12 +93,9 @@ def analyze(
     report.data["exceptional"] = len(exc)
     report.data["dims"] = (d_space, d_poly)
     report.data["ample"] = is_ample(g, f, table)
-    full = is_full(g)
-    report.data["full"] = full
 
-    if not full:
-        report.check("graph-full", False, "analysis pipeline needs a full DAG")
-        return report
+    if not is_full(g):
+        raise NotFullError("analyze needs a full DAG; run `flowpoly contract` first")
 
     report.check("framing-ample", report.data["ample"])
     labels = edge_labeling(g, f)
@@ -144,17 +141,16 @@ def analyze(
     )
     flipped = maximal_cliques_by_flips(table)
     report.check("flip-traversal-matches-enumeration", flipped == cliques)
-    dg = dual_graph(cliques)
+    poset = build_poset(g, f, table, cliques)
+    report.data["poset"] = poset
     n_inner = len(g.inner)
     report.check(
         "dual-graph-regular",
-        all(dg.degree(i) == n_inner for i in range(len(cliques))),
+        all(poset.dual.degree(i) == n_inner for i in range(len(cliques))),
         f"expected degree {n_inner}",
     )
 
     # poset
-    poset = build_poset(g, f, table, cliques)
-    report.data["poset"] = poset
     dcov = poset.dcov_polynomial()
     report.data["dcov"] = dcov
     report.check("dcov-palindromic", dcov == dcov[::-1])
@@ -194,21 +190,16 @@ def analyze(
             sorted(map(str, phi.values())) == sorted(map(str, objs))
             and all(module_to_route(g, labels, m) == routes[i] for i, m in phi.items()),
         )
-        rigid_ok = True
-        for ii, i in enumerate(non_exc):
-            for j in non_exc[ii:]:
-                coh = table.coherent(i, j) if i != j else True
-                if tau_rigid_pair(bq, phi[i], phi[j]) != coh:
-                    rigid_ok = False
-        report.check("rigidity-matches-coherence", rigid_ok)
-        idx_of = {str(phi[i]): i for i in non_exc}
-        obj_list = list(objs)
-        collections = support_tau_tilting(bq, obj_list)
+        # tau-rigidity of the objects in route order, against coherence
+        adj = table.adjacency
+        rigid = rigidity_adjacency(bq, [phi[i] for i in non_exc])
+        coherent = [
+            sum(1 << k for k, j in enumerate(non_exc) if adj[i] >> j & 1) for i in non_exc
+        ]
+        report.check("rigidity-matches-coherence", rigid == coherent)
+        collections = bron_kerbosch(rigid, (1 << len(non_exc)) - 1, max_cliques)
         clique_sets = {tuple(sorted(set(c) - set(exc))) for c in cliques}
-        coll_sets = {
-            tuple(sorted(idx_of[str(obj_list[k])] for k in coll))
-            for coll in collections
-        }
+        coll_sets = {tuple(non_exc[k] for k in coll) for coll in collections}
         report.check(
             "support-tau-tilting-matches-cliques",
             coll_sets == clique_sets,

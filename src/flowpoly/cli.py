@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
 import click
 
@@ -46,7 +47,10 @@ from .triangulation import dual_graph, maximal_cliques, verify_unimodular
 
 
 def _read_graph(path: str | None) -> Dag:
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
+    try:
+        text = sys.stdin.read() if path in (None, "-") else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.UsageError(f"graph file {path!r} is not readable text: {exc}")
     text = text.strip()
     if not text:
         raise click.UsageError("empty graph input")
@@ -59,9 +63,10 @@ def _resolve_framing(g: Dag, spec: str) -> Framing:
     if spec in NAMED_FRAMINGS:
         return named_framing(g, spec)
     try:
-        return framing_from_json(open(spec).read())
-    except OSError as exc:
+        text = Path(spec).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"framing {spec!r} is neither a name nor a readable file: {exc}")
+    return framing_from_json(text)
 
 
 input_opt = click.option("--input", "-i", "input_path", default=None, help="graph file (default stdin)")
@@ -267,7 +272,6 @@ def hstar(input_path, as_json, framing, seed, extensions) -> None:
 def oracle(input_path, as_json, framing) -> None:
     """Ehrhart oracle: lattice-point counts, h*, Gorenstein/unimodal flags."""
     from .ehrhart import special_simplex_check
-    from .framing import CoherenceTable
 
     g = _read_graph(input_path)
     f = _resolve_framing(g, framing)

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     CycleError,
+    GraphError,
     IsolatedVertexError,
     RouteExplosionError,
 )
@@ -48,14 +49,14 @@ class Dag:
     def _validate(self) -> None:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
-            raise CycleError("duplicate vertex ids")
+            raise GraphError("duplicate vertex ids")
         seen: set[EdgeId] = set()
         for e, t, h in self.edges:
             if e in seen:
-                raise CycleError(f"duplicate edge id {e}")
+                raise GraphError(f"duplicate edge id {e}")
             seen.add(e)
             if t not in vset or h not in vset:
-                raise CycleError(f"edge {e} has unknown endpoint")
+                raise GraphError(f"edge {e} has unknown endpoint")
             if t == h:
                 raise CycleError(f"edge {e} is a self-loop")
         self.topological_order  # raises CycleError on a directed cycle
@@ -122,6 +123,33 @@ class Dag:
         if len(order) != len(self.vertices):
             raise CycleError("graph contains a directed cycle")
         return tuple(order)
+
+    @cached_property
+    def nontree_edges(self) -> tuple[EdgeId, ...]:
+        """Edges whose values coordinatize the integer-flow lattice.
+
+        Collapsing all sources and sinks to one point turns flows into
+        circulations; the fundamental cycles of a spanning forest are a lattice
+        basis, and a flow's coordinates in it are its values on non-tree edges.
+        """
+        star = object()
+        inner = set(self.inner)
+        node = {v: (v if v in inner else star) for v in self.vertices}
+        parent: dict = {}
+
+        def find(x):
+            while parent.get(x, x) != x:
+                parent[x] = parent.get(parent[x], parent[x])
+                x = parent[x]
+            return x
+
+        tree: set[EdgeId] = set()
+        for e in self.edge_ids:
+            a, b = find(node[self.tail[e]]), find(node[self.head[e]])
+            if a != b:
+                parent[a] = b
+                tree.add(e)
+        return tuple(e for e in self.edge_ids if e not in tree)
 
     def route_vertices(self, route: Sequence[EdgeId]) -> tuple[VertexId, ...]:
         """Vertex sequence v0, ..., vk visited by an edge path."""
@@ -274,11 +302,13 @@ def dag_to_json(g: Dag) -> str:
 
 
 def dag_from_json(text: str) -> Dag:
-    data = json.loads(text)
-    return Dag.build(
-        data["vertices"],
-        [(int(e["id"]), e["tail"], e["head"]) for e in data["edges"]],
-    )
+    try:
+        data = json.loads(text)
+        vertices = data["vertices"]
+        edges = [(int(e["id"]), e["tail"], e["head"]) for e in data["edges"]]
+        return Dag.build(vertices, edges)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise GraphError(f"malformed graph JSON: {type(exc).__name__} {exc}") from exc
 
 
 def dag_from_edge_list(text: str) -> Dag:
@@ -290,15 +320,18 @@ def dag_from_edge_list(text: str) -> Dag:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) == 3:
-            t, h, e = int(parts[0]), int(parts[1]), int(parts[2])
+        try:
+            nums = [int(x) for x in line.split()]
+        except ValueError:
+            nums = []
+        if len(nums) == 3:
+            t, h, e = nums
             edges.append((e, t, h))
             used.add(e)
-        elif len(parts) == 2:
-            pending.append((int(parts[0]), int(parts[1])))
+        elif len(nums) == 2:
+            pending.append((nums[0], nums[1]))
         else:
-            raise ValueError(f"bad edge-list line: {line!r}")
+            raise GraphError(f"bad edge-list line: {line!r}")
     nxt = 0
     for t, h in pending:
         while nxt in used:
@@ -308,6 +341,3 @@ def dag_from_edge_list(text: str) -> Dag:
     vertices = sorted({t for _, t, _ in edges} | {h for _, _, h in edges})
     return Dag.build(vertices, edges)
 
-
-def dag_to_edge_list(g: Dag) -> str:
-    return "\n".join(f"{t} {h} {e}" for e, t, h in g.edges) + "\n"

@@ -42,12 +42,6 @@ class Framing:
             tuple(sorted(self.out_order.items())),
         )
 
-    def in_rank(self, v: VertexId, e: EdgeId) -> int:
-        return self.in_order[v].index(e)
-
-    def out_rank(self, v: VertexId, e: EdgeId) -> int:
-        return self.out_order[v].index(e)
-
 
 def validate_framing(g: Dag, f: Framing) -> None:
     if set(f.in_order) != set(g.inner) or set(f.out_order) != set(g.inner):
@@ -90,11 +84,14 @@ def framing_to_json(f: Framing) -> str:
 
 
 def framing_from_json(text: str) -> Framing:
-    data = json.loads(text)
-    return Framing(
-        {int(v): tuple(o) for v, o in data["in_order"].items()},
-        {int(v): tuple(o) for v, o in data["out_order"].items()},
-    )
+    try:
+        data = json.loads(text)
+        return Framing(
+            {int(v): tuple(o) for v, o in data["in_order"].items()},
+            {int(v): tuple(o) for v, o in data["out_order"].items()},
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FramingError(f"malformed framing JSON: {type(exc).__name__} {exc}") from exc
 
 
 # -- path order comparison --------------------------------------------------

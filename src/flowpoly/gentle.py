@@ -21,6 +21,7 @@ from .errors import (
     NotFullError,
 )
 from .framing import Framing, edge_labeling
+from .triangulation import bron_kerbosch
 
 ArrowId = int
 
@@ -120,10 +121,6 @@ def gentleness_violations(q: Quiver) -> list[str]:
         if len(pre_rel) > 1:
             issues.append(f"arrow {a.id} has two predecessors inside the ideal")
     return issues
-
-
-def is_gentle(q: Quiver) -> bool:
-    return not gentleness_violations(q)
 
 
 # -- strings ----------------------------------------------------------------------
@@ -455,62 +452,36 @@ def obstruction_walks(w_out: Walk, w_in: Walk) -> list[Walk]:
     return found
 
 
-def _directed_obstruction(w_out: Walk, w_in: Walk) -> bool:
-    return bool(obstruction_walks(w_out, w_in))
+def _rigid(w1: Walk, w2: Walk) -> bool:
+    return not (obstruction_walks(w1, w2) or obstruction_walks(w2, w1))
 
 
 def tau_rigid_pair(bq: BlossomQuiver, o1: StringWord, o2: StringWord) -> bool:
     """No common substring is a target in one extension and a source in the other."""
-    w1 = extend_string(bq, o1)
-    w2 = extend_string(bq, o2)
-    return not (_directed_obstruction(w1, w2) or _directed_obstruction(w2, w1))
+    return _rigid(extend_string(bq, o1), extend_string(bq, o2))
+
+
+def rigidity_adjacency(bq: BlossomQuiver, objects: Sequence[StringWord]) -> list[int]:
+    """Tau-rigidity graph of the objects as bitmasks (bit j set on row i iff
+    i != j and the pair is tau-rigid), extending each string once."""
+    walks = [extend_string(bq, o) for o in objects]
+    adj = [0] * len(walks)
+    for i, w in enumerate(walks):
+        if obstruction_walks(w, w):
+            raise ConsistencyError(
+                "objects-self-rigid", f"object {objects[i]} is not tau-rigid"
+            )
+        for j in range(i + 1, len(walks)):
+            if _rigid(w, walks[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
 
 
 def support_tau_tilting(bq: BlossomQuiver, objects: Sequence[StringWord]) -> list[tuple[int, ...]]:
     """Maximal collections of pairwise tau-rigid objects (as index tuples)."""
-    n = len(objects)
-    walks = [extend_string(bq, o) for o in objects]
-    adj = [0] * n
-    for i in range(n):
-        if _directed_obstruction(walks[i], walks[i]):
-            raise ConsistencyError(
-                "objects-self-rigid", f"object {objects[i]} is not tau-rigid"
-            )
-        for j in range(i + 1, n):
-            if not (
-                _directed_obstruction(walks[i], walks[j])
-                or _directed_obstruction(walks[j], walks[i])
-            ):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    out: list[tuple[int, ...]] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            members = []
-            m = r
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                members.append(v)
-            out.append(tuple(members))
-            return
-        pool = p | x
-        pivot = max(
-            range(n), key=lambda v: (p & adj[v]).bit_count() if (pool >> v) & 1 else -1
-        )
-        cand = p & ~adj[pivot]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            bit = 1 << v
-            expand(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
-
-    expand(0, (1 << n) - 1, 0)
-    out.sort()
-    return out
+    adj = rigidity_adjacency(bq, objects)
+    return sorted(bron_kerbosch(adj, (1 << len(objects)) - 1))
 
 
 # -- exports ---------------------------------------------------------------------

@@ -9,10 +9,12 @@ from a seed clique) so each can certify the other.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dag import Dag, EdgeId, Route, flow_dims
+from .dag import Dag, Route, flow_dims
 from .errors import CliqueExplosionError, NoFlipError, NotSimplexError
 from .framing import CoherenceTable
 
@@ -21,33 +23,26 @@ Clique = tuple[int, ...]  # sorted route indices
 DEFAULT_MAX_CLIQUES = 10**6
 
 
-def maximal_cliques(table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUES) -> list[Clique]:
-    """All maximal cliques of the coherence graph, sorted.
+def bron_kerbosch(
+    adj: Sequence[int], candidates: int, max_cliques: int = DEFAULT_MAX_CLIQUES
+) -> list[Clique]:
+    """Maximal cliques of the graph induced on the `candidates` bitmask.
 
-    Every maximal clique contains the exceptional routes, so the search
-    runs on the non-exceptional part only.
+    `adj[v]` is the neighbour bitmask of vertex v, without v itself.
+    Pivoting Bron-Kerbosch (Tomita-Tanaka-Takahashi): the pivot is the
+    vertex of P | X with the most neighbours in P.  Cliques come back as
+    sorted vertex tuples in search order; no candidates gives [()].
     """
-    n = len(table.routes)
-    adj = table.adjacency
-    exceptional = set(table.exceptional_indices)
-    base = tuple(sorted(exceptional))
-    p0 = 0
-    for i in range(n):
-        if i not in exceptional:
-            p0 |= 1 << i
     out: list[Clique] = []
 
     def expand(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
-            out.append(_mask_to_clique(r))
+            out.append(_members(r))
             if len(out) > max_cliques:
                 raise CliqueExplosionError(f"more than {max_cliques} maximal cliques")
             return
-        pivot_pool = p | x
-        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-        best = pivot
-        best_cover = (p & adj[pivot]).bit_count()
-        pool = pivot_pool
+        pool = p | x
+        best, best_cover = -1, -1
         while pool:
             v = (pool & -pool).bit_length() - 1
             pool &= pool - 1
@@ -63,48 +58,33 @@ def maximal_cliques(table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUE
             p &= ~bit
             x |= bit
 
-    def _mask_to_clique(mask: int) -> Clique:
-        members = list(base)
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            members.append(v)
-        return tuple(sorted(members))
-
-    expand(0, p0, 0)
-    out.sort()
+    expand(0, candidates, 0)
     return out
 
 
-# -- unimodularity ------------------------------------------------------------
+def _members(mask: int) -> Clique:
+    members = []
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        members.append(v)
+    return tuple(members)
 
 
-@functools.lru_cache(maxsize=None)
-def _nontree_edges(g: Dag) -> tuple[EdgeId, ...]:
-    """Edges whose values coordinatize the integer-flow lattice.
+def maximal_cliques(table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUES) -> list[Clique]:
+    """All maximal cliques of the coherence graph, sorted.
 
-    Collapsing all sources and sinks to one point turns flows into
-    circulations; the fundamental cycles of a spanning forest are a lattice
-    basis, and a flow's coordinates in it are its values on non-tree edges.
+    Every maximal clique contains the exceptional routes, so the search
+    runs on the non-exceptional part only.
     """
-    star = object()
-    node = {v: (v if v in set(g.inner) else star) for v in g.vertices}
-    parent: dict = {}
+    base = table.exceptional_indices
+    rest = (1 << len(table.routes)) - 1 - sum(1 << i for i in base)
+    return sorted(
+        tuple(sorted(base + c)) for c in bron_kerbosch(table.adjacency, rest, max_cliques)
+    )
 
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
 
-    tree: set[EdgeId] = set()
-    for e in sorted(g.tail):
-        a, b = find(node[g.tail[e]]), find(node[g.head[e]])
-        if a != b:
-            parent[a] = b
-            tree.add(e)
-    return tuple(e for e in sorted(g.tail) if e not in tree)
+# -- unimodularity ------------------------------------------------------------
 
 
 def simplex_volume(g: Dag, routes: Sequence[Route]) -> int:
@@ -114,7 +94,7 @@ def simplex_volume(g: Dag, routes: Sequence[Route]) -> int:
     the gcd of the maximal minors of the difference matrix written in
     flow-lattice coordinates.  1 means unimodular, 0 means degenerate.
     """
-    coords = _nontree_edges(g)
+    coords = g.nontree_edges
     pos = {e: i for i, e in enumerate(coords)}
     vecs = []
     for r in routes:
@@ -130,25 +110,13 @@ def simplex_volume(g: Dag, routes: Sequence[Route]) -> int:
     if rows > cols:
         return 0
     g_all = 0
-    for skip in _skip_sets(cols, cols - rows):
+    for skip in itertools.combinations(range(cols), cols - rows):
         keep = [j for j in range(cols) if j not in skip]
         minor = [[row[j] for j in keep] for row in mat]
-        g_all = _gcd(g_all, abs(_int_det(minor)))
+        g_all = math.gcd(g_all, abs(_int_det(minor)))
         if g_all == 1:
             return 1
     return g_all
-
-
-def _skip_sets(n: int, k: int):
-    import itertools
-
-    return itertools.combinations(range(n), k)
-
-
-def _gcd(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
 
 
 def _int_det(m: list[list[int]]) -> int:
@@ -233,12 +201,7 @@ def flip(table: CoherenceTable, clique: Clique, route_idx: int) -> tuple[Clique,
     ridge = [i for i in clique if i != route_idx]
     adj = table.adjacency
     mask = functools.reduce(lambda m, i: m & adj[i], ridge, (1 << len(table.routes)) - 1)
-    candidates = set()
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        candidates.add(v)
+    candidates = set(_members(mask))
     # every route coherent with the whole ridge belongs to one of the (at
     # most two) maximal cliques over it, so the candidates beyond the ridge
     # are exactly the outgoing route and its unique replacement

@@ -102,6 +102,89 @@ def test_usage_error_exit_code():
     assert res.returncode == 1
 
 
+def test_analyze_needs_full_graph():
+    gen = run(["gen", "car", "8"])
+    res = run(["analyze", "--framing", "length"], stdin=gen.stdout)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr and "flowpoly contract" in res.stderr
+
+
+def test_graph_json_without_head_exit_code(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": [0, 1], "edges": [{"id": 0, "tail": 0}]}')
+    res = run(["routes", "-i", str(path)])
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr and "head" in res.stderr
+
+
+def test_framing_file_not_json_exit_code(tmp_path):
+    path = tmp_path / "framing.json"
+    path.write_text("not json")
+    res = run(["analyze", "--framing", str(path)], stdin="0 1\n")
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr and "framing" in res.stderr
+
+
+def test_unreadable_input_files_exit_code(tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for args in (
+        ["routes", "-i", str(tmp_path / "missing.json")],
+        ["routes", "-i", str(binary)],
+        ["analyze", "--framing", str(binary), "-i", "-"],
+    ):
+        res = run(args, stdin="0 1\n")
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr and "usage error" in res.stderr
+
+
+def test_duplicate_edge_id_exit_code():
+    res = run(["routes"], stdin="0 1 0\n0 1 0\n")
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr and "duplicate edge id" in res.stderr
+
+
+# ordered verdict names of `analyze --json`; scripts rely on them, so they stay fixed
+G27_VERDICTS = [
+    "framing-ample",
+    "exceptional-count-source-degree",
+    "unique-exceptional-route-per-edge",
+    "exceptional-routes-label-constant",
+    "exceptional-adjacency-bipartite",
+    "cliques-contain-exceptionals",
+    "cliques-are-simplices",
+    "cliques-unimodular",
+    "flip-traversal-matches-enumeration",
+    "dual-graph-regular",
+    "dcov-palindromic",
+    "dcov-total",
+    "dcov-extremes",
+    "shelling-h-matches-dcov",
+    "kappa-swaps-cover-statistics",
+    "quiver-gentle",
+    "blossom-gentle",
+    "objects-match-nonexceptional-routes",
+    "route-module-bijection",
+    "rigidity-matches-coherence",
+    "support-tau-tilting-matches-cliques",
+    "route-count-is-vertex-count",
+    "hstar-matches-dcov",
+    "hstar-volume-is-clique-count",
+    "hstar-palindromic-gorenstein",
+    "hstar-unimodal",
+    "ehrhart-finite-differences-vanish",
+    "exceptionals-form-special-simplex",
+]
+
+
+def test_analyze_verdict_names_golden():
+    gen = run(["gen", "gkn", "2", "7"])
+    con = run(["contract"], stdin=gen.stdout)
+    res = run(["analyze", "--json", "--framing", "paper-g27"], stdin=con.stdout)
+    verdicts = json.loads(res.stdout)["verdicts"]
+    assert [v["invariant"] for v in verdicts] == G27_VERDICTS
+
+
 def test_fuzz_command():
     res = run(["fuzz", "--count", "5", "--seed", "3", "--json"])
     assert res.returncode == 0

@@ -15,7 +15,7 @@ from flowpoly.dag import (
     is_full,
     is_valid,
 )
-from flowpoly.errors import CycleError, IsolatedVertexError, RouteExplosionError
+from flowpoly.errors import CycleError, GraphError, IsolatedVertexError, RouteExplosionError
 from flowpoly.generators import gkn, random_valid_dag
 
 from conftest import count_paths_oracle
@@ -49,6 +49,27 @@ def test_cycle_rejected():
         Dag.build([0, 1], [(0, 0, 1), (1, 1, 0)])
     with pytest.raises(CycleError):
         Dag.build([0], [(0, 0, 0)])
+
+
+def test_duplicate_edge_id_rejected():
+    with pytest.raises(GraphError) as info:
+        Dag.build([0, 1], [(0, 0, 1), (0, 0, 1)])
+    assert not isinstance(info.value, CycleError)
+
+
+def test_unknown_endpoint_rejected():
+    with pytest.raises(GraphError) as info:
+        Dag.build([0, 1], [(0, 0, 2)])
+    assert not isinstance(info.value, CycleError)
+
+
+def test_malformed_graph_json_rejected():
+    with pytest.raises(GraphError):
+        dag_from_json('{"vertices": [0, 1], "edges": [{"id": 0, "tail": 0}]}')
+    with pytest.raises(GraphError):
+        dag_from_json('{"vertices": [0, 1], "edges": [')
+    with pytest.raises(GraphError):
+        dag_from_edge_list("0 x\n")
 
 
 def test_flow_dims(single_edge, car8, g27h):

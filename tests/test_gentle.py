@@ -1,6 +1,11 @@
+import collections
 import random
 
 import pytest
+
+import flowpoly.gentle
+import flowpoly.poset
+from flowpoly.analysis import analyze
 
 from flowpoly.errors import ExceptionalRouteError, NotAmpleError
 from flowpoly.framing import (
@@ -22,6 +27,7 @@ from flowpoly.gentle import (
     gentleness_violations,
     module_to_route,
     objects_t,
+    rigidity_adjacency,
     route_to_module,
     support_tau_tilting,
     tau_rigid_pair,
@@ -228,6 +234,39 @@ def test_support_tau_tilting_matches_cliques(g27h, g27f, g27t):
         frozenset(set(c) - exc) for c in maximal_cliques(g27t)
     }
     assert coll_sets == clique_sets
+
+
+def test_rigidity_adjacency_matches_pairwise_reference(core8, core8f):
+    q = build_quiver(core8, core8f)
+    bq = blossom(q)
+    objs = objects_t(q)
+    adj = rigidity_adjacency(bq, objs)
+    for a in range(len(objs)):
+        for b in range(len(objs)):
+            want = a != b and tau_rigid_pair(bq, objs[a], objs[b])
+            assert bool(adj[a] >> b & 1) == want
+
+
+def test_analyze_computes_each_intermediate_once(g27h, g27f, g27t, monkeypatch):
+    dual_calls = []
+    extended = collections.Counter()
+    dual_graph = flowpoly.poset.dual_graph
+    extend = flowpoly.gentle.extend_string
+
+    def counting_dual_graph(cliques):
+        dual_calls.append(len(cliques))
+        return dual_graph(cliques)
+
+    def counting_extend(bq, obj):
+        extended[str(obj)] += 1
+        return extend(bq, obj)
+
+    monkeypatch.setattr(flowpoly.poset, "dual_graph", counting_dual_graph)
+    monkeypatch.setattr(flowpoly.gentle, "extend_string", counting_extend)
+    assert analyze(g27h, g27f).ok
+    assert dual_calls == [16]
+    n_objects = len(g27t.routes) - len(g27t.exceptional_indices)
+    assert len(extended) == n_objects and set(extended.values()) == {1}
 
 
 def test_blossom_label_invariance(g27h, g27f):

@@ -1,11 +1,16 @@
+import gc
+import itertools
 import random
+import weakref
 
 import pytest
 
-from flowpoly.errors import NotSimplexError
+from flowpoly.dag import complete_contraction
+from flowpoly.errors import CliqueExplosionError, NotSimplexError
 from flowpoly.framing import CoherenceTable, enumerate_ample_framings, framing_by_edge_id
-from flowpoly.generators import random_full_dag
+from flowpoly.generators import gkn, random_full_dag
 from flowpoly.triangulation import (
+    bron_kerbosch,
     dual_graph,
     flip,
     maximal_cliques,
@@ -135,7 +140,51 @@ def test_total_volume_is_clique_count(core8, core8t):
 
 
 def test_clique_cap(g27t):
-    from flowpoly.errors import CliqueExplosionError
-
     with pytest.raises(CliqueExplosionError):
         maximal_cliques(g27t, max_cliques=4)
+
+
+def brute_force_maximal_cliques(adj, vertices):
+    """Every vertex subset that is a clique and has no common neighbour left."""
+    out = []
+    for k in range(len(vertices) + 1):
+        for sub in itertools.combinations(vertices, k):
+            if not all(adj[a] >> b & 1 for a, b in itertools.combinations(sub, 2)):
+                continue
+            if any(all(adj[v] >> u & 1 for u in sub) for v in vertices if v not in sub):
+                continue
+            out.append(sub)
+    return sorted(out)
+
+
+def test_bron_kerbosch_matches_brute_force():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randrange(0, 11)
+        density = rng.choice((0.2, 0.5, 0.8))
+        adj = [0] * n
+        for a, b in itertools.combinations(range(n), 2):
+            if rng.random() < density:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        vertices = [v for v in range(n) if rng.random() < 0.9]
+        candidates = sum(1 << v for v in vertices)
+        got = sorted(bron_kerbosch(adj, candidates))
+        assert got == brute_force_maximal_cliques(adj, vertices)
+
+
+def test_bron_kerbosch_empty_graph_and_cap():
+    assert bron_kerbosch([], 0) == [()]
+    assert len(bron_kerbosch([0] * 4, 0b1111, max_cliques=4)) == 4
+    with pytest.raises(CliqueExplosionError):
+        bron_kerbosch([0] * 5, 0b11111, max_cliques=4)
+
+
+def test_unimodularity_keeps_no_graph_alive():
+    g = complete_contraction(gkn(2, 7)).result
+    t = CoherenceTable(g, framing_by_edge_id(g))
+    assert verify_unimodular(g, [t.routes[i] for i in maximal_cliques(t)[0]])
+    ref = weakref.ref(g)
+    del g, t
+    gc.collect()
+    assert ref() is None

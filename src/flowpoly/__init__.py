@@ -46,6 +46,7 @@ from .triangulation import dual_graph, flip, maximal_cliques, verify_unimodular
 from .ehrhart import (
     check_symmetry_unimodality,
     count_integer_flows,
+    ehrhart_oracle,
     flow_count_table,
     hstar_from_counts,
     special_simplex_check,

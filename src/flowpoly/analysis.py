@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .dag import Dag, flow_dims, is_full
-from .ehrhart import (
-    check_symmetry_unimodality,
-    finite_differences_vanish,
-    flow_count_table,
-    hstar_from_counts,
-    special_simplex_check,
-)
+from .ehrhart import ehrhart_oracle, finite_differences_vanish, special_simplex_check
 from .errors import NotFullError
 from .framing import (
     CoherenceTable,
@@ -141,7 +135,7 @@ def analyze(
     )
     flipped = maximal_cliques_by_flips(table)
     report.check("flip-traversal-matches-enumeration", flipped == cliques)
-    poset = build_poset(g, f, table, cliques)
+    poset = build_poset(g, f, table, cliques, labels)
     report.data["poset"] = poset
     n_inner = len(g.inner)
     report.check(
@@ -208,19 +202,18 @@ def analyze(
 
     # lattice point oracle
     if with_oracle:
-        counts = flow_count_table(g, d_poly + 2)
+        oracle = ehrhart_oracle(g)
+        counts = oracle.counts
         report.data["counts"] = counts
         report.check(
             "route-count-is-vertex-count", counts[1] == len(routes)
         )
-        hstar = hstar_from_counts(counts, d_poly)
-        report.data["hstar"] = hstar
-        report.check("hstar-matches-dcov", _pad_eq(dcov, hstar))
-        report.check("hstar-volume-is-clique-count", sum(hstar) == len(cliques))
-        sym, uni, gor = check_symmetry_unimodality(hstar)
-        report.data["flags"] = {"symmetric": sym, "unimodal": uni, "gorenstein": gor}
-        report.check("hstar-palindromic-gorenstein", sym and gor)
-        report.check("hstar-unimodal", uni)
+        report.data["hstar"] = oracle.hstar
+        report.check("hstar-matches-dcov", _pad_eq(dcov, oracle.hstar))
+        report.check("hstar-volume-is-clique-count", sum(oracle.hstar) == len(cliques))
+        report.data["flags"] = oracle.flags
+        report.check("hstar-palindromic-gorenstein", oracle.symmetric and oracle.gorenstein)
+        report.check("hstar-unimodal", oracle.unimodal)
         report.check(
             "ehrhart-finite-differences-vanish",
             finite_differences_vanish(counts, d_poly),

@@ -24,11 +24,10 @@ from .dag import (
     dag_from_json,
     dag_to_json,
     enumerate_routes,
-    flow_dims,
     is_full,
     is_valid,
 )
-from .ehrhart import check_symmetry_unimodality, flow_count_table, hstar_from_counts
+from .ehrhart import ehrhart_oracle, special_simplex_check
 from .errors import ConsistencyError, FlowpolyError, LimitError
 from .framing import (
     CoherenceTable,
@@ -271,21 +270,14 @@ def hstar(input_path, as_json, framing, seed, extensions) -> None:
 @framing_opt
 def oracle(input_path, as_json, framing) -> None:
     """Ehrhart oracle: lattice-point counts, h*, Gorenstein/unimodal flags."""
-    from .ehrhart import special_simplex_check
-
     g = _read_graph(input_path)
     f = _resolve_framing(g, framing)
-    d = flow_dims(g)[1]
-    counts = flow_count_table(g, d + 2)
-    h = hstar_from_counts(counts, d)
-    sym, uni, gor = check_symmetry_unimodality(h)
+    result = ehrhart_oracle(g)
     payload = {
-        "dimension": d,
-        "counts": counts,
-        "hstar": h,
-        "symmetric": sym,
-        "unimodal": uni,
-        "gorenstein": gor,
+        "dimension": result.dimension,
+        "counts": result.counts,
+        "hstar": result.hstar,
+        **result.flags,
     }
     if is_full(g):
         table = CoherenceTable(g, f)
@@ -294,10 +286,10 @@ def oracle(input_path, as_json, framing) -> None:
     if as_json:
         click.echo(json.dumps(payload))
     else:
-        click.echo(f"dim = {d}")
-        click.echo("counts: " + ", ".join(f"{t}:{c}" for t, c in sorted(counts.items())))
-        click.echo(f"h* = {h}")
-        click.echo(f"symmetric: {sym}, unimodal: {uni}, gorenstein: {gor}")
+        click.echo(f"dim = {result.dimension}")
+        click.echo("counts: " + ", ".join(f"{t}:{c}" for t, c in sorted(result.counts.items())))
+        click.echo(f"h* = {result.hstar}")
+        click.echo(", ".join(f"{name}: {flag}" for name, flag in result.flags.items()))
         if "special_simplex" in payload:
             click.echo(f"exceptional routes form a special simplex: {payload['special_simplex']}")
 

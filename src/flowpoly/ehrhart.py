@@ -1,9 +1,13 @@
-"""Brute-force lattice-point oracle for flow polytopes.
+"""Lattice-point oracle for flow polytopes.
 
-Counts nonnegative integer flows of each total strength by dynamic
-programming over a topological cut, recovers the h*-vector exactly in the
-binomial basis, and certifies palindromicity, unimodality, and the special
-simplex property of the exceptional routes.  Everything is exact integer
+Counts the nonnegative integer flows of every strength 0..T in one dynamic
+programming pass over the vertices in topological order.  A state is the
+vector of pending inflows of the vertices not yet split; its value is a
+polynomial in z, packed into one Python int, whose coefficient of z^a
+counts the partial flows that have delivered a units to the sinks so far.
+From the counts it recovers the h*-vector exactly in the binomial basis
+and certifies palindromicity, unimodality, and the special simplex
+property of the exceptional routes.  Everything is exact integer
 arithmetic.
 """
 
@@ -11,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .dag import Dag, EdgeId, Route, VertexId, flow_dims
+from .dag import Dag, EdgeId, Route, flow_dims
 from .errors import (
     FrontierExplosionError,
     NegativeCoefficientError,
@@ -25,61 +29,140 @@ DEFAULT_MAX_STATES = 2_000_000
 
 
 def count_integer_flows(g: Dag, strength: int, max_states: int = DEFAULT_MAX_STATES) -> int:
-    """Number of nonnegative integer flows with total source outflow `strength`.
-
-    Vertices are processed in topological order; a state is the vector of
-    pending inflows of future vertices.  Parallel edges toward a common
-    head are not enumerated one by one: a stars-and-bars factor counts the
-    ways to split that head's share.
-    """
+    """Number of nonnegative integer flows with total source outflow `strength`."""
     if strength < 0:
         raise ValueError("strength must be nonnegative")
+    return flow_count_table(g, strength, max_states)[strength]
+
+
+def flow_count_table(g: Dag, tmax: int, max_states: int = DEFAULT_MAX_STATES) -> dict[int, int]:
+    """Number of nonnegative integer flows of each strength 0..tmax, in one pass.
+
+    Vertices are processed in topological order.  A state is the pending
+    inflow of every vertex, a tuple indexed by topological position, and
+    the source seeds cover every strength up to tmax at once.  A state's
+    value is a polynomial in z: the coefficient of z^a counts the partial
+    flows that have so far delivered a units to the sinks.  Once every
+    vertex is split, all units have arrived, so the coefficient of z^t in
+    the value of the all-zero state counts the flows of strength t.
+
+    Parallel edges toward a common head are not enumerated one by one: a
+    stars-and-bars factor counts the ways to split that head's share, and
+    all edges into sinks form one such group.
+
+    Each polynomial is packed into one int with `width` = |E| * bitlen(tmax+1)
+    + 1 bits per coefficient, the exponent a sitting at bit a * width.  A
+    coefficient counts distinct assignments of at most tmax to the edges
+    split so far, so it stays below (tmax+1)^|E| and never carries into the
+    next one.
+    """
     order = g.topological_order
+    if not g.sources:
+        return {t: int(t == 0) for t in range(tmax + 1)}
     pos = {v: i for i, v in enumerate(order)}
-    sinks = set(g.sinks)
-    sources = set(g.sources)
+    width = len(g.tail) * (tmax + 1).bit_length() + 1
 
-    # distribute the strength over the sources first
-    states: dict[tuple[tuple[int, int], ...], int] = {}
-    src = sorted(sources, key=lambda v: pos[v])
-    if not src:
-        return 1 if strength == 0 else 0
-    for combo in _compositions(strength, len(src)):
-        key = tuple((pos[v], a) for v, a in zip(src, combo) if a > 0)
-        states[key] = states.get(key, 0) + 1
+    def overflow(size: int, where: str) -> None:
+        raise FrontierExplosionError(
+            f"flow DP: {size} states at {where}, over the limit of {max_states}"
+            f" (strengths 0..{tmax})"
+        )
 
-    for v in order:
-        if v in sinks:
-            continue
-        vpos = pos[v]
-        groups: dict[VertexId, int] = {}
-        for e in g.out_edges[v]:
-            groups[g.head[e]] = groups.get(g.head[e], 0) + 1
-        heads = sorted(groups, key=lambda h: pos[h])
-        mults = [groups[h] for h in heads]
-        new_states: dict[tuple[tuple[int, int], ...], int] = {}
-        for state, ways in states.items():
-            pending = dict(state)
-            inflow = pending.pop(vpos, 0)
-            if not heads:
-                if inflow:
-                    continue  # no outlet for positive inflow
-                key = tuple(sorted(pending.items()))
-                new_states[key] = new_states.get(key, 0) + ways
-                continue
-            for split in _compositions(inflow, len(heads)):
-                factor = 1
-                nxt = dict(pending)
-                for h, m, amount in zip(heads, mults, split):
-                    factor *= math.comb(amount + m - 1, m - 1)
-                    if h not in sinks and amount:
-                        nxt[pos[h]] = nxt.get(pos[h], 0) + amount
-                key = tuple(sorted(nxt.items()))
-                new_states[key] = new_states.get(key, 0) + ways * factor
-        states = new_states
+    # seed every strength s <= tmax: the last part of each composition is tmax - s
+    zero = [0] * len(order)
+    src = sorted(pos[v] for v in g.sources)
+    states: dict[tuple[int, ...], int] = {}
+    for split in _compositions(tmax, len(src) + 1):
+        state = zero[:]
+        for p, a in zip(src, split):
+            state[p] = a
+        states[tuple(state)] = 1
         if len(states) > max_states:
-            raise FrontierExplosionError(f"flow DP exceeded {max_states} states")
-    return states.get((), 0)
+            overflow(len(states), "the source seeds")
+
+    for k, v in enumerate(order):
+        if not g.out_edges[v]:
+            continue
+        heads: dict[int, int] = {}
+        to_sinks = 0
+        for e in g.out_edges[v]:
+            h = g.head[e]
+            if g.out_edges[h]:
+                heads[pos[h]] = heads.get(pos[h], 0) + 1
+            else:
+                to_sinks += 1
+        where = f"vertex {k + 1} of {len(order)}"
+        states = _split_vertex(
+            states, k, sorted(heads.items()), to_sinks, width, max_states,
+            lambda size: overflow(size, where),
+        )
+    packed = states.get(tuple(zero), 0)
+    mask = (1 << width) - 1
+    return {t: packed >> (t * width) & mask for t in range(tmax + 1)}
+
+
+def _split_vertex(
+    states: dict[tuple[int, ...], int],
+    k: int,
+    heads: Sequence[tuple[int, int]],
+    to_sinks: int,
+    width: int,
+    max_states: int,
+    overflow: Callable[[int], None],
+) -> dict[tuple[int, ...], int]:
+    """Send the pending inflow of position k along its out-edges.
+
+    `heads` lists (position, number of parallel edges) of the non-sink heads;
+    `to_sinks` counts the edges into sinks, whose share is absorbed: it
+    shifts the value by `width` bits per unit.  The splits of each state
+    are generated one at a time, and `overflow` is called with the size of
+    the new layer as soon as it holds more than `max_states` states.
+    """
+    new: dict[tuple[int, ...], int] = {}
+    last = len(heads) - 1
+    base: list[int] = []
+
+    def record(key: tuple[int, ...], value: int) -> None:
+        old = new.get(key)
+        if old is None:
+            new[key] = value
+            if len(new) > max_states:
+                overflow(len(new))
+        else:
+            new[key] = old + value
+
+    def spread(i: int, rest: int, value: int) -> None:
+        # hand `rest` units to heads i..last, then record the state
+        p, m = heads[i]
+        before = base[p]
+        if i < last:
+            for a in range(rest + 1):
+                base[p] = before + a
+                share = value * math.comb(a + m - 1, m - 1) if m > 1 and a else value
+                spread(i + 1, rest - a, share)
+        else:
+            base[p] = before + rest
+            record(tuple(base), value * math.comb(rest + m - 1, m - 1) if m > 1 and rest else value)
+        base[p] = before
+
+    for state, value in states.items():
+        inflow = state[k]
+        if not inflow:
+            record(state, value)
+            continue
+        base = list(state)
+        base[k] = 0
+        # without sink edges nothing is absorbed; without other heads, everything
+        for kept in range(0 if to_sinks else inflow, (inflow if heads else 0) + 1):
+            absorbed = inflow - kept
+            shifted = value << (absorbed * width)
+            if to_sinks > 1 and absorbed:
+                shifted *= math.comb(absorbed + to_sinks - 1, to_sinks - 1)
+            if heads:
+                spread(0, kept, shifted)
+            else:
+                record(tuple(base), shifted)
+    return new
 
 
 def _compositions(total: int, parts: int):
@@ -96,8 +179,33 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def flow_count_table(g: Dag, tmax: int, max_states: int = DEFAULT_MAX_STATES) -> dict[int, int]:
-    return {t: count_integer_flows(g, t, max_states) for t in range(tmax + 1)}
+@dataclass(frozen=True)
+class OracleResult:
+    """Lattice-point counts of the dilates 0..d+2, the h*-vector they
+    determine, and its flags."""
+
+    dimension: int
+    counts: dict[int, int]
+    hstar: list[int]
+    symmetric: bool
+    unimodal: bool
+    gorenstein: bool
+
+    @property
+    def flags(self) -> dict[str, bool]:
+        return {
+            "symmetric": self.symmetric,
+            "unimodal": self.unimodal,
+            "gorenstein": self.gorenstein,
+        }
+
+
+def ehrhart_oracle(g: Dag) -> OracleResult:
+    """Count the dilates 0..d+2 of the flow polytope, solve for h* and flag it."""
+    d = flow_dims(g)[1]
+    counts = flow_count_table(g, d + 2)
+    hstar = hstar_from_counts(counts, d)
+    return OracleResult(d, counts, hstar, *check_symmetry_unimodality(hstar))
 
 
 def hstar_from_counts(counts: Mapping[int, int], d: int) -> list[int]:

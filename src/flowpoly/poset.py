@@ -242,11 +242,15 @@ def build_poset(
     f: Framing,
     table: CoherenceTable | None = None,
     cliques: list[Clique] | None = None,
+    labels: Mapping[EdgeId, int] | None = None,
 ) -> TauPoset:
-    """Orient every dual edge and assert the result is its own Hasse diagram."""
+    """Orient every dual edge and assert the result is its own Hasse diagram.
+
+    `table`, `cliques` and the edge `labels` of `f` are computed when not given.
+    """
     table = table or CoherenceTable(g, f)
     cliques = cliques if cliques is not None else maximal_cliques(table)
-    labels = edge_labeling(g, f)
+    labels = labels if labels is not None else edge_labeling(g, f)
     dg = dual_graph(cliques)
     hasse: list[tuple[int, int, Brick]] = []
     for a, b in dg.edges:

@@ -1,14 +1,18 @@
+import math
 import random
+import re
 
 import pytest
 
 from flowpoly.dag import Dag, flow_dims
 from flowpoly.errors import (
+    FrontierExplosionError,
     NegativeCoefficientError,
     NonIntegralSolutionError,
 )
 from flowpoly.ehrhart import (
     count_integer_flows,
+    ehrhart_oracle,
     finite_differences_vanish,
     flow_count_table,
     hstar_from_counts,
@@ -39,11 +43,7 @@ def test_counts_match_enumeration_oracle(g27h, core8):
     for t in (1, 2):
         assert count_integer_flows(g27h, t) == count_flows_oracle(g27h, t)
     assert count_integer_flows(core8, 1) == count_flows_oracle(core8, 1)
-    # a multigraph with parallel edges and two sources
-    g = Dag.build(
-        [0, 1, 2, 3],
-        [(0, 0, 2), (1, 0, 2), (2, 1, 2), (3, 2, 3), (4, 2, 3), (5, 1, 3)],
-    )
+    g = _two_source_multigraph()
     for t in (1, 2, 3):
         assert count_integer_flows(g, t) == count_flows_oracle(g, t)
 
@@ -52,6 +52,14 @@ def test_hstar_g27(g27h):
     counts = flow_count_table(g27h, 7)
     assert hstar_from_counts(counts, 5) == [1, 7, 7, 1, 0, 0]
     assert finite_differences_vanish(counts, 5)
+
+
+def test_ehrhart_oracle_g27(g27h):
+    result = ehrhart_oracle(g27h)
+    assert result.dimension == 5
+    assert result.counts == flow_count_table(g27h, 7)
+    assert result.hstar == [1, 7, 7, 1, 0, 0]
+    assert result.flags == {"symmetric": True, "unimodal": True, "gorenstein": True}
 
 
 def test_hstar_single_edge(single_edge):
@@ -133,7 +141,80 @@ def test_oracle_matches_dcov_random():
 
 
 def test_frontier_cap(g27h):
-    from flowpoly.errors import FrontierExplosionError
-
     with pytest.raises(FrontierExplosionError):
         count_integer_flows(g27h, 6, max_states=3)
+
+
+def test_frontier_cap_message_names_stage_vertex_and_strengths(g27h):
+    # one source: 7 seeds for strengths 0..6 fit, the first split does not
+    with pytest.raises(FrontierExplosionError) as info:
+        flow_count_table(g27h, 6, max_states=7)
+    n = len(g27h.vertices)
+    assert re.fullmatch(
+        rf"flow DP: 8 states at vertex 1 of {n}, over the limit of 7 \(strengths 0\.\.6\)",
+        str(info.value),
+    )
+    with pytest.raises(FrontierExplosionError, match=r"8 states at the source seeds.*0\.\.7"):
+        flow_count_table(g27h, 7, max_states=7)
+
+
+def _two_source_multigraph() -> Dag:
+    """Parallel edges toward an inner vertex and the sink, and two sources."""
+    return Dag.build(
+        [0, 1, 2, 3],
+        [(0, 0, 2), (1, 0, 2), (2, 1, 2), (3, 2, 3), (4, 2, 3), (5, 1, 3)],
+    )
+
+
+def test_table_matches_enumeration_on_two_source_multigraph():
+    g = _two_source_multigraph()
+    assert flow_count_table(g, 3) == {t: count_flows_oracle(g, t) for t in range(4)}
+
+
+def test_table_matches_enumeration_when_union_of_strengths_exceeds_top():
+    # the source has no sink edge, so after its split every strength s < 3
+    # leaves pending vectors of sum s that strength 3 never reaches
+    g = Dag.build(
+        [0, 1, 2, 3],
+        [(0, 0, 1), (1, 0, 1), (2, 0, 2), (3, 1, 2), (4, 1, 3), (5, 2, 3), (6, 2, 3)],
+    )
+    assert flow_count_table(g, 3) == {t: count_flows_oracle(g, t) for t in range(4)}
+
+
+def test_table_matches_enumeration_on_random_full_dags():
+    rng = random.Random(5)
+    for _ in range(6):
+        g = random_full_dag(rng, rng.randrange(1, 3))
+        if len(g.tail) > 9:
+            continue
+        assert flow_count_table(g, 2) == {t: count_flows_oracle(g, t) for t in range(3)}
+
+
+def test_table_golden_car8(car8h):
+    # taken from the per-strength DP this one-pass table replaced
+    assert list(flow_count_table(car8h, 12).values()) == [
+        1, 21, 196, 1176, 5292, 19404, 60984, 169884, 429429, 1002001, 2186184, 4504864, 8836464,
+    ]
+
+
+def test_count_integer_flows_is_the_table_entry(g27h):
+    g = _two_source_multigraph()
+    for t in range(5):
+        assert count_integer_flows(g, t) == flow_count_table(g, t)[t]
+        assert count_integer_flows(g27h, t) == flow_count_table(g27h, t)[t]
+    with pytest.raises(ValueError):
+        count_integer_flows(g, -1)
+
+
+def test_table_without_sources():
+    for g in (Dag.build([], []), Dag.build([0, 1], [])):
+        assert flow_count_table(g, 3) == {0: 1, 1: 0, 2: 0, 3: 0}
+
+
+def test_single_edge_tables(single_edge):
+    table = flow_count_table(single_edge, 5)
+    assert list(table) == list(range(6))
+    assert table == dict.fromkeys(range(6), 1)
+    parallel = Dag.build([0, 1], [(0, 0, 1), (1, 0, 1), (2, 0, 1)])
+    assert flow_count_table(parallel, 4) == {t: math.comb(t + 2, 2) for t in range(5)}
+    assert flow_count_table(single_edge, 0) == {0: 1}

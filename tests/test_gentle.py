@@ -250,7 +250,9 @@ def test_rigidity_adjacency_matches_pairwise_reference(core8, core8f):
 def test_analyze_computes_each_intermediate_once(g27h, g27f, g27t, monkeypatch):
     dual_calls = []
     extended = collections.Counter()
+    poset_labelings = []
     dual_graph = flowpoly.poset.dual_graph
+    edge_labeling = flowpoly.poset.edge_labeling
     extend = flowpoly.gentle.extend_string
 
     def counting_dual_graph(cliques):
@@ -262,9 +264,15 @@ def test_analyze_computes_each_intermediate_once(g27h, g27f, g27t, monkeypatch):
         return extend(bq, obj)
 
     monkeypatch.setattr(flowpoly.poset, "dual_graph", counting_dual_graph)
+    def counting_edge_labeling(g, f):
+        poset_labelings.append(f)
+        return edge_labeling(g, f)
+
     monkeypatch.setattr(flowpoly.gentle, "extend_string", counting_extend)
+    monkeypatch.setattr(flowpoly.poset, "edge_labeling", counting_edge_labeling)
     assert analyze(g27h, g27f).ok
     assert dual_calls == [16]
+    assert poset_labelings == []  # build_poset reuses analyze's labels
     n_objects = len(g27t.routes) - len(g27t.exceptional_indices)
     assert len(extended) == n_objects and set(extended.values()) == {1}
 

@@ -66,6 +66,11 @@ def test_poset_shape_g27(g27poset):
     assert p.h_from_shelling(p.default_linear_extension()) == [1, 7, 7, 1]
 
 
+def test_poset_given_labels_match_computed(g27h, g27f, g27t, g27poset):
+    p = build_poset(g27h, g27f, g27t, labels=edge_labeling(g27h, g27f))
+    assert p.hasse == g27poset.hasse
+
+
 def test_poset_single_clique(single_edge):
     f = framing_by_edge_id(single_edge)
     p = build_poset(single_edge, f)

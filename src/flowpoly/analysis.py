@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .dag import Dag, flow_dims, is_full
+from .dag import Dag, enumerate_routes, flow_dims, is_full
 from .ehrhart import ehrhart_oracle, finite_differences_vanish, special_simplex_check
 from .errors import NotFullError
 from .framing import (
@@ -76,8 +76,6 @@ def analyze(
     with_gentle: bool = True,
     with_oracle: bool = True,
 ) -> AnalysisReport:
-    from .dag import enumerate_routes
-
     table = CoherenceTable(g, f, enumerate_routes(g, max_routes))
     report = AnalysisReport(g, table)
     d_space, d_poly = flow_dims(g)

@@ -25,7 +25,6 @@ from .dag import (
     dag_to_json,
     enumerate_routes,
     is_full,
-    is_valid,
 )
 from .ehrhart import ehrhart_oracle, special_simplex_check
 from .errors import ConsistencyError, FlowpolyError, LimitError
@@ -145,32 +144,35 @@ def routes(input_path, as_json, max_routes) -> None:
 def framings(input_path, as_json, do_enum) -> None:
     """Count (and optionally enumerate) ample framings of a valid DAG."""
     g = _read_graph(input_path)
-    if not is_valid(g):
-        raise click.UsageError("graph is not valid (no full contraction)")
     trace = complete_contraction(g)
+    if not is_full(trace.result):
+        raise click.UsageError("graph is not valid (no full contraction)")
+    if do_enum:
+        if not is_full(g):
+            raise click.UsageError("--enumerate needs a full graph (contract first)")
+        for tagged in enumerate_ample_framings(g):
+            if tagged.canonical:
+                click.echo(framing_to_json(tagged.framing))
+        return
     decomp = path_cycle_decomposition(trace.result)
     total = count_ample_framings(g)
-    payload = {
-        "m": decomp.m,
-        "components": [
-            {"kind": c.kind, "walk": list(c.walk())} for c in decomp.components
-        ],
-        "count": total,
-    }
-    if as_json and not do_enum:
-        click.echo(json.dumps(payload))
-    elif not do_enum:
+    if as_json:
+        click.echo(
+            json.dumps(
+                {
+                    "m": decomp.m,
+                    "components": [
+                        {"kind": c.kind, "walk": list(c.walk())} for c in decomp.components
+                    ],
+                    "count": total,
+                }
+            )
+        )
+    else:
         click.echo(f"M = {decomp.m} alternating components with inner vertices")
         for c in decomp.components:
             click.echo(f"  {c.kind}: " + "-".join(map(str, c.walk())))
         click.echo(f"ample framings: {total}")
-    else:
-        if not is_full(g):
-            raise click.UsageError("--enumerate needs a full graph (contract first)")
-        for tagged in enumerate_ample_framings(g):
-            if not tagged.canonical:
-                continue
-            click.echo(framing_to_json(tagged.framing))
 
 
 @cli.command()
@@ -188,8 +190,7 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
     flags = [verify_unimodular(g, [table.routes[i] for i in c]) for c in cs]
     dg = dual_graph(cs)
     if dot_path:
-        with open(dot_path, "w") as fh:
-            fh.write(_dual_dot(dg))
+        _write_dot(dot_path, "graph dual {", cs, [f"  n{a} -- n{b};" for a, b in dg.edges])
     if as_json:
         click.echo(
             json.dumps(
@@ -221,8 +222,8 @@ def poset(input_path, as_json, framing, dot_path, seed) -> None:
     p = build_poset(g, f)
     dcov = p.dcov_polynomial()
     if dot_path:
-        with open(dot_path, "w") as fh:
-            fh.write(_poset_dot(p))
+        covers = [f'  n{lo} -> n{hi} [label="{"-".join(map(str, w))}"];' for lo, hi, w in p.hasse]
+        _write_dot(dot_path, "digraph poset {\n  rankdir=BT;", p.cliques, covers)
     if as_json:
         click.echo(
             json.dumps(
@@ -374,25 +375,14 @@ def fuzz(count, seed, size, as_json) -> None:
         raise ConsistencyError("fuzz-invariants", f"{len(failures)} failures")
 
 
-def _dual_dot(dg) -> str:
-    lines = ["graph dual {"]
-    for i, c in enumerate(dg.cliques):
-        lines.append(f'  n{i} [label="{" ".join(map(str, c))}"];')
-    for a, b in dg.edges:
-        lines.append(f"  n{a} -- n{b};")
+def _write_dot(path: str, opening: str, cliques, edge_lines: list[str]) -> None:
+    """Write a DOT graph with one node per clique, labelled by its routes."""
+    lines = [opening]
+    lines.extend(f'  n{i} [label="{" ".join(map(str, c))}"];' for i, c in enumerate(cliques))
+    lines.extend(edge_lines)
     lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _poset_dot(p) -> str:
-    lines = ["digraph poset {", "  rankdir=BT;"]
-    for i, c in enumerate(p.cliques):
-        lines.append(f'  n{i} [label="{" ".join(map(str, c))}"];')
-    for lo, hi, w in p.hasse:
-        brick = "-".join(map(str, w))
-        lines.append(f'  n{lo} -> n{hi} [label="{brick}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def main() -> None:

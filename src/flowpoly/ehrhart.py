@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .dag import Dag, EdgeId, Route, flow_dims
+from .dag import Dag, EdgeId, Route, flow_dims, is_full
 from .errors import (
     FrontierExplosionError,
     NegativeCoefficientError,
@@ -286,8 +286,6 @@ def special_simplex_check(
     face holds fewer than dim-many route vertices, which would disqualify
     them as facets.
     """
-    from .dag import is_full
-
     if not is_full(g):
         raise NotFullError("special simplices are certified on full DAGs")
     d = flow_dims(g)[1]

@@ -97,57 +97,33 @@ def framing_from_json(text: str) -> Framing:
 # -- path order comparison --------------------------------------------------
 
 
-def compare_in_paths(g: Dag, f: Framing, p: Sequence[EdgeId], q: Sequence[EdgeId]) -> int:
-    """Compare two maximal paths ending at the same vertex (-1, 0, +1).
+def compare_paths_at(
+    g: Dag, f: Framing, v: VertexId, p: Sequence[EdgeId], q: Sequence[EdgeId], side: str
+) -> int:
+    """Spec-level comparison of two path fragments at v (-1, 0, +1).
 
-    Walk backward from the shared endpoint; at the first differing edge the
-    two edges enter a common vertex, and the in-order there decides.
+    side='in' expects both paths to end at v, side='out' to start at v.
+    Both are read away from v; at the first differing edge the two edges
+    share an end, and the framing's order on that port decides.
     """
-    i, j = len(p) - 1, len(q) - 1
-    while i >= 0 and j >= 0 and p[i] == q[j]:
-        i -= 1
-        j -= 1
-    if i < 0 and j < 0:
-        return 0
-    if i < 0 or j < 0:
-        raise FramingError("one path is a strict suffix of the other; not maximal")
-    w = g.head[p[i]]
-    order = f.in_order[w]
-    return -1 if order.index(p[i]) < order.index(q[j]) else 1
-
-
-def compare_out_paths(g: Dag, f: Framing, p: Sequence[EdgeId], q: Sequence[EdgeId]) -> int:
-    """Compare two maximal paths starting at the same vertex (-1, 0, +1)."""
+    if side == "in":
+        p, q, at, order, end, part = p[::-1], q[::-1], g.head, f.in_order, "end", "suffix"
+    elif side == "out":
+        at, order, end, part = g.tail, f.out_order, "start", "prefix"
+    else:
+        raise ValueError("side must be 'in' or 'out'")
+    for path in (p, q):
+        if not path or at[path[0]] != v:
+            raise NotThroughVertexError(f"path does not {end} at {v}")
     i = 0
     while i < len(p) and i < len(q) and p[i] == q[i]:
         i += 1
     if i == len(p) and i == len(q):
         return 0
     if i == len(p) or i == len(q):
-        raise FramingError("one path is a strict prefix of the other; not maximal")
-    w = g.tail[p[i]]
-    order = f.out_order[w]
-    return -1 if order.index(p[i]) < order.index(q[i]) else 1
-
-
-def compare_paths_at(
-    g: Dag, f: Framing, v: VertexId, p: Sequence[EdgeId], q: Sequence[EdgeId], side: str
-) -> int:
-    """Spec-level comparison of two path fragments at v.
-
-    side='in' expects both paths to end at v, side='out' to start at v.
-    """
-    if side == "in":
-        for path in (p, q):
-            if not path or g.head[path[-1]] != v:
-                raise NotThroughVertexError(f"path does not end at {v}")
-        return compare_in_paths(g, f, p, q)
-    if side == "out":
-        for path in (p, q):
-            if not path or g.tail[path[0]] != v:
-                raise NotThroughVertexError(f"path does not start at {v}")
-        return compare_out_paths(g, f, p, q)
-    raise ValueError("side must be 'in' or 'out'")
+        raise FramingError(f"one path is a strict {part} of the other; not maximal")
+    port = order[at[p[i]]]
+    return -1 if port.index(p[i]) < port.index(q[i]) else 1
 
 
 # -- coherence ----------------------------------------------------------------
@@ -190,53 +166,47 @@ class CoherenceTable:
             for v in cuts:
                 by_vertex.setdefault(v, []).append(i)
 
+        # A fragment's key lists the port position of each edge read away
+        # from v; distinct maximal fragments first differ at a shared port,
+        # so the keys sort them in the framing's order.  Edges without the
+        # port (into a sink, out of a source) never lie in such a fragment.
+        in_pos = {e: k for v in g.inner for k, e in enumerate(f.in_order[v])}
+        out_pos = {e: k for v in g.inner for k, e in enumerate(f.out_order[v])}
+        in_keys = [tuple(in_pos.get(e, -1) for e in r) for r in self.routes]
+        out_keys = [tuple(out_pos.get(e, -1) for e in r) for r in self.routes]
         self.in_rank: list[dict[VertexId, int]] = [dict() for _ in self.routes]
         self.out_rank: list[dict[VertexId, int]] = [dict() for _ in self.routes]
         for v, idxs in by_vertex.items():
-            prefixes = {}
-            suffixes = {}
-            for i in idxs:
-                cut = self.route_cuts[i][v]
-                prefixes.setdefault(self.routes[i][:cut], []).append(i)
-                suffixes.setdefault(self.routes[i][cut:], []).append(i)
-            in_sorted = sorted(
-                prefixes, key=functools.cmp_to_key(lambda a, b: compare_in_paths(g, f, a, b))
-            )
-            out_sorted = sorted(
-                suffixes, key=functools.cmp_to_key(lambda a, b: compare_out_paths(g, f, a, b))
-            )
-            for rank, p in enumerate(in_sorted):
-                for i in prefixes[p]:
-                    self.in_rank[i][v] = rank
-            for rank, s in enumerate(out_sorted):
-                for i in suffixes[s]:
-                    self.out_rank[i][v] = rank
+            for ranks, keys, before in (
+                (self.in_rank, in_keys, True),
+                (self.out_rank, out_keys, False),
+            ):
+                groups: dict[tuple[int, ...], list[int]] = {}
+                for i in idxs:
+                    cut = self.route_cuts[i][v]
+                    key = keys[i][:cut][::-1] if before else keys[i][cut:]
+                    groups.setdefault(key, []).append(i)
+                for rank, key in enumerate(sorted(groups)):
+                    for i in groups[key]:
+                        ranks[i][v] = rank
 
-    def conflict_vertices(self, i: int, j: int) -> list[VertexId]:
+    def _conflicts(self, i: int, j: int) -> Iterator[VertexId]:
+        """Shared inner vertices where the in- and out-ranks of routes i and j
+        compare in opposite directions."""
         a, b = self.route_cuts[i], self.route_cuts[j]
         if len(a) > len(b):
             a, b = b, a
-        out: list[VertexId] = []
+        in_i, in_j = self.in_rank[i], self.in_rank[j]
+        out_i, out_j = self.out_rank[i], self.out_rank[j]
         for v in a:
-            if v in b:
-                d1 = self.in_rank[i][v] - self.in_rank[j][v]
-                d2 = self.out_rank[i][v] - self.out_rank[j][v]
-                if d1 * d2 < 0:
-                    out.append(v)
-        out.sort()
-        return out
+            if v in b and (in_i[v] - in_j[v]) * (out_i[v] - out_j[v]) < 0:
+                yield v
+
+    def conflict_vertices(self, i: int, j: int) -> list[VertexId]:
+        return sorted(self._conflicts(i, j))
 
     def coherent(self, i: int, j: int) -> bool:
-        a, b = self.route_cuts[i], self.route_cuts[j]
-        small = a if len(a) <= len(b) else b
-        other = b if small is a else a
-        for v in small:
-            if v in other:
-                d1 = self.in_rank[i][v] - self.in_rank[j][v]
-                d2 = self.out_rank[i][v] - self.out_rank[j][v]
-                if d1 * d2 < 0:
-                    return False
-        return True
+        return next(self._conflicts(i, j), None) is None
 
     @functools.cached_property
     def adjacency(self) -> list[int]:
@@ -305,14 +275,11 @@ def edge_labeling(g: Dag, f: Framing, require_full: bool = True) -> dict[EdgeId,
     for e, t, h in g.edges:
         tail_label = None
         head_label = None
+        # a single edge at a port carries no information
         if t in f.out_order and len(f.out_order[t]) > 1:
             tail_label = 1 if f.out_order[t][0] == e else 2
-        elif t in f.out_order:
-            tail_label = None  # single out-edge carries no information
         if h in f.in_order and len(f.in_order[h]) > 1:
             head_label = 1 if f.in_order[h][0] == e else 2
-        elif h in f.in_order:
-            head_label = None
         if tail_label is not None and head_label is not None and tail_label != head_label:
             raise InconsistentFramingError(
                 f"edge {e} is rank {tail_label} at its tail but {head_label} at its head"
@@ -407,15 +374,8 @@ def check_exceptional_set(g: Dag, x: Sequence[Route]) -> ExceptionalSetCheck:
     if reasons:
         return ExceptionalSetCheck(False, "; ".join(reasons), None, adj)
     assert color is not None
-    cover = {e: rs[0] for e, rs in hits.items()}
-    in_order: dict[VertexId, tuple[EdgeId, ...]] = {}
-    out_order: dict[VertexId, tuple[EdgeId, ...]] = {}
-    for v in g.inner:
-        ins = sorted(g.in_edges[v], key=lambda e: (color[cover[e]], e))
-        outs = sorted(g.out_edges[v], key=lambda e: (color[cover[e]], e))
-        in_order[v] = tuple(ins)
-        out_order[v] = tuple(outs)
-    return ExceptionalSetCheck(True, None, Framing(in_order, out_order), adj)
+    labels = {e: 1 + color[rs[0]] for e, rs in hits.items()}
+    return ExceptionalSetCheck(True, None, framing_from_labels(g, labels), adj)
 
 
 # -- path/cycle decomposition ----------------------------------------------------
@@ -452,17 +412,12 @@ class _Walk:
         self.closed = False
         self.dead = False
 
-    def orient_end_last(self, x) -> None:
-        if self.vertices[-1] != x:
+    def orient(self, x, end: int) -> None:
+        """Reverse the walk if needed so that x sits at `end` (0 or -1)."""
+        if self.vertices[end] != x:
             self.vertices.reverse()
             self.edges.reverse()
-        assert self.vertices[-1] == x
-
-    def orient_end_first(self, x) -> None:
-        if self.vertices[0] != x:
-            self.vertices.reverse()
-            self.edges.reverse()
-        assert self.vertices[0] == x
+        assert self.vertices[end] == x
 
 
 def path_cycle_decomposition(g: Dag) -> Decomposition:
@@ -493,8 +448,8 @@ def path_cycle_decomposition(g: Dag) -> Decomposition:
             walks[cur].closed = True  # both ends met: an alternating cycle
             return cur
         w, o = walks[cur], walks[oid]
-        w.orient_end_last(x)
-        o.orient_end_first(x)
+        w.orient(x, -1)
+        o.orient(x, 0)
         w.vertices.extend(o.vertices[1:])
         w.edges.extend(o.edges)
         o.dead = True
@@ -522,7 +477,7 @@ def path_cycle_decomposition(g: Dag) -> Decomposition:
             walks.append(_Walk([x, t], [e]))  # source -> sink edge
         elif x in ends:
             w = walks[ends.pop(x)]
-            w.orient_end_last(x)
+            w.orient(x, -1)
             w.vertices.append(t)
             w.edges.append(e)
         else:
@@ -561,29 +516,27 @@ class IdleReachability:
 def idle_reachability(g: Dag) -> IdleReachability:
     """Classify idle edges by directed idle-edge paths from sources / to sinks."""
     idle = idle_edges(g)
-    sources = set(g.sources)
-    sinks = set(g.sinks)
-    src_reach: set[EdgeId] = set()
-    frontier = {e for e in idle if g.tail[e] in sources}
+    src_reach, v1 = _idle_reach(idle, set(g.sources), g.tail, g.head)
+    snk_reach, v2 = _idle_reach(idle, set(g.sinks), g.head, g.tail)
+    return IdleReachability(src_reach, snk_reach, v1, v2)
+
+
+def _idle_reach(
+    idle: frozenset[EdgeId],
+    ends: set[VertexId],
+    near: Mapping[EdgeId, VertexId],
+    far: Mapping[EdgeId, VertexId],
+) -> tuple[frozenset[EdgeId], frozenset[VertexId]]:
+    """Idle edges joined to `ends` by idle paths, each edge's `near` end
+    facing them, and the endpoints of those edges outside `ends`."""
+    reach: set[EdgeId] = set()
+    frontier = {e for e in idle if near[e] in ends}
     while frontier:
-        src_reach |= frontier
-        heads = {g.head[e] for e in frontier}
-        frontier = {
-            e for e in idle - src_reach if g.tail[e] in heads
-        }
-    snk_reach: set[EdgeId] = set()
-    frontier = {e for e in idle if g.head[e] in sinks}
-    while frontier:
-        snk_reach |= frontier
-        tails = {g.tail[e] for e in frontier}
-        frontier = {
-            e for e in idle - snk_reach if g.head[e] in tails
-        }
-    v1 = {v for e in src_reach for v in (g.tail[e], g.head[e]) if v not in sources}
-    v2 = {v for e in snk_reach for v in (g.tail[e], g.head[e]) if v not in sinks}
-    return IdleReachability(
-        frozenset(src_reach), frozenset(snk_reach), frozenset(v1), frozenset(v2)
-    )
+        reach |= frontier
+        fars = {far[e] for e in frontier}
+        frontier = {e for e in idle - reach if near[e] in fars}
+    verts = {v for e in reach for v in (near[e], far[e]) if v not in ends}
+    return frozenset(reach), frozenset(verts)
 
 
 def _check_idle_forest(g: Dag, reach: IdleReachability) -> None:
@@ -613,29 +566,21 @@ def _check_idle_forest(g: Dag, reach: IdleReachability) -> None:
     # the |out(v)|! factor at a source-side vertex is only free when all
     # in-paths through v coincide, i.e. the chain from v back to a source
     # is forced (in-degree one throughout); dually on the sink side
-    sources, sinks = set(g.sources), set(g.sinks)
-    for v in reach.v1:
-        if len(g.out_edges[v]) < 2:
-            continue
-        x = v
-        while x not in sources:
-            if len(g.in_edges[x]) != 1:
-                raise ConsistencyError(
-                    "idle-forest-structure",
-                    f"source-side idle chain through {v} branches at {x}",
-                )
-            x = g.tail[g.in_edges[x][0]]
-    for v in reach.v2:
-        if len(g.in_edges[v]) < 2:
-            continue
-        x = v
-        while x not in sinks:
-            if len(g.out_edges[x]) != 1:
-                raise ConsistencyError(
-                    "idle-forest-structure",
-                    f"sink-side idle chain through {v} branches at {x}",
-                )
-            x = g.head[g.out_edges[x][0]]
+    for side, starts, ends, fan, chain, step in (
+        ("source", reach.v1, set(g.sources), g.out_edges, g.in_edges, g.tail),
+        ("sink", reach.v2, set(g.sinks), g.in_edges, g.out_edges, g.head),
+    ):
+        for v in starts:
+            if len(fan[v]) < 2:
+                continue
+            x = v
+            while x not in ends:
+                if len(chain[x]) != 1:
+                    raise ConsistencyError(
+                        "idle-forest-structure",
+                        f"{side}-side idle chain through {v} branches at {x}",
+                    )
+                x = step[chain[x][0]]
 
 
 def count_ample_framings(g: Dag) -> int:
@@ -647,11 +592,20 @@ def count_ample_framings(g: Dag) -> int:
     reach = idle_reachability(g)
     _check_idle_forest(g, reach)
     count = 1 << m
-    for v in reach.v1:
-        count *= math.factorial(len(g.out_edges[v]))
-    for v in reach.v2:
-        count *= math.factorial(len(g.in_edges[v]))
+    for _, _, port in _free_ports(g, reach):
+        count *= math.factorial(len(port))
     return count
+
+
+def _free_ports(g: Dag, reach: IdleReachability) -> list[tuple[VertexId, str, tuple[EdgeId, ...]]]:
+    """Ports of two or more edges whose order the contraction leaves free:
+    out-ports at V1, then in-ports at V2, each in vertex order."""
+    return [
+        (v, side, ports[v])
+        for side, vs, ports in (("out", reach.v1, g.out_edges), ("in", reach.v2, g.in_edges))
+        for v in sorted(vs)
+        if len(ports[v]) > 1
+    ]
 
 
 def framing_from_labels(g: Dag, labels: Mapping[EdgeId, int]) -> Framing:
@@ -734,22 +688,20 @@ def all_framings(g: Dag) -> Iterator[Framing]:
 # -- lifting framings from the full contraction to a valid DAG -------------------
 
 
-def _pullback_rank(g: Dag, labels_h: Mapping[EdgeId, int], contracted: frozenset[EdgeId], e: EdgeId) -> set[int]:
-    """Labels of the contraction edges feeding e through contracted edges."""
+def _pulled_labels(
+    labels_h: Mapping[EdgeId, int],
+    contracted: frozenset[EdgeId],
+    ports: Mapping[VertexId, tuple[EdgeId, ...]],
+    end: Mapping[EdgeId, VertexId],
+    e: EdgeId,
+) -> set[int]:
+    """Labels of the contraction edges reached from e through contracted
+    edges, stepping from each edge's `end` to the edges at its `ports`."""
     if e not in contracted:
         return {labels_h[e]}
     out: set[int] = set()
-    for d in g.in_edges[g.tail[e]]:
-        out |= _pullback_rank(g, labels_h, contracted, d)
-    return out
-
-
-def _pullforward_rank(g: Dag, labels_h: Mapping[EdgeId, int], contracted: frozenset[EdgeId], e: EdgeId) -> set[int]:
-    if e not in contracted:
-        return {labels_h[e]}
-    out: set[int] = set()
-    for d in g.out_edges[g.head[e]]:
-        out |= _pullforward_rank(g, labels_h, contracted, d)
+    for d in ports[end[e]]:
+        out |= _pulled_labels(labels_h, contracted, ports, end, d)
     return out
 
 
@@ -773,7 +725,7 @@ def lift_framing(
     validate_framing(h, f_full)
     labels_h = edge_labeling(h, f_full)
     contracted = trace.contracted_edges
-    reach = idle_reachability(g)
+    free = {(v, side) for v, side, _ in _free_ports(g, idle_reachability(g))}
     choices = choices or {}
 
     def choose(v: VertexId, side: str, edges: tuple[EdgeId, ...]) -> tuple[EdgeId, ...]:
@@ -787,15 +739,17 @@ def lift_framing(
     in_order: dict[VertexId, tuple[EdgeId, ...]] = {}
     out_order: dict[VertexId, tuple[EdgeId, ...]] = {}
     for v in g.inner:
-        for side, port in (("in", g.in_edges[v]), ("out", g.out_edges[v])):
-            free = (side == "out" and v in reach.v1) or (side == "in" and v in reach.v2)
+        for side, ports, end, orders in (
+            ("in", g.in_edges, g.tail, in_order),
+            ("out", g.out_edges, g.head, out_order),
+        ):
+            port = ports[v]
             if len(port) == 1:
                 chosen = port
-            elif free:
+            elif (v, side) in free:
                 chosen = choose(v, side, port)
             else:
-                pull = _pullback_rank if side == "in" else _pullforward_rank
-                sigs = {e: pull(g, labels_h, contracted, e) for e in port}
+                sigs = {e: _pulled_labels(labels_h, contracted, ports, end, e) for e in port}
                 if any(len(s) != 1 for s in sigs.values()) or len(
                     {min(s) for s in sigs.values()}
                 ) != len(port):
@@ -803,10 +757,7 @@ def lift_framing(
                         f"{side}-order at {v} is not determined by the contraction"
                     )
                 chosen = tuple(sorted(port, key=lambda e: min(sigs[e])))
-            if side == "in":
-                in_order[v] = chosen
-            else:
-                out_order[v] = chosen
+            orders[v] = chosen
     f = Framing(in_order, out_order)
     if check:
         table = CoherenceTable(g, f)
@@ -826,16 +777,10 @@ def enumerate_ample_framings_valid(g: Dag) -> Iterator[Framing]:
         raise NotValidError("graph has no full contraction")
     reach = idle_reachability(g)
     _check_idle_forest(g, reach)
-    free_ports: list[tuple[VertexId, str, tuple[EdgeId, ...]]] = []
-    for v in sorted(reach.v1):
-        if v in set(g.inner) and len(g.out_edges[v]) > 1:
-            free_ports.append((v, "out", g.out_edges[v]))
-    for v in sorted(reach.v2):
-        if v in set(g.inner) and len(g.in_edges[v]) > 1:
-            free_ports.append((v, "in", g.in_edges[v]))
+    free_ports = _free_ports(g, reach)
     port_perms = [list(itertools.permutations(p)) for _, _, p in free_ports]
     for tagged in enumerate_ample_framings(h):
-        for combo in itertools.product(*port_perms) if port_perms else [()]:
+        for combo in itertools.product(*port_perms):
             choices: dict[VertexId, dict[str, Sequence[EdgeId]]] = {}
             for (v, side, _), order in zip(free_ports, combo):
                 choices.setdefault(v, {})[side] = order

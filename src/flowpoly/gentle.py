@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .dag import Dag, EdgeId, Route, VertexId
+from .dag import Dag, EdgeId, Route, VertexId, is_full
 from .errors import (
     ConsistencyError,
     ExceptionalRouteError,
@@ -65,8 +65,6 @@ def build_quiver(g: Dag, f: Framing) -> Quiver:
     Arrows come from edges between inner vertices (arrow id = edge id);
     relations are the composable pairs whose weights differ.
     """
-    from .dag import is_full
-
     if not is_full(g):
         raise NotFullError("the quiver construction needs a full DAG")
     try:
@@ -108,18 +106,15 @@ def gentleness_violations(q: Quiver) -> list[str]:
         if q.arrow(a1).target != q.arrow(a2).source:
             issues.append(f"relation ({a1},{a2}) is not composable")
     for a in q.arrows:
-        cont_free = [b for b in q.arrows if a.target == b.source and (a.id, b.id) not in rel]
-        cont_rel = [b for b in q.arrows if a.target == b.source and (a.id, b.id) in rel]
-        pre_free = [b for b in q.arrows if b.target == a.source and (b.id, a.id) not in rel]
-        pre_rel = [b for b in q.arrows if b.target == a.source and (b.id, a.id) in rel]
-        if len(cont_free) > 1:
-            issues.append(f"arrow {a.id} has two continuations outside the ideal")
-        if len(cont_rel) > 1:
-            issues.append(f"arrow {a.id} has two continuations inside the ideal")
-        if len(pre_free) > 1:
-            issues.append(f"arrow {a.id} has two predecessors outside the ideal")
-        if len(pre_rel) > 1:
-            issues.append(f"arrow {a.id} has two predecessors inside the ideal")
+        for side, pairs in (
+            ("continuations", [(a.id, b.id) for b in q.arrows if a.target == b.source]),
+            ("predecessors", [(b.id, a.id) for b in q.arrows if b.target == a.source]),
+        ):
+            inside = sum(pair in rel for pair in pairs)
+            if len(pairs) - inside > 1:
+                issues.append(f"arrow {a.id} has two {side} outside the ideal")
+            if inside > 1:
+                issues.append(f"arrow {a.id} has two {side} inside the ideal")
     return issues
 
 
@@ -238,47 +233,55 @@ def route_to_module(g: Dag, labels: Mapping[EdgeId, int], route: Route) -> Strin
     return StringWord("word", letters=_canonical(letters))
 
 
-def _step_back_weight1(g: Dag, labels: Mapping[EdgeId, int], v: VertexId) -> list[EdgeId]:
+def _edge_of_weight(labels: Mapping[EdgeId, int], port: Sequence[EdgeId], weight: int) -> EdgeId:
+    es = [e for e in port if labels[e] == weight]
+    assert len(es) == 1
+    return es[0]
+
+
+def _weight_run(
+    g: Dag,
+    labels: Mapping[EdgeId, int],
+    v: VertexId,
+    ports: Mapping[VertexId, tuple[EdgeId, ...]],
+    end: Mapping[EdgeId, VertexId],
+    weight: int,
+) -> list[EdgeId]:
+    """Edges met from v to a source or sink, leaving each inner vertex by
+    its weight-`weight` edge at `ports` and moving to that edge's `end`."""
     out: list[EdgeId] = []
     inner = set(g.inner)
     while v in inner:
-        ones = [e for e in g.in_edges[v] if labels[e] == 1]
-        assert len(ones) == 1
-        out.append(ones[0])
-        v = g.tail[ones[0]]
-    out.reverse()
-    return out
-
-
-def _step_forward_weight2(g: Dag, labels: Mapping[EdgeId, int], v: VertexId) -> list[EdgeId]:
-    out: list[EdgeId] = []
-    inner = set(g.inner)
-    while v in inner:
-        twos = [e for e in g.out_edges[v] if labels[e] == 2]
-        assert len(twos) == 1
-        out.append(twos[0])
-        v = g.head[twos[0]]
+        e = _edge_of_weight(labels, ports[v], weight)
+        out.append(e)
+        v = end[e]
     return out
 
 
 def module_to_route(g: Dag, labels: Mapping[EdgeId, int], obj: StringWord) -> Route:
-    """Inverse of route_to_module."""
-    inner = set(g.inner)
-    if obj.kind == "shift":
-        v = obj.vertex
-        back = _step_back_weight1(g, labels, v)
-        fwd = _step_forward_weight2(g, labels, v)
-        return tuple(back + fwd)
-    if obj.kind == "const":
-        v = obj.vertex
-        e_in = [e for e in g.in_edges[v] if labels[e] == 2]
-        e_out = [e for e in g.out_edges[v] if labels[e] == 1]
-        assert len(e_in) == 1 and len(e_out) == 1
-        back = _step_back_weight1(g, labels, g.tail[e_in[0]])
-        fwd = _step_forward_weight2(g, labels, g.head[e_out[0]])
-        return tuple(back + e_in + e_out + fwd)
-    edges = [a for a, _ in obj.letters]
-    # order the underlying edges as a directed path in g
+    """Inverse of route_to_module.
+
+    A shifted marker at v is the weight-1 run into v followed by the
+    weight-2 run out of v.  A word (or constant path) is entered on a
+    weight-2 edge and left on a weight-1 edge, with the same runs around.
+    """
+    start = end = obj.vertex
+    middle: list[EdgeId] = []
+    if obj.kind != "shift":
+        if obj.kind == "word":
+            middle = _directed_path(g, [a for a, _ in obj.letters])
+            start, end = g.tail[middle[0]], g.head[middle[-1]]
+        e_in = _edge_of_weight(labels, g.in_edges[start], 2)
+        e_out = _edge_of_weight(labels, g.out_edges[end], 1)
+        middle = [e_in] + middle + [e_out]
+        start, end = g.tail[e_in], g.head[e_out]
+    back = _weight_run(g, labels, start, g.in_edges, g.tail, 1)
+    fwd = _weight_run(g, labels, end, g.out_edges, g.head, 2)
+    return tuple(back[::-1] + middle + fwd)
+
+
+def _directed_path(g: Dag, edges: Sequence[EdgeId]) -> list[EdgeId]:
+    """Order the edges of a directed path in g from its start."""
     heads = {g.head[e] for e in edges}
     first = [e for e in edges if g.tail[e] not in heads]
     assert len(first) == 1
@@ -289,13 +292,7 @@ def module_to_route(g: Dag, labels: Mapping[EdgeId, int], obj: StringWord) -> Ro
         assert len(nxt) == 1
         path.append(nxt[0])
         rest.remove(nxt[0])
-    start, end = g.tail[path[0]], g.head[path[-1]]
-    e_i = [e for e in g.in_edges[start] if labels[e] == 2]
-    e_j = [e for e in g.out_edges[end] if labels[e] == 1]
-    assert len(e_i) == 1 and len(e_j) == 1
-    back = _step_back_weight1(g, labels, g.tail[e_i[0]])
-    fwd = _step_forward_weight2(g, labels, g.head[e_j[0]])
-    return tuple(back + e_i + path + e_j + fwd)
+    return path
 
 
 # -- blossoming ---------------------------------------------------------------------
@@ -357,74 +354,49 @@ def _walk_from_letters(q: Quiver, letters: Sequence[Letter]) -> Walk:
     return Walk(tuple(verts), tuple(letters))
 
 
-def _front_candidates(q: Quiver, letters: list[Letter], direct: bool) -> list[Letter]:
-    v = _letter_ends(q, letters[0])[0]
-    pool = q.arrows_into(v) if direct else q.arrows_from(v)
-    return [
-        (arr.id, 1 if direct else -1)
-        for arr in sorted(pool, key=lambda a: a.id)
-        if _letters_ok(q, (arr.id, 1 if direct else -1), letters[0])
-    ]
-
-
-def _back_candidates(q: Quiver, letters: list[Letter], direct: bool) -> list[Letter]:
+def _candidates(q: Quiver, letters: Sequence[Letter], direct: bool) -> list[Letter]:
+    """Letters of one kind (arrows if `direct`, else inverse arrows) that
+    may follow the last letter."""
     v = _letter_ends(q, letters[-1])[1]
+    sign = 1 if direct else -1
     pool = q.arrows_from(v) if direct else q.arrows_into(v)
     return [
-        (arr.id, 1 if direct else -1)
+        (arr.id, sign)
         for arr in sorted(pool, key=lambda a: a.id)
-        if _letters_ok(q, letters[-1], (arr.id, 1 if direct else -1))
+        if _letters_ok(q, letters[-1], (arr.id, sign))
     ]
 
 
-def _extend_front(q: Quiver, letters: list[Letter], direct: bool) -> None:
-    """Prepend letters of one kind while a (unique) valid extension exists."""
-    while True:
-        cands = _front_candidates(q, letters, direct)
-        if not cands:
-            return
-        assert len(cands) == 1, "gentle quivers admit unique extensions"
-        letters.insert(0, cands[0])
-
-
-def _extend_back(q: Quiver, letters: list[Letter], direct: bool) -> None:
-    while True:
-        cands = _back_candidates(q, letters, direct)
-        if not cands:
-            return
+def _extend(q: Quiver, letters: list[Letter]) -> None:
+    """Append inverse arrows while a (unique) valid one exists."""
+    while cands := _candidates(q, letters, direct=False):
         assert len(cands) == 1, "gentle quivers admit unique extensions"
         letters.append(cands[0])
 
 
 def extend_string(bq: BlossomQuiver, obj: StringWord) -> Walk:
-    """Blossom extension: every object becomes a maximal mixed string."""
+    """Blossom extension: every object becomes a maximal mixed string.
+
+    Each end of the seed gets inverse arrows for as long as they extend it;
+    a word first gets one arrow there.  The front end is extended as the
+    back end of the inverse word, which mirrors letters and their kinds.
+    """
     q = bq.quiver
     if obj.kind == "word":
         letters = list(obj.letters)
-        front = _front_candidates(q, letters, direct=False)  # exactly one inverse
-        assert len(front) == 1, "gentle quivers admit unique extensions"
-        letters.insert(0, front[0])
-        _extend_front(q, letters, direct=True)
-        back = _back_candidates(q, letters, direct=True)  # exactly one arrow
-        assert len(back) == 1, "gentle quivers admit unique extensions"
-        letters.append(back[0])
-        _extend_back(q, letters, direct=False)
-        return _walk_from_letters(q, tuple(letters))
-    if obj.kind == "const":
-        v = obj.vertex
-        outs = sorted(q.arrows_from(v), key=lambda a: a.id)
-        assert len(outs) == 2
-        letters = [(outs[0].id, -1), (outs[1].id, 1)]
-        _extend_front(q, letters, direct=True)
-        _extend_back(q, letters, direct=False)
-        return _walk_from_letters(q, tuple(letters))
-    # shifted marker: arrows before v, inverse arrows after
-    v = obj.vertex
-    ins = sorted(q.arrows_into(v), key=lambda a: a.id)
-    assert len(ins) == 2
-    letters = [(ins[0].id, 1), (ins[1].id, -1)]
-    _extend_front(q, letters, direct=True)
-    _extend_back(q, letters, direct=False)
+    elif obj.kind == "const":  # inverse of one arrow out of v, then the other
+        a, b = sorted(q.arrows_from(obj.vertex), key=lambda a: a.id)
+        letters = [(a.id, -1), (b.id, 1)]
+    else:  # shifted marker: an arrow into v, then the other one inverted
+        a, b = sorted(q.arrows_into(obj.vertex), key=lambda a: a.id)
+        letters = [(a.id, 1), (b.id, -1)]
+    for _ in range(2):
+        if obj.kind == "word":
+            hook = _candidates(q, letters, direct=True)
+            assert len(hook) == 1, "gentle quivers admit unique extensions"
+            letters.append(hook[0])
+        _extend(q, letters)
+        letters = list(_inverse(tuple(letters)))
     return _walk_from_letters(q, tuple(letters))
 
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .dag import Dag, EdgeId, Route, VertexId
+from .dag import Dag, EdgeId, Route
 from .errors import (
     AmbiguousKappaImageError,
     ConsistencyError,
@@ -31,24 +31,25 @@ from .triangulation import Clique, DualGraph, dual_graph, maximal_cliques
 Brick = tuple[int, ...]
 
 
-def common_components(g: Dag, r1: Route, r2: Route) -> list[Brick]:
-    """Connected components of the intersection of two routes, as walks."""
+def common_components(g: Dag, r1: Route, r2: Route) -> list[tuple[Brick, int, int]]:
+    """Connected components of the intersection of two routes, as walks,
+    each with the position of its first vertex on r1 and on r2."""
     verts1 = g.route_vertices(r1)
-    verts2 = set(g.route_vertices(r2))
+    at2 = {v: i for i, v in enumerate(g.route_vertices(r2))}
     edges2 = set(r2)
-    comps: list[list[int]] = []
+    comps: list[tuple[list[int], int, int]] = []
     cur: list[int] | None = None
     for i, v in enumerate(verts1):
-        if v not in verts2:
+        if v not in at2:
             cur = None
             continue
-        if cur is not None and i > 0 and r1[i - 1] in edges2:
+        if cur is not None and r1[i - 1] in edges2:
             cur.append(r1[i - 1])
             cur.append(v)
         else:
             cur = [v]
-            comps.append(cur)
-    return [tuple(c) for c in comps]
+            comps.append((cur, i, at2[v]))
+    return [(tuple(c), i1, i2) for c, i1, i2 in comps]
 
 
 def orient_dual_edge(
@@ -62,16 +63,12 @@ def orient_dual_edge(
     lower route does the reverse.
     """
     hits: list[tuple[int, Brick]] = []
-    for w in common_components(g, r1, r2):
-        first, last = w[0], w[-1]
-        ent1 = _edge_into(g, r1, first)
-        ext1 = _edge_out_of(g, r1, last)
-        ent2 = _edge_into(g, r2, first)
-        ext2 = _edge_out_of(g, r2, last)
-        if None in (ent1, ext1, ent2, ext2):
-            continue
-        pat1 = (labels[ent1], labels[ext1])
-        pat2 = (labels[ent2], labels[ext2])
+    for w, i1, i2 in common_components(g, r1, r2):
+        k = len(w) // 2  # edges of w; r[i - 1] enters w on r and r[i + k] leaves it
+        if min(i1, i2) == 0 or i1 + k == len(r1) or i2 + k == len(r2):
+            continue  # w holds an end of a route
+        pat1 = (labels[r1[i1 - 1]], labels[r1[i1 + k]])
+        pat2 = (labels[r2[i2 - 1]], labels[r2[i2 + k]])
         if pat1 == (2, 1) and pat2 == (1, 2):
             hits.append((1, w))
         elif pat1 == (1, 2) and pat2 == (2, 1):
@@ -83,20 +80,6 @@ def orient_dual_edge(
             f"{len(hits)} qualifying components for {r1} vs {r2}"
         )
     return hits[0]
-
-
-def _edge_into(g: Dag, r: Route, v: VertexId) -> EdgeId | None:
-    for e in r:
-        if g.head[e] == v:
-            return e
-    return None
-
-
-def _edge_out_of(g: Dag, r: Route, v: VertexId) -> EdgeId | None:
-    for e in r:
-        if g.tail[e] == v:
-            return e
-    return None
 
 
 @dataclass

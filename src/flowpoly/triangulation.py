@@ -9,8 +9,6 @@ from a seed clique) so each can certify the other.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,33 +88,24 @@ def maximal_cliques(table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUE
 def simplex_volume(g: Dag, routes: Sequence[Route]) -> int:
     """Normalized volume of the simplex on the routes' characteristic vectors.
 
-    Computed relative to the lattice of integer flows of equal strength:
-    the gcd of the maximal minors of the difference matrix written in
-    flow-lattice coordinates.  1 means unimodular, 0 means degenerate.
+    Computed relative to the lattice of integer flows of equal strength.
+    The d+1 routes of a d-simplex, written in the d+1 flow-lattice
+    coordinates, form a square matrix; strength is a primitive linear form
+    that is 1 on every route, so the absolute determinant is the simplex's
+    normalized volume.  1 means unimodular, 0 means degenerate.
     """
-    coords = g.nontree_edges
-    pos = {e: i for i, e in enumerate(coords)}
-    vecs = []
+    d = flow_dims(g)[1]
+    if len(routes) != d + 1:
+        raise NotSimplexError(f"clique has {len(routes)} routes, need {d + 1}")
+    pos = {e: i for i, e in enumerate(g.nontree_edges)}
+    mat = []
     for r in routes:
-        v = [0] * len(coords)
+        row = [0] * len(pos)
         for e in r:
             if e in pos:
-                v[pos[e]] = 1
-        vecs.append(v)
-    base = vecs[0]
-    mat = [[x - b for x, b in zip(v, base)] for v in vecs[1:]]
-    rows = len(mat)
-    cols = len(coords)
-    if rows > cols:
-        return 0
-    g_all = 0
-    for skip in itertools.combinations(range(cols), cols - rows):
-        keep = [j for j in range(cols) if j not in skip]
-        minor = [[row[j] for j in keep] for row in mat]
-        g_all = math.gcd(g_all, abs(_int_det(minor)))
-        if g_all == 1:
-            return 1
-    return g_all
+                row[pos[e]] = 1
+        mat.append(row)
+    return abs(_int_det(mat))
 
 
 def _int_det(m: list[list[int]]) -> int:
@@ -145,9 +134,6 @@ def _int_det(m: list[list[int]]) -> int:
 
 def verify_unimodular(g: Dag, routes: Sequence[Route]) -> bool:
     """True iff the clique spans a unimodular simplex; NotSimplex if not dim+1."""
-    d = flow_dims(g)[1]
-    if len(routes) != d + 1:
-        raise NotSimplexError(f"clique has {len(routes)} routes, need {d + 1}")
     return simplex_volume(g, routes) == 1
 
 
@@ -222,15 +208,11 @@ def maximal_cliques_by_flips(table: CoherenceTable) -> list[Clique]:
     n = len(table.routes)
     adj = table.adjacency
     members = list(table.exceptional_indices)
-    mask = 0
-    for i in members:
-        mask |= 1 << i
     for v in range(n):
         if v in members:
             continue
         if all(adj[v] >> i & 1 for i in members):
             members.append(v)
-            mask |= 1 << v
     seed = tuple(sorted(members))
     exceptional = set(table.exceptional_indices)
     seen = {seed}

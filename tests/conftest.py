@@ -8,6 +8,8 @@ tests do not certify the code with the code itself.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -138,3 +140,38 @@ def count_flows_oracle(g: Dag, strength: int) -> int:
             continue
         count += 1
     return count
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            factor = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= factor * a[k][j]
+    return int(det)
+
+
+def gcd_of_minors_volume(g: Dag, routes) -> int:
+    """Normalized simplex volume as the gcd of the maximal minors of the
+    route differences in flow-lattice coordinates (0 when degenerate)."""
+    coords = g.nontree_edges
+    vecs = [[1 if e in r else 0 for e in coords] for r in routes]
+    mat = [[x - b for x, b in zip(v, vecs[0])] for v in vecs[1:]]
+    rows, cols = len(mat), len(coords)
+    if rows > cols:
+        return 0
+    g_all = 0
+    for keep in itertools.combinations(range(cols), rows):
+        g_all = math.gcd(g_all, abs(_det([[row[j] for j in keep] for row in mat])))
+    return g_all

@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 CLI = [sys.executable, "-m", "flowpoly.cli"]
 
@@ -259,3 +262,24 @@ def test_oracle_reports_special_simplex():
     res = run(["oracle", "--json", "--framing", "length"], stdin=gen.stdout)
     data = json.loads(res.stdout)
     assert data["special_simplex"] is True
+
+
+# Reference `--json` outputs; regenerate one only when its output is meant to change.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = [
+    (("gkn", "2", "7"), "paper-g27", command)
+    for command in ("analyze", "cliques", "poset", "hstar", "oracle")
+] + [(("car", "8"), "length", "analyze")]
+
+
+@pytest.mark.parametrize("graph, framing, command", GOLDEN_CASES)
+def test_json_output_matches_golden(graph, framing, command):
+    con = run(["contract"], stdin=run(["gen", *graph]).stdout)
+    res = subprocess.run(
+        CLI + [command, "--json", "--framing", framing],
+        input=con.stdout.encode(),
+        capture_output=True,
+        timeout=300,
+    )
+    assert res.returncode == 0 and res.stderr == b""
+    assert res.stdout == (GOLDEN / f"{'-'.join(graph)}_{framing}_{command}.json").read_bytes()

@@ -404,3 +404,27 @@ def test_gkn_degenerate_case_empirical():
         brute = sum(1 for f in all_framings(g) if is_ample(g, f))
         assert count == brute
         assert count == 1
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def test_table_agrees_with_path_comparison_under_every_framing():
+    # the table's rank keys against the spec-level comparator, and the
+    # early-exit coherence test against the conflict list
+    rng = random.Random(29)
+    for _ in range(20):
+        g = random_full_dag(rng, rng.randrange(1, 4), rng.randrange(1, 3), rng.randrange(1, 3))
+        for f in all_framings(g):
+            t = CoherenceTable(g, f)
+            for i, ri in enumerate(t.routes):
+                for j in range(i, len(t.routes)):
+                    rj = t.routes[j]
+                    for v in t.route_cuts[i].keys() & t.route_cuts[j].keys():
+                        ci, cj = t.route_cuts[i][v], t.route_cuts[j][v]
+                        d_in = t.in_rank[i][v] - t.in_rank[j][v]
+                        d_out = t.out_rank[i][v] - t.out_rank[j][v]
+                        assert _sign(d_in) == compare_paths_at(g, f, v, ri[:ci], rj[:cj], "in")
+                        assert _sign(d_out) == compare_paths_at(g, f, v, ri[ci:], rj[cj:], "out")
+                    assert t.coherent(i, j) == (not t.conflict_vertices(i, j))

@@ -38,11 +38,14 @@ def clique_index(table, cliques, extra_routes):
 
 def test_common_components_vertex_and_edge(g27h):
     # routes sharing one edge and two stray vertices
-    comps = common_components(g27h, (6, 8, 4), (6, 2, 3, 10))
+    r1, r2 = (6, 8, 4), (6, 2, 3, 10)
+    comps = common_components(g27h, r1, r2)
     # shared: initial vertex+edge 6, the vertex 5, and the sink
-    walks = {c for c in comps}
-    assert any(len(c) == 3 for c in comps)  # the shared first edge
-    assert any(len(c) == 1 for c in comps)
+    assert any(len(c) == 3 for c, _, _ in comps)  # the shared first edge
+    assert any(len(c) == 1 for c, _, _ in comps)
+    # each component starts where the reported positions say on both routes
+    for c, i1, i2 in comps:
+        assert g27h.route_vertices(r1)[i1] == c[0] == g27h.route_vertices(r2)[i2]
 
 
 def test_orient_dual_edge_examples(g27h, g27f):

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from flowpoly.dag import complete_contraction
+from flowpoly.dag import complete_contraction, enumerate_routes, flow_dims
 from flowpoly.errors import CliqueExplosionError, NotSimplexError
 from flowpoly.framing import CoherenceTable, enumerate_ample_framings, framing_by_edge_id
 from flowpoly.generators import gkn, random_full_dag
@@ -19,6 +19,7 @@ from flowpoly.triangulation import (
     verify_unimodular,
 )
 
+from conftest import gcd_of_minors_volume
 from test_framing import CORE8_BIG_CLIQUE
 
 
@@ -188,3 +189,22 @@ def test_unimodularity_keeps_no_graph_alive():
     del g, t
     gc.collect()
     assert ref() is None
+
+
+def test_simplex_volume_matches_gcd_of_minors():
+    # random (d+1)-subsets of routes, not only cliques, so that degenerate
+    # simplices and volumes above one are compared too
+    rng = random.Random(3)
+    seen = set()
+    samples = 0
+    while samples < 400 or not {0, 1, 2} <= seen:
+        assert samples < 5000, f"volumes seen so far: {sorted(seen)}"
+        g = random_full_dag(rng, rng.randrange(2, 5), rng.randrange(1, 3), rng.randrange(1, 3))
+        routes = enumerate_routes(g)
+        d = flow_dims(g)[1]
+        for _ in range(10):
+            simplex = rng.sample(routes, d + 1)
+            volume = simplex_volume(g, simplex)
+            assert volume == gcd_of_minors_volume(g, simplex)
+            seen.add(min(volume, 2))
+            samples += 1

@@ -3,8 +3,9 @@
 Each verdict pairs an invariant name with a boolean; the CLI turns a failed
 verdict into exit code 2.  The checks deliberately pit independent
 computations against each other: clique enumeration vs flip traversal,
-down-cover statistics vs shelling restrictions vs the lattice-point oracle,
-coherence vs tau-rigidity.
+down-cover statistics vs the lattice-point oracle, coherence vs
+tau-rigidity.  Shelling restrictions equal the down-cover statistics on
+every linear extension, so that comparison checks only the extensions.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ def analyze(
     with_gentle: bool = True,
     with_oracle: bool = True,
 ) -> AnalysisReport:
+    if not is_full(g):
+        raise NotFullError("analyze needs a full DAG; run `flowpoly contract` first")
     table = CoherenceTable(g, f, enumerate_routes(g, max_routes))
     report = AnalysisReport(g, table)
     d_space, d_poly = flow_dims(g)
@@ -85,10 +88,6 @@ def analyze(
     report.data["exceptional"] = len(exc)
     report.data["dims"] = (d_space, d_poly)
     report.data["ample"] = is_ample(g, f, table)
-
-    if not is_full(g):
-        raise NotFullError("analyze needs a full DAG; run `flowpoly contract` first")
-
     report.check("framing-ample", report.data["ample"])
     labels = edge_labeling(g, f)
     report.data["labels"] = labels

@@ -253,28 +253,49 @@ def complete_contraction(g: Dag) -> ContractionTrace:
     Contracting e = (u, v) merges u and v into min(u, v); every other edge
     keeps its id.  Multi-edges arise naturally.  A graph that collapses to
     a bundle of parallel source-to-sink edges is a legitimate result.
+
+    A graph without idle edges is its own result.  Otherwise the steps
+    update plain tail/head/port maps, and the result is built (and
+    validated) once at the end.  No step can create a self-loop, a
+    cycle or a duplicate id: an idle edge is the only way into its head or
+    the only way out of its tail.  No step makes an edge idle either (the
+    merged vertex's single in- or out-edge was idle already), so one pass
+    over the idle edges of g, in id order, contracts each one that no
+    earlier step has made non-idle.
     """
-    rep = {v: v for v in g.vertices}
-    cur = g
+    idle = sorted(idle_edges(g))
+    if not idle:
+        return ContractionTrace((), g, {v: v for v in g.vertices})
+    tail, head = dict(g.tail), dict(g.head)
+    ins = {v: set(es) for v, es in g.in_edges.items()}
+    outs = {v: set(es) for v, es in g.out_edges.items()}
     steps: list[tuple[EdgeId, tuple[VertexId, VertexId]]] = []
-    while True:
-        idle = idle_edges(cur)
-        if not idle:
-            break
-        e = min(idle)
-        u, v = cur.tail[e], cur.head[e]
+    for e in idle:
+        u, v = tail[e], head[e]
+        # still idle: the only edge into an inner head or out of an inner tail
+        if not (len(ins[v]) == 1 and outs[v] or len(outs[u]) == 1 and ins[u]):
+            continue
+        del tail[e], head[e]
         keep, drop = (u, v) if u < v else (v, u)
         steps.append((e, (keep, drop)))
-        remap = lambda x: keep if x == drop else x  # noqa: E731
-        vertices = tuple(x for x in cur.vertices if x != drop)
-        edges = tuple(
-            (eid, remap(t), remap(h)) for eid, t, h in cur.edges if eid != e
-        )
-        cur = Dag.build(vertices, edges)
-        for x, r in rep.items():
-            if r == drop:
-                rep[x] = keep
-    return ContractionTrace(tuple(steps), cur, rep)
+        outs[u].discard(e)
+        ins[v].discard(e)
+        for d in ins[drop]:
+            head[d] = keep
+        for d in outs[drop]:
+            tail[d] = keep
+        ins[keep] |= ins.pop(drop)
+        outs[keep] |= outs.pop(drop)
+    # each vertex is dropped once, so later steps have already resolved
+    # the final representative of every vertex kept at an earlier step
+    final: dict[VertexId, VertexId] = {}
+    for _, (keep, drop) in reversed(steps):
+        final[drop] = final.get(keep, keep)
+    result = Dag.build(
+        (x for x in g.vertices if x in ins),
+        ((e, tail[e], head[e]) for e, _, _ in g.edges if e in tail),
+    )
+    return ContractionTrace(tuple(steps), result, {v: final.get(v, v) for v in g.vertices})
 
 
 def is_full(g: Dag) -> bool:

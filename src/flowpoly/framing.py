@@ -16,7 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .dag import Dag, EdgeId, Route, VertexId, complete_contraction, enumerate_routes, idle_edges, is_full
+from .dag import (
+    ContractionTrace, Dag, EdgeId, Route, VertexId, complete_contraction, enumerate_routes, idle_edges, is_full,
+)
 from .errors import (
     BadChoicesError,
     ConsistencyError,
@@ -261,14 +263,14 @@ def is_ample(g: Dag, f: Framing, table: CoherenceTable | None = None) -> bool:
 # -- edge labeling -------------------------------------------------------------
 
 
-def edge_labeling(g: Dag, f: Framing, require_full: bool = True) -> dict[EdgeId, int]:
+def edge_labeling(g: Dag, f: Framing) -> dict[EdgeId, int]:
     """Label each edge 1 (minimal at both ports) or 2 (maximal at both).
 
     Defined for ample framings on full DAGs; an edge that is minimal on one
     side and maximal on the other makes the framing inconsistent.  Edges
     with no framed port (source to sink) get label 1 by convention.
     """
-    if require_full and not is_full(g):
+    if not is_full(g):
         raise NotFullError("edge labeling needs a full DAG")
     validate_framing(g, f)
     labels: dict[EdgeId, int] = {}
@@ -507,8 +509,6 @@ def path_cycle_decomposition(g: Dag) -> Decomposition:
 
 @dataclass
 class IdleReachability:
-    source_reachable: frozenset[EdgeId]
-    sink_reachable: frozenset[EdgeId]
     v1: frozenset[VertexId]  # non-source endpoints of source-reachable idle edges
     v2: frozenset[VertexId]  # non-sink endpoints of sink-reachable idle edges
 
@@ -516,9 +516,10 @@ class IdleReachability:
 def idle_reachability(g: Dag) -> IdleReachability:
     """Classify idle edges by directed idle-edge paths from sources / to sinks."""
     idle = idle_edges(g)
-    src_reach, v1 = _idle_reach(idle, set(g.sources), g.tail, g.head)
-    snk_reach, v2 = _idle_reach(idle, set(g.sinks), g.head, g.tail)
-    return IdleReachability(src_reach, snk_reach, v1, v2)
+    return IdleReachability(
+        _idle_reach(idle, set(g.sources), g.tail, g.head),
+        _idle_reach(idle, set(g.sinks), g.head, g.tail),
+    )
 
 
 def _idle_reach(
@@ -526,17 +527,16 @@ def _idle_reach(
     ends: set[VertexId],
     near: Mapping[EdgeId, VertexId],
     far: Mapping[EdgeId, VertexId],
-) -> tuple[frozenset[EdgeId], frozenset[VertexId]]:
-    """Idle edges joined to `ends` by idle paths, each edge's `near` end
-    facing them, and the endpoints of those edges outside `ends`."""
+) -> frozenset[VertexId]:
+    """Endpoints outside `ends` of the idle edges joined to `ends` by idle
+    paths, each edge's `near` end facing them."""
     reach: set[EdgeId] = set()
     frontier = {e for e in idle if near[e] in ends}
     while frontier:
         reach |= frontier
         fars = {far[e] for e in frontier}
         frontier = {e for e in idle - reach if near[e] in fars}
-    verts = {v for e in reach for v in (near[e], far[e]) if v not in ends}
-    return frozenset(reach), frozenset(verts)
+    return frozenset(v for e in reach for v in (near[e], far[e]) if v not in ends)
 
 
 def _check_idle_forest(g: Dag, reach: IdleReachability) -> None:
@@ -585,27 +585,13 @@ def _check_idle_forest(g: Dag, reach: IdleReachability) -> None:
 
 def count_ample_framings(g: Dag) -> int:
     """2^M for a full DAG; for a valid DAG, times the free port orders."""
-    trace = complete_contraction(g)
-    if not is_full(trace.result):
-        raise NotValidError("graph has no full contraction")
-    m = path_cycle_decomposition(trace.result).m
-    reach = idle_reachability(g)
-    _check_idle_forest(g, reach)
+    plan = _lift_plan(g)
+    m = path_cycle_decomposition(plan.trace.result).m
+    _check_idle_forest(g, plan.reach)
     count = 1 << m
-    for _, _, port in _free_ports(g, reach):
+    for _, _, port in plan.free:
         count *= math.factorial(len(port))
     return count
-
-
-def _free_ports(g: Dag, reach: IdleReachability) -> list[tuple[VertexId, str, tuple[EdgeId, ...]]]:
-    """Ports of two or more edges whose order the contraction leaves free:
-    out-ports at V1, then in-ports at V2, each in vertex order."""
-    return [
-        (v, side, ports[v])
-        for side, vs, ports in (("out", reach.v1, g.out_edges), ("in", reach.v2, g.in_edges))
-        for v in sorted(vs)
-        if len(ports[v]) > 1
-    ]
 
 
 def framing_from_labels(g: Dag, labels: Mapping[EdgeId, int]) -> Framing:
@@ -688,100 +674,118 @@ def all_framings(g: Dag) -> Iterator[Framing]:
 # -- lifting framings from the full contraction to a valid DAG -------------------
 
 
-def _pulled_labels(
+@dataclass
+class _LiftPlan:
+    """What lifting a framing of the full contraction to g needs of g alone.
+
+    `ports` lists every port of two or more edges in vertex order (in before
+    out).  A forced port maps each of its edges to the contraction edges it
+    pulls back to; a free port (also listed in `free`) maps to None.
+    """
+
+    trace: ContractionTrace
+    reach: IdleReachability
+    free: list[tuple[VertexId, str, tuple[EdgeId, ...]]]
+    ports: list[tuple[VertexId, str, tuple[EdgeId, ...], dict[EdgeId, frozenset[EdgeId]] | None]]
+
+
+def _lift_plan(g: Dag) -> _LiftPlan:
+    trace = complete_contraction(g)
+    if not is_full(trace.result):
+        raise NotValidError("graph has no full contraction")
+    reach = idle_reachability(g)
+    # free ports: out-ports at V1, then in-ports at V2, each in vertex order
+    free = [
+        (v, side, at[v])
+        for side, vs, at in (("out", reach.v1, g.out_edges), ("in", reach.v2, g.in_edges))
+        for v in sorted(vs)
+        if len(at[v]) > 1
+    ]
+    free_keys = {(v, side) for v, side, _ in free}
+    contracted = trace.contracted_edges
+
+    def pulled(e: EdgeId, at: Mapping[VertexId, tuple[EdgeId, ...]], end: Mapping[EdgeId, VertexId]):
+        """Contraction edges reached from e through contracted edges,
+        stepping from each edge's `end` to the edges at its port there."""
+        out, stack = set(), [e]
+        while stack:
+            d = stack.pop()
+            if d in contracted:
+                stack.extend(at[end[d]])
+            else:
+                out.add(d)
+        return frozenset(out)
+
+    ports = []
+    for v in g.inner:
+        for side, at, end in (("in", g.in_edges, g.tail), ("out", g.out_edges, g.head)):
+            if len(at[v]) > 1:
+                pulls = None if (v, side) in free_keys else {e: pulled(e, at, end) for e in at[v]}
+                ports.append((v, side, at[v], pulls))
+    return _LiftPlan(trace, reach, free, ports)
+
+
+def _lift(
+    g: Dag,
+    plan: _LiftPlan,
     labels_h: Mapping[EdgeId, int],
-    contracted: frozenset[EdgeId],
-    ports: Mapping[VertexId, tuple[EdgeId, ...]],
-    end: Mapping[EdgeId, VertexId],
-    e: EdgeId,
-) -> set[int]:
-    """Labels of the contraction edges reached from e through contracted
-    edges, stepping from each edge's `end` to the edges at its `ports`."""
-    if e not in contracted:
-        return {labels_h[e]}
-    out: set[int] = set()
-    for d in ports[end[e]]:
-        out |= _pulled_labels(labels_h, contracted, ports, end, d)
-    return out
+    choices: Mapping[tuple[VertexId, str], Sequence[EdgeId]],
+) -> Framing:
+    """Order every forced port by the labels its edges pull back to, and
+    every free port by `choices` (ascending edge ids when not chosen)."""
+    in_order = {v: g.in_edges[v] for v in g.inner}
+    out_order = {v: g.out_edges[v] for v in g.inner}
+    for v, side, port, pulled in plan.ports:
+        if pulled is None:
+            order = tuple(choices.get((v, side), port))
+            if tuple(sorted(order)) != port:
+                raise BadChoicesError(f"{side}-order at {v} must permute {port}")
+        else:
+            sigs = [{labels_h[d] for d in pulled[e]} for e in port]
+            if any(len(s) != 1 for s in sigs) or len(set(map(min, sigs))) != len(port):
+                raise BadChoicesError(f"{side}-order at {v} is not determined by the contraction")
+            order = tuple(e for _, e in sorted(zip(map(min, sigs), port)))
+        (in_order if side == "in" else out_order)[v] = order
+    return Framing(in_order, out_order)
 
 
 def lift_framing(
     g: Dag,
     f_full: Framing,
     choices: Mapping[VertexId, Mapping[str, Sequence[EdgeId]]] | None = None,
-    check: bool = True,
 ) -> Framing:
     """Extend an ample framing of the full contraction to the valid DAG g.
 
     Ports whose order is forced by the contraction labels are filled in;
     the free ports (out-orders at non-source endpoints of source-reachable
     idle edges, in-orders at the sink-side mirror) take their order from
-    `choices`, defaulting to ascending edge ids.
+    `choices`, defaulting to ascending edge ids.  The contraction and what
+    each forced port pulls back to come from the per-graph plan that the
+    counter and the enumerator also read.  The lift is always checked to
+    project its exceptional routes onto those of `f_full`.
     """
-    trace = complete_contraction(g)
-    h = trace.result
-    if not is_full(h):
-        raise NotValidError("graph has no full contraction")
+    plan = _lift_plan(g)
+    h = plan.trace.result
     validate_framing(h, f_full)
-    labels_h = edge_labeling(h, f_full)
-    contracted = trace.contracted_edges
-    free = {(v, side) for v, side, _ in _free_ports(g, idle_reachability(g))}
-    choices = choices or {}
-
-    def choose(v: VertexId, side: str, edges: tuple[EdgeId, ...]) -> tuple[EdgeId, ...]:
-        if v in choices and side in choices[v]:
-            order = tuple(choices[v][side])
-            if tuple(sorted(order)) != edges:
-                raise BadChoicesError(f"{side}-order at {v} must permute {edges}")
-            return order
-        return edges
-
-    in_order: dict[VertexId, tuple[EdgeId, ...]] = {}
-    out_order: dict[VertexId, tuple[EdgeId, ...]] = {}
-    for v in g.inner:
-        for side, ports, end, orders in (
-            ("in", g.in_edges, g.tail, in_order),
-            ("out", g.out_edges, g.head, out_order),
-        ):
-            port = ports[v]
-            if len(port) == 1:
-                chosen = port
-            elif (v, side) in free:
-                chosen = choose(v, side, port)
-            else:
-                sigs = {e: _pulled_labels(labels_h, contracted, ports, end, e) for e in port}
-                if any(len(s) != 1 for s in sigs.values()) or len(
-                    {min(s) for s in sigs.values()}
-                ) != len(port):
-                    raise BadChoicesError(
-                        f"{side}-order at {v} is not determined by the contraction"
-                    )
-                chosen = tuple(sorted(port, key=lambda e: min(sigs[e])))
-            orders[v] = chosen
-    f = Framing(in_order, out_order)
-    if check:
-        table = CoherenceTable(g, f)
-        exc = [table.routes[i] for i in table.exceptional_indices]
-        exc_h = {tuple(r) for r in exceptional_routes(h, f_full)}
-        projected = {trace.project_route(r) for r in exc}
-        if projected != exc_h or len(exc) != len(exc_h):
-            raise BadChoicesError("lift does not preserve the exceptional routes")
+    chosen = {(v, side): order for v, sides in (choices or {}).items() for side, order in sides.items()}
+    f = _lift(g, plan, edge_labeling(h, f_full), chosen)
+    exc = exceptional_routes(g, f)
+    projected = {plan.trace.project_route(r) for r in exc}
+    if projected != set(exceptional_routes(h, f_full)) or len(exc) != len(projected):
+        raise BadChoicesError("lift does not preserve the exceptional routes")
     return f
 
 
 def enumerate_ample_framings_valid(g: Dag) -> Iterator[Framing]:
-    """All ample framings of a valid DAG: contraction framings times lifts."""
-    trace = complete_contraction(g)
-    h = trace.result
-    if not is_full(h):
-        raise NotValidError("graph has no full contraction")
-    reach = idle_reachability(g)
-    _check_idle_forest(g, reach)
-    free_ports = _free_ports(g, reach)
-    port_perms = [list(itertools.permutations(p)) for _, _, p in free_ports]
-    for tagged in enumerate_ample_framings(h):
+    """All ample framings of a valid DAG: contraction framings times lifts.
+
+    Contracts g once; each framing is lifted from the contraction's
+    alternating labels and the free port orders.
+    """
+    plan = _lift_plan(g)
+    _check_idle_forest(g, plan.reach)
+    free_keys = [(v, side) for v, side, _ in plan.free]
+    port_perms = [list(itertools.permutations(p)) for _, _, p in plan.free]
+    for tagged in enumerate_ample_framings(plan.trace.result):
         for combo in itertools.product(*port_perms):
-            choices: dict[VertexId, dict[str, Sequence[EdgeId]]] = {}
-            for (v, side, _), order in zip(free_ports, combo):
-                choices.setdefault(v, {})[side] = order
-            yield lift_framing(g, tagged.framing, choices, check=False)
+            yield _lift(g, plan, tagged.labels, dict(zip(free_keys, combo)))

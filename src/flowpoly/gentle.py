@@ -454,37 +454,3 @@ def support_tau_tilting(bq: BlossomQuiver, objects: Sequence[StringWord]) -> lis
     """Maximal collections of pairwise tau-rigid objects (as index tuples)."""
     adj = rigidity_adjacency(bq, objects)
     return sorted(bron_kerbosch(adj, (1 << len(objects)) - 1))
-
-
-# -- exports ---------------------------------------------------------------------
-
-
-def quiver_to_dot(q: Quiver) -> str:
-    """DOT rendering; relations appear as dashed two-arrow annotations."""
-    lines = ["digraph quiver {"]
-    for v in q.nodes:
-        lines.append(f"  v{v};")
-    for a in q.arrows:
-        lines.append(f'  v{a.source} -> v{a.target} [label="a{a.id}"];')
-    for a1, a2 in sorted(q.relations):
-        s = q.arrow(a1).source
-        t = q.arrow(a2).target
-        lines.append(
-            f'  v{s} -> v{t} [style=dashed, constraint=false, label="a{a1}a{a2}=0"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def strings_to_json(objects: Sequence[StringWord]) -> str:
-    """Strings as JSON arrays of signed arrow ids (one-based, so the sign
-    survives arrow id zero); constant and shifted markers keep their vertex."""
-    import json
-
-    out = []
-    for o in objects:
-        if o.kind == "word":
-            out.append({"kind": "word", "letters": [(a + 1) * e for a, e in o.letters]})
-        else:
-            out.append({"kind": o.kind, "vertex": o.vertex})
-    return json.dumps(out)

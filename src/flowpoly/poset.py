@@ -176,7 +176,13 @@ class TauPoset:
 
     def h_from_shelling(self, ext: Sequence[int]) -> list[int]:
         """Restriction sizes along a shelling order: |R_j| counts the
-        facet's neighbors appearing earlier."""
+        facet's neighbors appearing earlier.
+
+        `build_poset` makes every dual edge a cover, so on any linear
+        extension the earlier neighbors of a node are its lower covers and
+        this equals the down-cover polynomial: comparing the two checks only
+        that `ext` is a linear extension (`NotLinearExtensionError` if not).
+        """
         self.check_linear_extension(ext)
         pos = {v: i for i, v in enumerate(ext)}
         top = 0
@@ -192,7 +198,9 @@ class TauPoset:
 
     @functools.cached_property
     def kappa(self) -> dict[int, int]:
-        """Node whose up-brick multiset equals the argument's down-brick multiset."""
+        """Node whose up-brick multiset equals the argument's down-brick multiset.
+
+        So dcov(i) == ucov(kappa[i]) holds by construction."""
         up_index: dict[tuple[Brick, ...], list[int]] = {}
         for i in range(len(self.cliques)):
             key = tuple(sorted(w for _, w in self.up[i]))
@@ -253,18 +261,14 @@ def build_poset(
 
 def _assert_transitively_reduced(p: TauPoset) -> None:
     """No oriented dual edge may be implied by a longer chain."""
-    up_sets = {i: {hi for hi, _ in p.up[i]} for i in range(len(p.cliques))}
-    # strictly-above closure, computed in reverse topological order
-    above: dict[int, set[int]] = {i: set() for i in range(len(p.cliques))}
+    # strictly-above closure as int bitsets, in reverse topological order
+    above = [0] * len(p.cliques)
     for node in reversed(p.topological_nodes):
-        acc: set[int] = set()
-        for hi in up_sets[node]:
-            acc |= {hi}
-            acc |= above[hi]
-        above[node] = acc
+        for hi, _ in p.up[node]:
+            above[node] |= 1 << hi | above[hi]
     for lo, hi, _ in p.hasse:
-        for mid in up_sets[lo] - {hi}:
-            if hi in above[mid]:
+        for mid, _ in p.up[lo]:
+            if mid != hi and above[mid] >> hi & 1:
                 raise ConsistencyError(
                     "oriented-dual-edges-are-covers",
                     f"edge {lo}<{hi} implied through {mid}",

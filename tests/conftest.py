@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from flowpoly.dag import Dag, complete_contraction
+from flowpoly.dag import ContractionTrace, Dag, complete_contraction, idle_edges
 from flowpoly.framing import CoherenceTable, named_framing
 from flowpoly.generators import caracol, caracol_core, gkn
 
@@ -175,3 +175,27 @@ def gcd_of_minors_volume(g: Dag, routes) -> int:
     for keep in itertools.combinations(range(cols), rows):
         g_all = math.gcd(g_all, abs(_det([[row[j] for j in keep] for row in mat])))
     return g_all
+
+
+def complete_contraction_reference(g: Dag) -> ContractionTrace:
+    """Step-by-step contraction: rebuild (and validate) the whole graph after
+    contracting the smallest idle edge, until no idle edge remains."""
+    rep = {v: v for v in g.vertices}
+    cur = g
+    steps = []
+    while True:
+        idle = idle_edges(cur)
+        if not idle:
+            break
+        e = min(idle)
+        u, v = cur.tail[e], cur.head[e]
+        keep, drop = (u, v) if u < v else (v, u)
+        steps.append((e, (keep, drop)))
+        remap = lambda x: keep if x == drop else x  # noqa: E731
+        vertices = tuple(x for x in cur.vertices if x != drop)
+        edges = tuple((eid, remap(t), remap(h)) for eid, t, h in cur.edges if eid != e)
+        cur = Dag.build(vertices, edges)
+        for x, r in rep.items():
+            if r == drop:
+                rep[x] = keep
+    return ContractionTrace(tuple(steps), cur, rep)

@@ -105,11 +105,15 @@ def test_usage_error_exit_code():
     assert res.returncode == 1
 
 
-def test_analyze_needs_full_graph():
-    gen = run(["gen", "car", "8"])
-    res = run(["analyze", "--framing", "length"], stdin=gen.stdout)
-    assert res.returncode == 1
-    assert "Traceback" not in res.stderr and "flowpoly contract" in res.stderr
+def test_analyze_needs_full_graph(tmp_path):
+    # fullness is checked first, so a route limit the graph exceeds still
+    # gives the contract-first error
+    path = tmp_path / "car8.json"
+    path.write_text(run(["gen", "car", "8"]).stdout)
+    for extra in ([], ["--max-routes", "3"]):
+        res = run(["analyze", "-i", str(path), "--framing", "length", *extra])
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr and "flowpoly contract" in res.stderr
 
 
 def test_graph_json_without_head_exit_code(tmp_path):

@@ -16,9 +16,16 @@ from flowpoly.dag import (
     is_valid,
 )
 from flowpoly.errors import CycleError, GraphError, IsolatedVertexError, RouteExplosionError
-from flowpoly.generators import gkn, random_valid_dag
+from flowpoly.generators import (
+    caracol,
+    caracol_core,
+    gkn,
+    random_full_dag,
+    random_idle_expansion,
+    random_valid_dag,
+)
 
-from conftest import count_paths_oracle
+from conftest import complete_contraction_reference, count_paths_oracle
 
 
 def test_classify_single_edge(single_edge):
@@ -219,6 +226,43 @@ def test_contraction_confluence():
         alt = contract_random(g)
         assert shape(alt) == shape(base)
         assert is_full(alt) == is_full(base)
+
+
+def _contraction_corpus():
+    rng = random.Random(17)
+    for _ in range(200):
+        yield random_valid_dag(
+            rng,
+            rng.randrange(1, 6),
+            expansions=rng.randrange(0, 6),
+            n_sources=rng.randrange(1, 3),
+            n_sinks=rng.randrange(1, 3),
+        )
+    # unchecked expansions: idle edges that close cycles, graphs not valid
+    for _ in range(60):
+        g = random_full_dag(rng, rng.randrange(1, 4), rng.randrange(1, 3), rng.randrange(1, 3))
+        for _ in range(rng.randrange(1, 8)):
+            g = random_idle_expansion(rng, g)
+        yield g
+    yield from (caracol(8), caracol(10), caracol_core(8), gkn(2, 7), gkn(2, 11))
+    # idle chains, with vertex ids rising and falling along the path
+    yield Dag.build(range(501), [(i, i, i + 1) for i in range(500)])
+    yield Dag.build(range(101), [(i, 100 - i, 99 - i) for i in range(100)])
+
+
+def test_contraction_matches_stepwise_reference(monkeypatch):
+    builds = []
+    build = Dag.build
+    monkeypatch.setattr(Dag, "build", staticmethod(lambda vs, es: builds.append(1) or build(vs, es)))
+    for g in _contraction_corpus():
+        want = complete_contraction_reference(g)
+        del builds[:]
+        got = complete_contraction(g)
+        assert len(builds) == (1 if want.steps else 0)
+        assert got.steps == want.steps
+        assert got.result.vertices == want.result.vertices
+        assert got.result.edges == want.result.edges
+        assert list(got.vertex_map.items()) == list(want.vertex_map.items())
 
 
 def test_json_round_trip(g27h):

@@ -1,6 +1,10 @@
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
+
+import flowpoly.framing
 
 from flowpoly.dag import Dag, complete_contraction, is_full
 from flowpoly.errors import (
@@ -385,6 +389,39 @@ def test_lift_count_matches_formula(car8, car8h):
     lifts = list(enumerate_ample_framings_valid(car8))
     assert len(lifts) == count_ample_framings(car8) == 128
     assert len({f.key() for f in lifts}) == 128
+
+
+def test_valid_enumeration_contracts_once(car8, monkeypatch):
+    # one contraction and one reachability pass for all 128 framings, each
+    # lifted from the alternating labels; order as captured in the golden file
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    for name in ("complete_contraction", "idle_reachability", "edge_labeling"):
+        monkeypatch.setattr(flowpoly.framing, name, counted(name, getattr(flowpoly.framing, name)))
+    got = [framing_to_json(f) for f in enumerate_ample_framings_valid(car8)]
+    assert calls == {"complete_contraction": 1, "idle_reachability": 1}
+    golden = Path(__file__).parent / "golden" / "car-8_valid_framings.jsonl"
+    assert got == golden.read_text().splitlines()
+
+
+def test_lift_through_long_idle_chain(g27h):
+    # 1,500 idle edges between a full vertex and the head of one of its
+    # out-edges: the forced out-port's pullback walks the whole chain
+    v = g27h.inner[0]
+    moved = g27h.out_edges[v][1]
+    edges = [x for x in g27h.edges if x[0] != moved]
+    chain = list(range(max(g27h.vertices) + 1, max(g27h.vertices) + 1501))
+    ids = iter(range(max(g27h.edge_ids) + 1, max(g27h.edge_ids) + 1501))
+    edges += [(next(ids), a, b) for a, b in zip([v] + chain, chain)]
+    edges.append((moved, chain[-1], g27h.head[moved]))
+    g = Dag.build(g27h.vertices + tuple(chain), edges)
+    lifts = list(enumerate_ample_framings_valid(g))
+    assert len(lifts) == count_ample_framings(g) == 8
+    f_full = next(enumerate_ample_framings(complete_contraction(g).result)).framing
+    assert lift_framing(g, f_full) == lifts[0]
 
 
 def test_valid_enumeration_all_ample():

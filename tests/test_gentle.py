@@ -330,32 +330,3 @@ def test_gentleness_and_bijection_random():
             if s.kind == "word":
                 walk = _walk_from_letters(q, s.letters)
                 assert len(set(walk.vertices)) == len(walk.vertices)
-
-
-def test_quiver_dot_export(g27h, g27f):
-    from flowpoly.gentle import quiver_to_dot
-
-    q = build_quiver(g27h, g27f)
-    dot = quiver_to_dot(q)
-    assert dot.startswith("digraph quiver {")
-    assert dot.count("style=dashed") == 2  # one annotation per relation
-    assert 'label="a2"' in dot
-
-
-def test_strings_json_export(g27h, g27f):
-    import json
-
-    from flowpoly.gentle import strings_to_json
-
-    q = build_quiver(g27h, g27f)
-    data = json.loads(strings_to_json(objects_t(q)))
-    assert len(data) == 10
-    kinds = sorted(d["kind"] for d in data)
-    assert kinds.count("const") == 3 and kinds.count("shift") == 3
-    words = [d for d in data if d["kind"] == "word"]
-    assert sorted(map(tuple, (d["letters"] for d in words))) == [
-        (3,),
-        (3, 4),
-        (4,),
-        (9,),
-    ]

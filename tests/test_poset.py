@@ -2,17 +2,20 @@ import random
 
 import pytest
 
-from flowpoly.errors import NotLinearExtensionError
+from flowpoly.errors import ConsistencyError, NotLinearExtensionError
 from flowpoly.framing import CoherenceTable, edge_labeling, framing_by_edge_id
 from flowpoly.generators import random_full_dag
 from flowpoly.framing import enumerate_ample_framings
 from flowpoly.poset import (
+    TauPoset,
+    _assert_transitively_reduced,
     build_poset,
     common_components,
     is_order_reversing_automorphism,
     orient_dual_edge,
 )
 from flowpoly.ehrhart import check_symmetry_unimodality
+from flowpoly.triangulation import DualGraph
 
 # Route ids in the contracted G(2,7), written as edge tuples (see test_framing)
 R_216 = (6, 8, 4)  # weights 2,2,1
@@ -160,6 +163,21 @@ def test_poset_regular_random():
             assert p.dcov(i) + p.ucov(i) == n
         for ext in p.random_linear_extensions(5, seed=1):
             assert p.h_from_shelling(ext) == dcov
+
+
+def test_transitive_reduction_check(g27poset):
+    cliques = [(i,) for i in range(4)]
+
+    def poset(hasse):
+        return TauPoset(cliques, [], hasse, DualGraph(cliques, sorted((lo, hi) for lo, hi, _ in hasse)))
+
+    chain = [(0, 1, (1,)), (1, 2, (2,)), (2, 3, (3,))]
+    _assert_transitively_reduced(poset(chain))
+    # the chord 0 < 3 is implied by the chain 0 < 1 < 2 < 3
+    with pytest.raises(ConsistencyError, match="oriented-dual-edges-are-covers: edge 0<3 implied through 1"):
+        _assert_transitively_reduced(poset(chain + [(0, 3, (4,))]))
+    # build_poset runs the check on every poset it returns
+    _assert_transitively_reduced(g27poset)
 
 
 def test_check_symmetry_unimodality():

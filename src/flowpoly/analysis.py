@@ -4,8 +4,12 @@ Each verdict pairs an invariant name with a boolean; the CLI turns a failed
 verdict into exit code 2.  The checks deliberately pit independent
 computations against each other: clique enumeration vs flip traversal,
 down-cover statistics vs the lattice-point oracle, coherence vs
-tau-rigidity.  Shelling restrictions equal the down-cover statistics on
-every linear extension, so that comparison checks only the extensions.
+tau-rigidity.  Unimodularity is one determinant carried across the flip
+records: on each dual edge the leaving and entering routes r, r' have
+swaps s, s' on the shared ridge with r + r' = s + s', so the two cliques'
+determinants differ only in sign.  Shelling restrictions equal the
+down-cover statistics on every linear extension, so that comparison
+checks only the extensions.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .triangulation import (
     bron_kerbosch,
     maximal_cliques,
     maximal_cliques_by_flips,
-    verify_unimodular,
+    unimodular_by_exchange,
 )
 
 
@@ -126,13 +130,19 @@ def analyze(
         "cliques-are-simplices",
         all(len(c) == d_poly + 1 for c in cliques),
     )
+    # the flip traversal's records are the dual graph; by the exchange
+    # argument they carry one determinant to every clique they reach, and
+    # those are all the cliques when the two enumerations agree
+    dual = maximal_cliques_by_flips(table, max_cliques)
+    flips_match = dual.cliques == cliques
     report.check(
         "cliques-unimodular",
-        all(verify_unimodular(g, [routes[i] for i in c]) for c in cliques),
+        flips_match and unimodular_by_exchange(g, table, dual),
     )
-    flipped = maximal_cliques_by_flips(table)
-    report.check("flip-traversal-matches-enumeration", flipped == cliques)
-    poset = build_poset(g, f, table, cliques, labels)
+    report.check("flip-traversal-matches-enumeration", flips_match)
+    if flips_match:
+        cliques = dual.cliques  # keep one copy of the equal lists
+    poset = build_poset(g, f, table, dual, labels)
     report.data["poset"] = poset
     n_inner = len(g.inner)
     report.check(

@@ -41,7 +41,7 @@ from .framing import (
 )
 from .generators import generate, random_valid_dag
 from .poset import build_poset
-from .triangulation import dual_graph, maximal_cliques, verify_unimodular
+from .triangulation import maximal_cliques, maximal_cliques_by_flips, verify_unimodular
 
 
 def _read_graph(path: str | None) -> Dag:
@@ -188,9 +188,15 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
     table = CoherenceTable(g, f)
     cs = maximal_cliques(table, max_cliques)
     flags = [verify_unimodular(g, [table.routes[i] for i in c]) for c in cs]
-    dg = dual_graph(cs)
+    dg = maximal_cliques_by_flips(table)
+    if dg.cliques != cs:
+        raise ConsistencyError(
+            "flip-traversal-matches-enumeration",
+            f"{len(dg.cliques)} cliques by flips vs {len(cs)} by enumeration",
+        )
+    pairs = [[e.a, e.b] for e in dg.edges]
     if dot_path:
-        _write_dot(dot_path, "graph dual {", cs, [f"  n{a} -- n{b};" for a, b in dg.edges])
+        _write_dot(dot_path, "graph dual {", cs, [f"  n{a} -- n{b};" for a, b in pairs])
     if as_json:
         click.echo(
             json.dumps(
@@ -199,7 +205,7 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
                     "exceptional": list(table.exceptional_indices),
                     "cliques": [list(c) for c in cs],
                     "unimodular": flags,
-                    "dual_edges": [list(e) for e in dg.edges],
+                    "dual_edges": pairs,
                 }
             )
         )

@@ -145,23 +145,29 @@ def _split_vertex(
             record(tuple(base), value * math.comb(rest + m - 1, m - 1) if m > 1 and rest else value)
         base[p] = before
 
-    for state, value in states.items():
-        inflow = state[k]
-        if not inflow:
-            record(state, value)
-            continue
-        base = list(state)
-        base[k] = 0
-        # without sink edges nothing is absorbed; without other heads, everything
-        for kept in range(0 if to_sinks else inflow, (inflow if heads else 0) + 1):
-            absorbed = inflow - kept
-            shifted = value << (absorbed * width)
-            if to_sinks > 1 and absorbed:
-                shifted *= math.comb(absorbed + to_sinks - 1, to_sinks - 1)
-            if heads:
-                spread(0, kept, shifted)
-            else:
-                record(tuple(base), shifted)
+    try:
+        for state, value in states.items():
+            inflow = state[k]
+            if not inflow:
+                record(state, value)
+                continue
+            base = list(state)
+            base[k] = 0
+            # without sink edges nothing is absorbed; without other heads, everything
+            for kept in range(0 if to_sinks else inflow, (inflow if heads else 0) + 1):
+                absorbed = inflow - kept
+                shifted = value << (absorbed * width)
+                if to_sinks > 1 and absorbed:
+                    shifted *= math.comb(absorbed + to_sinks - 1, to_sinks - 1)
+                if heads:
+                    spread(0, kept, shifted)
+                else:
+                    record(tuple(base), shifted)
+    finally:
+        # spread refers to itself through its closure cell, and through
+        # record to the layer `new`: a reference cycle that would keep each
+        # layer alive until a full collection.  Emptying the cell breaks it.
+        del spread
     return new
 
 

@@ -230,8 +230,20 @@ class CoherenceTable:
             i for i in range(n) if self.adjacency[i] | (1 << i) == full
         )
 
+    @functools.cached_property
+    def route_index(self) -> dict[Route, int]:
+        """Each route's first position in `routes`."""
+        index: dict[Route, int] = {}
+        for i, r in enumerate(self.routes):
+            index.setdefault(r, i)
+        return index
+
     def index_of(self, route: Route) -> int:
-        return self.routes.index(tuple(route))
+        """Position of `route` in `routes`; ValueError if it is not there."""
+        i = self.route_index.get(tuple(route))
+        if i is None:
+            raise ValueError(f"{tuple(route)} is not a route of this table")
+        return i
 
 
 def route_conflicts(g: Dag, f: Framing, r: Route, s: Route) -> list[VertexId]:

@@ -24,7 +24,7 @@ from .errors import (
     NotLinearExtensionError,
 )
 from .framing import CoherenceTable, Framing, edge_labeling
-from .triangulation import Clique, DualGraph, dual_graph, maximal_cliques
+from .triangulation import Clique, DualGraph, maximal_cliques_by_flips
 
 # A brick is a walk in the base DAG: (v0, e1, v1, ..., ek, vk), possibly a
 # single vertex (v0,).
@@ -232,28 +232,28 @@ def build_poset(
     g: Dag,
     f: Framing,
     table: CoherenceTable | None = None,
-    cliques: list[Clique] | None = None,
+    dual: DualGraph | None = None,
     labels: Mapping[EdgeId, int] | None = None,
 ) -> TauPoset:
-    """Orient every dual edge and assert the result is its own Hasse diagram.
+    """Orient every flip record and assert the result is its own Hasse diagram.
 
-    `table`, `cliques` and the edge `labels` of `f` are computed when not given.
+    `table`, the flip traversal `dual` of it and the edge `labels` of `f`
+    are computed when not given.  A record names its leaving and entering
+    routes, so no clique pair is compared here.
     """
     table = table or CoherenceTable(g, f)
-    cliques = cliques if cliques is not None else maximal_cliques(table)
+    dual = dual if dual is not None else maximal_cliques_by_flips(table)
     labels = labels if labels is not None else edge_labeling(g, f)
-    dg = dual_graph(cliques)
     hasse: list[tuple[int, int, Brick]] = []
-    for a, b in dg.edges:
-        ca, cb = set(cliques[a]), set(cliques[b])
-        (ra,) = ca - cb
-        (rb,) = cb - ca
-        sign, brick = orient_dual_edge(g, labels, table.routes[ra], table.routes[rb])
+    for rec in dual.edges:
+        sign, brick = orient_dual_edge(
+            g, labels, table.routes[rec.leaving], table.routes[rec.entering]
+        )
         if sign > 0:
-            hasse.append((b, a, brick))
+            hasse.append((rec.b, rec.a, brick))
         else:
-            hasse.append((a, b, brick))
-    poset = TauPoset(list(cliques), list(table.routes), hasse, dg)
+            hasse.append((rec.a, rec.b, brick))
+    poset = TauPoset(dual.cliques, list(table.routes), hasse, dual)
     poset.topological_nodes  # acyclicity check
     _assert_transitively_reduced(poset)
     return poset
@@ -261,18 +261,27 @@ def build_poset(
 
 def _assert_transitively_reduced(p: TauPoset) -> None:
     """No oriented dual edge may be implied by a longer chain."""
-    # strictly-above closure as int bitsets, in reverse topological order
-    above = [0] * len(p.cliques)
+    # strictly-above closure as int bitsets, in reverse topological order;
+    # a node's set is dropped once every node it covers has read it, so only
+    # the sweep's frontier is held (2.8 MB on gkn(2,11), 8.6 MB for all)
+    above: dict[int, int] = {}
+    unread = [p.dcov(i) for i in range(len(p.cliques))]
     for node in reversed(p.topological_nodes):
-        for hi, _ in p.up[node]:
-            above[node] |= 1 << hi | above[hi]
-    for lo, hi, _ in p.hasse:
-        for mid, _ in p.up[lo]:
-            if mid != hi and above[mid] >> hi & 1:
-                raise ConsistencyError(
-                    "oriented-dual-edges-are-covers",
-                    f"edge {lo}<{hi} implied through {mid}",
-                )
+        ups = p.up[node]
+        for hi, _ in ups:
+            for mid, _ in ups:
+                if mid != hi and above[mid] >> hi & 1:
+                    raise ConsistencyError(
+                        "oriented-dual-edges-are-covers",
+                        f"edge {node}<{hi} implied through {mid}",
+                    )
+        closure = 0
+        for hi, _ in ups:
+            closure |= 1 << hi | above[hi]
+            unread[hi] -= 1
+            if not unread[hi]:
+                del above[hi]
+        above[node] = closure
 
 
 def is_order_reversing_automorphism(p: TauPoset, perm: Mapping[int, int]) -> bool:

@@ -2,15 +2,19 @@
 
 Maximal simplices of the triangulation are the maximal sets of pairwise
 coherent routes.  Two enumeration strategies are provided (pivoting
-Bron-Kerbosch on the coherence graph, and breadth-first flip traversal
-from a seed clique) so each can certify the other.
+Bron-Kerbosch on the coherence graph, and flip traversal from a seed
+clique) so each can certify the other.  The flip traversal also yields
+the dual graph, one `Flip` record per dual edge, and those records
+certify unimodularity from a single determinant by an exchange argument
+(`unimodular_by_exchange`).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dag import Dag, Route, flow_dims
 from .errors import CliqueExplosionError, NoFlipError, NotSimplexError
@@ -56,7 +60,13 @@ def bron_kerbosch(
             p &= ~bit
             x |= bit
 
-    expand(0, candidates, 0)
+    try:
+        expand(0, candidates, 0)
+    finally:
+        # expand refers to itself through its closure cell, a reference
+        # cycle that would keep `out` alive until a full collection; emptying
+        # the cell breaks it
+        del expand
     return out
 
 
@@ -140,15 +150,37 @@ def verify_unimodular(g: Dag, routes: Sequence[Route]) -> bool:
 # -- dual graph and flips -------------------------------------------------------
 
 
+class Flip(NamedTuple):
+    """One dual edge: cliques a < b share the ridge cliques[a] minus
+    `leaving`, and `entering` takes the place of `leaving` in cliques[b].
+
+    `swap` and `swap_in` are the routes that trade tails at a conflict
+    vertex v of the exchanged pair, leaving[:cut] + entering[cut':] and
+    entering[:cut'] + leaving[cut:] with cut, cut' the positions of v.
+    So leaving + entering = swap + swap_in as 0/1 edge vectors.  A swap
+    that is not a route of the table is -1.
+    """
+
+    a: int
+    b: int
+    leaving: int
+    entering: int
+    swap: int
+    swap_in: int
+
+
 @dataclass
 class DualGraph:
+    """Cliques and their dual edges: `Flip` records from the flip traversal,
+    or (a, b) pairs from the `dual_graph` reference; a < b either way."""
+
     cliques: list[Clique]
-    edges: list[tuple[int, int]]  # pairs of clique indices, i < j
+    edges: list[Flip] | list[tuple[int, int]]
 
     @functools.cached_property
     def neighbors(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {i: [] for i in range(len(self.cliques))}
-        for a, b in self.edges:
+        for a, b, *_ in self.edges:
             adj[a].append(b)
             adj[b].append(a)
         return {k: sorted(v) for k, v in adj.items()}
@@ -158,7 +190,10 @@ class DualGraph:
 
 
 def dual_graph(cliques: Sequence[Clique]) -> DualGraph:
-    """Cliques adjacent when they differ in exactly one route (shared ridge)."""
+    """Cliques adjacent when they differ in exactly one route (shared ridge).
+
+    Hashes every ridge of every clique: the reference that the flip
+    traversal's records are tested against."""
     ridges: dict[tuple[int, ...], list[int]] = {}
     for idx, c in enumerate(cliques):
         for drop in c:
@@ -173,6 +208,24 @@ def dual_graph(cliques: Sequence[Clique]) -> DualGraph:
     return DualGraph(list(cliques), [tuple(p) for p in edges])
 
 
+def _exchange(adj: Sequence[int], common: int, route_idx: int) -> int:
+    """The route that replaces `route_idx` over a ridge whose common
+    coherent neighbours form the bitmask `common`.
+
+    Every route coherent with the whole ridge belongs to one of the (at
+    most two) maximal cliques over it, so `common` holds exactly the
+    outgoing route and its unique replacement, and the two conflict.
+    """
+    if not common >> route_idx & 1:
+        raise NoFlipError("clique is not a clique of this coherence table")
+    others = common & ~(1 << route_idx)
+    if others.bit_count() != 1 or adj[route_idx] & others:
+        raise NoFlipError(
+            f"ridge admits {others.bit_count()} exchanges for route {route_idx}, expected 1"
+        )
+    return others.bit_length() - 1
+
+
 def flip(table: CoherenceTable, clique: Clique, route_idx: int) -> tuple[Clique, int]:
     """Exchange a non-exceptional route for the unique alternative.
 
@@ -184,46 +237,124 @@ def flip(table: CoherenceTable, clique: Clique, route_idx: int) -> tuple[Clique,
         raise NoFlipError("exceptional routes are in every maximal clique")
     if route_idx not in clique:
         raise NoFlipError("route not in clique")
-    ridge = [i for i in clique if i != route_idx]
     adj = table.adjacency
-    mask = functools.reduce(lambda m, i: m & adj[i], ridge, (1 << len(table.routes)) - 1)
-    candidates = set(_members(mask))
-    # every route coherent with the whole ridge belongs to one of the (at
-    # most two) maximal cliques over it, so the candidates beyond the ridge
-    # are exactly the outgoing route and its unique replacement
-    extra = sorted(candidates - set(ridge))
-    if route_idx not in extra:
-        raise NoFlipError("clique is not a clique of this coherence table")
-    others = [v for v in extra if v != route_idx]
-    if len(others) != 1 or (adj[others[0]] >> route_idx) & 1:
-        raise NoFlipError(
-            f"ridge admits {len(others)} exchanges for route {route_idx}, expected 1"
-        )
-    new = tuple(sorted(ridge + [others[0]]))
-    return new, others[0]
+    ridge = [i for i in clique if i != route_idx]
+    common = (1 << len(table.routes)) - 1
+    for i in ridge:
+        common &= adj[i]
+    incoming = _exchange(adj, common, route_idx)
+    return tuple(sorted(ridge + [incoming])), incoming
 
 
-def maximal_cliques_by_flips(table: CoherenceTable) -> list[Clique]:
-    """Flip traversal from a greedy seed clique; cross-check for maximal_cliques."""
+def _swaps(table: CoherenceTable, r: int, s: int) -> tuple[int, int]:
+    """The routes r[:cut] + s[cut':] and s[:cut'] + r[cut:] cut at the
+    smallest conflict vertex of routes r and s, as indices (-1 if not in
+    the table)."""
+    v = table.conflict_vertices(r, s)[0]
+    cut_r, cut_s = table.route_cuts[r][v], table.route_cuts[s][v]
+    route_r, route_s = table.routes[r], table.routes[s]
+    index = table.route_index
+    return (
+        index.get(route_r[:cut_r] + route_s[cut_s:], -1),
+        index.get(route_s[:cut_s] + route_r[cut_r:], -1),
+    )
+
+
+def maximal_cliques_by_flips(
+    table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUES
+) -> DualGraph:
+    """Flip traversal from a greedy seed clique: every maximal clique,
+    sorted, and one `Flip` record per dual edge, sorted by clique pair.
+
+    The cross-check for `maximal_cliques`.  A flip and its reverse test the
+    same ridge, so each dual edge is flipped once: flipping r out of a
+    clique marks the reverse flip on the neighbour as done.  The ridge
+    masks of a clique come from prefix and suffix ANDs of its members'
+    adjacency rows.
+    """
     n = len(table.routes)
     adj = table.adjacency
+    full = (1 << n) - 1
     members = list(table.exceptional_indices)
     for v in range(n):
         if v in members:
             continue
         if all(adj[v] >> i & 1 for i in members):
             members.append(v)
-    seed = tuple(sorted(members))
-    exceptional = set(table.exceptional_indices)
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        c = frontier.pop()
-        for r in c:
-            if r in exceptional:
+    exceptional = sum(1 << i for i in table.exceptional_indices)
+    # cliques in order of discovery, as route tuples and as bitmasks;
+    # done[i] marks the routes of clique i that need no flip (exceptional,
+    # or the flip is already recorded from the other side)
+    found = [tuple(sorted(members))]
+    masks = [sum(1 << i for i in members)]
+    ids = {masks[0]: 0}
+    done = [exceptional]
+    flips: list = []  # (i, j, r, s, swap, swap_in) in discovery ids, then Flip
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        c, mask, skip = found[i], masks[i], done[i]
+        suffix = [full] * (len(c) + 1)
+        for k in range(len(c) - 1, -1, -1):
+            suffix[k] = suffix[k + 1] & adj[c[k]]
+        prefix = full
+        for k, r in enumerate(c):
+            common = prefix & suffix[k + 1]
+            prefix &= adj[r]
+            if skip >> r & 1:
                 continue
-            other, _ = flip(table, c, r)
-            if other not in seen:
-                seen.add(other)
-                frontier.append(other)
-    return sorted(seen)
+            s = _exchange(adj, common, r)
+            other = mask ^ (1 << r) ^ (1 << s)
+            j = ids.get(other)
+            if j is None:
+                j = ids[other] = len(masks)
+                if j >= max_cliques:
+                    raise CliqueExplosionError(f"more than {max_cliques} maximal cliques")
+                ridge = c[:k] + c[k + 1 :]
+                at = bisect.bisect(ridge, s)
+                found.append(ridge[:at] + (s,) + ridge[at:])
+                masks.append(other)
+                done.append(exceptional | 1 << s)
+                stack.append(j)
+            else:
+                done[j] |= 1 << s
+            flips.append((i, j, r, s, *_swaps(table, r, s)))
+    del ids, masks, done
+    order = sorted(range(len(found)), key=found.__getitem__)
+    rank = [0] * len(order)
+    for new, old in enumerate(order):
+        rank[old] = new
+    cliques = [found[i] for i in order]
+    del found, order
+    for k, (i, j, r, s, sw, sw_in) in enumerate(flips):
+        a, b = rank[i], rank[j]
+        # seen from the other clique, the routes and the swaps trade places
+        flips[k] = Flip(a, b, r, s, sw, sw_in) if a < b else Flip(b, a, s, r, sw_in, sw)
+    flips.sort()
+    return DualGraph(cliques, flips)
+
+
+def unimodular_by_exchange(g: Dag, table: CoherenceTable, dual: DualGraph) -> bool:
+    """Every clique of the flip traversal `dual` spans a unimodular simplex.
+
+    Exchange argument: on a record, write R for the shared ridge, r and r'
+    for the leaving and entering routes and s, s' for the swaps.  If
+    r + r' = s + s' as edge vectors and s, s' lie in R, then expanding the
+    determinant along the exchanged row gives det(R, r') = det(R, s) +
+    det(R, s') - det(R, r) = -det(R, r), since a repeated row makes a
+    determinant vanish.  So |det| is the same on the two cliques of every
+    record, the traversal's dual graph is connected, and one determinant,
+    on cliques[0], settles all of them.  False if a record breaks the
+    argument or that determinant is not 1.
+    """
+    routes = table.routes
+    vectors = [sum(1 << e for e in r) for r in routes]
+    cliques = dual.cliques
+    for f in dual.edges:
+        a, b, s, s_in = cliques[f.a], cliques[f.b], f.swap, f.swap_in
+        if not (s in a and s in b and s_in in a and s_in in b):
+            return False
+        r, r_in = vectors[f.leaving], vectors[f.entering]
+        if r & r_in != vectors[s] & vectors[s_in] or r | r_in != vectors[s] | vectors[s_in]:
+            return False
+    return verify_unimodular(g, [routes[i] for i in cliques[0]])

@@ -242,7 +242,8 @@ def test_criterion_5_poset_kappa(corpus):
             (ra,) = set(cliques[a]) - set(cliques[b])
             (rb,) = set(cliques[b]) - set(cliques[a])
             orient_dual_edge(g, labels, t.routes[ra], t.routes[rb])  # unique or raises
-        p = build_poset(g, f, t, cliques)  # acyclic or raises
+        p = build_poset(g, f, t)  # acyclic or raises
+        assert p.cliques == cliques
         kappa = p.kappa  # total bijection or raises
         for i, j in kappa.items():
             assert p.dcov(i) == p.ucov(j)

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import re
@@ -218,3 +219,19 @@ def test_single_edge_tables(single_edge):
     parallel = Dag.build([0, 1], [(0, 0, 1), (1, 0, 1), (2, 0, 1)])
     assert flow_count_table(parallel, 4) == {t: math.comb(t + 2, 2) for t in range(5)}
     assert flow_count_table(single_edge, 0) == {0: 1}
+
+
+def test_analyze_leaves_no_cyclic_garbage(car8h):
+    """The DP layers and the clique list are freed when their functions
+    return, not kept alive by reference cycles until a full collection."""
+    from flowpoly.analysis import analyze
+    from flowpoly.framing import named_framing
+
+    f = named_framing(car8h, "length")
+    gc.collect()
+    gc.disable()
+    try:
+        assert analyze(car8h, f).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -98,6 +98,16 @@ def test_exceptional_routes_g27(g27h, g27f, g27t):
     assert exceptional_routes(g27h, g27f, g27t) == [(1, 2, 3, 4), (6, 8, 10), (7, 9)]
 
 
+def test_index_of_every_route_g27(g27h, g27t):
+    for i, r in enumerate(g27t.routes):
+        assert g27t.index_of(r) == i
+        assert g27t.index_of(list(r)) == i
+    missing = g27t.routes[0][:-1]
+    assert missing not in g27t.routes
+    with pytest.raises(ValueError):
+        g27t.index_of(missing)
+
+
 def test_exceptional_single_route(single_edge):
     f = framing_by_edge_id(single_edge)
     assert exceptional_routes(single_edge, f) == [(0,)]

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import flowpoly.analysis
 import flowpoly.gentle
 import flowpoly.poset
+import flowpoly.triangulation
 from flowpoly.analysis import analyze
 
 from flowpoly.errors import ExceptionalRouteError, NotAmpleError
@@ -248,22 +250,31 @@ def test_rigidity_adjacency_matches_pairwise_reference(core8, core8f):
 
 
 def test_analyze_computes_each_intermediate_once(g27h, g27f, g27t, monkeypatch):
-    dual_calls = []
+    calls = collections.Counter()
     extended = collections.Counter()
     poset_labelings = []
-    dual_graph = flowpoly.poset.dual_graph
-    edge_labeling = flowpoly.poset.edge_labeling
+    triangulation = flowpoly.triangulation
     extend = flowpoly.gentle.extend_string
+    edge_labeling = flowpoly.poset.edge_labeling
 
-    def counting_dual_graph(cliques):
-        dual_calls.append(len(cliques))
-        return dual_graph(cliques)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # every module that binds these names gets the counting wrapper
+    for name in ("dual_graph", "maximal_cliques_by_flips", "simplex_volume"):
+        wrapped = counted(name, getattr(triangulation, name))
+        for mod in (triangulation, flowpoly.poset, flowpoly.analysis):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapped)
 
     def counting_extend(bq, obj):
         extended[str(obj)] += 1
         return extend(bq, obj)
 
-    monkeypatch.setattr(flowpoly.poset, "dual_graph", counting_dual_graph)
     def counting_edge_labeling(g, f):
         poset_labelings.append(f)
         return edge_labeling(g, f)
@@ -271,7 +282,9 @@ def test_analyze_computes_each_intermediate_once(g27h, g27f, g27t, monkeypatch):
     monkeypatch.setattr(flowpoly.gentle, "extend_string", counting_extend)
     monkeypatch.setattr(flowpoly.poset, "edge_labeling", counting_edge_labeling)
     assert analyze(g27h, g27f).ok
-    assert dual_calls == [16]
+    # the flip records are the dual graph, and one determinant certifies
+    # every clique
+    assert calls == {"maximal_cliques_by_flips": 1, "simplex_volume": 1}
     assert poset_labelings == []  # build_poset reuses analyze's labels
     n_objects = len(g27t.routes) - len(g27t.exceptional_indices)
     assert len(extended) == n_objects and set(extended.values()) == {1}

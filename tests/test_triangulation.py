@@ -5,17 +5,26 @@ import weakref
 
 import pytest
 
+import flowpoly.triangulation
+from flowpoly.analysis import analyze
 from flowpoly.dag import complete_contraction, enumerate_routes, flow_dims
 from flowpoly.errors import CliqueExplosionError, NotSimplexError
-from flowpoly.framing import CoherenceTable, enumerate_ample_framings, framing_by_edge_id
-from flowpoly.generators import gkn, random_full_dag
+from flowpoly.framing import (
+    CoherenceTable,
+    enumerate_ample_framings,
+    framing_by_edge_id,
+    named_framing,
+)
+from flowpoly.generators import gkn, random_full_dag, random_valid_dag
 from flowpoly.triangulation import (
+    DualGraph,
     bron_kerbosch,
     dual_graph,
     flip,
     maximal_cliques,
     maximal_cliques_by_flips,
     simplex_volume,
+    unimodular_by_exchange,
     verify_unimodular,
 )
 
@@ -109,8 +118,8 @@ def test_flip_exchanges_unique_route(g27t):
 
 
 def test_flip_traversal_matches(g27t, core8t):
-    assert maximal_cliques_by_flips(g27t) == maximal_cliques(g27t)
-    assert maximal_cliques_by_flips(core8t) == maximal_cliques(core8t)
+    assert maximal_cliques_by_flips(g27t).cliques == maximal_cliques(g27t)
+    assert maximal_cliques_by_flips(core8t).cliques == maximal_cliques(core8t)
 
 
 def test_flip_traversal_matches_random():
@@ -119,7 +128,7 @@ def test_flip_traversal_matches_random():
         g = random_full_dag(rng, rng.randrange(2, 5))
         tagged = next(iter(enumerate_ample_framings(g)))
         t = CoherenceTable(g, tagged.framing)
-        assert maximal_cliques_by_flips(t) == maximal_cliques(t)
+        assert maximal_cliques_by_flips(t).cliques == maximal_cliques(t)
 
 
 def test_volume_invariance_across_framings(g27h):
@@ -143,6 +152,9 @@ def test_total_volume_is_clique_count(core8, core8t):
 def test_clique_cap(g27t):
     with pytest.raises(CliqueExplosionError):
         maximal_cliques(g27t, max_cliques=4)
+    with pytest.raises(CliqueExplosionError):
+        maximal_cliques_by_flips(g27t, max_cliques=4)
+    assert len(maximal_cliques_by_flips(g27t, max_cliques=16).cliques) == 16
 
 
 def brute_force_maximal_cliques(adj, vertices):
@@ -208,3 +220,78 @@ def test_simplex_volume_matches_gcd_of_minors():
             assert volume == gcd_of_minors_volume(g, simplex)
             seen.add(min(volume, 2))
             samples += 1
+
+
+# -- flip records ---------------------------------------------------------------
+
+
+def _flip_corpus(g27h, g27f, core8, core8f, car8h):
+    """(graph, framing) pairs: the worked examples, then up to 8 canonical
+    framings of each of 100 seeded random contracted valid DAGs."""
+    yield g27h, g27f
+    yield core8, core8f
+    yield car8h, named_framing(car8h, "length")
+    rng = random.Random(9)
+    for _ in range(100):
+        g = random_valid_dag(rng, rng.randrange(2, 5), expansions=rng.randrange(0, 4))
+        h = complete_contraction(g).result
+        canonical = [t.framing for t in enumerate_ample_framings(h) if t.canonical]
+        for f in canonical[:8]:
+            yield h, f
+
+
+def test_flip_records_match_references(g27h, g27f, core8, core8f, car8h):
+    tables = flips = 0
+    for g, f in _flip_corpus(g27h, g27f, core8, core8f, car8h):
+        t = CoherenceTable(g, f)
+        cliques = maximal_cliques(t)
+        dual = maximal_cliques_by_flips(t)
+        assert dual.cliques == cliques
+        assert [rec[:2] for rec in dual.edges] == dual_graph(cliques).edges
+        for rec in dual.edges:
+            a, b = set(cliques[rec.a]), set(cliques[rec.b])
+            assert a - b == {rec.leaving} and b - a == {rec.entering}
+            assert flip(t, cliques[rec.a], rec.leaving) == (cliques[rec.b], rec.entering)
+            r, r_in = t.routes[rec.leaving], t.routes[rec.entering]
+            s, s_in = t.routes[rec.swap], t.routes[rec.swap_in]
+            assert sorted(r + r_in) == sorted(s + s_in)
+            # swap starts like the leaving route, swap_in like the entering one
+            assert (s[0], s[-1], s_in[0], s_in[-1]) == (r[0], r_in[-1], r_in[0], r[-1])
+        per_clique = all(verify_unimodular(g, [t.routes[i] for i in c]) for c in cliques)
+        assert unimodular_by_exchange(g, t, dual) == per_clique
+        tables += 1
+        flips += len(dual.edges)
+    assert tables >= 600 and flips >= 25_000  # 699 and 30,612 when written
+
+
+def _tampered(dual, k, **fields):
+    edges = list(dual.edges)
+    edges[k] = edges[k]._replace(**fields)
+    return DualGraph(dual.cliques, edges)
+
+
+def test_exchange_certificate_rejects_broken_records(car8h):
+    t = CoherenceTable(car8h, named_framing(car8h, "length"))
+    dual = maximal_cliques_by_flips(t)
+    assert unimodular_by_exchange(car8h, t, dual)
+    k = len(dual.edges) // 2
+    rec = dual.edges[k]
+    ridge = set(dual.cliques[rec.a]) - {rec.leaving}
+    outside = next(i for i in range(len(t.routes)) if i not in ridge)
+    in_ridge = next(i for i in sorted(ridge) if i not in (rec.swap, rec.swap_in))
+    for fields in (
+        # r + r' = s + s' holds trivially, but the swaps are off the ridge
+        {"swap": rec.leaving, "swap_in": rec.entering},
+        {"swap": outside},
+        {"swap_in": rec.leaving},
+        {"swap": -1},
+        # on the ridge, but r + r' = s + s' fails
+        {"swap": in_ridge},
+    ):
+        assert not unimodular_by_exchange(car8h, t, _tampered(dual, k, **fields))
+
+
+def test_seed_determinant_two_fails_the_verdict(g27h, g27f, monkeypatch):
+    monkeypatch.setattr(flowpoly.triangulation, "simplex_volume", lambda g, routes: 2)
+    report = analyze(g27h, g27f, with_gentle=False, with_oracle=False)
+    assert [v.invariant for v in report.failed()] == ["cliques-unimodular"]

@@ -44,6 +44,14 @@ from .poset import build_poset
 from .triangulation import maximal_cliques, maximal_cliques_by_flips, verify_unimodular
 
 
+def _echo(message: str = "", err: bool = False) -> None:
+    """click.echo to the current sys.stdout or sys.stderr.  Given no file,
+    click caches each stream's wrapper in a WeakKeyDictionary whose value
+    is the stream itself, so every stream that a caller redirected output
+    to while calling `main` in-process would stay alive with its text."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _read_graph(path: str | None) -> Dag:
     try:
         text = sys.stdin.read() if path in (None, "-") else Path(path).read_text()
@@ -88,7 +96,7 @@ def gen(name: str, args: tuple[int, ...]) -> None:
         g = generate(name, list(args))
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    click.echo(dag_to_json(g))
+    _echo(dag_to_json(g))
 
 
 @cli.command()
@@ -99,7 +107,7 @@ def contract(input_path, as_json) -> None:
     g = _read_graph(input_path)
     trace = complete_contraction(g)
     if as_json:
-        click.echo(
+        _echo(
             json.dumps(
                 {
                     "steps": [
@@ -113,8 +121,8 @@ def contract(input_path, as_json) -> None:
             )
         )
     else:
-        click.echo(dag_to_json(trace.result))
-        click.echo(
+        _echo(dag_to_json(trace.result))
+        _echo(
             f"contracted {len(trace.steps)} idle edge(s); "
             f"result full: {is_full(trace.result)}",
             err=True,
@@ -130,11 +138,11 @@ def routes(input_path, as_json, max_routes) -> None:
     g = _read_graph(input_path)
     rs = enumerate_routes(g, max_routes)
     if as_json:
-        click.echo(json.dumps({"count": len(rs), "routes": [list(r) for r in rs]}))
+        _echo(json.dumps({"count": len(rs), "routes": [list(r) for r in rs]}))
     else:
-        click.echo(f"{len(rs)} routes")
+        _echo(f"{len(rs)} routes")
         for r in rs:
-            click.echo(" ".join(map(str, r)))
+            _echo(" ".join(map(str, r)))
 
 
 @cli.command()
@@ -152,12 +160,12 @@ def framings(input_path, as_json, do_enum) -> None:
             raise click.UsageError("--enumerate needs a full graph (contract first)")
         for tagged in enumerate_ample_framings(g):
             if tagged.canonical:
-                click.echo(framing_to_json(tagged.framing))
+                _echo(framing_to_json(tagged.framing))
         return
     decomp = path_cycle_decomposition(trace.result)
     total = count_ample_framings(g)
     if as_json:
-        click.echo(
+        _echo(
             json.dumps(
                 {
                     "m": decomp.m,
@@ -169,10 +177,10 @@ def framings(input_path, as_json, do_enum) -> None:
             )
         )
     else:
-        click.echo(f"M = {decomp.m} alternating components with inner vertices")
+        _echo(f"M = {decomp.m} alternating components with inner vertices")
         for c in decomp.components:
-            click.echo(f"  {c.kind}: " + "-".join(map(str, c.walk())))
-        click.echo(f"ample framings: {total}")
+            _echo(f"  {c.kind}: " + "-".join(map(str, c.walk())))
+        _echo(f"ample framings: {total}")
 
 
 @cli.command()
@@ -198,7 +206,7 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
     if dot_path:
         _write_dot(dot_path, "graph dual {", cs, [f"  n{a} -- n{b};" for a, b in pairs])
     if as_json:
-        click.echo(
+        _echo(
             json.dumps(
                 {
                     "routes": [list(r) for r in table.routes],
@@ -210,9 +218,9 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
             )
         )
     else:
-        click.echo(f"{len(table.routes)} routes, {len(table.exceptional_indices)} exceptional")
-        click.echo(f"{len(cs)} maximal cliques, all unimodular: {all(flags)}")
-        click.echo(f"dual graph: {len(dg.edges)} edges")
+        _echo(f"{len(table.routes)} routes, {len(table.exceptional_indices)} exceptional")
+        _echo(f"{len(cs)} maximal cliques, all unimodular: {all(flags)}")
+        _echo(f"dual graph: {len(dg.edges)} edges")
 
 
 @cli.command()
@@ -231,7 +239,7 @@ def poset(input_path, as_json, framing, dot_path, seed) -> None:
         covers = [f'  n{lo} -> n{hi} [label="{"-".join(map(str, w))}"];' for lo, hi, w in p.hasse]
         _write_dot(dot_path, "digraph poset {\n  rankdir=BT;", p.cliques, covers)
     if as_json:
-        click.echo(
+        _echo(
             json.dumps(
                 {
                     "nodes": [list(c) for c in p.cliques],
@@ -244,9 +252,9 @@ def poset(input_path, as_json, framing, dot_path, seed) -> None:
             )
         )
     else:
-        click.echo(f"{len(p.cliques)} nodes, {len(p.hasse)} cover relations")
-        click.echo(f"dcov polynomial coefficients: {dcov}")
-        click.echo(f"kappa is a bijection on {len(p.kappa)} nodes")
+        _echo(f"{len(p.cliques)} nodes, {len(p.hasse)} cover relations")
+        _echo(f"dcov polynomial coefficients: {dcov}")
+        _echo(f"kappa is a bijection on {len(p.kappa)} nodes")
 
 
 @cli.command()
@@ -266,9 +274,9 @@ def hstar(input_path, as_json, framing, seed, extensions) -> None:
         for e in [p.default_linear_extension()] + p.random_linear_extensions(extensions, seed)
     )
     if as_json:
-        click.echo(json.dumps({"h": dcov, "shelling_agrees": agree}))
+        _echo(json.dumps({"h": dcov, "shelling_agrees": agree}))
     else:
-        click.echo(f"h = {dcov} (shelling orders agree: {agree})")
+        _echo(f"h = {dcov} (shelling orders agree: {agree})")
 
 
 @cli.command()
@@ -291,14 +299,14 @@ def oracle(input_path, as_json, framing) -> None:
         exc = [table.routes[i] for i in table.exceptional_indices]
         payload["special_simplex"] = special_simplex_check(g, exc, table.routes).ok
     if as_json:
-        click.echo(json.dumps(payload))
+        _echo(json.dumps(payload))
     else:
-        click.echo(f"dim = {result.dimension}")
-        click.echo("counts: " + ", ".join(f"{t}:{c}" for t, c in sorted(result.counts.items())))
-        click.echo(f"h* = {result.hstar}")
-        click.echo(", ".join(f"{name}: {flag}" for name, flag in result.flags.items()))
+        _echo(f"dim = {result.dimension}")
+        _echo("counts: " + ", ".join(f"{t}:{c}" for t, c in sorted(result.counts.items())))
+        _echo(f"h* = {result.hstar}")
+        _echo(", ".join(f"{name}: {flag}" for name, flag in result.flags.items()))
         if "special_simplex" in payload:
-            click.echo(f"exceptional routes form a special simplex: {payload['special_simplex']}")
+            _echo(f"exceptional routes form a special simplex: {payload['special_simplex']}")
 
 
 @cli.command()
@@ -316,7 +324,7 @@ def analyze(input_path, as_json, framing, seed, max_routes, max_cliques) -> None
         g, f, seed=seed, max_routes=max_routes, max_cliques=max_cliques
     )
     if as_json:
-        click.echo(
+        _echo(
             json.dumps(
                 {
                     "routes": report.data.get("routes"),
@@ -334,15 +342,15 @@ def analyze(input_path, as_json, framing, seed, max_routes, max_cliques) -> None
             )
         )
     else:
-        click.echo(f"routes: {report.data.get('routes')}")
-        click.echo(f"exceptional routes: {report.data.get('exceptional')}")
-        click.echo(f"maximal cliques: {report.data.get('cliques')}")
-        click.echo(f"dcov: {report.data.get('dcov')}")
-        click.echo(f"oracle h*: {report.data.get('hstar')}")
-        click.echo(f"flags: {report.data.get('flags')}")
+        _echo(f"routes: {report.data.get('routes')}")
+        _echo(f"exceptional routes: {report.data.get('exceptional')}")
+        _echo(f"maximal cliques: {report.data.get('cliques')}")
+        _echo(f"dcov: {report.data.get('dcov')}")
+        _echo(f"oracle h*: {report.data.get('hstar')}")
+        _echo(f"flags: {report.data.get('flags')}")
         for v in report.verdicts:
             mark = "ok " if v.ok else "FAIL"
-            click.echo(f"  [{mark}] {v.invariant}" + (f" ({v.detail})" if v.detail else ""))
+            _echo(f"  [{mark}] {v.invariant}" + (f" ({v.detail})" if v.detail else ""))
     if not report.ok:
         failed = ", ".join(v.invariant for v in report.failed())
         raise ConsistencyError(failed, "instance violates the named invariants")
@@ -369,14 +377,14 @@ def fuzz(count, seed, size, as_json) -> None:
             failures.append((i, "contraction-not-full"))
             continue
         tagged = next(iter(enumerate_ample_framings(h)))
-        rep = run_analysis(h, tagged.framing, with_gentle=False, with_oracle=False)
+        rep = run_analysis(h, tagged.framing, with_gentle=False)
         failures.extend((i, v.invariant) for v in rep.failed())
     if as_json:
-        click.echo(json.dumps({"instances": count, "failures": failures}))
+        _echo(json.dumps({"instances": count, "failures": failures}))
     else:
-        click.echo(f"{count} instances, {len(failures)} failures")
+        _echo(f"{count} instances, {len(failures)} failures")
         for idx, inv in failures:
-            click.echo(f"  instance {idx}: {inv}")
+            _echo(f"  instance {idx}: {inv}")
     if failures:
         raise ConsistencyError("fuzz-invariants", f"{len(failures)} failures")
 
@@ -395,19 +403,19 @@ def main() -> None:
     try:
         cli.main(standalone_mode=False)
     except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        _echo(f"usage error: {exc.format_message()}", err=True)
         sys.exit(1)
     except click.ClickException as exc:
         exc.show()
         sys.exit(1)
     except LimitError as exc:
-        click.echo(f"limit exceeded: {exc}", err=True)
+        _echo(f"limit exceeded: {exc}", err=True)
         sys.exit(1)
     except ConsistencyError as exc:
-        click.echo(f"consistency failure: {exc}", err=True)
+        _echo(f"consistency failure: {exc}", err=True)
         sys.exit(2)
     except FlowpolyError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(1)
     except click.exceptions.Abort:
         sys.exit(1)

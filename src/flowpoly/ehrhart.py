@@ -1,19 +1,31 @@
 """Lattice-point oracle for flow polytopes.
 
-Counts the nonnegative integer flows of every strength 0..T in one dynamic
-programming pass over the vertices in topological order.  A state is the
-vector of pending inflows of the vertices not yet split; its value is a
-polynomial in z, packed into one Python int, whose coefficient of z^a
-counts the partial flows that have delivered a units to the sinks so far.
-From the counts it recovers the h*-vector exactly in the binomial basis
-and certifies palindromicity, unimodality, and the special simplex
-property of the exceptional routes.  Everything is exact integer
+Counts the nonnegative integer flows of every strength t by the Lidskii
+formula (Baldoni-Vergne, "Kostant partition functions and flow
+polytopes", 2008; Meszaros-Morales, "Volumes and Ehrhart polynomials of
+flow polytopes", 2019).  Number the vertices 1..n+1 topologically, 1 the
+unique source and n+1 the unique sink: several sources are joined to a
+virtual super-source by one edge each, and several sinks to a virtual
+super-sink.  With o_i = outdeg(i) - 1, and G|n the graph without vertex
+n+1 and its in-edges,
+
+    counts[t] = sum_u C(t + o_1, o_1 + u) * c_u
+    c_u = sum over j_1 = o_1 + u, j_i <= o_i of
+          prod_{i >= 2} C(o_i, j_i) * K_{G|n}(j_1 - o_1, ..., j_n - o_n)
+
+where K counts the nonnegative integer flows with the given netflows.  So
+t enters only through binomials: the counts are a polynomial of degree at
+most d = sum_i o_i, and c_{d - o_1} is the normalized volume
+(Postnikov-Stanley).  From the counts the h*-vector is recovered exactly
+in the binomial basis, with palindromicity, unimodality, and the special
+simplex property of the exceptional routes.  Everything is exact integer
 arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -36,90 +48,86 @@ def count_integer_flows(g: Dag, strength: int, max_states: int = DEFAULT_MAX_STA
 
 
 def flow_count_table(g: Dag, tmax: int, max_states: int = DEFAULT_MAX_STATES) -> dict[int, int]:
-    """Number of nonnegative integer flows of each strength 0..tmax, in one pass.
+    """Number of nonnegative integer flows of each strength 0..tmax.
 
-    Vertices are processed in topological order.  A state is the pending
-    inflow of every vertex, a tuple indexed by topological position, and
-    the source seeds cover every strength up to tmax at once.  A state's
-    value is a polynomial in z: the coefficient of z^a counts the partial
-    flows that have so far delivered a units to the sinks.  Once every
-    vertex is split, all units have arrived, so the coefficient of z^t in
-    the value of the all-zero state counts the flows of strength t.
+    Evaluates the Lidskii formula (Baldoni-Vergne 2008, Meszaros-Morales
+    2019) of the module docstring:
 
-    Parallel edges toward a common head are not enumerated one by one: a
-    stars-and-bars factor counts the ways to split that head's share, and
-    all edges into sinks form one such group.
+        counts[t] = sum_u C(t + o_1, o_1 + u) * c_u
+        c_u = sum over j_1 = o_1 + u, j_i <= o_i of
+              prod_{i >= 2} C(o_i, j_i) * K_{G|n}(j_1 - o_1, ..., j_n - o_n)
 
-    Each polynomial is packed into one int with `width` = |E| * bitlen(tmax+1)
-    + 1 bits per coefficient, the exponent a sitting at bit a * width.  A
-    coefficient counts distinct assignments of at most tmax to the edges
-    split so far, so it stays below (tmax+1)^|E| and never carries into the
-    next one.
+    so c_{d - o_1} is the normalized volume (Postnikov-Stanley).  The root
+    1 is the source, or a virtual super-source joined to each source by one
+    edge when there are several.  A sink can receive nothing in G|n: it is
+    n+1, or, below a virtual super-sink joined to each sink by one edge, a
+    vertex with o = 0 whose only out-edge was dropped.  So every sink is
+    dropped with its in-edges, and so are isolated vertices.
+
+    Every c_u comes from one dynamic programming sweep over G|n in reverse
+    topological order.  A state holds, for each vertex not yet split, the
+    units that its split out-neighbours sent back to it, i.e. its outflow in
+    G|n.  Splitting vertex i >= 2 adds a = o_i - j_i in 0..o_i units with
+    weight C(o_i, a) and hands the total back along its in-edges, split by
+    tail.  The root is never split: in each final state it holds u, the
+    units leaving it, and the state's value is c_u.  Sweeping toward the
+    root reads u off the state instead of carrying it in the values, and
+    keeps the source's fan as one entry.  On full graphs with one source
+    o_i = 1 at inner vertices, so at most #inner units are ever in flight.
+    Each layer may hold at most `max_states` states.
     """
-    order = g.topological_order
     if not g.sources:
         return {t: int(t == 0) for t in range(tmax + 1)}
+    order = g.topological_order
     pos = {v: i for i, v in enumerate(order)}
-    width = len(g.tail) * (tmax + 1).bit_length() + 1
+    if len(g.sources) == 1:
+        root = pos[g.sources[0]]
+        o_root = len(g.out_edges[g.sources[0]]) - 1
+    else:  # the virtual super-source takes one more slot
+        root = len(order)
+        o_root = len(g.sources) - 1
 
-    def overflow(size: int, where: str) -> None:
+    def overflow(size: int) -> None:
         raise FrontierExplosionError(
-            f"flow DP: {size} states at {where}, over the limit of {max_states}"
-            f" (strengths 0..{tmax})"
+            f"flow DP: {size} states at vertex {k + 1} of {len(order)}, over the limit"
+            f" of {max_states} (strengths 0..{tmax})"
         )
 
-    # seed every strength s <= tmax: the last part of each composition is tmax - s
-    zero = [0] * len(order)
-    src = sorted(pos[v] for v in g.sources)
-    states: dict[tuple[int, ...], int] = {}
-    for split in _compositions(tmax, len(src) + 1):
-        state = zero[:]
-        for p, a in zip(src, split):
-            state[p] = a
-        states[tuple(state)] = 1
-        if len(states) > max_states:
-            overflow(len(states), "the source seeds")
-
-    for k, v in enumerate(order):
-        if not g.out_edges[v]:
+    states = {(0,) * max(len(order), root + 1): 1}
+    for k in reversed(range(len(order))):
+        v = order[k]
+        if k == root or not g.out_edges[v]:
             continue
-        heads: dict[int, int] = {}
-        to_sinks = 0
-        for e in g.out_edges[v]:
-            h = g.head[e]
-            if g.out_edges[h]:
-                heads[pos[h]] = heads.get(pos[h], 0) + 1
-            else:
-                to_sinks += 1
-        where = f"vertex {k + 1} of {len(order)}"
+        tails = Counter(pos[g.tail[e]] for e in g.in_edges[v]) if g.in_edges[v] else {root: 1}
         states = _split_vertex(
-            states, k, sorted(heads.items()), to_sinks, width, max_states,
-            lambda size: overflow(size, where),
+            states, k, sorted(tails.items()), len(g.out_edges[v]) - 1, max_states, overflow
         )
-    packed = states.get(tuple(zero), 0)
-    mask = (1 << width) - 1
-    return {t: packed >> (t * width) & mask for t in range(tmax + 1)}
+    c = {state[root]: value for state, value in states.items()}
+    return {
+        t: sum(math.comb(t + o_root, o_root + u) * cu for u, cu in c.items())
+        for t in range(tmax + 1)
+    }
 
 
 def _split_vertex(
     states: dict[tuple[int, ...], int],
     k: int,
-    heads: Sequence[tuple[int, int]],
-    to_sinks: int,
-    width: int,
+    tails: Sequence[tuple[int, int]],
+    o: int,
     max_states: int,
     overflow: Callable[[int], None],
 ) -> dict[tuple[int, ...], int]:
-    """Send the pending inflow of position k along its out-edges.
+    """Add 0..o units to the pending outflow of position k, with weight
+    C(o, a) for a units, and send the inflow that results back to its tails.
 
-    `heads` lists (position, number of parallel edges) of the non-sink heads;
-    `to_sinks` counts the edges into sinks, whose share is absorbed: it
-    shifts the value by `width` bits per unit.  The splits of each state
-    are generated one at a time, and `overflow` is called with the size of
-    the new layer as soon as it holds more than `max_states` states.
+    `tails` lists (position, number of parallel edges); a stars-and-bars
+    factor counts the ways to split a tail's share among its parallel
+    edges.  The splits of each state are generated one at a time, and
+    `overflow` is called with the size of the new layer as soon as it holds
+    more than `max_states` states.
     """
     new: dict[tuple[int, ...], int] = {}
-    last = len(heads) - 1
+    last = len(tails) - 1
     base: list[int] = []
 
     def record(key: tuple[int, ...], value: int) -> None:
@@ -132,8 +140,8 @@ def _split_vertex(
             new[key] = old + value
 
     def spread(i: int, rest: int, value: int) -> None:
-        # hand `rest` units to heads i..last, then record the state
-        p, m = heads[i]
+        # hand `rest` units to tails i..last, then record the state
+        p, m = tails[i]
         before = base[p]
         if i < last:
             for a in range(rest + 1):
@@ -147,42 +155,16 @@ def _split_vertex(
 
     try:
         for state, value in states.items():
-            inflow = state[k]
-            if not inflow:
-                record(state, value)
-                continue
             base = list(state)
             base[k] = 0
-            # without sink edges nothing is absorbed; without other heads, everything
-            for kept in range(0 if to_sinks else inflow, (inflow if heads else 0) + 1):
-                absorbed = inflow - kept
-                shifted = value << (absorbed * width)
-                if to_sinks > 1 and absorbed:
-                    shifted *= math.comb(absorbed + to_sinks - 1, to_sinks - 1)
-                if heads:
-                    spread(0, kept, shifted)
-                else:
-                    record(tuple(base), shifted)
+            for a in range(o + 1):
+                spread(0, state[k] + a, value * math.comb(o, a))
     finally:
         # spread refers to itself through its closure cell, and through
         # record to the layer `new`: a reference cycle that would keep each
         # layer alive until a full collection.  Emptying the cell breaks it.
         del spread
     return new
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Shared fixtures: the worked examples and small independent oracles.
 
 The oracle helpers recompute quantities by a different method than the
-library (path counting by DP, flow counting by direct enumeration) so the
-tests do not certify the code with the code itself.
+library (path counting by DP, flow counting by direct enumeration or by
+the frontier DP that the Lidskii sweep replaced) so the tests do not
+certify the code with the code itself.
 """
 
 from __future__ import annotations
@@ -10,10 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Callable, Sequence
 
 import pytest
 
 from flowpoly.dag import ContractionTrace, Dag, complete_contraction, idle_edges
+from flowpoly.ehrhart import DEFAULT_MAX_STATES
+from flowpoly.errors import FrontierExplosionError
 from flowpoly.framing import CoherenceTable, named_framing
 from flowpoly.generators import caracol, caracol_core, gkn
 
@@ -199,3 +203,157 @@ def complete_contraction_reference(g: Dag) -> ContractionTrace:
             if r == drop:
                 rep[x] = keep
     return ContractionTrace(tuple(steps), cur, rep)
+
+
+def flow_count_table_reference(
+    g: Dag, tmax: int, max_states: int = DEFAULT_MAX_STATES
+) -> dict[int, int]:
+    """Number of nonnegative integer flows of each strength 0..tmax, in one
+    frontier DP pass: the reference for the Lidskii sweep of
+    `flowpoly.ehrhart.flow_count_table`.
+
+    Vertices are processed in topological order.  A state is the pending
+    inflow of every vertex, a tuple indexed by topological position, and
+    the source seeds cover every strength up to tmax at once.  A state's
+    value is a polynomial in z: the coefficient of z^a counts the partial
+    flows that have so far delivered a units to the sinks.  Once every
+    vertex is split, all units have arrived, so the coefficient of z^t in
+    the value of the all-zero state counts the flows of strength t.
+
+    Parallel edges toward a common head are not enumerated one by one: a
+    stars-and-bars factor counts the ways to split that head's share, and
+    all edges into sinks form one such group.
+
+    Each polynomial is packed into one int with `width` = |E| * bitlen(tmax+1)
+    + 1 bits per coefficient, the exponent a sitting at bit a * width.  A
+    coefficient counts distinct assignments of at most tmax to the edges
+    split so far, so it stays below (tmax+1)^|E| and never carries into the
+    next one.
+    """
+    order = g.topological_order
+    if not g.sources:
+        return {t: int(t == 0) for t in range(tmax + 1)}
+    pos = {v: i for i, v in enumerate(order)}
+    width = len(g.tail) * (tmax + 1).bit_length() + 1
+
+    def overflow(size: int, where: str) -> None:
+        raise FrontierExplosionError(
+            f"flow DP: {size} states at {where}, over the limit of {max_states}"
+            f" (strengths 0..{tmax})"
+        )
+
+    # seed every strength s <= tmax: the last part of each composition is tmax - s
+    zero = [0] * len(order)
+    src = sorted(pos[v] for v in g.sources)
+    states: dict[tuple[int, ...], int] = {}
+    for split in _compositions(tmax, len(src) + 1):
+        state = zero[:]
+        for p, a in zip(src, split):
+            state[p] = a
+        states[tuple(state)] = 1
+        if len(states) > max_states:
+            overflow(len(states), "the source seeds")
+
+    for k, v in enumerate(order):
+        if not g.out_edges[v]:
+            continue
+        heads: dict[int, int] = {}
+        to_sinks = 0
+        for e in g.out_edges[v]:
+            h = g.head[e]
+            if g.out_edges[h]:
+                heads[pos[h]] = heads.get(pos[h], 0) + 1
+            else:
+                to_sinks += 1
+        where = f"vertex {k + 1} of {len(order)}"
+        states = _split_vertex(
+            states, k, sorted(heads.items()), to_sinks, width, max_states,
+            lambda size: overflow(size, where),
+        )
+    packed = states.get(tuple(zero), 0)
+    mask = (1 << width) - 1
+    return {t: packed >> (t * width) & mask for t in range(tmax + 1)}
+
+
+def _split_vertex(
+    states: dict[tuple[int, ...], int],
+    k: int,
+    heads: Sequence[tuple[int, int]],
+    to_sinks: int,
+    width: int,
+    max_states: int,
+    overflow: Callable[[int], None],
+) -> dict[tuple[int, ...], int]:
+    """Send the pending inflow of position k along its out-edges.
+
+    `heads` lists (position, number of parallel edges) of the non-sink heads;
+    `to_sinks` counts the edges into sinks, whose share is absorbed: it
+    shifts the value by `width` bits per unit.  The splits of each state
+    are generated one at a time, and `overflow` is called with the size of
+    the new layer as soon as it holds more than `max_states` states.
+    """
+    new: dict[tuple[int, ...], int] = {}
+    last = len(heads) - 1
+    base: list[int] = []
+
+    def record(key: tuple[int, ...], value: int) -> None:
+        old = new.get(key)
+        if old is None:
+            new[key] = value
+            if len(new) > max_states:
+                overflow(len(new))
+        else:
+            new[key] = old + value
+
+    def spread(i: int, rest: int, value: int) -> None:
+        # hand `rest` units to heads i..last, then record the state
+        p, m = heads[i]
+        before = base[p]
+        if i < last:
+            for a in range(rest + 1):
+                base[p] = before + a
+                share = value * math.comb(a + m - 1, m - 1) if m > 1 and a else value
+                spread(i + 1, rest - a, share)
+        else:
+            base[p] = before + rest
+            record(tuple(base), value * math.comb(rest + m - 1, m - 1) if m > 1 and rest else value)
+        base[p] = before
+
+    try:
+        for state, value in states.items():
+            inflow = state[k]
+            if not inflow:
+                record(state, value)
+                continue
+            base = list(state)
+            base[k] = 0
+            # without sink edges nothing is absorbed; without other heads, everything
+            for kept in range(0 if to_sinks else inflow, (inflow if heads else 0) + 1):
+                absorbed = inflow - kept
+                shifted = value << (absorbed * width)
+                if to_sinks > 1 and absorbed:
+                    shifted *= math.comb(absorbed + to_sinks - 1, to_sinks - 1)
+                if heads:
+                    spread(0, kept, shifted)
+                else:
+                    record(tuple(base), shifted)
+    finally:
+        # spread refers to itself through its closure cell, and through
+        # record to the layer `new`: a reference cycle that would keep each
+        # layer alive until a full collection.  Emptying the cell breaks it.
+        del spread
+    return new
+
+
+def _compositions(total: int, parts: int):
+    """All tuples of `parts` nonnegative integers summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest

@@ -198,6 +198,48 @@ def test_fuzz_command():
     assert json.loads(res.stdout)["failures"] == []
 
 
+def test_fuzz_runs_the_oracle_on_every_instance(monkeypatch):
+    import flowpoly.analysis
+    from click.testing import CliRunner
+
+    from flowpoly.cli import cli
+
+    calls = []
+    oracle = flowpoly.analysis.ehrhart_oracle
+    monkeypatch.setattr(flowpoly.analysis, "ehrhart_oracle", lambda g: calls.append(g) or oracle(g))
+    res = CliRunner().invoke(cli, ["fuzz", "--count", "25", "--seed", "0", "--json"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == {"instances": 25, "failures": []}
+    assert len(calls) == 25
+
+
+def test_oracle_json_on_car12():
+    gen = run(["gen", "car", "12"])
+    con = run(["contract"], stdin=gen.stdout)
+    res = run(["oracle", "--json"], stdin=con.stdout)
+    assert res.returncode == 0, res.stderr
+    assert sum(json.loads(res.stdout)["hstar"]) == 4862
+
+
+def test_in_process_calls_release_the_redirected_stdout(monkeypatch):
+    import contextlib
+    import gc
+    import io
+    import weakref
+
+    from flowpoly.cli import main
+
+    monkeypatch.setattr(sys, "argv", ["flowpoly", "gen", "gkn", "2", "7"])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main()
+    assert len(json.loads(out.getvalue())["edges"]) == 11
+    ref = weakref.ref(out)
+    del out
+    gc.collect()
+    assert ref() is None
+
+
 def test_deterministic_output():
     gen = run(["gen", "gkn", "2", "7"])
     con = run(["contract"], stdin=gen.stdout)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from flowpoly.dag import Dag, flow_dims
+from flowpoly.dag import Dag, complete_contraction, flow_dims
 from flowpoly.errors import (
     FrontierExplosionError,
     NegativeCoefficientError,
@@ -19,11 +19,11 @@ from flowpoly.ehrhart import (
     hstar_from_counts,
     special_simplex_check,
 )
-from flowpoly.framing import CoherenceTable, enumerate_ample_framings
-from flowpoly.generators import random_full_dag
+from flowpoly.framing import CoherenceTable, enumerate_ample_framings, named_framing
+from flowpoly.generators import caracol, generate, random_full_dag, random_valid_dag
 from flowpoly.triangulation import maximal_cliques
 
-from conftest import count_flows_oracle
+from conftest import count_flows_oracle, flow_count_table_reference
 
 
 def test_zero_dilation(g27h, single_edge):
@@ -147,16 +147,23 @@ def test_frontier_cap(g27h):
 
 
 def test_frontier_cap_message_names_stage_vertex_and_strengths(g27h):
-    # one source: 7 seeds for strengths 0..6 fit, the first split does not
-    with pytest.raises(FrontierExplosionError) as info:
-        flow_count_table(g27h, 6, max_states=7)
+    # the sweep splits from the sink end: inner vertex 5, fourth of five in
+    # topological order, makes 3 states; inner vertex 4 then makes 6
     n = len(g27h.vertices)
+    with pytest.raises(FrontierExplosionError) as info:
+        flow_count_table(g27h, 6, max_states=2)
     assert re.fullmatch(
-        rf"flow DP: 8 states at vertex 1 of {n}, over the limit of 7 \(strengths 0\.\.6\)",
+        rf"flow DP: 3 states at vertex 4 of {n}, over the limit of 2 \(strengths 0\.\.6\)",
         str(info.value),
     )
-    with pytest.raises(FrontierExplosionError, match=r"8 states at the source seeds.*0\.\.7"):
-        flow_count_table(g27h, 7, max_states=7)
+    with pytest.raises(FrontierExplosionError) as info:
+        flow_count_table(g27h, 7, max_states=5)
+    assert re.fullmatch(
+        rf"flow DP: 6 states at vertex 3 of {n}, over the limit of 5 \(strengths 0\.\.7\)",
+        str(info.value),
+    )
+    # the cap holds per layer: six states in every layer fit
+    assert flow_count_table(g27h, 7, max_states=6) == flow_count_table(g27h, 7)
 
 
 def _two_source_multigraph() -> Dag:
@@ -235,3 +242,74 @@ def test_analyze_leaves_no_cyclic_garbage(car8h):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the Lidskii sweep against the frontier DP it replaced --------------------
+
+
+def _assert_matches_reference(g: Dag) -> None:
+    d = flow_dims(g)[1]
+    assert flow_count_table(g, d + 2) == flow_count_table_reference(g, d + 2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["car 6", "car 8", "car 10", "car 11", "carcore 8", "gkn 2 7", "gkn 2 11", "gkn 2 15"],
+)
+def test_table_matches_reference_on_named_graphs(spec):
+    name, *args = spec.split()
+    g = generate(name, [int(a) for a in args])
+    _assert_matches_reference(complete_contraction(g).result)
+    if spec not in ("car 10", "car 11"):  # raw, the reference takes 7 s or 2M+ states
+        _assert_matches_reference(g)
+
+
+def test_table_matches_reference_on_random_valid_dags():
+    rng = random.Random(10)
+    for _ in range(200):
+        g = random_valid_dag(rng, rng.randrange(1, 5), expansions=rng.randrange(0, 3))
+        _assert_matches_reference(g)
+        _assert_matches_reference(complete_contraction(g).result)
+
+
+def _random_multigraph(rng: random.Random) -> Dag:
+    """3..7 vertices and 2..9 edges drawn uniformly among forward pairs:
+    parallel edges, isolated vertices, several sources and sinks, and inner
+    vertices of any degree."""
+    n = rng.randrange(3, 8)
+    edges = [(e, *sorted(rng.sample(range(n), 2))) for e in range(rng.randrange(2, 10))]
+    return Dag.build(range(n), edges)
+
+
+def test_table_matches_reference_on_random_multigraphs():
+    rng = random.Random(11)
+    several = parallel = 0
+    for _ in range(200):
+        g = _random_multigraph(rng)
+        several += len(g.sources) > 1 or len(g.sinks) > 1
+        parallel += len({(t, h) for _, t, h in g.edges}) < len(g.edges)
+        _assert_matches_reference(g)
+    assert several >= 100 and parallel >= 100
+
+
+def test_table_matches_reference_on_two_source_two_sink_full_dags():
+    rng = random.Random(12)
+    for _ in range(40):
+        _assert_matches_reference(random_full_dag(rng, rng.randrange(1, 6), n_sources=2, n_sinks=2))
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_caracol_hstar_is_the_narayana_row(n):
+    k = n - 3
+    narayana = [math.comb(k, i) * math.comb(k, i + 1) // k for i in range(k)]
+    result = ehrhart_oracle(complete_contraction(caracol(n)).result)
+    assert result.hstar == narayana + [0] * (result.dimension + 1 - k)
+
+
+def test_analyze_car12_with_the_oracle():
+    from flowpoly.analysis import analyze
+
+    g = complete_contraction(caracol(12)).result
+    report = analyze(g, named_framing(g, "length"))
+    assert report.ok, [v.invariant for v in report.failed()]
+    assert sum(report.data["hstar"]) == report.data["cliques"] == 4862

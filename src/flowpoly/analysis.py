@@ -79,7 +79,6 @@ def analyze(
     max_routes: int = 10**6,
     max_cliques: int = 10**6,
     with_gentle: bool = True,
-    with_oracle: bool = True,
 ) -> AnalysisReport:
     if not is_full(g):
         raise NotFullError("analyze needs a full DAG; run `flowpoly contract` first")
@@ -208,26 +207,23 @@ def analyze(
         )
 
     # lattice point oracle
-    if with_oracle:
-        oracle = ehrhart_oracle(g)
-        counts = oracle.counts
-        report.data["counts"] = counts
-        report.check(
-            "route-count-is-vertex-count", counts[1] == len(routes)
-        )
-        report.data["hstar"] = oracle.hstar
-        report.check("hstar-matches-dcov", _pad_eq(dcov, oracle.hstar))
-        report.check("hstar-volume-is-clique-count", sum(oracle.hstar) == len(cliques))
-        report.data["flags"] = oracle.flags
-        report.check("hstar-palindromic-gorenstein", oracle.symmetric and oracle.gorenstein)
-        report.check("hstar-unimodal", oracle.unimodal)
-        report.check(
-            "ehrhart-finite-differences-vanish",
-            finite_differences_vanish(counts, d_poly),
-        )
-        special = special_simplex_check(g, [routes[i] for i in exc], routes)
-        report.data["special_simplex"] = special
-        report.check("exceptionals-form-special-simplex", special.ok)
+    oracle = ehrhart_oracle(g)
+    counts = oracle.counts
+    report.data["counts"] = counts
+    report.check("route-count-is-vertex-count", counts[1] == len(routes))
+    report.data["hstar"] = oracle.hstar
+    report.check("hstar-matches-dcov", _pad_eq(dcov, oracle.hstar))
+    report.check("hstar-volume-is-clique-count", sum(oracle.hstar) == len(cliques))
+    report.data["flags"] = oracle.flags
+    report.check("hstar-palindromic-gorenstein", oracle.symmetric and oracle.gorenstein)
+    report.check("hstar-unimodal", oracle.unimodal)
+    report.check(
+        "ehrhart-finite-differences-vanish",
+        finite_differences_vanish(counts, d_poly),
+    )
+    special = special_simplex_check(g, [routes[i] for i in exc], routes)
+    report.data["special_simplex"] = special
+    report.check("exceptionals-form-special-simplex", special.ok)
 
     return report
 

@@ -205,6 +205,7 @@ def analyze(
             coll_sets == clique_sets,
             f"{len(coll_sets)} collections vs {len(clique_sets)} cliques",
         )
+        del collections, clique_sets, coll_sets  # free them before the oracle
 
     # lattice point oracle
     oracle = ehrhart_oracle(g)

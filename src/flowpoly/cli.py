@@ -163,7 +163,7 @@ def framings(input_path, as_json, do_enum) -> None:
                 _echo(framing_to_json(tagged.framing))
         return
     decomp = path_cycle_decomposition(trace.result)
-    total = count_ample_framings(g)
+    total = count_ample_framings(g, trace, decomp)
     if as_json:
         _echo(
             json.dumps(

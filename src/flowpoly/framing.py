@@ -168,29 +168,29 @@ class CoherenceTable:
             for v in cuts:
                 by_vertex.setdefault(v, []).append(i)
 
-        # A fragment's key lists the port position of each edge read away
-        # from v; distinct maximal fragments first differ at a shared port,
-        # so the keys sort them in the framing's order.  Edges without the
-        # port (into a sink, out of a source) never lie in such a fragment.
+        # Distinct maximal fragments read away from v first differ at a
+        # shared port, so they sort by the port position of their first edge
+        # e, then by the rank of the rest at e's far end (-1 at a source or
+        # sink; an empty fragment is first).  So one sweep in topological
+        # order ranks the prefixes, and one in reverse order the suffixes.
         in_pos = {e: k for v in g.inner for k, e in enumerate(f.in_order[v])}
         out_pos = {e: k for v in g.inner for k, e in enumerate(f.out_order[v])}
-        in_keys = [tuple(in_pos.get(e, -1) for e in r) for r in self.routes]
-        out_keys = [tuple(out_pos.get(e, -1) for e in r) for r in self.routes]
         self.in_rank: list[dict[VertexId, int]] = [dict() for _ in self.routes]
         self.out_rank: list[dict[VertexId, int]] = [dict() for _ in self.routes]
-        for v, idxs in by_vertex.items():
-            for ranks, keys, before in (
-                (self.in_rank, in_keys, True),
-                (self.out_rank, out_keys, False),
-            ):
-                groups: dict[tuple[int, ...], list[int]] = {}
-                for i in idxs:
-                    cut = self.route_cuts[i][v]
-                    key = keys[i][:cut][::-1] if before else keys[i][cut:]
-                    groups.setdefault(key, []).append(i)
-                for rank, key in enumerate(sorted(groups)):
-                    for i in groups[key]:
-                        ranks[i][v] = rank
+        order = [v for v in g.topological_order if v in by_vertex]
+        for ranks, sweep, step, pos, far in (
+            (self.in_rank, order, -1, in_pos, g.tail),
+            (self.out_rank, order[::-1], 0, out_pos, g.head),
+        ):
+            for v in sweep:
+                keys = {}
+                for i in by_vertex[v]:
+                    r, cut = self.routes[i], self.route_cuts[i][v] + step
+                    e = r[cut] if 0 <= cut < len(r) else None
+                    keys[i] = (-1, -1) if e is None else (pos[e], ranks[i].get(far[e], -1))
+                rank = {key: k for k, key in enumerate(sorted(set(keys.values())))}
+                for i, key in keys.items():
+                    ranks[i][v] = rank[key]
 
     def _conflicts(self, i: int, j: int) -> Iterator[VertexId]:
         """Shared inner vertices where the in- and out-ranks of routes i and j
@@ -595,10 +595,13 @@ def _check_idle_forest(g: Dag, reach: IdleReachability) -> None:
                 x = step[chain[x][0]]
 
 
-def count_ample_framings(g: Dag) -> int:
-    """2^M for a full DAG; for a valid DAG, times the free port orders."""
-    plan = _lift_plan(g)
-    m = path_cycle_decomposition(plan.trace.result).m
+def count_ample_framings(
+    g: Dag, trace: ContractionTrace | None = None, decomposition: Decomposition | None = None
+) -> int:
+    """2^M for a full DAG; for a valid DAG, times the free port orders.  g's
+    contraction `trace` and its result's `decomposition` are made if not given."""
+    plan = _lift_plan(g, trace)
+    m = (decomposition or path_cycle_decomposition(plan.trace.result)).m
     _check_idle_forest(g, plan.reach)
     count = 1 << m
     for _, _, port in plan.free:
@@ -701,8 +704,8 @@ class _LiftPlan:
     ports: list[tuple[VertexId, str, tuple[EdgeId, ...], dict[EdgeId, frozenset[EdgeId]] | None]]
 
 
-def _lift_plan(g: Dag) -> _LiftPlan:
-    trace = complete_contraction(g)
+def _lift_plan(g: Dag, trace: ContractionTrace | None = None) -> _LiftPlan:
+    trace = trace or complete_contraction(g)
     if not is_full(trace.result):
         raise NotValidError("graph has no full contraction")
     reach = idle_reachability(g)

@@ -406,13 +406,14 @@ def extend_string(bq: BlossomQuiver, obj: StringWord) -> Walk:
 def obstruction_walks(w_out: Walk, w_in: Walk) -> list[Walk]:
     """Common substrings with both w_out letters leaving and w_in letters entering."""
     found = []
+    both = (w_in, w_in.reversed())
     for a in range(1, len(w_out.vertices) - 1):
         for b in range(a, len(w_out.vertices) - 1):
             if w_out.letters[a - 1][1] != -1 or w_out.letters[b][1] != 1:
                 continue
             seg_v = w_out.vertices[a : b + 1]
             seg_l = w_out.letters[a:b]
-            for cand in (w_in, w_in.reversed()):
+            for cand in both:
                 for c in range(1, len(cand.vertices) - 1):
                     d = c + (b - a)
                     if d > len(cand.vertices) - 2:

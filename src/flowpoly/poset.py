@@ -3,7 +3,9 @@
 Each dual edge joins cliques exchanging one route pair; the unique common
 component of the two routes entered on a weight-2 edge and exited on a
 weight-1 edge (by the upper route) orients the edge and becomes its brick
-label.  Down-cover statistics of the resulting poset give the h*-vector.
+label.  That depends only on the exchanged route pair, so it is computed
+once per pair, however many dual edges exchange it.  Down-cover statistics
+of the resulting poset give the h*-vector.
 """
 
 from __future__ import annotations
@@ -151,28 +153,34 @@ class TauPoset:
 
     def random_linear_extensions(self, count: int, seed: int) -> list[list[int]]:
         rng = random.Random(seed)
+        n = len(self.cliques)
+        ups = [[hi for hi, _ in self.up[i]] for i in range(n)]
+        indeg0 = [len(self.down[i]) for i in range(n)]
         outs = []
         for _ in range(count):
-            indeg = {i: self.dcov(i) for i in range(len(self.cliques))}
-            ready = [i for i, d in indeg.items() if d == 0]
+            indeg = indeg0[:]
+            ready = [i for i in range(n) if not indeg[i]]
             order: list[int] = []
             while ready:
                 v = ready.pop(rng.randrange(len(ready)))
                 order.append(v)
-                for hi, _ in self.up[v]:
+                for hi in ups[v]:
                     indeg[hi] -= 1
-                    if indeg[hi] == 0:
+                    if not indeg[hi]:
                         ready.append(hi)
             outs.append(order)
         return outs
 
-    def check_linear_extension(self, ext: Sequence[int]) -> None:
-        if sorted(ext) != list(range(len(self.cliques))):
+    def check_linear_extension(self, ext: Sequence[int]) -> list[int]:
+        """Raise unless `ext` is a linear extension; return each node's position."""
+        n = len(self.cliques)
+        if sorted(ext) != list(range(n)):
             raise NotLinearExtensionError("not a permutation of the nodes")
-        pos = {v: i for i, v in enumerate(ext)}
+        pos = sorted(range(n), key=ext.__getitem__)  # the inverse permutation
         for lo, hi, _ in self.hasse:
             if pos[lo] > pos[hi]:
                 raise NotLinearExtensionError(f"{lo} must precede {hi}")
+        return pos
 
     def h_from_shelling(self, ext: Sequence[int]) -> list[int]:
         """Restriction sizes along a shelling order: |R_j| counts the
@@ -183,15 +191,10 @@ class TauPoset:
         this equals the down-cover polynomial: comparing the two checks only
         that `ext` is a linear extension (`NotLinearExtensionError` if not).
         """
-        self.check_linear_extension(ext)
-        pos = {v: i for i, v in enumerate(ext)}
-        top = 0
-        sizes = []
-        for j in ext:
-            r = sum(1 for nb in self.dual.neighbors[j] if pos[nb] < pos[j])
-            sizes.append(r)
-            top = max(top, r)
-        coeffs = [0] * (top + 1)
+        pos = self.check_linear_extension(ext)
+        neighbors = self.dual.neighbors
+        sizes = [sum(pos[nb] < pos[j] for nb in neighbors[j]) for j in ext]
+        coeffs = [0] * (max(sizes, default=0) + 1)
         for r in sizes:
             coeffs[r] += 1
         return coeffs
@@ -239,16 +242,21 @@ def build_poset(
 
     `table`, the flip traversal `dual` of it and the edge `labels` of `f`
     are computed when not given.  A record names its leaving and entering
-    routes, so no clique pair is compared here.
+    routes, so no clique pair is compared here, and each exchanged route
+    pair is oriented once for all of its records.
     """
     table = table or CoherenceTable(g, f)
     dual = dual if dual is not None else maximal_cliques_by_flips(table)
     labels = labels if labels is not None else edge_labeling(g, f)
     hasse: list[tuple[int, int, Brick]] = []
+    oriented: dict[tuple[int, int], tuple[int, Brick]] = {}
     for rec in dual.edges:
-        sign, brick = orient_dual_edge(
-            g, labels, table.routes[rec.leaving], table.routes[rec.entering]
-        )
+        pair = rec.leaving, rec.entering
+        if pair not in oriented:
+            oriented[pair] = orient_dual_edge(
+                g, labels, table.routes[rec.leaving], table.routes[rec.entering]
+            )
+        sign, brick = oriented[pair]
         if sign > 0:
             hasse.append((rec.b, rec.a, brick))
         else:

@@ -6,7 +6,8 @@ Bron-Kerbosch on the coherence graph, and flip traversal from a seed
 clique) so each can certify the other.  The flip traversal also yields
 the dual graph, one `Flip` record per dual edge, and those records
 certify unimodularity from a single determinant by an exchange argument
-(`unimodular_by_exchange`).
+(`unimodular_by_exchange`).  A record's swaps depend only on its exchanged
+route pair, which many records share, so they are computed once per pair.
 """
 
 from __future__ import annotations
@@ -290,6 +291,7 @@ def maximal_cliques_by_flips(
     ids = {masks[0]: 0}
     done = [exceptional]
     flips: list = []  # (i, j, r, s, swap, swap_in) in discovery ids, then Flip
+    swaps: dict[tuple[int, int], tuple[int, int]] = {}  # per exchanged pair (r, s)
     stack = [0]
     while stack:
         i = stack.pop()
@@ -318,8 +320,11 @@ def maximal_cliques_by_flips(
                 stack.append(j)
             else:
                 done[j] |= 1 << s
-            flips.append((i, j, r, s, *_swaps(table, r, s)))
-    del ids, masks, done
+            pair = swaps.get((r, s))
+            if pair is None:
+                pair = swaps[r, s] = _swaps(table, r, s)
+            flips.append((i, j, r, s, *pair))
+    del ids, masks, done, swaps
     order = sorted(range(len(found)), key=found.__getitem__)
     rank = [0] * len(order)
     for new, old in enumerate(order):

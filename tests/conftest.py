@@ -20,6 +20,7 @@ from flowpoly.ehrhart import DEFAULT_MAX_STATES
 from flowpoly.errors import FrontierExplosionError
 from flowpoly.framing import CoherenceTable, named_framing
 from flowpoly.generators import caracol, caracol_core, gkn
+from flowpoly.poset import orient_dual_edge
 
 
 @pytest.fixture(scope="session")
@@ -51,6 +52,12 @@ def car8():
 @pytest.fixture(scope="session")
 def car8h(car8):
     return complete_contraction(car8).result
+
+
+@pytest.fixture(scope="session")
+def g29h():
+    """Full contraction of G(2,9)."""
+    return complete_contraction(gkn(2, 9)).result
 
 
 @pytest.fixture(scope="session")
@@ -179,6 +186,53 @@ def gcd_of_minors_volume(g: Dag, routes) -> int:
     for keep in itertools.combinations(range(cols), rows):
         g_all = math.gcd(g_all, abs(_det([[row[j] for j in keep] for row in mat])))
     return g_all
+
+
+def build_ranks_reference(table: CoherenceTable) -> tuple[list[dict], list[dict]]:
+    """In- and out-ranks of every route at every inner vertex on it, by
+    sorting whole fragment keys: the reference for the incremental ranks of
+    `CoherenceTable`.
+
+    A fragment's key lists the port position of each edge read away from v
+    (-1 for an edge without the port, into a sink or out of a source), so
+    the keys sort the fragments in the framing's order.  Slicing a key at
+    every vertex of a route costs the square of the route's length.
+    """
+    g, f = table.g, table.f
+    in_pos = {e: k for v in g.inner for k, e in enumerate(f.in_order[v])}
+    out_pos = {e: k for v in g.inner for k, e in enumerate(f.out_order[v])}
+    in_keys = [tuple(in_pos.get(e, -1) for e in r) for r in table.routes]
+    out_keys = [tuple(out_pos.get(e, -1) for e in r) for r in table.routes]
+    by_vertex: dict[int, list[int]] = {}
+    for i, cuts in enumerate(table.route_cuts):
+        for v in cuts:
+            by_vertex.setdefault(v, []).append(i)
+    in_rank: list[dict] = [{} for _ in table.routes]
+    out_rank: list[dict] = [{} for _ in table.routes]
+    for v, idxs in by_vertex.items():
+        for ranks, keys, before in ((in_rank, in_keys, True), (out_rank, out_keys, False)):
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for i in idxs:
+                cut = table.route_cuts[i][v]
+                key = keys[i][:cut][::-1] if before else keys[i][cut:]
+                groups.setdefault(key, []).append(i)
+            for rank, key in enumerate(sorted(groups)):
+                for i in groups[key]:
+                    ranks[i][v] = rank
+    return in_rank, out_rank
+
+
+def hasse_per_record(g: Dag, labels, table: CoherenceTable, dual) -> list[tuple]:
+    """Hasse edges (lower, upper, brick) with `orient_dual_edge` called
+    afresh on every flip record: the reference for `build_poset`, which
+    orients each exchanged route pair once."""
+    hasse = []
+    for rec in dual.edges:
+        sign, brick = orient_dual_edge(
+            g, labels, table.routes[rec.leaving], table.routes[rec.entering]
+        )
+        hasse.append((rec.b, rec.a, brick) if sign > 0 else (rec.a, rec.b, brick))
+    return hasse
 
 
 def complete_contraction_reference(g: Dag) -> ContractionTrace:

@@ -41,6 +41,29 @@ def test_framings_counts():
         assert json.loads(res.stdout)["count"] == expect
 
 
+def test_framings_json_contracts_once(tmp_path, monkeypatch):
+    import flowpoly.cli
+    import flowpoly.dag
+    import flowpoly.framing
+    from click.testing import CliRunner
+
+    from flowpoly.dag import dag_to_json
+    from flowpoly.generators import caracol
+
+    calls = []
+    contract = flowpoly.dag.complete_contraction
+    for module in (flowpoly.cli, flowpoly.dag, flowpoly.framing):
+        monkeypatch.setattr(
+            module, "complete_contraction", lambda g: calls.append(g) or contract(g)
+        )
+    path = tmp_path / "car8.json"
+    path.write_text(dag_to_json(caracol(8)))
+    res = CliRunner().invoke(flowpoly.cli.cli, ["framings", "--json", "-i", str(path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["count"] == 128
+    assert len(calls) == 1
+
+
 def test_framings_single_edge():
     res = run(["framings", "--json"], stdin="0 1\n")
     assert json.loads(res.stdout)["count"] == 1

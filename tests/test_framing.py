@@ -1,12 +1,14 @@
 import random
+import timeit
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import flowpoly.framing
+from conftest import build_ranks_reference
 
-from flowpoly.dag import Dag, complete_contraction, is_full
+from flowpoly.dag import Dag, complete_contraction, enumerate_routes, is_full
 from flowpoly.errors import (
     BadChoicesError,
     FramingError,
@@ -417,9 +419,9 @@ def test_valid_enumeration_contracts_once(car8, monkeypatch):
     assert got == golden.read_text().splitlines()
 
 
-def test_lift_through_long_idle_chain(g27h):
-    # 1,500 idle edges between a full vertex and the head of one of its
-    # out-edges: the forced out-port's pullback walks the whole chain
+def _behind_idle_chain(g27h):
+    """G(2,7) with 1,500 idle edges between a full vertex and the head of
+    one of its out-edges."""
     v = g27h.inner[0]
     moved = g27h.out_edges[v][1]
     edges = [x for x in g27h.edges if x[0] != moved]
@@ -427,11 +429,41 @@ def test_lift_through_long_idle_chain(g27h):
     ids = iter(range(max(g27h.edge_ids) + 1, max(g27h.edge_ids) + 1501))
     edges += [(next(ids), a, b) for a, b in zip([v] + chain, chain)]
     edges.append((moved, chain[-1], g27h.head[moved]))
-    g = Dag.build(g27h.vertices + tuple(chain), edges)
+    return Dag.build(g27h.vertices + tuple(chain), edges)
+
+
+def test_lift_through_long_idle_chain(g27h):
+    # the forced out-port's pullback walks the whole chain
+    g = _behind_idle_chain(g27h)
     lifts = list(enumerate_ample_framings_valid(g))
     assert len(lifts) == count_ample_framings(g) == 8
     f_full = next(enumerate_ample_framings(complete_contraction(g).result)).framing
     assert lift_framing(g, f_full) == lifts[0]
+
+
+def test_table_ranks_are_linear_in_route_length(g27h):
+    # routes of 1,503 edges: ranking by whole sliced keys took about 0.13 s
+    # per table, ranking each vertex from its neighbour's ranks about 0.01 s
+    g = _behind_idle_chain(g27h)
+    f = next(enumerate_ample_framings_valid(g))
+    routes = enumerate_routes(g)
+    assert max(map(len, routes)) > 1500
+    assert min(timeit.repeat(lambda: CoherenceTable(g, f, routes), number=1, repeat=3)) < 0.04
+
+
+def test_table_ranks_match_sliced_keys(car8, car8h, g29h):
+    instances = [
+        (car8, next(enumerate_ample_framings_valid(car8))),
+        (car8h, framing_by_edge_id(car8h)),
+        (g29h, framing_by_edge_id(g29h)),
+    ]
+    rng = random.Random(41)
+    for _ in range(30):
+        g = random_full_dag(rng, rng.randrange(2, 7), rng.randrange(1, 3), rng.randrange(1, 3))
+        instances += [(g, tagged.framing) for tagged in enumerate_ample_framings(g)][:3]
+    for g, f in instances:
+        t = CoherenceTable(g, f)
+        assert (t.in_rank, t.out_rank) == build_ranks_reference(t)
 
 
 def test_valid_enumeration_all_ample():

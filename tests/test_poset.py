@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from flowpoly.errors import ConsistencyError, NotLinearExtensionError
-from flowpoly.framing import CoherenceTable, edge_labeling, framing_by_edge_id
+from conftest import hasse_per_record
+
+from flowpoly.errors import ConsistencyError, CycleDetectedError, NotLinearExtensionError
+from flowpoly.framing import CoherenceTable, edge_labeling, framing_by_edge_id, named_framing
 from flowpoly.generators import random_full_dag
 from flowpoly.framing import enumerate_ample_framings
 from flowpoly.poset import (
@@ -15,7 +17,7 @@ from flowpoly.poset import (
     orient_dual_edge,
 )
 from flowpoly.ehrhart import check_symmetry_unimodality
-from flowpoly.triangulation import DualGraph
+from flowpoly.triangulation import DualGraph, _swaps, maximal_cliques_by_flips
 
 # Route ids in the contracted G(2,7), written as edge tuples (see test_framing)
 R_216 = (6, 8, 4)  # weights 2,2,1
@@ -223,3 +225,59 @@ def test_bricks_match_rigidity_obstructions(g27h, g27f, g27t, core8, core8f, cor
             want = brick_as_blossom_walk(g, labels, brick)
             assert all(s == want or s == want.reversed() for s in sigmas)
             assert not obstruction_walks(w_low, w_up)
+
+
+@pytest.fixture(scope="module", params=["g29", "car8"])
+def flipped(request, g29h, car8h):
+    """A contracted instance with its table, flip records and labels."""
+    g, name = (g29h, "paper-g27") if request.param == "g29" else (car8h, "length")
+    f = named_framing(g, name)
+    t = CoherenceTable(g, f)
+    return g, f, t, maximal_cliques_by_flips(t), edge_labeling(g, f)
+
+
+def test_per_pair_work_matches_per_record_reference(flipped):
+    g, f, t, dual, labels = flipped
+    pairs = {(rec.leaving, rec.entering) for rec in dual.edges}
+    assert len(pairs) < len(dual.edges)  # records do share route pairs
+    assert build_poset(g, f, t, dual, labels).hasse == hasse_per_record(g, labels, t, dual)
+    for rec in dual.edges:
+        assert (rec.swap, rec.swap_in) == _swaps(t, rec.leaving, rec.entering)
+
+
+def test_each_exchanged_pair_is_oriented_once(flipped, monkeypatch):
+    import flowpoly.poset
+
+    g, f, t, dual, labels = flipped
+    calls = []
+    orient = flowpoly.poset.orient_dual_edge
+    monkeypatch.setattr(
+        flowpoly.poset, "orient_dual_edge", lambda *args: calls.append(args) or orient(*args)
+    )
+    build_poset(g, f, t, dual, labels)
+    assert 0 < len(calls) <= len({(rec.leaving, rec.entering) for rec in dual.edges})
+
+
+def test_orientation_is_antisymmetric(flipped):
+    g, f, t, dual, labels = flipped
+    for r1, r2 in {(rec.leaving, rec.entering) for rec in dual.edges}:
+        sign, brick = orient_dual_edge(g, labels, t.routes[r1], t.routes[r2])
+        assert orient_dual_edge(g, labels, t.routes[r2], t.routes[r1]) == (-sign, brick)
+
+
+def test_reversed_edges_and_implied_chords_raise(flipped):
+    g, f, t, dual, labels = flipped
+    cliques = [(i,) for i in range(3)]
+    chain = [(0, 1, (1,)), (1, 2, (2,))]
+    # a chain closed by its reversed chord is a cycle
+    cyclic = TauPoset(cliques, [], chain + [(2, 0, (3,))], DualGraph(cliques, [(0, 1), (1, 2), (0, 2)]))
+    with pytest.raises(CycleDetectedError):
+        cyclic.topological_nodes
+    # reversing any one Hasse edge of a real poset leaves an implied edge
+    p = build_poset(g, f, t, dual, labels)
+    for k in range(0, len(p.hasse), 7):
+        hasse = list(p.hasse)
+        lo, hi, w = hasse[k]
+        hasse[k] = (hi, lo, w)
+        with pytest.raises(ConsistencyError, match="oriented-dual-edges-are-covers"):
+            _assert_transitively_reduced(TauPoset(p.cliques, p.routes, hasse, p.dual))

@@ -146,7 +146,7 @@ def analyze(
     n_inner = len(g.inner)
     report.check(
         "dual-graph-regular",
-        all(poset.dual.degree(i) == n_inner for i in range(len(cliques))),
+        all(poset.dcov(i) + poset.ucov(i) == n_inner for i in range(len(cliques))),
         f"expected degree {n_inner}",
     )
 

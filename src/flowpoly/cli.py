@@ -52,6 +52,25 @@ def _echo(message: str = "", err: bool = False) -> None:
     click.echo(message, file=sys.stderr if err else sys.stdout)
 
 
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """click's own --help callback, printing through `_echo`."""
+    if value and not ctx.resilient_parsing:
+        _echo(ctx.get_help())
+        ctx.exit()
+
+
+class _Command(click.Command):
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
+
 def _read_graph(path: str | None) -> Dag:
     try:
         text = sys.stdin.read() if path in (None, "-") else Path(path).read_text()
@@ -82,7 +101,7 @@ framing_opt = click.option(
 )
 
 
-@click.group()
+@click.group(cls=_Group)
 def cli() -> None:
     """Flow polytopes of DAGs: framings, triangulations, posets, h*-vectors."""
 

@@ -668,24 +668,6 @@ def enumerate_ample_framings(g: Dag) -> Iterator[TaggedFraming]:
         )
 
 
-def all_framings(g: Dag) -> Iterator[Framing]:
-    """Brute force over every framing of g (for small graphs only)."""
-    ports: list[tuple[str, VertexId, tuple[EdgeId, ...]]] = []
-    for v in g.inner:
-        ports.append(("in", v, g.in_edges[v]))
-        ports.append(("out", v, g.out_edges[v]))
-    perms = [list(itertools.permutations(edges)) for _, _, edges in ports]
-    for combo in itertools.product(*perms):
-        in_order = {}
-        out_order = {}
-        for (side, v, _), order in zip(ports, combo):
-            if side == "in":
-                in_order[v] = order
-            else:
-                out_order[v] = order
-        yield Framing(in_order, out_order)
-
-
 # -- lifting framings from the full contraction to a valid DAG -------------------
 
 

@@ -10,7 +10,9 @@ blossoming algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import reduce
+from operator import or_
+from typing import Iterator, Mapping, Sequence
 
 from .dag import Dag, EdgeId, Route, VertexId, is_full
 from .errors import (
@@ -425,27 +427,50 @@ def obstruction_walks(w_out: Walk, w_in: Walk) -> list[Walk]:
     return found
 
 
-def _rigid(w1: Walk, w2: Walk) -> bool:
-    return not (obstruction_walks(w1, w2) or obstruction_walks(w2, w1))
+def _windows(w: Walk, enter: int) -> Iterator[tuple[tuple, tuple]]:
+    """Keys (vertices, letters) of the inner windows of w entered by a letter
+    of sign `enter` and left by one of the opposite sign: source windows
+    for -1, target windows for +1, as `obstruction_walks` reads them."""
+    verts, letters = w.vertices, w.letters
+    ends = [d for d in range(1, len(verts) - 1) if letters[d][1] == -enter]
+    for c in range(1, len(verts) - 1):
+        if letters[c - 1][1] == enter:
+            for d in ends:
+                if d >= c:
+                    yield verts[c : d + 1], letters[c:d]
+
+
+def kiss_table(walks: Sequence[Walk]) -> list[int]:
+    """Row i has bit j set iff `obstruction_walks(walks[i], walks[j])` is
+    non-empty: every target window of every walk, in both orientations, is
+    hashed once, and row i ORs the hits of walk i's source windows."""
+    targets: dict[tuple, int] = {}
+    for j, w in enumerate(walks):
+        for key in (*_windows(w, 1), *_windows(w.reversed(), 1)):
+            targets[key] = targets.get(key, 0) | 1 << j
+    return [reduce(or_, [targets.get(k, 0) for k in _windows(w, -1)], 0) for w in walks]
 
 
 def tau_rigid_pair(bq: BlossomQuiver, o1: StringWord, o2: StringWord) -> bool:
-    """No common substring is a target in one extension and a source in the other."""
-    return _rigid(extend_string(bq, o1), extend_string(bq, o2))
+    """No common substring is a target in one extension and a source in the
+    other: the pairwise reference for `rigidity_adjacency`."""
+    w1, w2 = extend_string(bq, o1), extend_string(bq, o2)
+    return not (obstruction_walks(w1, w2) or obstruction_walks(w2, w1))
 
 
 def rigidity_adjacency(bq: BlossomQuiver, objects: Sequence[StringWord]) -> list[int]:
     """Tau-rigidity graph of the objects as bitmasks (bit j set on row i iff
-    i != j and the pair is tau-rigid), extending each string once."""
-    walks = [extend_string(bq, o) for o in objects]
-    adj = [0] * len(walks)
-    for i, w in enumerate(walks):
-        if obstruction_walks(w, w):
+    i != j and the pair is tau-rigid), extending each string once: a pair is
+    rigid iff neither walk kisses the other in the walks' `kiss_table`."""
+    kiss = kiss_table([extend_string(bq, o) for o in objects])
+    adj = [0] * len(kiss)
+    for i, row in enumerate(kiss):
+        if row >> i & 1:
             raise ConsistencyError(
                 "objects-self-rigid", f"object {objects[i]} is not tau-rigid"
             )
-        for j in range(i + 1, len(walks)):
-            if _rigid(w, walks[j]):
+        for j in range(i + 1, len(kiss)):
+            if not (row >> j & 1 or kiss[j] >> i & 1):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj

@@ -11,6 +11,7 @@ of the resulting poset give the h*-vector.
 from __future__ import annotations
 
 import functools
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -86,80 +87,74 @@ def orient_dual_edge(
 
 @dataclass
 class TauPoset:
-    """Oriented dual graph with brick labels; nodes are clique indices."""
+    """Oriented dual graph with brick labels; nodes are clique indices.
+
+    The `hasse` triples are indexed once into per-node cover lists, which the
+    order, linear extensions and shelling passes walk with flat arrays."""
 
     cliques: list[Clique]
     routes: list[Route]
     hasse: list[tuple[int, int, Brick]]  # (lower, upper, brick)
     dual: DualGraph
 
-    @functools.cached_property
-    def down(self) -> dict[int, list[tuple[int, Brick]]]:
-        d: dict[int, list[tuple[int, Brick]]] = {i: [] for i in range(len(self.cliques))}
-        for lo, hi, w in self.hasse:
-            d[hi].append((lo, w))
-        return d
+    def _by_node(self, end: int, field: int) -> list[list]:
+        """Per node, `field` of every Hasse triple with that node at `end`."""
+        out: list[list] = [[] for _ in self.cliques]
+        for edge in self.hasse:
+            out[edge[end]].append(edge[field])
+        return out
 
-    @functools.cached_property
-    def up(self) -> dict[int, list[tuple[int, Brick]]]:
-        d: dict[int, list[tuple[int, Brick]]] = {i: [] for i in range(len(self.cliques))}
-        for lo, hi, w in self.hasse:
-            d[lo].append((hi, w))
-        return d
+    ups = functools.cached_property(lambda self: self._by_node(0, 1))  # upper covers
+    downs = functools.cached_property(lambda self: self._by_node(1, 0))  # lower covers
 
     def dcov(self, node: int) -> int:
-        return len(self.down[node])
+        return len(self.downs[node])
 
     def ucov(self, node: int) -> int:
-        return len(self.up[node])
+        return len(self.ups[node])
 
     def dcov_polynomial(self) -> list[int]:
         """Coefficient i counts nodes covering exactly i elements."""
-        top = max((self.dcov(i) for i in range(len(self.cliques))), default=0)
-        coeffs = [0] * (top + 1)
-        for i in range(len(self.cliques)):
-            coeffs[self.dcov(i)] += 1
-        return coeffs
+        dcov = list(map(len, self.downs))
+        return [dcov.count(k) for k in range(max(dcov, default=0) + 1)]
 
     @functools.cached_property
     def heights(self) -> list[int]:
         h = [0] * len(self.cliques)
+        downs = self.downs
         for node in self.topological_nodes:
-            for lo, _ in self.down[node]:
-                h[node] = max(h[node], h[lo] + 1)
+            h[node] = max([h[lo] + 1 for lo in downs[node]], default=0)
         return h
 
     @functools.cached_property
     def topological_nodes(self) -> list[int]:
-        indeg = {i: self.dcov(i) for i in range(len(self.cliques))}
-        ready = sorted(i for i, d in indeg.items() if d == 0)
-        import heapq
-
-        heapq.heapify(ready)
+        indeg = list(map(len, self.downs))
+        ready = [i for i, d in enumerate(indeg) if not d]  # sorted, so a heap
+        ups = self.ups
         order = []
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for hi, _ in self.up[v]:
+            for hi in ups[v]:
                 indeg[hi] -= 1
-                if indeg[hi] == 0:
+                if not indeg[hi]:
                     heapq.heappush(ready, hi)
         if len(order) != len(self.cliques):
             raise CycleDetectedError("oriented dual graph is not acyclic")
         return order
 
     def default_linear_extension(self) -> list[int]:
-        return sorted(range(len(self.cliques)), key=lambda i: (self.heights[i], i))
+        """Nodes by (height, index): a stable sort on the height alone."""
+        return sorted(range(len(self.cliques)), key=self.heights.__getitem__)
 
     def random_linear_extensions(self, count: int, seed: int) -> list[list[int]]:
         rng = random.Random(seed)
-        n = len(self.cliques)
-        ups = [[hi for hi, _ in self.up[i]] for i in range(n)]
-        indeg0 = [len(self.down[i]) for i in range(n)]
+        ups = self.ups
+        indeg0 = list(map(len, self.downs))
         outs = []
         for _ in range(count):
             indeg = indeg0[:]
-            ready = [i for i in range(n) if not indeg[i]]
+            ready = [i for i, d in enumerate(indeg) if not d]
             order: list[int] = []
             while ready:
                 v = ready.pop(rng.randrange(len(ready)))
@@ -174,9 +169,12 @@ class TauPoset:
     def check_linear_extension(self, ext: Sequence[int]) -> list[int]:
         """Raise unless `ext` is a linear extension; return each node's position."""
         n = len(self.cliques)
-        if sorted(ext) != list(range(n)):
+        pos = [-1] * n  # the inverse permutation; n entries fill it iff they permute
+        for k, v in enumerate(ext):
+            if 0 <= v < n:
+                pos[v] = k
+        if len(ext) != n or -1 in pos:
             raise NotLinearExtensionError("not a permutation of the nodes")
-        pos = sorted(range(n), key=ext.__getitem__)  # the inverse permutation
         for lo, hi, _ in self.hasse:
             if pos[lo] > pos[hi]:
                 raise NotLinearExtensionError(f"{lo} must precede {hi}")
@@ -184,7 +182,8 @@ class TauPoset:
 
     def h_from_shelling(self, ext: Sequence[int]) -> list[int]:
         """Restriction sizes along a shelling order: |R_j| counts the
-        facet's neighbors appearing earlier.
+        facet's neighbors appearing earlier, so each dual edge counts
+        toward its later end.
 
         `build_poset` makes every dual edge a cover, so on any linear
         extension the earlier neighbors of a node are its lower covers and
@@ -192,12 +191,11 @@ class TauPoset:
         that `ext` is a linear extension (`NotLinearExtensionError` if not).
         """
         pos = self.check_linear_extension(ext)
-        neighbors = self.dual.neighbors
-        sizes = [sum(pos[nb] < pos[j] for nb in neighbors[j]) for j in ext]
-        coeffs = [0] * (max(sizes, default=0) + 1)
-        for r in sizes:
-            coeffs[r] += 1
-        return coeffs
+        sizes = [0] * len(pos)
+        for edge in self.dual.edges:
+            a, b = edge[0], edge[1]
+            sizes[a if pos[a] > pos[b] else b] += 1
+        return [sizes.count(k) for k in range(max(sizes, default=0) + 1)]
 
     @functools.cached_property
     def kappa(self) -> dict[int, int]:
@@ -205,9 +203,8 @@ class TauPoset:
 
         So dcov(i) == ucov(kappa[i]) holds by construction."""
         up_index: dict[tuple[Brick, ...], list[int]] = {}
-        for i in range(len(self.cliques)):
-            key = tuple(sorted(w for _, w in self.up[i]))
-            up_index.setdefault(key, []).append(i)
+        for i, ws in enumerate(self._by_node(0, 2)):
+            up_index.setdefault(tuple(sorted(ws)), []).append(i)
         for key, nodes in up_index.items():
             if len(nodes) > 1:
                 raise ConsistencyError(
@@ -215,9 +212,8 @@ class TauPoset:
                     f"nodes {nodes} share up-brick multiset",
                 )
         out: dict[int, int] = {}
-        for i in range(len(self.cliques)):
-            key = tuple(sorted(w for _, w in self.down[i]))
-            hit = up_index.get(key)
+        for i, ws in enumerate(self._by_node(1, 2)):
+            hit = up_index.get(tuple(sorted(ws)))
             if not hit:
                 raise NoKappaImageError(f"node {i} has no kappa image")
             if len(hit) > 1:
@@ -228,7 +224,7 @@ class TauPoset:
         return out
 
     def covers(self, lo: int, hi: int) -> bool:
-        return any(l == lo for l, _ in self.down[hi])
+        return lo in self.downs[hi]
 
 
 def build_poset(
@@ -272,27 +268,22 @@ def _assert_transitively_reduced(p: TauPoset) -> None:
     # strictly-above closure as int bitsets, in reverse topological order;
     # a node's set is dropped once every node it covers has read it, so only
     # the sweep's frontier is held (2.8 MB on gkn(2,11), 8.6 MB for all)
-    above: dict[int, int] = {}
-    unread = [p.dcov(i) for i in range(len(p.cliques))]
+    above = [0] * len(p.cliques)
+    unread = list(map(len, p.downs))
     for node in reversed(p.topological_nodes):
-        ups = p.up[node]
-        for hi, _ in ups:
-            for mid, _ in ups:
-                if mid != hi and above[mid] >> hi & 1:
-                    raise ConsistencyError(
-                        "oriented-dual-edges-are-covers",
-                        f"edge {node}<{hi} implied through {mid}",
-                    )
-        closure = 0
-        for hi, _ in ups:
-            closure |= 1 << hi | above[hi]
+        ups = p.ups[node]
+        mask = 0
+        for hi in ups:
+            mask |= 1 << hi
+        if any(above[mid] & mask for mid in ups):
+            hi, mid = next((hi, mid) for hi in ups for mid in ups if above[mid] >> hi & 1)
+            raise ConsistencyError(
+                "oriented-dual-edges-are-covers",
+                f"edge {node}<{hi} implied through {mid}",
+            )
+        for hi in ups:
+            mask |= above[hi]
             unread[hi] -= 1
             if not unread[hi]:
-                del above[hi]
-        above[node] = closure
-
-
-def is_order_reversing_automorphism(p: TauPoset, perm: Mapping[int, int]) -> bool:
-    """Does the node permutation send every cover (lo, hi) to (perm hi, perm lo)?"""
-    covers = {(lo, hi) for lo, hi, _ in p.hasse}
-    return all((perm[hi], perm[lo]) in covers for lo, hi in covers)
+                above[hi] = 0
+        above[node] = mask

@@ -11,16 +11,16 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import pytest
 
-from flowpoly.dag import ContractionTrace, Dag, complete_contraction, idle_edges
+from flowpoly.dag import ContractionTrace, Dag, EdgeId, VertexId, complete_contraction, idle_edges
 from flowpoly.ehrhart import DEFAULT_MAX_STATES
-from flowpoly.errors import FrontierExplosionError
-from flowpoly.framing import CoherenceTable, named_framing
+from flowpoly.errors import FrontierExplosionError, NotLinearExtensionError
+from flowpoly.framing import CoherenceTable, Framing, named_framing
 from flowpoly.generators import caracol, caracol_core, gkn
-from flowpoly.poset import orient_dual_edge
+from flowpoly.poset import TauPoset, orient_dual_edge
 
 
 @pytest.fixture(scope="session")
@@ -233,6 +233,65 @@ def hasse_per_record(g: Dag, labels, table: CoherenceTable, dual) -> list[tuple]
         )
         hasse.append((rec.b, rec.a, brick) if sign > 0 else (rec.a, rec.b, brick))
     return hasse
+
+
+def all_framings(g: Dag) -> Iterator[Framing]:
+    """Brute force over every framing of g (for small graphs only)."""
+    ports: list[tuple[str, VertexId, tuple[EdgeId, ...]]] = []
+    for v in g.inner:
+        ports.append(("in", v, g.in_edges[v]))
+        ports.append(("out", v, g.out_edges[v]))
+    perms = [list(itertools.permutations(edges)) for _, _, edges in ports]
+    for combo in itertools.product(*perms):
+        in_order = {}
+        out_order = {}
+        for (side, v, _), order in zip(ports, combo):
+            if side == "in":
+                in_order[v] = order
+            else:
+                out_order[v] = order
+        yield Framing(in_order, out_order)
+
+
+def is_order_reversing_automorphism(p: TauPoset, perm: Mapping[int, int]) -> bool:
+    """Does the node permutation send every cover (lo, hi) to (perm hi, perm lo)?"""
+    covers = {(lo, hi) for lo, hi, _ in p.hasse}
+    return all((perm[hi], perm[lo]) in covers for lo, hi in covers)
+
+
+def shelling_reference(p: TauPoset, ext: Sequence[int]) -> list[int]:
+    """Restriction sizes along `ext` by summing, per node, its dual-graph
+    neighbours placed earlier: the reference for `TauPoset.h_from_shelling`,
+    which makes one pass over the dual edges."""
+    if sorted(ext) != list(range(len(p.cliques))):
+        raise NotLinearExtensionError("not a permutation of the nodes")
+    pos = {v: k for k, v in enumerate(ext)}
+    sizes = [sum(pos[nb] < pos[j] for nb in p.dual.neighbors[j]) for j in ext]
+    coeffs = [0] * (max(sizes, default=0) + 1)
+    for r in sizes:
+        coeffs[r] += 1
+    return coeffs
+
+
+def implied_edge_reference(p: TauPoset) -> tuple[int, int, int] | None:
+    """The first (node, hi, mid) whose Hasse edge node < hi is implied
+    through another upper cover mid, or None: the dict-based closure sweep
+    that `poset._assert_transitively_reduced` replaced, kept as its
+    reference.  Strictly-above closures are int bitsets in a dict keyed by
+    node, filled in reverse topological order."""
+    up: dict[int, list[int]] = {i: [] for i in range(len(p.cliques))}
+    for lo, hi, _ in p.hasse:
+        up[lo].append(hi)
+    above: dict[int, int] = {}
+    for node in reversed(p.topological_nodes):
+        for hi in up[node]:
+            for mid in up[node]:
+                if mid != hi and above[mid] >> hi & 1:
+                    return node, hi, mid
+        above[node] = 0
+        for hi in up[node]:
+            above[node] |= 1 << hi | above[hi]
+    return None
 
 
 def complete_contraction_reference(g: Dag) -> ContractionTrace:

@@ -9,6 +9,8 @@ import time
 
 import pytest
 
+from conftest import all_framings, is_order_reversing_automorphism
+
 from flowpoly.analysis import analyze
 from flowpoly.dag import complete_contraction, flow_dims, idle_edges, is_full
 from flowpoly.ehrhart import (
@@ -21,7 +23,6 @@ from flowpoly.ehrhart import (
 from flowpoly.framing import (
     CoherenceTable,
     adjacency_graph,
-    all_framings,
     count_ample_framings,
     edge_labeling,
     enumerate_ample_framings,
@@ -39,7 +40,7 @@ from flowpoly.gentle import (
     tau_rigid_pair,
 )
 from flowpoly.generators import caracol, caracol_core, gkn, random_full_dag, random_valid_dag
-from flowpoly.poset import build_poset, is_order_reversing_automorphism, orient_dual_edge
+from flowpoly.poset import build_poset, orient_dual_edge
 from flowpoly.triangulation import dual_graph, maximal_cliques
 
 

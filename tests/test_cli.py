@@ -263,6 +263,26 @@ def test_in_process_calls_release_the_redirected_stdout(monkeypatch):
     assert ref() is None
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_in_process_help_releases_the_redirected_stdout(monkeypatch, argv):
+    import contextlib
+    import gc
+    import io
+    import weakref
+
+    from flowpoly.cli import main
+
+    monkeypatch.setattr(sys, "argv", ["flowpoly", *argv])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main()
+    assert out.getvalue().startswith("Usage: ") and "Show this message and exit." in out.getvalue()
+    ref = weakref.ref(out)
+    del out
+    gc.collect()
+    assert ref() is None
+
+
 def test_deterministic_output():
     gen = run(["gen", "gkn", "2", "7"])
     con = run(["contract"], stdin=gen.stdout)

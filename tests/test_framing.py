@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import flowpoly.framing
-from conftest import build_ranks_reference
+from conftest import all_framings, build_ranks_reference
 
 from flowpoly.dag import Dag, complete_contraction, enumerate_routes, is_full
 from flowpoly.errors import (
@@ -20,7 +20,6 @@ from flowpoly.framing import (
     CoherenceTable,
     Framing,
     adjacency_graph,
-    all_framings,
     check_exceptional_set,
     compare_paths_at,
     count_ample_framings,

@@ -6,12 +6,13 @@ sample keeps the default test run quick.
 
 import random
 
+from conftest import all_framings
+
 from flowpoly.analysis import analyze
 from flowpoly.dag import complete_contraction, enumerate_routes, is_full
 from flowpoly.framing import (
     CoherenceTable,
     adjacency_graph,
-    all_framings,
     count_ample_framings,
     enumerate_ample_framings,
     is_ample,

@@ -1,5 +1,6 @@
 import collections
 import random
+import re
 
 import pytest
 
@@ -9,12 +10,14 @@ import flowpoly.poset
 import flowpoly.triangulation
 from flowpoly.analysis import analyze
 
-from flowpoly.errors import ExceptionalRouteError, NotAmpleError
+from flowpoly.dag import complete_contraction
+from flowpoly.errors import ConsistencyError, ExceptionalRouteError, NotAmpleError
 from flowpoly.framing import (
     CoherenceTable,
     Framing,
     edge_labeling,
     enumerate_ample_framings,
+    named_framing,
 )
 from flowpoly.gentle import (
     Arrow,
@@ -27,14 +30,16 @@ from flowpoly.gentle import (
     enumerate_strings,
     extend_string,
     gentleness_violations,
+    kiss_table,
     module_to_route,
+    obstruction_walks,
     objects_t,
     rigidity_adjacency,
     route_to_module,
     support_tau_tilting,
     tau_rigid_pair,
 )
-from flowpoly.generators import random_full_dag
+from flowpoly.generators import caracol, gkn, random_full_dag, random_valid_dag
 from flowpoly.triangulation import maximal_cliques
 
 
@@ -247,6 +252,79 @@ def test_rigidity_adjacency_matches_pairwise_reference(core8, core8f):
         for b in range(len(objs)):
             want = a != b and tau_rigid_pair(bq, objs[a], objs[b])
             assert bool(adj[a] >> b & 1) == want
+
+
+def framed_walks(g, f):
+    """Blossom extensions of every object of an amply framed full DAG."""
+    q = build_quiver(g, f)
+    bq = blossom(q)
+    return [extend_string(bq, o) for o in objects_t(q)]
+
+
+def kiss_table_matches_pairwise_reference(walks) -> int:
+    """Compare `kiss_table` with `obstruction_walks` on every ordered pair,
+    i = j included; return the number of pairs compared."""
+    table = kiss_table(walks)
+    for i, w in enumerate(walks):
+        for j, v in enumerate(walks):
+            assert bool(table[i] >> j & 1) == bool(obstruction_walks(w, v)), (i, j)
+    assert all(row >> len(walks) == 0 for row in table)
+    return len(walks) ** 2
+
+
+@pytest.mark.parametrize(
+    "graph, framing",
+    [(lambda: gkn(2, 9), "paper-g27"), (lambda: caracol(8), "length"), (lambda: gkn(2, 11), "paper-g27")],
+    ids=["gkn29", "car8", "gkn211"],
+)
+def test_kiss_table_matches_pairwise_obstructions(graph, framing):
+    g = complete_contraction(graph()).result
+    walks = framed_walks(g, named_framing(g, framing))
+    assert kiss_table_matches_pairwise_reference(walks) > 0
+    assert any(kiss_table(walks))  # some pair does kiss
+
+
+def test_kiss_table_matches_pairwise_obstructions_random():
+    rng = random.Random(1212)
+    instances = pairs = 0
+    for k in range(63):
+        g = complete_contraction(
+            random_valid_dag(rng, 2 + k % 3, expansions=rng.randrange(0, 4))
+        ).result
+        for tagged in list(enumerate_ample_framings(g))[:3]:
+            pairs += kiss_table_matches_pairwise_reference(framed_walks(g, tagged.framing))
+            instances += 1
+    assert instances >= 150 and pairs > 15000
+
+
+def test_kiss_table_hashes_both_orientations():
+    # the one common window, u -a5-> v, is a source window of w_out and a
+    # target window only of w_in read backwards; read forwards, w_in holds
+    # v <-a5- u entered by a3 and left by a4^-1, a different key
+    u, v = 1, 2
+    w_out = Walk((0, u, v, 3), ((1, -1), (5, 1), (2, 1)))
+    w_in = Walk((4, v, u, 5), ((3, 1), (5, -1), (4, -1)))
+    assert obstruction_walks(w_out, w_in) == [Walk((u, v), ((5, 1),))]
+    assert not obstruction_walks(w_in, w_out)
+    assert kiss_table([w_out, w_in]) == [0b10, 0]
+    assert kiss_table([w_out, w_in.reversed()]) == [0b10, 0]
+
+
+def test_self_kissing_walk_raises(g27h, g27f, monkeypatch):
+    # a walk through u twice, once as a source window and once as a target
+    # window, kisses itself: its object is not tau-rigid
+    q = build_quiver(g27h, g27f)
+    bq = blossom(q)
+    objs = objects_t(q)
+    u = 7
+    kisser = Walk((0, u, 2, u, 4), ((1, -1), (2, 1), (3, 1), (4, -1)))
+    assert obstruction_walks(kisser, kisser) and kiss_table([kisser]) == [1]
+    extend = flowpoly.gentle.extend_string
+    monkeypatch.setattr(
+        flowpoly.gentle, "extend_string", lambda bq, o: kisser if o is objs[3] else extend(bq, o)
+    )
+    with pytest.raises(ConsistencyError, match=re.escape(f"objects-self-rigid: object {objs[3]} ")):
+        rigidity_adjacency(bq, objs)
 
 
 def test_analyze_computes_each_intermediate_once(g27h, g27f, g27t, monkeypatch):

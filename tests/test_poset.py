@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from conftest import hasse_per_record
+from conftest import (
+    hasse_per_record,
+    implied_edge_reference,
+    is_order_reversing_automorphism,
+    shelling_reference,
+)
 
 from flowpoly.errors import ConsistencyError, CycleDetectedError, NotLinearExtensionError
 from flowpoly.framing import CoherenceTable, edge_labeling, framing_by_edge_id, named_framing
@@ -13,7 +18,6 @@ from flowpoly.poset import (
     _assert_transitively_reduced,
     build_poset,
     common_components,
-    is_order_reversing_automorphism,
     orient_dual_edge,
 )
 from flowpoly.ehrhart import check_symmetry_unimodality
@@ -273,11 +277,72 @@ def test_reversed_edges_and_implied_chords_raise(flipped):
     cyclic = TauPoset(cliques, [], chain + [(2, 0, (3,))], DualGraph(cliques, [(0, 1), (1, 2), (0, 2)]))
     with pytest.raises(CycleDetectedError):
         cyclic.topological_nodes
-    # reversing any one Hasse edge of a real poset leaves an implied edge
+    # reversing any one Hasse edge of a real poset leaves an implied edge,
+    # and the first one found is the one the dict-based sweep finds
     p = build_poset(g, f, t, dual, labels)
+    assert implied_edge_reference(p) is None
     for k in range(0, len(p.hasse), 7):
         hasse = list(p.hasse)
         lo, hi, w = hasse[k]
         hasse[k] = (hi, lo, w)
-        with pytest.raises(ConsistencyError, match="oriented-dual-edges-are-covers"):
-            _assert_transitively_reduced(TauPoset(p.cliques, p.routes, hasse, p.dual))
+        mutant = TauPoset(p.cliques, p.routes, hasse, p.dual)
+        node, top, mid = implied_edge_reference(mutant)
+        with pytest.raises(
+            ConsistencyError,
+            match=f"oriented-dual-edges-are-covers: edge {node}<{top} implied through {mid}$",
+        ):
+            _assert_transitively_reduced(mutant)
+    # so does a chord over any two-edge chain lo < mid < hi
+    ups = p.ups
+    chains = [(lo, hi) for lo in range(len(p.cliques)) for mid in ups[lo] for hi in ups[mid]]
+    assert chains
+    for lo, hi in chains[::11]:
+        mutant = TauPoset(p.cliques, p.routes, p.hasse + [(lo, hi, ())], p.dual)
+        node, top, mid = implied_edge_reference(mutant)
+        assert (node, top) == (lo, hi)
+        with pytest.raises(
+            ConsistencyError,
+            match=f"oriented-dual-edges-are-covers: edge {node}<{top} implied through {mid}$",
+        ):
+            _assert_transitively_reduced(mutant)
+
+
+def test_check_linear_extension_rejects_non_permutations(g27poset):
+    p = g27poset
+    ext = p.default_linear_extension()
+    n = len(ext)
+    assert p.check_linear_extension(ext) == [ext.index(v) for v in range(n)]
+    for bad in (ext[:-1], ext[:-1] + ext[:1], ext[:-1] + [-1], ext[:-1] + [n], ext + [n]):
+        with pytest.raises(NotLinearExtensionError, match="not a permutation"):
+            p.check_linear_extension(bad)
+
+
+def test_shelling_matches_per_node_reference(flipped):
+    g, f, t, dual, labels = flipped
+    p = build_poset(g, f, t, dual, labels)
+    exts = [p.default_linear_extension()] + p.random_linear_extensions(8, seed=5)
+    for ext in exts:
+        assert p.h_from_shelling(ext) == shelling_reference(p, ext) == p.dcov_polynomial()
+
+
+def test_shelling_counts_each_dual_edge_at_its_later_end():
+    # node 0 covers 1 and 2, so the dual edges (0, 1) and (0, 2) both count
+    # toward node 0, which every linear extension places last
+    cliques = [(0,), (1,), (2,)]
+    p = TauPoset(cliques, [], [(1, 0, (1,)), (2, 0, (2,))], DualGraph(cliques, [(0, 1), (0, 2)]))
+    for ext in ([1, 2, 0], [2, 1, 0]):
+        assert p.h_from_shelling(ext) == shelling_reference(p, ext) == [2, 0, 1]
+
+
+def test_seeded_extensions_are_unchanged(g27poset):
+    # the extensions that this seed drew before the node-indexed rewrite
+    assert g27poset.random_linear_extensions(5, seed=7) == [
+        [0, 1, 5, 6, 2, 3, 7, 4, 10, 11, 8, 12, 9, 15, 13, 14],
+        [0, 5, 2, 1, 3, 6, 4, 7, 10, 8, 11, 9, 12, 13, 15, 14],
+        [0, 5, 1, 3, 6, 7, 2, 11, 13, 4, 12, 10, 8, 15, 9, 14],
+        [0, 2, 5, 6, 10, 8, 9, 1, 3, 11, 7, 4, 12, 15, 13, 14],
+        [0, 5, 1, 2, 10, 3, 8, 4, 6, 7, 9, 11, 12, 15, 13, 14],
+    ]
+    assert g27poset.default_linear_extension() == [0, 1, 2, 5, 3, 6, 10, 4, 7, 8, 11, 9, 12, 13, 15, 14]
+    heights = g27poset.heights
+    assert g27poset.default_linear_extension() == sorted(range(16), key=lambda i: (heights[i], i))

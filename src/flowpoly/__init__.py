@@ -42,7 +42,7 @@ from .gentle import (
     tau_rigid_pair,
 )
 from .poset import TauPoset, build_poset
-from .triangulation import dual_graph, flip, maximal_cliques, verify_unimodular
+from .triangulation import dual_graph, maximal_cliques, verify_unimodular
 from .ehrhart import (
     check_symmetry_unimodality,
     count_integer_flows,

@@ -41,7 +41,12 @@ from .framing import (
 )
 from .generators import generate, random_valid_dag
 from .poset import build_poset
-from .triangulation import maximal_cliques, maximal_cliques_by_flips, verify_unimodular
+from .triangulation import (
+    maximal_cliques,
+    maximal_cliques_by_flips,
+    unimodular_by_exchange,
+    verify_unimodular,
+)
 
 
 def _echo(message: str = "", err: bool = False) -> None:
@@ -214,14 +219,19 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
     f = _resolve_framing(g, framing)
     table = CoherenceTable(g, f)
     cs = maximal_cliques(table, max_cliques)
-    flags = [verify_unimodular(g, [table.routes[i] for i in c]) for c in cs]
     dg = maximal_cliques_by_flips(table)
     if dg.cliques != cs:
         raise ConsistencyError(
             "flip-traversal-matches-enumeration",
             f"{len(dg.cliques)} cliques by flips vs {len(cs)} by enumeration",
         )
-    pairs = [[e.a, e.b] for e in dg.edges]
+    # the exchange certificate flags every clique at once; without it, each
+    # clique gets its own determinant
+    if unimodular_by_exchange(g, table, dg):
+        flags = [True] * len(cs)
+    else:
+        flags = [verify_unimodular(g, [table.routes[i] for i in c]) for c in cs]
+    pairs = [list(ab) for ab in zip(dg.a, dg.b)]
     if dot_path:
         _write_dot(dot_path, "graph dual {", cs, [f"  n{a} -- n{b};" for a, b in pairs])
     if as_json:
@@ -239,7 +249,7 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
     else:
         _echo(f"{len(table.routes)} routes, {len(table.exceptional_indices)} exceptional")
         _echo(f"{len(cs)} maximal cliques, all unimodular: {all(flags)}")
-        _echo(f"dual graph: {len(dg.edges)} edges")
+        _echo(f"dual graph: {len(dg.a)} edges")
 
 
 @cli.command()
@@ -247,8 +257,7 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
 @json_opt
 @framing_opt
 @click.option("--dot", "dot_path", default=None, help="write the Hasse diagram as DOT")
-@click.option("--seed", default=0, show_default=True)
-def poset(input_path, as_json, framing, dot_path, seed) -> None:
+def poset(input_path, as_json, framing, dot_path) -> None:
     """Tau-tilting poset on the dual graph, with brick labels and dcov."""
     g = _read_graph(input_path)
     f = _resolve_framing(g, framing)

@@ -4,8 +4,9 @@ Each dual edge joins cliques exchanging one route pair; the unique common
 component of the two routes entered on a weight-2 edge and exited on a
 weight-1 edge (by the upper route) orients the edge and becomes its brick
 label.  That depends only on the exchanged route pair, so it is computed
-once per pair, however many dual edges exchange it.  Down-cover statistics
-of the resulting poset give the h*-vector.
+once per entry of the flip traversal's pair table, however many dual edges
+exchange it.  The Hasse edges are int columns with interned brick ids.
+Down-cover statistics of the resulting poset give the h*-vector.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import functools
 import heapq
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .dag import Dag, EdgeId, Route
 from .errors import (
@@ -85,27 +87,51 @@ def orient_dual_edge(
     return hits[0]
 
 
+class Hasse:
+    """A poset's Hasse edges as (lower, upper, brick) triples, read from its
+    columns on demand."""
+
+    def __init__(self, poset: TauPoset) -> None:
+        self._p = poset
+
+    def __len__(self) -> int:
+        return len(self._p.lo)
+
+    def __iter__(self) -> Iterator[tuple[int, int, Brick]]:
+        p = self._p
+        return zip(p.lo, p.hi, map(p.bricks.__getitem__, p.brick))
+
+
 @dataclass
 class TauPoset:
     """Oriented dual graph with brick labels; nodes are clique indices.
 
-    The `hasse` triples are indexed once into per-node cover lists, which the
-    order, linear extensions and shelling passes walk with flat arrays."""
+    Hasse edge k runs from lo[k] up to hi[k] and carries the brick
+    bricks[brick[k]]; each brick is interned once.  The columns are indexed
+    once into per-node cover lists, which the order, linear extensions and
+    kappa walk."""
 
     cliques: list[Clique]
     routes: list[Route]
-    hasse: list[tuple[int, int, Brick]]  # (lower, upper, brick)
+    lo: array
+    hi: array
+    brick: array
+    bricks: list[Brick]
     dual: DualGraph
 
-    def _by_node(self, end: int, field: int) -> list[list]:
-        """Per node, `field` of every Hasse triple with that node at `end`."""
-        out: list[list] = [[] for _ in self.cliques]
-        for edge in self.hasse:
-            out[edge[end]].append(edge[field])
+    @property
+    def hasse(self) -> Hasse:
+        return Hasse(self)
+
+    def _by_node(self, ends: array, values: array) -> list[list[int]]:
+        """Per node, values[k] of every Hasse edge k with the node at ends[k]."""
+        out: list[list[int]] = [[] for _ in self.cliques]
+        for node, value in zip(ends, values):
+            out[node].append(value)
         return out
 
-    ups = functools.cached_property(lambda self: self._by_node(0, 1))  # upper covers
-    downs = functools.cached_property(lambda self: self._by_node(1, 0))  # lower covers
+    ups = functools.cached_property(lambda self: self._by_node(self.lo, self.hi))  # upper covers
+    downs = functools.cached_property(lambda self: self._by_node(self.hi, self.lo))  # lower covers
 
     def dcov(self, node: int) -> int:
         return len(self.downs[node])
@@ -175,7 +201,7 @@ class TauPoset:
                 pos[v] = k
         if len(ext) != n or -1 in pos:
             raise NotLinearExtensionError("not a permutation of the nodes")
-        for lo, hi, _ in self.hasse:
+        for lo, hi in zip(self.lo, self.hi):
             if pos[lo] > pos[hi]:
                 raise NotLinearExtensionError(f"{lo} must precede {hi}")
         return pos
@@ -192,8 +218,7 @@ class TauPoset:
         """
         pos = self.check_linear_extension(ext)
         sizes = [0] * len(pos)
-        for edge in self.dual.edges:
-            a, b = edge[0], edge[1]
+        for a, b in zip(self.dual.a, self.dual.b):
             sizes[a if pos[a] > pos[b] else b] += 1
         return [sizes.count(k) for k in range(max(sizes, default=0) + 1)]
 
@@ -202,8 +227,8 @@ class TauPoset:
         """Node whose up-brick multiset equals the argument's down-brick multiset.
 
         So dcov(i) == ucov(kappa[i]) holds by construction."""
-        up_index: dict[tuple[Brick, ...], list[int]] = {}
-        for i, ws in enumerate(self._by_node(0, 2)):
+        up_index: dict[tuple[int, ...], list[int]] = {}
+        for i, ws in enumerate(self._by_node(self.lo, self.brick)):
             up_index.setdefault(tuple(sorted(ws)), []).append(i)
         for key, nodes in up_index.items():
             if len(nodes) > 1:
@@ -212,7 +237,7 @@ class TauPoset:
                     f"nodes {nodes} share up-brick multiset",
                 )
         out: dict[int, int] = {}
-        for i, ws in enumerate(self._by_node(1, 2)):
+        for i, ws in enumerate(self._by_node(self.hi, self.brick)):
             hit = up_index.get(tuple(sorted(ws)))
             if not hit:
                 raise NoKappaImageError(f"node {i} has no kappa image")
@@ -237,27 +262,30 @@ def build_poset(
     """Orient every flip record and assert the result is its own Hasse diagram.
 
     `table`, the flip traversal `dual` of it and the edge `labels` of `f`
-    are computed when not given.  A record names its leaving and entering
-    routes, so no clique pair is compared here, and each exchanged route
-    pair is oriented once for all of its records.
+    are computed when not given.  A record names its exchanged route pair,
+    so no clique pair is compared here, and each pair of `dual.pairs` is
+    oriented once for all of its records.
     """
     table = table or CoherenceTable(g, f)
     dual = dual if dual is not None else maximal_cliques_by_flips(table)
     labels = labels if labels is not None else edge_labeling(g, f)
-    hasse: list[tuple[int, int, Brick]] = []
-    oriented: dict[tuple[int, int], tuple[int, Brick]] = {}
-    for rec in dual.edges:
-        pair = rec.leaving, rec.entering
-        if pair not in oriented:
-            oriented[pair] = orient_dual_edge(
-                g, labels, table.routes[rec.leaving], table.routes[rec.entering]
-            )
-        sign, brick = oriented[pair]
-        if sign > 0:
-            hasse.append((rec.b, rec.a, brick))
-        else:
-            hasse.append((rec.a, rec.b, brick))
-    poset = TauPoset(dual.cliques, list(table.routes), hasse, dual)
+    routes = table.routes
+    brick_ids: dict[Brick, int] = {}
+    # per pair: does the clique that holds `leaving` (a record's a) sit
+    # above, and the pair's brick id
+    a_above, brick_of = [], []
+    for ex in dual.pairs:
+        sign, brick = orient_dual_edge(g, labels, routes[ex.leaving], routes[ex.entering])
+        a_above.append(sign > 0)
+        brick_of.append(brick_ids.setdefault(brick, len(brick_ids)))
+    lo, hi = array("i"), array("i")
+    for a, b, p in zip(dual.a, dual.b, dual.pair):
+        if a_above[p]:
+            a, b = b, a
+        lo.append(a)
+        hi.append(b)
+    brick = array("i", map(brick_of.__getitem__, dual.pair))
+    poset = TauPoset(dual.cliques, list(routes), lo, hi, brick, list(brick_ids), dual)
     poset.topological_nodes  # acyclicity check
     _assert_transitively_reduced(poset)
     return poset
@@ -265,7 +293,7 @@ def build_poset(
 
 def _assert_transitively_reduced(p: TauPoset) -> None:
     """No oriented dual edge may be implied by a longer chain."""
-    # strictly-above closure as int bitsets, in reverse topological order;
+    # strictly-above closures as int bitsets, in reverse topological order;
     # a node's set is dropped once every node it covers has read it, so only
     # the sweep's frontier is held (2.8 MB on gkn(2,11), 8.6 MB for all)
     above = [0] * len(p.cliques)

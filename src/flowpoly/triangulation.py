@@ -4,16 +4,17 @@ Maximal simplices of the triangulation are the maximal sets of pairwise
 coherent routes.  Two enumeration strategies are provided (pivoting
 Bron-Kerbosch on the coherence graph, and flip traversal from a seed
 clique) so each can certify the other.  The flip traversal also yields
-the dual graph, one `Flip` record per dual edge, and those records
+the dual graph as int columns, one record per dual edge, and those records
 certify unimodularity from a single determinant by an exchange argument
 (`unimodular_by_exchange`).  A record's swaps depend only on its exchanged
-route pair, which many records share, so they are computed once per pair.
+route pair, which many records share, so each record holds the id of its
+pair in one table, and the swaps are computed once per pair.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -151,19 +152,16 @@ def verify_unimodular(g: Dag, routes: Sequence[Route]) -> bool:
 # -- dual graph and flips -------------------------------------------------------
 
 
-class Flip(NamedTuple):
-    """One dual edge: cliques a < b share the ridge cliques[a] minus
-    `leaving`, and `entering` takes the place of `leaving` in cliques[b].
+class Exchange(NamedTuple):
+    """An exchanged route pair: `entering` takes the place of `leaving`.
 
     `swap` and `swap_in` are the routes that trade tails at a conflict
-    vertex v of the exchanged pair, leaving[:cut] + entering[cut':] and
+    vertex v of the pair, leaving[:cut] + entering[cut':] and
     entering[:cut'] + leaving[cut:] with cut, cut' the positions of v.
     So leaving + entering = swap + swap_in as 0/1 edge vectors.  A swap
     that is not a route of the table is -1.
     """
 
-    a: int
-    b: int
     leaving: int
     entering: int
     swap: int
@@ -172,26 +170,24 @@ class Flip(NamedTuple):
 
 @dataclass
 class DualGraph:
-    """Cliques and their dual edges: `Flip` records from the flip traversal,
-    or (a, b) pairs from the `dual_graph` reference; a < b either way."""
+    """The flip traversal's cliques and dual edges, as int columns.
+
+    Record k joins cliques a[k] < b[k], sorted by (a, b): cliques[b[k]] is
+    cliques[a[k]] with pairs[pair[k]].leaving replaced by its entering
+    route.  Many records exchange the same route pair, so they share one
+    entry of `pairs`.  masks[i] is clique i as a bitmask of routes.
+    """
 
     cliques: list[Clique]
-    edges: list[Flip] | list[tuple[int, int]]
-
-    @functools.cached_property
-    def neighbors(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {i: [] for i in range(len(self.cliques))}
-        for a, b, *_ in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return {k: sorted(v) for k, v in adj.items()}
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
+    masks: list[int]
+    a: array
+    b: array
+    pair: array
+    pairs: list[Exchange]
 
 
-def dual_graph(cliques: Sequence[Clique]) -> DualGraph:
-    """Cliques adjacent when they differ in exactly one route (shared ridge).
+def dual_graph(cliques: Sequence[Clique]) -> list[tuple[int, int]]:
+    """Sorted clique pairs (a, b), a < b, that differ in exactly one route.
 
     Hashes every ridge of every clique: the reference that the flip
     traversal's records are tested against."""
@@ -200,13 +196,10 @@ def dual_graph(cliques: Sequence[Clique]) -> DualGraph:
         for drop in c:
             ridge = tuple(x for x in c if x != drop)
             ridges.setdefault(ridge, []).append(idx)
-    edges = sorted(
-        {tuple(sorted(pair)) for pair in ridges.values() if len(pair) == 2}
-    )
     for ridge, members in ridges.items():
         if len(members) > 2:
             raise NoFlipError(f"ridge {ridge} lies in {len(members)} maximal cliques")
-    return DualGraph(list(cliques), [tuple(p) for p in edges])
+    return sorted(tuple(sorted(pair)) for pair in ridges.values() if len(pair) == 2)
 
 
 def _exchange(adj: Sequence[int], common: int, route_idx: int) -> int:
@@ -227,26 +220,6 @@ def _exchange(adj: Sequence[int], common: int, route_idx: int) -> int:
     return others.bit_length() - 1
 
 
-def flip(table: CoherenceTable, clique: Clique, route_idx: int) -> tuple[Clique, int]:
-    """Exchange a non-exceptional route for the unique alternative.
-
-    Returns the adjacent maximal clique and the incoming route index.
-    Computed locally from the coherence graph so flip traversal is an
-    independent check on the global enumeration.
-    """
-    if route_idx in table.exceptional_indices:
-        raise NoFlipError("exceptional routes are in every maximal clique")
-    if route_idx not in clique:
-        raise NoFlipError("route not in clique")
-    adj = table.adjacency
-    ridge = [i for i in clique if i != route_idx]
-    common = (1 << len(table.routes)) - 1
-    for i in ridge:
-        common &= adj[i]
-    incoming = _exchange(adj, common, route_idx)
-    return tuple(sorted(ridge + [incoming])), incoming
-
-
 def _swaps(table: CoherenceTable, r: int, s: int) -> tuple[int, int]:
     """The routes r[:cut] + s[cut':] and s[:cut'] + r[cut:] cut at the
     smallest conflict vertex of routes r and s, as indices (-1 if not in
@@ -265,7 +238,7 @@ def maximal_cliques_by_flips(
     table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUES
 ) -> DualGraph:
     """Flip traversal from a greedy seed clique: every maximal clique,
-    sorted, and one `Flip` record per dual edge, sorted by clique pair.
+    sorted, and one record per dual edge, sorted by clique pair.
 
     The cross-check for `maximal_cliques`.  A flip and its reverse test the
     same ridge, so each dual edge is flipped once: flipping r out of a
@@ -290,8 +263,11 @@ def maximal_cliques_by_flips(
     masks = [sum(1 << i for i in members)]
     ids = {masks[0]: 0}
     done = [exceptional]
-    flips: list = []  # (i, j, r, s, swap, swap_in) in discovery ids, then Flip
-    swaps: dict[tuple[int, int], tuple[int, int]] = {}  # per exchanged pair (r, s)
+    # flip k goes from clique flip_i[k] to flip_j[k], in discovery ids, and
+    # exchanges the pair exchanges[flip_pair[k]] = (r, s, swap, swap_in)
+    flip_i, flip_j, flip_pair = array("i"), array("i"), array("i")
+    exchanges: list[tuple[int, int, int, int]] = []
+    pair_ids: dict[tuple[int, int], int] = {}
     stack = [0]
     while stack:
         i = stack.pop()
@@ -320,23 +296,50 @@ def maximal_cliques_by_flips(
                 stack.append(j)
             else:
                 done[j] |= 1 << s
-            pair = swaps.get((r, s))
-            if pair is None:
-                pair = swaps[r, s] = _swaps(table, r, s)
-            flips.append((i, j, r, s, *pair))
-    del ids, masks, done, swaps
+            p = pair_ids.get((r, s))
+            if p is None:
+                p = pair_ids[r, s] = len(exchanges)
+                exchanges.append((r, s, *_swaps(table, r, s)))
+            flip_i.append(i)
+            flip_j.append(j)
+            flip_pair.append(p)
+    del ids, done, pair_ids
     order = sorted(range(len(found)), key=found.__getitem__)
     rank = [0] * len(order)
     for new, old in enumerate(order):
         rank[old] = new
     cliques = [found[i] for i in order]
+    masks = [masks[i] for i in order]
     del found, order
-    for k, (i, j, r, s, sw, sw_in) in enumerate(flips):
-        a, b = rank[i], rank[j]
-        # seen from the other clique, the routes and the swaps trade places
-        flips[k] = Flip(a, b, r, s, sw, sw_in) if a < b else Flip(b, a, s, r, sw_in, sw)
-    flips.sort()
-    return DualGraph(cliques, flips)
+    # one int key per flip sorts the records by clique pair a < b:
+    # (a * n_cliques + b) * n_codes + code, where code is 2p for exchange p,
+    # or 2p + 1 when the flip went from b to a, so that the routes and the
+    # swaps trade places
+    n_cliques, n_codes = len(cliques), 2 * len(exchanges)
+    keys = [
+        (a * n_cliques + b) * n_codes + 2 * p
+        if a < b
+        else (b * n_cliques + a) * n_codes + 2 * p + 1
+        for a, b, p in zip(map(rank.__getitem__, flip_i), map(rank.__getitem__, flip_j), flip_pair)
+    ]
+    del flip_i, flip_j, flip_pair, rank
+    keys.sort()
+    a_col, b_col, pair_col = array("i"), array("i"), array("i")
+    pair_of_code = [-1] * n_codes
+    pair_of: dict[Exchange, int] = {}  # pair ids in order of first use
+    for key in keys:
+        ab, code = divmod(key, n_codes)
+        a, b = divmod(ab, n_cliques)
+        p = pair_of_code[code]
+        if p < 0:
+            r, s, sw, sw_in = exchanges[code >> 1]
+            ex = Exchange(s, r, sw_in, sw) if code & 1 else Exchange(r, s, sw, sw_in)
+            # a pair flipped from both sides is one entry
+            p = pair_of_code[code] = pair_of.setdefault(ex, len(pair_of))
+        a_col.append(a)
+        b_col.append(b)
+        pair_col.append(p)
+    return DualGraph(cliques, masks, a_col, b_col, pair_col, list(pair_of))
 
 
 def unimodular_by_exchange(g: Dag, table: CoherenceTable, dual: DualGraph) -> bool:
@@ -349,17 +352,25 @@ def unimodular_by_exchange(g: Dag, table: CoherenceTable, dual: DualGraph) -> bo
     det(R, s') - det(R, r) = -det(R, r), since a repeated row makes a
     determinant vanish.  So |det| is the same on the two cliques of every
     record, the traversal's dual graph is connected, and one determinant,
-    on cliques[0], settles all of them.  False if a record breaks the
-    argument or that determinant is not 1.
+    on cliques[0], settles all of them.  The vector identity is checked
+    once per exchanged pair, and the ridge R of a record is the AND of its
+    two clique masks.  False if a record breaks the argument or that
+    determinant is not 1.
     """
     routes = table.routes
     vectors = [sum(1 << e for e in r) for r in routes]
-    cliques = dual.cliques
-    for f in dual.edges:
-        a, b, s, s_in = cliques[f.a], cliques[f.b], f.swap, f.swap_in
-        if not (s in a and s in b and s_in in a and s_in in b):
+    swaps = []  # per pair, the bitmask of its two swaps
+    for r, r_in, s, s_in in dual.pairs:
+        if s < 0 or s_in < 0:
             return False
-        r, r_in = vectors[f.leaving], vectors[f.entering]
-        if r & r_in != vectors[s] & vectors[s_in] or r | r_in != vectors[s] | vectors[s_in]:
+        if (
+            vectors[r] & vectors[r_in] != vectors[s] & vectors[s_in]
+            or vectors[r] | vectors[r_in] != vectors[s] | vectors[s_in]
+        ):
             return False
-    return verify_unimodular(g, [routes[i] for i in cliques[0]])
+        swaps.append(1 << s | 1 << s_in)
+    masks = dual.masks
+    for a, b, p in zip(dual.a, dual.b, dual.pair):
+        if masks[a] & masks[b] & swaps[p] != swaps[p]:
+            return False
+    return verify_unimodular(g, [routes[i] for i in dual.cliques[0]])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -17,10 +18,11 @@ import pytest
 
 from flowpoly.dag import ContractionTrace, Dag, EdgeId, VertexId, complete_contraction, idle_edges
 from flowpoly.ehrhart import DEFAULT_MAX_STATES
-from flowpoly.errors import FrontierExplosionError, NotLinearExtensionError
+from flowpoly.errors import FrontierExplosionError, NoFlipError, NotLinearExtensionError
 from flowpoly.framing import CoherenceTable, Framing, named_framing
 from flowpoly.generators import caracol, caracol_core, gkn
 from flowpoly.poset import TauPoset, orient_dual_edge
+from flowpoly.triangulation import Clique, DualGraph, _exchange
 
 
 @pytest.fixture(scope="session")
@@ -222,17 +224,69 @@ def build_ranks_reference(table: CoherenceTable) -> tuple[list[dict], list[dict]
     return in_rank, out_rank
 
 
-def hasse_per_record(g: Dag, labels, table: CoherenceTable, dual) -> list[tuple]:
+def hasse_per_record(g: Dag, labels, table: CoherenceTable, dual: DualGraph) -> list[tuple]:
     """Hasse edges (lower, upper, brick) with `orient_dual_edge` called
     afresh on every flip record: the reference for `build_poset`, which
-    orients each exchanged route pair once."""
+    orients each entry of the pair table once."""
     hasse = []
-    for rec in dual.edges:
+    for a, b, p in zip(dual.a, dual.b, dual.pair):
+        rec = dual.pairs[p]
         sign, brick = orient_dual_edge(
             g, labels, table.routes[rec.leaving], table.routes[rec.entering]
         )
-        hasse.append((rec.b, rec.a, brick) if sign > 0 else (rec.a, rec.b, brick))
+        hasse.append((b, a, brick) if sign > 0 else (a, b, brick))
     return hasse
+
+
+def flip(table: CoherenceTable, clique: Clique, route_idx: int) -> tuple[Clique, int]:
+    """Exchange a non-exceptional route for the unique alternative.
+
+    Returns the adjacent maximal clique and the incoming route index,
+    computed locally from the coherence graph: the reference for the
+    records of the flip traversal."""
+    if route_idx in table.exceptional_indices:
+        raise NoFlipError("exceptional routes are in every maximal clique")
+    if route_idx not in clique:
+        raise NoFlipError("route not in clique")
+    adj = table.adjacency
+    ridge = [i for i in clique if i != route_idx]
+    common = (1 << len(table.routes)) - 1
+    for i in ridge:
+        common &= adj[i]
+    incoming = _exchange(adj, common, route_idx)
+    return tuple(sorted(ridge + [incoming])), incoming
+
+
+def neighbors(pairs: Sequence[tuple[int, int]], n: int) -> list[list[int]]:
+    """Sorted dual-graph neighbours of each of n cliques, from (a, b) pairs."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    return [sorted(nb) for nb in adj]
+
+
+def poset_from_hasse(
+    cliques: list[Clique], hasse: Sequence[tuple[int, int, tuple]], dual: DualGraph | None = None
+) -> TauPoset:
+    """A TauPoset on hand-made (lower, upper, brick) triples, bricks interned
+    in order of first use.  Without `dual`, the dual graph is the Hasse
+    edges unoriented, with no exchange records."""
+    if dual is None:
+        pairs = sorted((min(lo, hi), max(lo, hi)) for lo, hi, _ in hasse)
+        dual = DualGraph(
+            cliques,
+            [sum(1 << i for i in c) for c in cliques],
+            array("i", [a for a, _ in pairs]),
+            array("i", [b for _, b in pairs]),
+            array("i"),
+            [],
+        )
+    ids: dict[tuple, int] = {}
+    brick = array("i", [ids.setdefault(w, len(ids)) for _, _, w in hasse])
+    lo = array("i", [lo for lo, _, _ in hasse])
+    hi = array("i", [hi for _, hi, _ in hasse])
+    return TauPoset(cliques, [], lo, hi, brick, list(ids), dual)
 
 
 def all_framings(g: Dag) -> Iterator[Framing]:
@@ -266,7 +320,8 @@ def shelling_reference(p: TauPoset, ext: Sequence[int]) -> list[int]:
     if sorted(ext) != list(range(len(p.cliques))):
         raise NotLinearExtensionError("not a permutation of the nodes")
     pos = {v: k for k, v in enumerate(ext)}
-    sizes = [sum(pos[nb] < pos[j] for nb in p.dual.neighbors[j]) for j in ext]
+    nbs = neighbors(list(zip(p.dual.a, p.dual.b)), len(p.cliques))
+    sizes = [sum(pos[nb] < pos[j] for nb in nbs[j]) for j in ext]
     coeffs = [0] * (max(sizes, default=0) + 1)
     for r in sizes:
         coeffs[r] += 1

@@ -80,6 +80,33 @@ def test_cliques_command():
     assert len(data["dual_edges"]) == 24
 
 
+def test_cliques_flags_come_from_the_exchange_certificate(tmp_path, monkeypatch):
+    import flowpoly.cli
+    import flowpoly.triangulation
+    from click.testing import CliRunner
+
+    from flowpoly.dag import complete_contraction, dag_to_json
+    from flowpoly.generators import gkn
+
+    path = tmp_path / "g27.json"
+    path.write_text(dag_to_json(complete_contraction(gkn(2, 7)).result))
+    argv = ["cliques", "--json", "--framing", "paper-g27", "-i", str(path)]
+    volumes = []
+    volume = flowpoly.triangulation.simplex_volume
+    monkeypatch.setattr(
+        flowpoly.triangulation, "simplex_volume", lambda g, rs: volumes.append(rs) or volume(g, rs)
+    )
+    certified = CliRunner().invoke(flowpoly.cli.cli, argv)
+    assert certified.exit_code == 0, certified.output
+    assert len(volumes) == 1  # the certificate's one determinant
+    # a failed certificate falls back to one determinant per clique
+    monkeypatch.setattr(flowpoly.cli, "unimodular_by_exchange", lambda g, t, dual: False)
+    per_clique = CliRunner().invoke(flowpoly.cli.cli, argv)
+    assert per_clique.exit_code == 0, per_clique.output
+    assert len(volumes) == 1 + 16
+    assert per_clique.output == certified.output
+
+
 def test_analyze_g27_end_to_end():
     gen = run(["gen", "gkn", "2", "7"])
     con = run(["contract"], stdin=gen.stdout)
@@ -126,6 +153,15 @@ def test_usage_error_exit_code():
     assert res.returncode == 1
     res = run(["framings"], stdin="0 1\n1 2\n2 0\n")
     assert res.returncode == 1
+
+
+def test_poset_takes_no_seed():
+    # the poset command draws no linear extensions, so it has no --seed
+    con = run(["contract"], stdin=run(["gen", "gkn", "2", "7"]).stdout)
+    res = run(["poset", "--seed", "3"], stdin=con.stdout)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("usage error: ") and "--seed" in res.stderr
 
 
 def test_analyze_needs_full_graph(tmp_path):

@@ -212,6 +212,25 @@ def test_rigidity_matches_coherence(g27h, g27f, g27t):
             assert tau_rigid_pair(bq, phi[a], phi[b]) == want
 
 
+def test_rigidity_rows_missing_an_edge_fail_both_verdicts(g27h, g27f, monkeypatch):
+    rows_of = flowpoly.analysis.rigidity_adjacency
+
+    def dropped(bq, objects):
+        # object 0 and its first rigid partner j no longer count as compatible
+        rows = rows_of(bq, objects)
+        j = (rows[0] & -rows[0]).bit_length() - 1
+        rows[0] &= ~(1 << j)
+        rows[j] &= ~1
+        return rows
+
+    monkeypatch.setattr(flowpoly.analysis, "rigidity_adjacency", dropped)
+    report = analyze(g27h, g27f)
+    assert [(v.invariant, v.detail) for v in report.failed()] == [
+        ("rigidity-matches-coherence", ""),
+        ("support-tau-tilting-matches-cliques", "14 collections vs 16 cliques"),
+    ]
+
+
 def test_conflicting_pair_not_rigid(core8, core8f):
     labels = edge_labeling(core8, core8f)
     q = build_quiver(core8, core8f)
@@ -343,7 +362,7 @@ def test_analyze_computes_each_intermediate_once(g27h, g27f, g27t, monkeypatch):
         return wrapper
 
     # every module that binds these names gets the counting wrapper
-    for name in ("dual_graph", "maximal_cliques_by_flips", "simplex_volume"):
+    for name in ("bron_kerbosch", "dual_graph", "maximal_cliques_by_flips", "simplex_volume"):
         wrapped = counted(name, getattr(triangulation, name))
         for mod in (triangulation, flowpoly.poset, flowpoly.analysis):
             if hasattr(mod, name):
@@ -360,9 +379,10 @@ def test_analyze_computes_each_intermediate_once(g27h, g27f, g27t, monkeypatch):
     monkeypatch.setattr(flowpoly.gentle, "extend_string", counting_extend)
     monkeypatch.setattr(flowpoly.poset, "edge_labeling", counting_edge_labeling)
     assert analyze(g27h, g27f).ok
-    # the flip records are the dual graph, and one determinant certifies
-    # every clique
-    assert calls == {"maximal_cliques_by_flips": 1, "simplex_volume": 1}
+    # the flip records are the dual graph, one determinant certifies every
+    # clique, and the cliques are enumerated once: equal rigidity and
+    # coherence rows need no second enumeration
+    assert calls == {"bron_kerbosch": 1, "maximal_cliques_by_flips": 1, "simplex_volume": 1}
     assert poset_labelings == []  # build_poset reuses analyze's labels
     n_objects = len(g27t.routes) - len(g27t.exceptional_indices)
     assert len(extended) == n_objects and set(extended.values()) == {1}

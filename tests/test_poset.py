@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from array import array
 
 import pytest
 
@@ -6,6 +8,7 @@ from conftest import (
     hasse_per_record,
     implied_edge_reference,
     is_order_reversing_automorphism,
+    poset_from_hasse,
     shelling_reference,
 )
 
@@ -14,14 +17,13 @@ from flowpoly.framing import CoherenceTable, edge_labeling, framing_by_edge_id, 
 from flowpoly.generators import random_full_dag
 from flowpoly.framing import enumerate_ample_framings
 from flowpoly.poset import (
-    TauPoset,
     _assert_transitively_reduced,
     build_poset,
     common_components,
     orient_dual_edge,
 )
 from flowpoly.ehrhart import check_symmetry_unimodality
-from flowpoly.triangulation import DualGraph, _swaps, maximal_cliques_by_flips
+from flowpoly.triangulation import _swaps, maximal_cliques_by_flips
 
 # Route ids in the contracted G(2,7), written as edge tuples (see test_framing)
 R_216 = (6, 8, 4)  # weights 2,2,1
@@ -80,14 +82,14 @@ def test_poset_shape_g27(g27poset):
 
 def test_poset_given_labels_match_computed(g27h, g27f, g27t, g27poset):
     p = build_poset(g27h, g27f, g27t, labels=edge_labeling(g27h, g27f))
-    assert p.hasse == g27poset.hasse
+    assert list(p.hasse) == list(g27poset.hasse)
 
 
 def test_poset_single_clique(single_edge):
     f = framing_by_edge_id(single_edge)
     p = build_poset(single_edge, f)
     assert len(p.cliques) == 1
-    assert p.hasse == []
+    assert list(p.hasse) == []
     assert p.dcov_polynomial() == [1]
     assert p.h_from_shelling([0]) == [1]
 
@@ -175,7 +177,7 @@ def test_transitive_reduction_check(g27poset):
     cliques = [(i,) for i in range(4)]
 
     def poset(hasse):
-        return TauPoset(cliques, [], hasse, DualGraph(cliques, sorted((lo, hi) for lo, hi, _ in hasse)))
+        return poset_from_hasse(cliques, hasse)
 
     chain = [(0, 1, (1,)), (1, 2, (2,)), (2, 3, (3,))]
     _assert_transitively_reduced(poset(chain))
@@ -242,10 +244,10 @@ def flipped(request, g29h, car8h):
 
 def test_per_pair_work_matches_per_record_reference(flipped):
     g, f, t, dual, labels = flipped
-    pairs = {(rec.leaving, rec.entering) for rec in dual.edges}
-    assert len(pairs) < len(dual.edges)  # records do share route pairs
-    assert build_poset(g, f, t, dual, labels).hasse == hasse_per_record(g, labels, t, dual)
-    for rec in dual.edges:
+    pairs = {(rec.leaving, rec.entering) for rec in dual.pairs}
+    assert len(pairs) < len(dual.pair)  # records do share route pairs
+    assert list(build_poset(g, f, t, dual, labels).hasse) == hasse_per_record(g, labels, t, dual)
+    for rec in dual.pairs:
         assert (rec.swap, rec.swap_in) == _swaps(t, rec.leaving, rec.entering)
 
 
@@ -259,12 +261,12 @@ def test_each_exchanged_pair_is_oriented_once(flipped, monkeypatch):
         flowpoly.poset, "orient_dual_edge", lambda *args: calls.append(args) or orient(*args)
     )
     build_poset(g, f, t, dual, labels)
-    assert 0 < len(calls) <= len({(rec.leaving, rec.entering) for rec in dual.edges})
+    assert 0 < len(calls) <= len({(rec.leaving, rec.entering) for rec in dual.pairs})
 
 
 def test_orientation_is_antisymmetric(flipped):
     g, f, t, dual, labels = flipped
-    for r1, r2 in {(rec.leaving, rec.entering) for rec in dual.edges}:
+    for r1, r2 in {(rec.leaving, rec.entering) for rec in dual.pairs}:
         sign, brick = orient_dual_edge(g, labels, t.routes[r1], t.routes[r2])
         assert orient_dual_edge(g, labels, t.routes[r2], t.routes[r1]) == (-sign, brick)
 
@@ -274,18 +276,17 @@ def test_reversed_edges_and_implied_chords_raise(flipped):
     cliques = [(i,) for i in range(3)]
     chain = [(0, 1, (1,)), (1, 2, (2,))]
     # a chain closed by its reversed chord is a cycle
-    cyclic = TauPoset(cliques, [], chain + [(2, 0, (3,))], DualGraph(cliques, [(0, 1), (1, 2), (0, 2)]))
+    cyclic = poset_from_hasse(cliques, chain + [(2, 0, (3,))])
     with pytest.raises(CycleDetectedError):
         cyclic.topological_nodes
-    # reversing any one Hasse edge of a real poset leaves an implied edge,
+    # reversing any one lo/hi pair of a real poset leaves an implied edge,
     # and the first one found is the one the dict-based sweep finds
     p = build_poset(g, f, t, dual, labels)
     assert implied_edge_reference(p) is None
     for k in range(0, len(p.hasse), 7):
-        hasse = list(p.hasse)
-        lo, hi, w = hasse[k]
-        hasse[k] = (hi, lo, w)
-        mutant = TauPoset(p.cliques, p.routes, hasse, p.dual)
+        lo, hi = array("i", p.lo), array("i", p.hi)
+        lo[k], hi[k] = p.hi[k], p.lo[k]
+        mutant = dataclasses.replace(p, lo=lo, hi=hi)
         node, top, mid = implied_edge_reference(mutant)
         with pytest.raises(
             ConsistencyError,
@@ -297,7 +298,7 @@ def test_reversed_edges_and_implied_chords_raise(flipped):
     chains = [(lo, hi) for lo in range(len(p.cliques)) for mid in ups[lo] for hi in ups[mid]]
     assert chains
     for lo, hi in chains[::11]:
-        mutant = TauPoset(p.cliques, p.routes, p.hasse + [(lo, hi, ())], p.dual)
+        mutant = poset_from_hasse(p.cliques, list(p.hasse) + [(lo, hi, ())], p.dual)
         node, top, mid = implied_edge_reference(mutant)
         assert (node, top) == (lo, hi)
         with pytest.raises(
@@ -329,7 +330,7 @@ def test_shelling_counts_each_dual_edge_at_its_later_end():
     # node 0 covers 1 and 2, so the dual edges (0, 1) and (0, 2) both count
     # toward node 0, which every linear extension places last
     cliques = [(0,), (1,), (2,)]
-    p = TauPoset(cliques, [], [(1, 0, (1,)), (2, 0, (2,))], DualGraph(cliques, [(0, 1), (0, 2)]))
+    p = poset_from_hasse(cliques, [(1, 0, (1,)), (2, 0, (2,))])
     for ext in ([1, 2, 0], [2, 1, 0]):
         assert p.h_from_shelling(ext) == shelling_reference(p, ext) == [2, 0, 1]
 

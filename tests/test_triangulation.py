@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import itertools
 import random
 import weakref
+from array import array
 
 import pytest
 
@@ -17,10 +19,8 @@ from flowpoly.framing import (
 )
 from flowpoly.generators import gkn, random_full_dag, random_valid_dag
 from flowpoly.triangulation import (
-    DualGraph,
     bron_kerbosch,
     dual_graph,
-    flip,
     maximal_cliques,
     maximal_cliques_by_flips,
     simplex_volume,
@@ -28,7 +28,7 @@ from flowpoly.triangulation import (
     verify_unimodular,
 )
 
-from conftest import gcd_of_minors_volume
+from conftest import flip, gcd_of_minors_volume, neighbors
 from test_framing import CORE8_BIG_CLIQUE
 
 
@@ -74,27 +74,26 @@ def test_unimodular_rejects_bad_cliques(g27h, g27t):
 
 def test_dual_graph_g27(g27t):
     cliques = maximal_cliques(g27t)
-    dg = dual_graph(cliques)
-    assert len(dg.edges) == 24
-    assert all(dg.degree(i) == 3 for i in range(16))
+    pairs = dual_graph(cliques)
+    assert len(pairs) == 24
+    assert all(len(nb) == 3 for nb in neighbors(pairs, 16))
 
 
 def test_dual_graph_core8(core8t):
     cliques = maximal_cliques(core8t)
-    dg = dual_graph(cliques)
-    assert all(dg.degree(i) == 4 for i in range(len(cliques)))
+    pairs = dual_graph(cliques)
+    assert all(len(nb) == 4 for nb in neighbors(pairs, len(cliques)))
 
 
 def test_dual_graph_single_clique(single_edge):
     t = CoherenceTable(single_edge, framing_by_edge_id(single_edge))
-    dg = dual_graph(maximal_cliques(t))
-    assert dg.edges == []
+    assert dual_graph(maximal_cliques(t)) == []
 
 
 def test_flip_involution_and_count(g27t):
     cliques = maximal_cliques(g27t)
     exc = set(g27t.exceptional_indices)
-    dg = dual_graph(cliques)
+    nbs = neighbors(dual_graph(cliques), len(cliques))
     for ci, c in enumerate(cliques):
         flippable = [r for r in c if r not in exc]
         assert len(flippable) == 3  # number of inner vertices
@@ -103,7 +102,7 @@ def test_flip_involution_and_count(g27t):
             assert other in cliques
             back, out_again = flip(g27t, other, incoming)
             assert back == c and out_again == r
-            assert cliques.index(other) in dg.neighbors[ci]
+            assert cliques.index(other) in nbs[ci]
 
 
 def test_flip_exchanges_unique_route(g27t):
@@ -247,11 +246,16 @@ def test_flip_records_match_references(g27h, g27f, core8, core8f, car8h):
         cliques = maximal_cliques(t)
         dual = maximal_cliques_by_flips(t)
         assert dual.cliques == cliques
-        assert [rec[:2] for rec in dual.edges] == dual_graph(cliques).edges
-        for rec in dual.edges:
-            a, b = set(cliques[rec.a]), set(cliques[rec.b])
+        assert dual.masks == [sum(1 << i for i in c) for c in cliques]
+        assert list(zip(dual.a, dual.b)) == dual_graph(cliques)
+        assert len(dual.pair) == len(dual.a)
+        # one table entry per exchanged pair, each used by some record
+        assert len(set(dual.pairs)) == len(dual.pairs) == len(set(dual.pair))
+        for ia, ib, p in zip(dual.a, dual.b, dual.pair):
+            rec = dual.pairs[p]
+            a, b = set(cliques[ia]), set(cliques[ib])
             assert a - b == {rec.leaving} and b - a == {rec.entering}
-            assert flip(t, cliques[rec.a], rec.leaving) == (cliques[rec.b], rec.entering)
+            assert flip(t, cliques[ia], rec.leaving) == (cliques[ib], rec.entering)
             r, r_in = t.routes[rec.leaving], t.routes[rec.entering]
             s, s_in = t.routes[rec.swap], t.routes[rec.swap_in]
             assert sorted(r + r_in) == sorted(s + s_in)
@@ -260,23 +264,26 @@ def test_flip_records_match_references(g27h, g27f, core8, core8f, car8h):
         per_clique = all(verify_unimodular(g, [t.routes[i] for i in c]) for c in cliques)
         assert unimodular_by_exchange(g, t, dual) == per_clique
         tables += 1
-        flips += len(dual.edges)
+        flips += len(dual.a)
     assert tables >= 600 and flips >= 25_000  # 699 and 30,612 when written
 
 
 def _tampered(dual, k, **fields):
-    edges = list(dual.edges)
-    edges[k] = edges[k]._replace(**fields)
-    return DualGraph(dual.cliques, edges)
+    """`dual` with record k pointed at a changed copy of its exchanged pair;
+    the other records of that pair keep the original."""
+    pair = array("i", dual.pair)
+    pair[k] = len(dual.pairs)
+    changed = dual.pairs[dual.pair[k]]._replace(**fields)
+    return dataclasses.replace(dual, pair=pair, pairs=dual.pairs + [changed])
 
 
 def test_exchange_certificate_rejects_broken_records(car8h):
     t = CoherenceTable(car8h, named_framing(car8h, "length"))
     dual = maximal_cliques_by_flips(t)
     assert unimodular_by_exchange(car8h, t, dual)
-    k = len(dual.edges) // 2
-    rec = dual.edges[k]
-    ridge = set(dual.cliques[rec.a]) - {rec.leaving}
+    k = len(dual.a) // 2
+    rec = dual.pairs[dual.pair[k]]
+    ridge = set(dual.cliques[dual.a[k]]) - {rec.leaving}
     outside = next(i for i in range(len(t.routes)) if i not in ridge)
     in_ridge = next(i for i in sorted(ridge) if i not in (rec.swap, rec.swap_in))
     for fields in (

@@ -17,8 +17,6 @@ from .dag import (
 from .framing import (
     CoherenceTable,
     Framing,
-    check_exceptional_set,
-    compare_paths_at,
     count_ample_framings,
     edge_labeling,
     enumerate_ample_framings,
@@ -28,7 +26,6 @@ from .framing import (
     lift_framing,
     named_framing,
     path_cycle_decomposition,
-    routes_coherent,
 )
 from .gentle import (
     blossom,

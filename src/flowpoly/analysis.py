@@ -11,6 +11,13 @@ determinants differ only in sign.  Shelling restrictions equal the
 down-cover statistics on every linear extension, so that comparison
 checks only the extensions.
 
+The routes' blossom walks are extended once; their kiss table serves the
+gentle block and `build_poset`, which certifies its covers from it: no
+route kisses a coherent one (C1), and across each Hasse edge the entering
+route kisses the leaving one, not back (C2).  The non-kissing order is
+inclusion of torsion classes (Adachi-Iyama-Reiten 2014; Palu-Pilaud-
+Plamondon 2021), hence transitive, so C1 and C2 rule out implied edges.
+
 Support tau-tilting collections are the maximal cliques of the
 tau-rigidity graph on the objects.  A graph is the union of its maximal
 cliques: two graphs on one vertex set with the same maximal cliques have
@@ -41,9 +48,11 @@ from .gentle import (
     blossom,
     build_quiver,
     gentleness_violations,
+    kisses_by_route,
     module_to_route,
+    object_kisses,
     objects_t,
-    rigidity_adjacency,
+    rigidity_rows,
     route_to_module,
 )
 from .poset import build_poset
@@ -130,19 +139,21 @@ def analyze(
     # triangulation
     cliques = maximal_cliques(table, max_cliques)
     report.data["cliques"] = len(cliques)
-    # the flip traversal's records are the dual graph; by the exchange
-    # argument they carry one determinant to every clique they reach, and
-    # those are all the cliques when the two enumerations agree
-    dual = maximal_cliques_by_flips(table, max_cliques)
-    exc_mask = sum(1 << i for i in exc)
+    # exceptional rows are full: both enumerations rely on it, neither sets it
+    adj = table.adjacency
+    full = (1 << len(routes)) - 1
     report.check(
         "cliques-contain-exceptionals",
-        all(m & exc_mask == exc_mask for m in dual.masks),
+        all(adj[i] | 1 << i == full for i in exc),
     )
     report.check(
         "cliques-are-simplices",
         all(len(c) == d_poly + 1 for c in cliques),
     )
+    # the flip traversal's records are the dual graph; by the exchange
+    # argument they carry one determinant to every clique they reach, and
+    # those are all the cliques when the two enumerations agree
+    dual = maximal_cliques_by_flips(table, max_cliques)
     flips_match = dual.cliques == cliques
     report.check(
         "cliques-unimodular",
@@ -151,7 +162,14 @@ def analyze(
     report.check("flip-traversal-matches-enumeration", flips_match)
     if flips_match:
         cliques = dual.cliques  # keep one copy of the equal lists
-    poset = build_poset(g, f, table, dual, labels)
+    # the non-exceptional routes' objects and the kiss table of their walks
+    quiver = build_quiver(g, f)
+    bq = blossom(quiver)
+    exc_set = set(exc)
+    non_exc = [i for i in range(len(routes)) if i not in exc_set]
+    phi = {i: route_to_module(g, labels, routes[i]) for i in non_exc}
+    kiss = object_kisses(bq, list(phi.values()))
+    poset = build_poset(g, f, table, dual, labels, kisses_by_route(kiss, non_exc, len(routes)))
     report.data["poset"] = poset
     n_inner = len(g.inner)
     report.check(
@@ -183,26 +201,21 @@ def analyze(
 
     # gentle algebra
     if with_gentle:
-        quiver = build_quiver(g, f)
         report.check("quiver-gentle", not gentleness_violations(quiver))
-        bq = blossom(quiver)
         report.check("blossom-gentle", not gentleness_violations(bq.quiver))
         objs = objects_t(quiver)
-        non_exc = [i for i in range(len(routes)) if i not in set(exc)]
         report.check(
             "objects-match-nonexceptional-routes",
             len(objs) == len(non_exc),
             f"{len(objs)} objects vs {len(non_exc)} routes",
         )
-        phi = {i: route_to_module(g, labels, routes[i]) for i in non_exc}
         report.check(
             "route-module-bijection",
             sorted(map(str, phi.values())) == sorted(map(str, objs))
             and all(module_to_route(g, labels, m) == routes[i] for i, m in phi.items()),
         )
         # tau-rigidity of the objects in route order, against coherence
-        adj = table.adjacency
-        rigid = rigidity_adjacency(bq, [phi[i] for i in non_exc])
+        rigid = rigidity_rows(kiss, list(phi.values()))
         coherent = [
             sum(1 << k for k, j in enumerate(non_exc) if adj[i] >> j & 1) for i in non_exc
         ]
@@ -214,7 +227,7 @@ def analyze(
             n_cliques = n_coll
         else:
             collections = bron_kerbosch(rigid, (1 << len(non_exc)) - 1, max_cliques)
-            clique_sets = {tuple(sorted(set(c) - set(exc))) for c in cliques}
+            clique_sets = {tuple(sorted(set(c) - exc_set)) for c in cliques}
             coll_sets = {tuple(non_exc[k] for k in coll) for coll in collections}
             same, n_coll, n_cliques = coll_sets == clique_sets, len(coll_sets), len(clique_sets)
             del collections, clique_sets, coll_sets  # free them before the oracle

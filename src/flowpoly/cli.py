@@ -27,7 +27,7 @@ from .dag import (
     is_full,
 )
 from .ehrhart import ehrhart_oracle, special_simplex_check
-from .errors import ConsistencyError, FlowpolyError, LimitError
+from .errors import ConsistencyError, FlowpolyError, LimitError, NotAmpleError
 from .framing import (
     CoherenceTable,
     Framing,
@@ -35,6 +35,7 @@ from .framing import (
     enumerate_ample_framings,
     framing_from_json,
     framing_to_json,
+    is_ample,
     named_framing,
     path_cycle_decomposition,
     NAMED_FRAMINGS,
@@ -87,6 +88,14 @@ def _read_graph(path: str | None) -> Dag:
     if text.startswith("{"):
         return dag_from_json(text)
     return dag_from_edge_list(text)
+
+
+def _ample_table(g: Dag, f: Framing) -> CoherenceTable:
+    """The coherence table of g under f; `NotAmpleError` (exit 1) unless f is ample."""
+    table = CoherenceTable(g, f)
+    if not is_ample(g, f, table):
+        raise NotAmpleError("the framing is not ample: some edge lies on no exceptional route")
+    return table
 
 
 def _resolve_framing(g: Dag, spec: str) -> Framing:
@@ -217,7 +226,7 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
     """Maximal cliques of the coherence relation, with unimodularity flags."""
     g = _read_graph(input_path)
     f = _resolve_framing(g, framing)
-    table = CoherenceTable(g, f)
+    table = _ample_table(g, f)
     cs = maximal_cliques(table, max_cliques)
     dg = maximal_cliques_by_flips(table)
     if dg.cliques != cs:
@@ -261,7 +270,7 @@ def poset(input_path, as_json, framing, dot_path) -> None:
     """Tau-tilting poset on the dual graph, with brick labels and dcov."""
     g = _read_graph(input_path)
     f = _resolve_framing(g, framing)
-    p = build_poset(g, f)
+    p = build_poset(g, f, _ample_table(g, f))
     dcov = p.dcov_polynomial()
     if dot_path:
         covers = [f'  n{lo} -> n{hi} [label="{"-".join(map(str, w))}"];' for lo, hi, w in p.hasse]
@@ -295,7 +304,7 @@ def hstar(input_path, as_json, framing, seed, extensions) -> None:
     """h-vector from the poset: dcov statistics and shelling restrictions."""
     g = _read_graph(input_path)
     f = _resolve_framing(g, framing)
-    p = build_poset(g, f)
+    p = build_poset(g, f, _ample_table(g, f))
     dcov = p.dcov_polynomial()
     agree = all(
         p.h_from_shelling(e) == dcov

@@ -25,7 +25,6 @@ from .errors import (
     FramingError,
     InconsistentFramingError,
     NotFullError,
-    NotThroughVertexError,
     NotValidError,
 )
 
@@ -94,38 +93,6 @@ def framing_from_json(text: str) -> Framing:
         )
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FramingError(f"malformed framing JSON: {type(exc).__name__} {exc}") from exc
-
-
-# -- path order comparison --------------------------------------------------
-
-
-def compare_paths_at(
-    g: Dag, f: Framing, v: VertexId, p: Sequence[EdgeId], q: Sequence[EdgeId], side: str
-) -> int:
-    """Spec-level comparison of two path fragments at v (-1, 0, +1).
-
-    side='in' expects both paths to end at v, side='out' to start at v.
-    Both are read away from v; at the first differing edge the two edges
-    share an end, and the framing's order on that port decides.
-    """
-    if side == "in":
-        p, q, at, order, end, part = p[::-1], q[::-1], g.head, f.in_order, "end", "suffix"
-    elif side == "out":
-        at, order, end, part = g.tail, f.out_order, "start", "prefix"
-    else:
-        raise ValueError("side must be 'in' or 'out'")
-    for path in (p, q):
-        if not path or at[path[0]] != v:
-            raise NotThroughVertexError(f"path does not {end} at {v}")
-    i = 0
-    while i < len(p) and i < len(q) and p[i] == q[i]:
-        i += 1
-    if i == len(p) and i == len(q):
-        return 0
-    if i == len(p) or i == len(q):
-        raise FramingError(f"one path is a strict {part} of the other; not maximal")
-    port = order[at[p[i]]]
-    return -1 if port.index(p[i]) < port.index(q[i]) else 1
 
 
 # -- coherence ----------------------------------------------------------------
@@ -246,16 +213,6 @@ class CoherenceTable:
         return i
 
 
-def route_conflicts(g: Dag, f: Framing, r: Route, s: Route) -> list[VertexId]:
-    """Shared inner vertices where r and s conflict (empty iff coherent)."""
-    table = CoherenceTable(g, f, [tuple(r), tuple(s)])
-    return table.conflict_vertices(0, 1)
-
-
-def routes_coherent(g: Dag, f: Framing, r: Route, s: Route) -> bool:
-    return not route_conflicts(g, f, r, s)
-
-
 def exceptional_routes(g: Dag, f: Framing, table: CoherenceTable | None = None) -> list[Route]:
     """Routes coherent with every route; members of every maximal clique."""
     table = table or CoherenceTable(g, f)
@@ -350,46 +307,6 @@ def adjacency_graph(g: Dag, routes: Sequence[Route]) -> AdjacencyGraph:
         if verts[i] & verts[j]
     ]
     return AdjacencyGraph(list(map(tuple, routes)), edges)
-
-
-@dataclass
-class ExceptionalSetCheck:
-    ok: bool
-    reason: str | None
-    framing: Framing | None
-    adjacency: AdjacencyGraph
-
-
-def check_exceptional_set(g: Dag, x: Sequence[Route]) -> ExceptionalSetCheck:
-    """Decide whether x is the exceptional set of some ample framing.
-
-    Needs every edge covered by exactly one route of x and a bipartite
-    adjacency graph; on success one witnessing framing is constructed by
-    ordering each port according to the two-coloring.
-    """
-    if not is_full(g):
-        raise NotFullError("exceptional sets are classified on full DAGs")
-    x = [tuple(r) for r in x]
-    adj = adjacency_graph(g, x)
-    hits: dict[EdgeId, list[int]] = {e: [] for e in g.tail}
-    for i, r in enumerate(x):
-        for e in r:
-            hits[e].append(i)
-    doubled = sorted(e for e, rs in hits.items() if len(rs) > 1)
-    missing = sorted(e for e, rs in hits.items() if not rs)
-    bip, color = adj.is_bipartite()
-    reasons = []
-    if missing:
-        reasons.append(f"uncovered edges {missing}")
-    if doubled:
-        reasons.append(f"doubly covered edges {doubled}")
-    if not bip:
-        reasons.append("adjacency graph has an odd cycle")
-    if reasons:
-        return ExceptionalSetCheck(False, "; ".join(reasons), None, adj)
-    assert color is not None
-    labels = {e: 1 + color[rs[0]] for e, rs in hits.items()}
-    return ExceptionalSetCheck(True, None, framing_from_labels(g, labels), adj)
 
 
 # -- path/cycle decomposition ----------------------------------------------------

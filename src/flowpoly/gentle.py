@@ -10,7 +10,7 @@ blossoming algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Iterator, Mapping, Sequence
 
@@ -22,7 +22,7 @@ from .errors import (
     NotAmpleError,
     NotFullError,
 )
-from .framing import Framing, edge_labeling
+from .framing import CoherenceTable, Framing, edge_labeling
 from .triangulation import bron_kerbosch
 
 ArrowId = int
@@ -46,13 +46,9 @@ class Quiver:
     def arrow(self, a: ArrowId) -> Arrow:
         return self._by_id[a]
 
-    @property
+    @cached_property
     def _by_id(self) -> dict[ArrowId, Arrow]:
-        d = getattr(self, "_by_id_cache", None)
-        if d is None:
-            d = {a.id: a for a in self.arrows}
-            object.__setattr__(self, "_by_id_cache", d)
-        return d
+        return {a.id: a for a in self.arrows}
 
     def arrows_into(self, v: VertexId) -> list[Arrow]:
         return [a for a in self.arrows if a.target == v]
@@ -458,11 +454,36 @@ def tau_rigid_pair(bq: BlossomQuiver, o1: StringWord, o2: StringWord) -> bool:
     return not (obstruction_walks(w1, w2) or obstruction_walks(w2, w1))
 
 
-def rigidity_adjacency(bq: BlossomQuiver, objects: Sequence[StringWord]) -> list[int]:
+def object_kisses(bq: BlossomQuiver, objects: Sequence[StringWord]) -> list[int]:
+    """`kiss_table` of the objects' blossom extensions, each extended once."""
+    return kiss_table([extend_string(bq, o) for o in objects])
+
+
+def route_kiss_table(
+    g: Dag, f: Framing, table: CoherenceTable, labels: Mapping[EdgeId, int]
+) -> list[int]:
+    """Row u has bit v iff the blossom walk of route u's object kisses that
+    of route v's.  Exceptional routes have no object: their rows and
+    columns are 0."""
+    exc = set(table.exceptional_indices)
+    ids = [i for i in range(len(table.routes)) if i not in exc]
+    objects = [route_to_module(g, labels, table.routes[i]) for i in ids]
+    return kisses_by_route(object_kisses(blossom(build_quiver(g, f)), objects), ids, len(table.routes))
+
+
+def kisses_by_route(kiss: Sequence[int], ids: Sequence[int], n: int) -> list[int]:
+    """A kiss table over objects as one over n routes, object k being route
+    ids[k]; the other routes' rows and columns are 0."""
+    out = [0] * n
+    for i, row in zip(ids, kiss):
+        out[i] = sum(1 << ids[j] for j in range(row.bit_length()) if row >> j & 1)
+    return out
+
+
+def rigidity_rows(kiss: Sequence[int], objects: Sequence[StringWord]) -> list[int]:
     """Tau-rigidity graph of the objects as bitmasks (bit j set on row i iff
-    i != j and the pair is tau-rigid), extending each string once: a pair is
-    rigid iff neither walk kisses the other in the walks' `kiss_table`."""
-    kiss = kiss_table([extend_string(bq, o) for o in objects])
+    i != j and the pair is tau-rigid), read from the objects' `kiss_table`:
+    a pair is rigid iff neither walk kisses the other."""
     adj = [0] * len(kiss)
     for i, row in enumerate(kiss):
         if row >> i & 1:
@@ -474,6 +495,11 @@ def rigidity_adjacency(bq: BlossomQuiver, objects: Sequence[StringWord]) -> list
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
+
+
+def rigidity_adjacency(bq: BlossomQuiver, objects: Sequence[StringWord]) -> list[int]:
+    """`rigidity_rows` of the objects, extending each string once."""
+    return rigidity_rows(object_kisses(bq, objects), objects)
 
 
 def support_tau_tilting(bq: BlossomQuiver, objects: Sequence[StringWord]) -> list[tuple[int, ...]]:

@@ -7,6 +7,18 @@ label.  That depends only on the exchanged route pair, so it is computed
 once per entry of the flip traversal's pair table, however many dual edges
 exchange it.  The Hasse edges are int columns with interned brick ids.
 Down-cover statistics of the resulting poset give the h*-vector.
+
+The oriented dual graph is certified as its own Hasse diagram by the
+kissing order: a <=_kiss b iff no route of a kisses one of b
+(`gentle.kiss_table`), the inclusion of torsion classes (Adachi-Iyama-
+Reiten, Compos. Math. 2014; for gentle algebras the non-kissing order,
+Palu-Pilaud-Plamondon, Mem. AMS 2021), so it is transitive.  C1: no route
+kisses itself or a coherent route.  C2: on each Hasse edge lo -> hi,
+trading route r of lo for route s of hi, s kisses r and r not s.  All
+route pairs across lo, hi but (r, s) lie in lo or in hi, so lo <=_kiss hi.
+Up-covers mid = x - r1 + s1 != hi = x - r2 + s2 of a node x have r1 in
+hi, kissed by s1, so mid is not <=_kiss hi, while a chain x -> mid -> ...
+-> hi would force it: no oriented dual edge is implied by a longer chain.
 """
 
 from __future__ import annotations
@@ -15,12 +27,12 @@ import functools
 import heapq
 import random
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .dag import Dag, EdgeId, Route
 from .errors import (
-    AmbiguousKappaImageError,
     ConsistencyError,
     CycleDetectedError,
     MultipleQualifyingComponentsError,
@@ -29,6 +41,7 @@ from .errors import (
     NotLinearExtensionError,
 )
 from .framing import CoherenceTable, Framing, edge_labeling
+from .gentle import route_kiss_table
 from .triangulation import Clique, DualGraph, maximal_cliques_by_flips
 
 # A brick is a walk in the base DAG: (v0, e1, v1, ..., ek, vk), possibly a
@@ -141,8 +154,8 @@ class TauPoset:
 
     def dcov_polynomial(self) -> list[int]:
         """Coefficient i counts nodes covering exactly i elements."""
-        dcov = list(map(len, self.downs))
-        return [dcov.count(k) for k in range(max(dcov, default=0) + 1)]
+        nodes = Counter(map(len, self.downs))
+        return [nodes[k] for k in range(max(nodes, default=0) + 1)]
 
     @functools.cached_property
     def heights(self) -> list[int]:
@@ -174,7 +187,8 @@ class TauPoset:
         return sorted(range(len(self.cliques)), key=self.heights.__getitem__)
 
     def random_linear_extensions(self, count: int, seed: int) -> list[list[int]]:
-        rng = random.Random(seed)
+        """Each step takes a ready node by `randrange`, inlined."""
+        getrandbits = random.Random(seed).getrandbits
         ups = self.ups
         indeg0 = list(map(len, self.downs))
         outs = []
@@ -183,7 +197,12 @@ class TauPoset:
             ready = [i for i, d in enumerate(indeg) if not d]
             order: list[int] = []
             while ready:
-                v = ready.pop(rng.randrange(len(ready)))
+                n = len(ready)
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                v = ready.pop(r)
                 order.append(v)
                 for hi in ups[v]:
                     indeg[hi] -= 1
@@ -192,8 +211,8 @@ class TauPoset:
             outs.append(order)
         return outs
 
-    def check_linear_extension(self, ext: Sequence[int]) -> list[int]:
-        """Raise unless `ext` is a linear extension; return each node's position."""
+    def _positions(self, ext: Sequence[int]) -> list[int]:
+        """Each node's position in `ext`; raise unless `ext` permutes the nodes."""
         n = len(self.cliques)
         pos = [-1] * n  # the inverse permutation; n entries fill it iff they permute
         for k, v in enumerate(ext):
@@ -201,49 +220,58 @@ class TauPoset:
                 pos[v] = k
         if len(ext) != n or -1 in pos:
             raise NotLinearExtensionError("not a permutation of the nodes")
+        return pos
+
+    def check_linear_extension(self, ext: Sequence[int]) -> list[int]:
+        """Raise unless `ext` is a linear extension; return each node's position."""
+        pos = self._positions(ext)
         for lo, hi in zip(self.lo, self.hi):
             if pos[lo] > pos[hi]:
                 raise NotLinearExtensionError(f"{lo} must precede {hi}")
         return pos
 
     def h_from_shelling(self, ext: Sequence[int]) -> list[int]:
-        """Restriction sizes along a shelling order: |R_j| counts the
-        facet's neighbors appearing earlier, so each dual edge counts
-        toward its later end.
-
-        `build_poset` makes every dual edge a cover, so on any linear
-        extension the earlier neighbors of a node are its lower covers and
-        this equals the down-cover polynomial: comparing the two checks only
-        that `ext` is a linear extension (`NotLinearExtensionError` if not).
-        """
-        pos = self.check_linear_extension(ext)
-        sizes = [0] * len(pos)
-        for a, b in zip(self.dual.a, self.dual.b):
-            sizes[a if pos[a] > pos[b] else b] += 1
-        return [sizes.count(k) for k in range(max(sizes, default=0) + 1)]
+        """Restriction sizes along a shelling order: each dual edge counts
+        toward its later end.  Dual record k is Hasse edge k, so each later
+        end must be its upper end (`NotLinearExtensionError` if not): the
+        sizes are the down-cover polynomial, and comparing the two checks
+        only that `ext` is a linear extension."""
+        pos = self._positions(ext)
+        later = [a if pos[a] > pos[b] else b for a, b in zip(self.dual.a, self.dual.b)]
+        if later != self.hi.tolist():
+            k = next(k for k, (v, hi) in enumerate(zip(later, self.hi)) if v != hi)
+            raise NotLinearExtensionError(f"{self.lo[k]} must precede {self.hi[k]}")
+        return self.dcov_polynomial()
 
     @functools.cached_property
     def kappa(self) -> dict[int, int]:
-        """Node whose up-brick multiset equals the argument's down-brick multiset.
-
-        So dcov(i) == ucov(kappa[i]) holds by construction."""
-        up_index: dict[tuple[int, ...], list[int]] = {}
-        for i, ws in enumerate(self._by_node(self.lo, self.brick)):
-            up_index.setdefault(tuple(sorted(ws)), []).append(i)
-        for key, nodes in up_index.items():
-            if len(nodes) > 1:
+        """Node whose up-brick set equals the argument's down-brick set, so
+        dcov(i) == ucov(kappa[i]) by construction.  Cover labels at a node
+        form a semibrick, so a node's bricks each way are distinct."""
+        n = len(self.cliques)
+        up, down = [0] * n, [0] * n
+        for lo, hi, w in zip(self.lo, self.hi, self.brick):
+            bit = 1 << w
+            if up[lo] & bit or down[hi] & bit:
+                node, side = (lo, "up") if up[lo] & bit else (hi, "down")
                 raise ConsistencyError(
-                    "up-bricks-determine-node",
-                    f"nodes {nodes} share up-brick multiset",
+                    "cover-bricks-distinct",
+                    f"brick {self.bricks[w]} labels two {side}-covers of node {node}",
                 )
-        out: dict[int, int] = {}
-        for i, ws in enumerate(self._by_node(self.hi, self.brick)):
-            hit = up_index.get(tuple(sorted(ws)))
-            if not hit:
-                raise NoKappaImageError(f"node {i} has no kappa image")
-            if len(hit) > 1:
-                raise AmbiguousKappaImageError(f"node {i} has several kappa images")
-            out[i] = hit[0]
+            up[lo] |= bit
+            down[hi] |= bit
+        up_index = {key: i for i, key in enumerate(up)}
+        if len(up_index) < n:  # name the nodes of the first repeated key
+            key = next(key for i, key in enumerate(up) if up_index[key] != i)
+            nodes = [i for i, other in enumerate(up) if other == key]
+            raise ConsistencyError(
+                "up-bricks-determine-node", f"nodes {nodes} share up-brick multiset"
+            )
+        try:
+            out = {i: up_index[key] for i, key in enumerate(down)}
+        except KeyError:
+            i = next(i for i, key in enumerate(down) if key not in up_index)
+            raise NoKappaImageError(f"node {i} has no kappa image") from None
         if len(set(out.values())) != len(out):
             raise ConsistencyError("kappa-bijective", "kappa is not injective")
         return out
@@ -258,13 +286,12 @@ def build_poset(
     table: CoherenceTable | None = None,
     dual: DualGraph | None = None,
     labels: Mapping[EdgeId, int] | None = None,
+    kiss: Sequence[int] | None = None,
 ) -> TauPoset:
-    """Orient every flip record and assert the result is its own Hasse diagram.
-
-    `table`, the flip traversal `dual` of it and the edge `labels` of `f`
-    are computed when not given.  A record names its exchanged route pair,
-    so no clique pair is compared here, and each pair of `dual.pairs` is
-    oriented once for all of its records.
+    """Orient every flip record, each pair of `dual.pairs` once, and
+    certify the result as its own Hasse diagram (module docstring).
+    `table`, its flip traversal `dual`, the edge `labels` of `f` and the
+    routes' `kiss` rows are computed when not given, the rows last.
     """
     table = table or CoherenceTable(g, f)
     dual = dual if dual is not None else maximal_cliques_by_flips(table)
@@ -278,40 +305,41 @@ def build_poset(
         sign, brick = orient_dual_edge(g, labels, routes[ex.leaving], routes[ex.entering])
         a_above.append(sign > 0)
         brick_of.append(brick_ids.setdefault(brick, len(brick_ids)))
-    lo, hi = array("i"), array("i")
-    for a, b, p in zip(dual.a, dual.b, dual.pair):
-        if a_above[p]:
-            a, b = b, a
-        lo.append(a)
-        hi.append(b)
+    lo = array("i", [b if a_above[p] else a for a, b, p in zip(dual.a, dual.b, dual.pair)])
+    hi = array("i", [a if a_above[p] else b for a, b, p in zip(dual.a, dual.b, dual.pair)])
     brick = array("i", map(brick_of.__getitem__, dual.pair))
     poset = TauPoset(dual.cliques, list(routes), lo, hi, brick, list(brick_ids), dual)
     poset.topological_nodes  # acyclicity check
-    _assert_transitively_reduced(poset)
+    if kiss is None:
+        kiss = route_kiss_table(g, f, table, labels)
+    _certify_covers(poset, kiss, table.adjacency)
     return poset
 
 
-def _assert_transitively_reduced(p: TauPoset) -> None:
-    """No oriented dual edge may be implied by a longer chain."""
-    # strictly-above closures as int bitsets, in reverse topological order;
-    # a node's set is dropped once every node it covers has read it, so only
-    # the sweep's frontier is held (2.8 MB on gkn(2,11), 8.6 MB for all)
-    above = [0] * len(p.cliques)
-    unread = list(map(len, p.downs))
-    for node in reversed(p.topological_nodes):
-        ups = p.ups[node]
-        mask = 0
-        for hi in ups:
-            mask |= 1 << hi
-        if any(above[mid] & mask for mid in ups):
-            hi, mid = next((hi, mid) for hi in ups for mid in ups if above[mid] >> hi & 1)
-            raise ConsistencyError(
-                "oriented-dual-edges-are-covers",
-                f"edge {node}<{hi} implied through {mid}",
-            )
-        for hi in ups:
-            mask |= above[hi]
-            unread[hi] -= 1
-            if not unread[hi]:
-                above[hi] = 0
-        above[node] = mask
+def _certify_covers(p: TauPoset, kiss: Sequence[int], adj: Sequence[int]) -> None:
+    """C1 and C2 in O(routes + pairs + records), from the routes' `kiss`
+    rows and coherence rows `adj`.  Hasse edge k must be dual record k,
+    between cliques that differ by the record's exchange."""
+    for u, (row, coherent) in enumerate(zip(kiss, adj)):
+        if row & (coherent | 1 << u):
+            raise ConsistencyError("hasse-edges-follow-kissing-order", f"route {u} kisses a coherent route")
+    d, masks = p.dual, p.dual.masks
+    # per pair: may a record's a lie below (its entering route kisses the
+    # leaving one, not back), may it lie above, and the two routes
+    below = [kiss[x.entering] >> x.leaving & 1 and not kiss[x.leaving] >> x.entering & 1 for x in d.pairs]
+    above = [kiss[x.leaving] >> x.entering & 1 and not kiss[x.entering] >> x.leaving & 1 for x in d.pairs]
+    routes = [1 << x.leaving | 1 << x.entering for x in d.pairs]
+    for lo, hi, a, b, q in zip(p.lo, p.hi, d.a, d.b, d.pair):
+        ends = hi == b if lo == a else lo == b and hi == a
+        if ends and (below[q] if lo == a else above[q]) and masks[a] ^ masks[b] == routes[q]:
+            continue
+        r, s = (d.pairs[q].leaving, d.pairs[q].entering)[:: 1 if lo == a else -1]
+        against = ends and masks[a] ^ masks[b] == routes[q] and kiss[r] >> s & 1
+        raise ConsistencyError(
+            "hasse-edges-follow-kissing-order" if against else "oriented-dual-edges-are-covers",
+            f"edge {lo}<{hi} on dual edge {a}-{b} trades route {r} for {s}",
+        )
+    if len(p.lo) != len(d.a):
+        raise ConsistencyError(
+            "oriented-dual-edges-are-covers", f"{len(p.lo)} Hasse edges for {len(d.a)} dual edges"
+        )

@@ -244,45 +244,50 @@ def maximal_cliques_by_flips(
     same ridge, so each dual edge is flipped once: flipping r out of a
     clique marks the reverse flip on the neighbour as done.  The ridge
     masks of a clique come from prefix and suffix ANDs of its members'
-    adjacency rows.
+    adjacency rows.  An exceptional route is coherent with every other one,
+    so the traversal ANDs only the non-exceptional members' rows, from the
+    non-exceptional routes, and adds the exceptional routes at the end.
     """
     n = len(table.routes)
     adj = table.adjacency
-    full = (1 << n) - 1
-    members = list(table.exceptional_indices)
+    exc = table.exceptional_indices
+    exceptional = sum(1 << i for i in exc)
+    rest = (1 << n) - 1 ^ exceptional
+    members: list[int] = []
     for v in range(n):
-        if v in members:
-            continue
-        if all(adj[v] >> i & 1 for i in members):
+        if rest >> v & 1 and all(adj[v] >> i & 1 for i in (*exc, *members)):
             members.append(v)
-    exceptional = sum(1 << i for i in table.exceptional_indices)
-    # cliques in order of discovery, as route tuples and as bitmasks;
-    # done[i] marks the routes of clique i that need no flip (exceptional,
-    # or the flip is already recorded from the other side)
-    found = [tuple(sorted(members))]
+    # cliques in order of discovery, as non-exceptional route tuples and
+    # bitmasks; done[i] marks the routes of clique i whose flip is already
+    # recorded from the other side
+    found = [tuple(members)]
     masks = [sum(1 << i for i in members)]
     ids = {masks[0]: 0}
-    done = [exceptional]
+    done = [0]
     # flip k goes from clique flip_i[k] to flip_j[k], in discovery ids, and
-    # exchanges the pair exchanges[flip_pair[k]] = (r, s, swap, swap_in)
-    flip_i, flip_j, flip_pair = array("i"), array("i"), array("i")
+    # exchanges the unordered pair exchanges[flip_code[k] >> 1] = (r, s,
+    # swap, swap_in); the low bit is set when the flip exchanges s for r
+    flip_i, flip_j, flip_code = array("i"), array("i"), array("i")
     exchanges: list[tuple[int, int, int, int]] = []
     pair_ids: dict[tuple[int, int], int] = {}
     stack = [0]
     while stack:
         i = stack.pop()
         c, mask, skip = found[i], masks[i], done[i]
-        suffix = [full] * (len(c) + 1)
+        suffix = [rest] * (len(c) + 1)
         for k in range(len(c) - 1, -1, -1):
             suffix[k] = suffix[k + 1] & adj[c[k]]
-        prefix = full
+        prefix = rest
         for k, r in enumerate(c):
             common = prefix & suffix[k + 1]
             prefix &= adj[r]
             if skip >> r & 1:
                 continue
-            s = _exchange(adj, common, r)
-            other = mask ^ (1 << r) ^ (1 << s)
+            bit = 1 << r  # common must be r and its one replacement s
+            if common.bit_count() != 2 or not common & bit or adj[r] & common:
+                _exchange(adj, common, r)  # raises
+            s = (common ^ bit).bit_length() - 1
+            other = mask ^ common
             j = ids.get(other)
             if j is None:
                 j = ids[other] = len(masks)
@@ -292,54 +297,58 @@ def maximal_cliques_by_flips(
                 at = bisect.bisect(ridge, s)
                 found.append(ridge[:at] + (s,) + ridge[at:])
                 masks.append(other)
-                done.append(exceptional | 1 << s)
+                done.append(1 << s)
                 stack.append(j)
             else:
                 done[j] |= 1 << s
-            p = pair_ids.get((r, s))
+            key = (r, s) if r < s else (s, r)
+            p = pair_ids.get(key)
             if p is None:
-                p = pair_ids[r, s] = len(exchanges)
-                exchanges.append((r, s, *_swaps(table, r, s)))
+                p = pair_ids[key] = len(exchanges)
+                exchanges.append((*key, *_swaps(table, *key)))
             flip_i.append(i)
             flip_j.append(j)
-            flip_pair.append(p)
+            flip_code.append(2 * p + (r > s))
     del ids, done, pair_ids
     order = sorted(range(len(found)), key=found.__getitem__)
     rank = [0] * len(order)
     for new, old in enumerate(order):
         rank[old] = new
-    cliques = [found[i] for i in order]
-    masks = [masks[i] for i in order]
+    # the least route in one clique and not in the other decides the order,
+    # and it is never exceptional
+    cliques = [tuple(sorted(found[i] + exc)) for i in order]
+    masks = [masks[i] | exceptional for i in order]
     del found, order
     # one int key per flip sorts the records by clique pair a < b:
-    # (a * n_cliques + b) * n_codes + code, where code is 2p for exchange p,
-    # or 2p + 1 when the flip went from b to a, so that the routes and the
-    # swaps trade places
+    # (a * n_cliques + b) * n_codes + code, where the code's low bit is
+    # flipped when the flip went from b to a, so that it is set iff the
+    # record's a holds the pair's larger route
     n_cliques, n_codes = len(cliques), 2 * len(exchanges)
     keys = [
-        (a * n_cliques + b) * n_codes + 2 * p
+        (a * n_cliques + b) * n_codes + code
         if a < b
-        else (b * n_cliques + a) * n_codes + 2 * p + 1
-        for a, b, p in zip(map(rank.__getitem__, flip_i), map(rank.__getitem__, flip_j), flip_pair)
+        else (b * n_cliques + a) * n_codes + (code ^ 1)
+        for a, b, code in zip(map(rank.__getitem__, flip_i), map(rank.__getitem__, flip_j), flip_code)
     ]
-    del flip_i, flip_j, flip_pair, rank
+    del flip_i, flip_j, flip_code, rank
     keys.sort()
-    a_col, b_col, pair_col = array("i"), array("i"), array("i")
-    pair_of_code = [-1] * n_codes
-    pair_of: dict[Exchange, int] = {}  # pair ids in order of first use
-    for key in keys:
-        ab, code = divmod(key, n_codes)
-        a, b = divmod(ab, n_cliques)
-        p = pair_of_code[code]
-        if p < 0:
-            r, s, sw, sw_in = exchanges[code >> 1]
-            ex = Exchange(s, r, sw_in, sw) if code & 1 else Exchange(r, s, sw, sw_in)
-            # a pair flipped from both sides is one entry
-            p = pair_of_code[code] = pair_of.setdefault(ex, len(pair_of))
-        a_col.append(a)
-        b_col.append(b)
-        pair_col.append(p)
-    return DualGraph(cliques, masks, a_col, b_col, pair_col, list(pair_of))
+    codes = [key % n_codes for key in keys]
+    ab = [key // n_codes for key in keys]
+    del keys
+    # pair ids in order of first use
+    pair_of = {code: p for p, code in enumerate(dict.fromkeys(codes))}
+    pairs = []
+    for code in pair_of:
+        r, s, sw, sw_in = exchanges[code >> 1]
+        pairs.append(Exchange(s, r, sw_in, sw) if code & 1 else Exchange(r, s, sw, sw_in))
+    return DualGraph(
+        cliques,
+        masks,
+        array("i", [x // n_cliques for x in ab]),
+        array("i", [x % n_cliques for x in ab]),
+        array("i", map(pair_of.__getitem__, codes)),
+        pairs,
+    )
 
 
 def unimodular_by_exchange(g: Dag, table: CoherenceTable, dual: DualGraph) -> bool:

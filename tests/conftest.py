@@ -11,15 +11,40 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 import pytest
 
-from flowpoly.dag import ContractionTrace, Dag, EdgeId, VertexId, complete_contraction, idle_edges
+from flowpoly.dag import (
+    ContractionTrace,
+    Dag,
+    EdgeId,
+    Route,
+    VertexId,
+    complete_contraction,
+    idle_edges,
+    is_full,
+)
 from flowpoly.ehrhart import DEFAULT_MAX_STATES
-from flowpoly.errors import FrontierExplosionError, NoFlipError, NotLinearExtensionError
-from flowpoly.framing import CoherenceTable, Framing, named_framing
+from flowpoly.errors import (
+    ConsistencyError,
+    FramingError,
+    FrontierExplosionError,
+    NoFlipError,
+    NotFullError,
+    NotLinearExtensionError,
+    NotThroughVertexError,
+)
+from flowpoly.framing import (
+    AdjacencyGraph,
+    CoherenceTable,
+    Framing,
+    adjacency_graph,
+    framing_from_labels,
+    named_framing,
+)
 from flowpoly.generators import caracol, caracol_core, gkn
 from flowpoly.poset import TauPoset, orient_dual_edge
 from flowpoly.triangulation import Clique, DualGraph, _exchange
@@ -190,6 +215,86 @@ def gcd_of_minors_volume(g: Dag, routes) -> int:
     return g_all
 
 
+def compare_paths_at(
+    g: Dag, f: Framing, v: VertexId, p: Sequence[EdgeId], q: Sequence[EdgeId], side: str
+) -> int:
+    """Spec-level comparison of two path fragments at v (-1, 0, +1): the
+    reference for the rank keys of `CoherenceTable`.
+
+    side='in' expects both paths to end at v, side='out' to start at v.
+    Both are read away from v; at the first differing edge the two edges
+    share an end, and the framing's order on that port decides.
+    """
+    if side == "in":
+        p, q, at, order, end, part = p[::-1], q[::-1], g.head, f.in_order, "end", "suffix"
+    elif side == "out":
+        at, order, end, part = g.tail, f.out_order, "start", "prefix"
+    else:
+        raise ValueError("side must be 'in' or 'out'")
+    for path in (p, q):
+        if not path or at[path[0]] != v:
+            raise NotThroughVertexError(f"path does not {end} at {v}")
+    i = 0
+    while i < len(p) and i < len(q) and p[i] == q[i]:
+        i += 1
+    if i == len(p) and i == len(q):
+        return 0
+    if i == len(p) or i == len(q):
+        raise FramingError(f"one path is a strict {part} of the other; not maximal")
+    port = order[at[p[i]]]
+    return -1 if port.index(p[i]) < port.index(q[i]) else 1
+
+
+def route_conflicts(g: Dag, f: Framing, r: Route, s: Route) -> list[VertexId]:
+    """Shared inner vertices where r and s conflict (empty iff coherent)."""
+    table = CoherenceTable(g, f, [tuple(r), tuple(s)])
+    return table.conflict_vertices(0, 1)
+
+
+def routes_coherent(g: Dag, f: Framing, r: Route, s: Route) -> bool:
+    return not route_conflicts(g, f, r, s)
+
+
+@dataclass
+class ExceptionalSetCheck:
+    ok: bool
+    reason: str | None
+    framing: Framing | None
+    adjacency: AdjacencyGraph
+
+
+def check_exceptional_set(g: Dag, x: Sequence[Route]) -> ExceptionalSetCheck:
+    """Decide whether x is the exceptional set of some ample framing.
+
+    Needs every edge covered by exactly one route of x and a bipartite
+    adjacency graph; on success one witnessing framing is constructed by
+    ordering each port according to the two-coloring.
+    """
+    if not is_full(g):
+        raise NotFullError("exceptional sets are classified on full DAGs")
+    x = [tuple(r) for r in x]
+    adj = adjacency_graph(g, x)
+    hits: dict[EdgeId, list[int]] = {e: [] for e in g.tail}
+    for i, r in enumerate(x):
+        for e in r:
+            hits[e].append(i)
+    doubled = sorted(e for e, rs in hits.items() if len(rs) > 1)
+    missing = sorted(e for e, rs in hits.items() if not rs)
+    bip, color = adj.is_bipartite()
+    reasons = []
+    if missing:
+        reasons.append(f"uncovered edges {missing}")
+    if doubled:
+        reasons.append(f"doubly covered edges {doubled}")
+    if not bip:
+        reasons.append("adjacency graph has an odd cycle")
+    if reasons:
+        return ExceptionalSetCheck(False, "; ".join(reasons), None, adj)
+    assert color is not None
+    labels = {e: 1 + color[rs[0]] for e, rs in hits.items()}
+    return ExceptionalSetCheck(True, None, framing_from_labels(g, labels), adj)
+
+
 def build_ranks_reference(table: CoherenceTable) -> tuple[list[dict], list[dict]]:
     """In- and out-ranks of every route at every inner vertex on it, by
     sorting whole fragment keys: the reference for the incremental ranks of
@@ -271,9 +376,9 @@ def poset_from_hasse(
 ) -> TauPoset:
     """A TauPoset on hand-made (lower, upper, brick) triples, bricks interned
     in order of first use.  Without `dual`, the dual graph is the Hasse
-    edges unoriented, with no exchange records."""
+    edges unoriented, in their order, with no exchange records."""
     if dual is None:
-        pairs = sorted((min(lo, hi), max(lo, hi)) for lo, hi, _ in hasse)
+        pairs = [(min(lo, hi), max(lo, hi)) for lo, hi, _ in hasse]
         dual = DualGraph(
             cliques,
             [sum(1 << i for i in c) for c in cliques],
@@ -331,9 +436,9 @@ def shelling_reference(p: TauPoset, ext: Sequence[int]) -> list[int]:
 def implied_edge_reference(p: TauPoset) -> tuple[int, int, int] | None:
     """The first (node, hi, mid) whose Hasse edge node < hi is implied
     through another upper cover mid, or None: the dict-based closure sweep
-    that `poset._assert_transitively_reduced` replaced, kept as its
-    reference.  Strictly-above closures are int bitsets in a dict keyed by
-    node, filled in reverse topological order."""
+    that `assert_transitively_reduced` replaced, kept as its reference.
+    Strictly-above closures are int bitsets in a dict keyed by node, filled
+    in reverse topological order."""
     up: dict[int, list[int]] = {i: [] for i in range(len(p.cliques))}
     for lo, hi, _ in p.hasse:
         up[lo].append(hi)
@@ -347,6 +452,44 @@ def implied_edge_reference(p: TauPoset) -> tuple[int, int, int] | None:
         for hi in up[node]:
             above[node] |= 1 << hi | above[hi]
     return None
+
+
+def assert_transitively_reduced(p: TauPoset) -> None:
+    """No oriented dual edge may be implied by a longer chain: the bitset
+    closure check that `build_poset`'s kissing certificate replaced, kept
+    as its reference.  It is quadratic in time and memory."""
+    # strictly-above closures as int bitsets, in reverse topological order;
+    # a node's set is dropped once every node it covers has read it, so only
+    # the sweep's frontier is held
+    above = [0] * len(p.cliques)
+    unread = list(map(len, p.downs))
+    for node in reversed(p.topological_nodes):
+        ups = p.ups[node]
+        mask = 0
+        for hi in ups:
+            mask |= 1 << hi
+        if any(above[mid] & mask for mid in ups):
+            hi, mid = next((hi, mid) for hi in ups for mid in ups if above[mid] >> hi & 1)
+            raise ConsistencyError(
+                "oriented-dual-edges-are-covers",
+                f"edge {node}<{hi} implied through {mid}",
+            )
+        for hi in ups:
+            mask |= above[hi]
+            unread[hi] -= 1
+            if not unread[hi]:
+                above[hi] = 0
+        above[node] = mask
+
+
+def strictly_above(p: TauPoset) -> list[int]:
+    """Each node's strict up-set in the transitive closure of the Hasse
+    edges, as a bitmask of nodes (for small posets only)."""
+    above = [0] * len(p.cliques)
+    for node in reversed(p.topological_nodes):
+        for hi in p.ups[node]:
+            above[node] |= 1 << hi | above[hi]
+    return above
 
 
 def complete_contraction_reference(g: Dag) -> ContractionTrace:

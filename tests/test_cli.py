@@ -204,6 +204,35 @@ def test_unreadable_input_files_exit_code(tmp_path):
         assert "Traceback" not in res.stderr and "usage error" in res.stderr
 
 
+def test_non_ample_framings_exit_1(tmp_path, monkeypatch, capsys):
+    # a framing that is not ample is a usage error for every command that
+    # builds the triangulation, not a broken invariant
+    import random
+
+    import flowpoly.cli
+    from conftest import all_framings
+    from flowpoly.dag import dag_to_json
+    from flowpoly.framing import framing_to_json, is_ample
+    from flowpoly.generators import random_full_dag
+
+    rng = random.Random(5)
+    for k in range(3):
+        g = random_full_dag(rng, 2 + k % 2)
+        f = next(f for f in all_framings(g) if not is_ample(g, f))
+        graph, framing = tmp_path / f"g{k}.json", tmp_path / f"f{k}.json"
+        graph.write_text(dag_to_json(g))
+        framing.write_text(framing_to_json(f))
+        for command in ("cliques", "poset", "hstar", "analyze"):
+            monkeypatch.setattr(sys, "argv", ["flowpoly", command, "-i", str(graph), "--framing", str(framing)])
+            with pytest.raises(SystemExit) as stop:
+                flowpoly.cli.main()
+            err = capsys.readouterr().err
+            assert stop.value.code == 1, (k, command, err)
+            assert err.startswith("error: ") and "Traceback" not in err
+            if command != "analyze":
+                assert "not ample" in err
+
+
 def test_duplicate_edge_id_exit_code():
     res = run(["routes"], stdin="0 1 0\n0 1 0\n")
     assert res.returncode == 1

@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 
 import flowpoly.framing
-from conftest import all_framings, build_ranks_reference
+from conftest import (
+    all_framings,
+    build_ranks_reference,
+    check_exceptional_set,
+    compare_paths_at,
+    route_conflicts,
+    routes_coherent,
+)
 
 from flowpoly.dag import Dag, complete_contraction, enumerate_routes, is_full
 from flowpoly.errors import (
@@ -20,8 +27,6 @@ from flowpoly.framing import (
     CoherenceTable,
     Framing,
     adjacency_graph,
-    check_exceptional_set,
-    compare_paths_at,
     count_ample_framings,
     edge_labeling,
     enumerate_ample_framings,
@@ -34,8 +39,6 @@ from flowpoly.framing import (
     is_ample,
     lift_framing,
     path_cycle_decomposition,
-    route_conflicts,
-    routes_coherent,
     validate_framing,
 )
 from flowpoly.generators import gkn, random_full_dag

@@ -213,17 +213,17 @@ def test_rigidity_matches_coherence(g27h, g27f, g27t):
 
 
 def test_rigidity_rows_missing_an_edge_fail_both_verdicts(g27h, g27f, monkeypatch):
-    rows_of = flowpoly.analysis.rigidity_adjacency
+    rows_of = flowpoly.analysis.rigidity_rows
 
-    def dropped(bq, objects):
+    def dropped(kiss, objects):
         # object 0 and its first rigid partner j no longer count as compatible
-        rows = rows_of(bq, objects)
+        rows = rows_of(kiss, objects)
         j = (rows[0] & -rows[0]).bit_length() - 1
         rows[0] &= ~(1 << j)
         rows[j] &= ~1
         return rows
 
-    monkeypatch.setattr(flowpoly.analysis, "rigidity_adjacency", dropped)
+    monkeypatch.setattr(flowpoly.analysis, "rigidity_rows", dropped)
     report = analyze(g27h, g27f)
     assert [(v.invariant, v.detail) for v in report.failed()] == [
         ("rigidity-matches-coherence", ""),

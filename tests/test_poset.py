@@ -1,23 +1,28 @@
 import dataclasses
+import itertools
 import random
 from array import array
 
 import pytest
 
 from conftest import (
+    assert_transitively_reduced,
     hasse_per_record,
     implied_edge_reference,
     is_order_reversing_automorphism,
     poset_from_hasse,
     shelling_reference,
+    strictly_above,
 )
 
 from flowpoly.errors import ConsistencyError, CycleDetectedError, NotLinearExtensionError
+from flowpoly.dag import complete_contraction
 from flowpoly.framing import CoherenceTable, edge_labeling, framing_by_edge_id, named_framing
-from flowpoly.generators import random_full_dag
+from flowpoly.generators import caracol, caracol_core, gkn, random_full_dag
 from flowpoly.framing import enumerate_ample_framings
+from flowpoly.gentle import route_kiss_table
 from flowpoly.poset import (
-    _assert_transitively_reduced,
+    _certify_covers,
     build_poset,
     common_components,
     orient_dual_edge,
@@ -180,12 +185,12 @@ def test_transitive_reduction_check(g27poset):
         return poset_from_hasse(cliques, hasse)
 
     chain = [(0, 1, (1,)), (1, 2, (2,)), (2, 3, (3,))]
-    _assert_transitively_reduced(poset(chain))
+    assert_transitively_reduced(poset(chain))
     # the chord 0 < 3 is implied by the chain 0 < 1 < 2 < 3
     with pytest.raises(ConsistencyError, match="oriented-dual-edges-are-covers: edge 0<3 implied through 1"):
-        _assert_transitively_reduced(poset(chain + [(0, 3, (4,))]))
+        assert_transitively_reduced(poset(chain + [(0, 3, (4,))]))
     # build_poset runs the check on every poset it returns
-    _assert_transitively_reduced(g27poset)
+    assert_transitively_reduced(g27poset)
 
 
 def test_check_symmetry_unimodality():
@@ -273,6 +278,7 @@ def test_orientation_is_antisymmetric(flipped):
 
 def test_reversed_edges_and_implied_chords_raise(flipped):
     g, f, t, dual, labels = flipped
+    kiss = route_kiss_table(g, f, t, labels)
     cliques = [(i,) for i in range(3)]
     chain = [(0, 1, (1,)), (1, 2, (2,))]
     # a chain closed by its reversed chord is a cycle
@@ -280,7 +286,8 @@ def test_reversed_edges_and_implied_chords_raise(flipped):
     with pytest.raises(CycleDetectedError):
         cyclic.topological_nodes
     # reversing any one lo/hi pair of a real poset leaves an implied edge,
-    # and the first one found is the one the dict-based sweep finds
+    # and the first one found is the one the dict-based sweep finds; the
+    # kissing certificate sees the leaving route kiss the entering one
     p = build_poset(g, f, t, dual, labels)
     assert implied_edge_reference(p) is None
     for k in range(0, len(p.hasse), 7):
@@ -292,8 +299,13 @@ def test_reversed_edges_and_implied_chords_raise(flipped):
             ConsistencyError,
             match=f"oriented-dual-edges-are-covers: edge {node}<{top} implied through {mid}$",
         ):
-            _assert_transitively_reduced(mutant)
-    # so does a chord over any two-edge chain lo < mid < hi
+            assert_transitively_reduced(mutant)
+        with pytest.raises(
+            ConsistencyError, match=f"hasse-edges-follow-kissing-order: edge {lo[k]}<{hi[k]} on dual edge "
+        ):
+            _certify_covers(mutant, kiss, t.adjacency)
+    # so does a chord over any two-edge chain lo < mid < hi; to the
+    # certificate it is no exchange, with or without a dual record of its own
     ups = p.ups
     chains = [(lo, hi) for lo in range(len(p.cliques)) for mid in ups[lo] for hi in ups[mid]]
     assert chains
@@ -305,7 +317,116 @@ def test_reversed_edges_and_implied_chords_raise(flipped):
             ConsistencyError,
             match=f"oriented-dual-edges-are-covers: edge {node}<{top} implied through {mid}$",
         ):
-            _assert_transitively_reduced(mutant)
+            assert_transitively_reduced(mutant)
+        with pytest.raises(ConsistencyError, match="oriented-dual-edges-are-covers: "):
+            _certify_covers(mutant, kiss, t.adjacency)
+        recorded = dataclasses.replace(
+            p.dual,
+            a=p.dual.a + array("i", [lo]),
+            b=p.dual.b + array("i", [hi]),
+            pair=p.dual.pair + array("i", [p.dual.pair[0]]),
+        )
+        mutant = dataclasses.replace(mutant, dual=recorded)
+        with pytest.raises(
+            ConsistencyError,
+            match=f"oriented-dual-edges-are-covers: edge {lo}<{hi} on dual edge {lo}-{hi} trades ",
+        ):
+            _certify_covers(mutant, kiss, t.adjacency)
+
+
+def test_flipped_kiss_bits_raise(flipped):
+    g, f, t, dual, labels = flipped
+    p = build_poset(g, f, t, dual, labels)
+    kiss = route_kiss_table(g, f, t, labels)
+    _certify_covers(p, kiss, t.adjacency)
+    for ex in dual.pairs[::5]:
+        r, s = ex.leaving, ex.entering
+        on_pair = rf"edge \d+<\d+ on dual edge \d+-\d+ trades route ({r} for {s}|{s} for {r})$"
+        # swapping the direction of the pair's one kiss turns it against
+        # the orientation
+        bad = kiss[:]
+        bad[r] ^= 1 << s
+        bad[s] ^= 1 << r
+        with pytest.raises(ConsistencyError, match="hasse-edges-follow-kissing-order: " + on_pair):
+            _certify_covers(p, bad, t.adjacency)
+        # without it, the exchange is not certified as a cover
+        lost = kiss[:]
+        lost[r] &= ~(1 << s)
+        lost[s] &= ~(1 << r)
+        with pytest.raises(ConsistencyError, match="oriented-dual-edges-are-covers: " + on_pair):
+            _certify_covers(p, lost, t.adjacency)
+    # a kiss between coherent routes breaks C1
+    u = next(u for u, row in enumerate(t.adjacency) if row and kiss[u])
+    v = (t.adjacency[u] & -t.adjacency[u]).bit_length() - 1
+    bad = kiss[:]
+    bad[u] |= 1 << v
+    with pytest.raises(
+        ConsistencyError, match=f"hasse-edges-follow-kissing-order: route {u} kisses a coherent route$"
+    ):
+        _certify_covers(p, bad, t.adjacency)
+
+
+def test_repeated_cover_brick_raises():
+    # node 0 has two up-covers labelled by the same brick
+    p = poset_from_hasse([(0,), (1,), (2,)], [(0, 1, (5,)), (0, 2, (5,))])
+    with pytest.raises(
+        ConsistencyError, match=r"cover-bricks-distinct: brick \(5,\) labels two up-covers of node 0$"
+    ):
+        p.kappa
+    p = poset_from_hasse([(0,), (1,), (2,)], [(0, 2, (5,)), (1, 2, (5,))])
+    with pytest.raises(
+        ConsistencyError, match=r"cover-bricks-distinct: brick \(5,\) labels two down-covers of node 2$"
+    ):
+        p.kappa
+
+
+def kissing_instances():
+    """The named instances under their framing, and up to six canonical
+    ample framings of each of 60 seeded random full DAGs."""
+    yield complete_contraction(gkn(2, 7)).result, None
+    yield complete_contraction(gkn(2, 9)).result, None
+    yield complete_contraction(caracol(8)).result, None
+    yield caracol_core(8), None
+    rng = random.Random(1414)
+    for k in range(60):
+        g = random_full_dag(rng, 2 + k % 4)
+        canonical = (tagged.framing for tagged in enumerate_ample_framings(g) if tagged.canonical)
+        for f in itertools.islice(canonical, 6):
+            yield g, f
+
+
+def test_kissing_order_is_the_closure():
+    # a <=_kiss b iff no route of a kisses a route of b; on distinct
+    # cliques it is the transitive closure of the Hasse edges, so it is
+    # transitive, and C1 and C2 hold
+    instances = pairs = 0
+    for g, f in kissing_instances():
+        f = f or framing_by_edge_id(g)
+        t = CoherenceTable(g, f)
+        p = build_poset(g, f, t)
+        assert_transitively_reduced(p)
+        kiss = route_kiss_table(g, f, t, edge_labeling(g, f))
+        for u, row in enumerate(kiss):
+            assert not row & (t.adjacency[u] | 1 << u)
+        masks = p.dual.masks
+        for lo, hi in zip(p.lo, p.hi):
+            (r,) = set(p.cliques[lo]) - set(p.cliques[hi])
+            (s,) = set(p.cliques[hi]) - set(p.cliques[lo])
+            assert kiss[s] >> r & 1 and not kiss[r] >> s & 1
+        kissed = []
+        for c in p.cliques:
+            row = 0
+            for u in c:
+                row |= kiss[u]
+            kissed.append(row)
+        above = strictly_above(p)
+        for a in range(len(p.cliques)):
+            for b in range(len(p.cliques)):
+                if a != b:
+                    assert bool(above[a] >> b & 1) == (not kissed[a] & masks[b]), (a, b)
+        instances += 1
+        pairs += len(p.cliques) ** 2
+    assert instances >= 200 and pairs > 100000
 
 
 def test_check_linear_extension_rejects_non_permutations(g27poset):

@@ -302,3 +302,21 @@ def test_seed_determinant_two_fails_the_verdict(g27h, g27f, monkeypatch):
     monkeypatch.setattr(flowpoly.triangulation, "simplex_volume", lambda g, routes: 2)
     report = analyze(g27h, g27f, with_gentle=False)
     assert [v.invariant for v in report.failed()] == ["cliques-unimodular"]
+
+
+def test_exceptional_row_losing_a_bit_fails_the_verdict(g27h, g27f, monkeypatch):
+    # two exceptional routes stop counting as coherent after the table has
+    # named its exceptional routes; no enumeration reads their rows, so only
+    # the verdict on the rows sees it
+    import flowpoly.analysis
+
+    def tampered(g, f, routes):
+        table = CoherenceTable(g, f, routes)
+        e1, e2 = table.exceptional_indices[:2]
+        table.adjacency[e1] &= ~(1 << e2)
+        table.adjacency[e2] &= ~(1 << e1)
+        return table
+
+    monkeypatch.setattr(flowpoly.analysis, "CoherenceTable", tampered)
+    report = analyze(g27h, g27f)
+    assert [v.invariant for v in report.failed()] == ["cliques-contain-exceptionals"]

@@ -31,9 +31,10 @@ the collections are off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
-from .dag import Dag, enumerate_routes, flow_dims, is_full
+from .dag import DEFAULT_MAX_ROUTES, Dag, enumerate_routes, flow_dims, is_full
 from .ehrhart import ehrhart_oracle, finite_differences_vanish, special_simplex_check
 from .errors import NotFullError
 from .framing import (
@@ -48,7 +49,6 @@ from .gentle import (
     blossom,
     build_quiver,
     gentleness_violations,
-    kisses_by_route,
     module_to_route,
     object_kisses,
     objects_t,
@@ -57,11 +57,65 @@ from .gentle import (
 )
 from .poset import build_poset
 from .triangulation import (
+    DEFAULT_MAX_CLIQUES,
     bron_kerbosch,
     maximal_cliques,
     maximal_cliques_by_flips,
     unimodular_by_exchange,
 )
+
+
+@dataclass
+class Instance:
+    """The stages of the pipeline on the framed DAG (g, f), each built on
+    first use and then kept: `cliques` by Bron-Kerbosch, `dual` by the flip
+    traversal.  Fullness is not checked here: the clique stages run on any
+    DAG, and `labels` raises `NotFullError`, so `poset` reads the labels
+    before it enumerates anything."""
+
+    g: Dag
+    f: Framing
+    max_routes: int = DEFAULT_MAX_ROUTES
+    max_cliques: int = DEFAULT_MAX_CLIQUES
+
+    table = cached_property(
+        lambda self: CoherenceTable(self.g, self.f, enumerate_routes(self.g, self.max_routes))
+    )
+    ample = cached_property(lambda self: is_ample(self.g, self.f, self.table))
+    labels = cached_property(lambda self: edge_labeling(self.g, self.f))
+    cliques = cached_property(lambda self: maximal_cliques(self.table, self.max_cliques))
+    dual = cached_property(lambda self: maximal_cliques_by_flips(self.table, self.max_cliques))
+    flips_match = cached_property(lambda self: self.cliques == self.dual.cliques)
+    quiver = cached_property(lambda self: build_quiver(self.g, self.f))
+    blossom_quiver = cached_property(lambda self: blossom(self.quiver))
+    oracle = cached_property(lambda self: ehrhart_oracle(self.g))
+
+    @cached_property
+    def phi(self) -> dict:
+        """The object of each non-exceptional route, by route index."""
+        routes, exc = self.table.routes, set(self.table.exceptional_indices)
+        return {i: route_to_module(self.g, self.labels, r) for i, r in enumerate(routes) if i not in exc}
+
+    # the kiss table of the objects, in route order
+    kiss = cached_property(lambda self: object_kisses(self.blossom_quiver, list(self.phi.values())))
+
+    @cached_property
+    def route_kiss(self) -> list[int]:
+        """The kiss table over routes; exceptional routes' rows and columns are 0."""
+        ids, out = list(self.phi), [0] * len(self.table.routes)
+        for i, row in zip(ids, self.kiss):
+            out[i] = sum(1 << ids[j] for j in range(row.bit_length()) if row >> j & 1)
+        return out
+
+    @cached_property
+    def poset(self):
+        labels = self.labels  # before the flip traversal: it raises on a DAG that is not full
+        return build_poset(self.g, self.table, self.dual, labels, self.route_kiss)
+
+    @cached_property
+    def special_simplex(self):
+        routes = self.table.routes
+        return special_simplex_check(self.g, [routes[i] for i in self.table.exceptional_indices], routes)
 
 
 @dataclass
@@ -94,13 +148,13 @@ def analyze(
     f: Framing,
     seed: int = 0,
     extensions: int = 5,
-    max_routes: int = 10**6,
-    max_cliques: int = 10**6,
-    with_gentle: bool = True,
+    max_routes: int = DEFAULT_MAX_ROUTES,
+    max_cliques: int = DEFAULT_MAX_CLIQUES,
 ) -> AnalysisReport:
     if not is_full(g):
         raise NotFullError("analyze needs a full DAG; run `flowpoly contract` first")
-    table = CoherenceTable(g, f, enumerate_routes(g, max_routes))
+    inst = Instance(g, f, max_routes, max_cliques)
+    table = inst.table
     report = AnalysisReport(g, table)
     d_space, d_poly = flow_dims(g)
     routes = table.routes
@@ -108,9 +162,9 @@ def analyze(
     report.data["routes"] = len(routes)
     report.data["exceptional"] = len(exc)
     report.data["dims"] = (d_space, d_poly)
-    report.data["ample"] = is_ample(g, f, table)
-    report.check("framing-ample", report.data["ample"])
-    labels = edge_labeling(g, f)
+    report.data["ample"] = inst.ample
+    report.check("framing-ample", inst.ample)
+    labels = inst.labels
     report.data["labels"] = labels
 
     # exceptional structure
@@ -137,7 +191,7 @@ def analyze(
     report.check("exceptional-adjacency-bipartite", bip)
 
     # triangulation
-    cliques = maximal_cliques(table, max_cliques)
+    cliques = inst.cliques
     report.data["cliques"] = len(cliques)
     # exceptional rows are full: both enumerations rely on it, neither sets it
     adj = table.adjacency
@@ -153,23 +207,15 @@ def analyze(
     # the flip traversal's records are the dual graph; by the exchange
     # argument they carry one determinant to every clique they reach, and
     # those are all the cliques when the two enumerations agree
-    dual = maximal_cliques_by_flips(table, max_cliques)
-    flips_match = dual.cliques == cliques
+    flips_match = inst.flips_match
     report.check(
         "cliques-unimodular",
-        flips_match and unimodular_by_exchange(g, table, dual),
+        flips_match and unimodular_by_exchange(g, table, inst.dual),
     )
     report.check("flip-traversal-matches-enumeration", flips_match)
     if flips_match:
-        cliques = dual.cliques  # keep one copy of the equal lists
-    # the non-exceptional routes' objects and the kiss table of their walks
-    quiver = build_quiver(g, f)
-    bq = blossom(quiver)
-    exc_set = set(exc)
-    non_exc = [i for i in range(len(routes)) if i not in exc_set]
-    phi = {i: route_to_module(g, labels, routes[i]) for i in non_exc}
-    kiss = object_kisses(bq, list(phi.values()))
-    poset = build_poset(g, f, table, dual, labels, kisses_by_route(kiss, non_exc, len(routes)))
+        cliques = inst.cliques = inst.dual.cliques  # keep one copy of the equal lists
+    poset = inst.poset
     report.data["poset"] = poset
     n_inner = len(g.inner)
     report.check(
@@ -187,12 +233,7 @@ def analyze(
         "dcov-extremes",
         dcov[0] == 1 and dcov[-1] == 1 and len(dcov) == n_inner + 1,
     )
-    exts = [poset.default_linear_extension()]
-    exts.extend(poset.random_linear_extensions(extensions, seed))
-    report.check(
-        "shelling-h-matches-dcov",
-        all(_pad_eq(poset.h_from_shelling(e), dcov) for e in exts),
-    )
+    report.check("shelling-h-matches-dcov", poset.shelling_agrees(extensions, seed))
     kappa = poset.kappa
     report.check(
         "kappa-swaps-cover-statistics",
@@ -200,45 +241,45 @@ def analyze(
     )
 
     # gentle algebra
-    if with_gentle:
-        report.check("quiver-gentle", not gentleness_violations(quiver))
-        report.check("blossom-gentle", not gentleness_violations(bq.quiver))
-        objs = objects_t(quiver)
-        report.check(
-            "objects-match-nonexceptional-routes",
-            len(objs) == len(non_exc),
-            f"{len(objs)} objects vs {len(non_exc)} routes",
-        )
-        report.check(
-            "route-module-bijection",
-            sorted(map(str, phi.values())) == sorted(map(str, objs))
-            and all(module_to_route(g, labels, m) == routes[i] for i, m in phi.items()),
-        )
-        # tau-rigidity of the objects in route order, against coherence
-        rigid = rigidity_rows(kiss, list(phi.values()))
-        coherent = [
-            sum(1 << k for k, j in enumerate(non_exc) if adj[i] >> j & 1) for i in non_exc
-        ]
-        report.check("rigidity-matches-coherence", rigid == coherent)
-        if rigid == coherent:
-            # equal graphs have equal maximal cliques, and `cliques` are
-            # those of the coherence rows
-            same, n_coll = True, len(cliques)
-            n_cliques = n_coll
-        else:
-            collections = bron_kerbosch(rigid, (1 << len(non_exc)) - 1, max_cliques)
-            clique_sets = {tuple(sorted(set(c) - exc_set)) for c in cliques}
-            coll_sets = {tuple(non_exc[k] for k in coll) for coll in collections}
-            same, n_coll, n_cliques = coll_sets == clique_sets, len(coll_sets), len(clique_sets)
-            del collections, clique_sets, coll_sets  # free them before the oracle
-        report.check(
-            "support-tau-tilting-matches-cliques",
-            same,
-            f"{n_coll} collections vs {n_cliques} cliques",
-        )
+    quiver, phi = inst.quiver, inst.phi
+    non_exc = list(phi)
+    report.check("quiver-gentle", not gentleness_violations(quiver))
+    report.check("blossom-gentle", not gentleness_violations(inst.blossom_quiver.quiver))
+    objs = objects_t(quiver)
+    report.check(
+        "objects-match-nonexceptional-routes",
+        len(objs) == len(non_exc),
+        f"{len(objs)} objects vs {len(non_exc)} routes",
+    )
+    report.check(
+        "route-module-bijection",
+        sorted(map(str, phi.values())) == sorted(map(str, objs))
+        and all(module_to_route(g, labels, m) == routes[i] for i, m in phi.items()),
+    )
+    # tau-rigidity of the objects in route order, against coherence
+    rigid = rigidity_rows(inst.kiss, list(phi.values()))
+    coherent = [sum(1 << k for k, j in enumerate(non_exc) if adj[i] >> j & 1) for i in non_exc]
+    report.check("rigidity-matches-coherence", rigid == coherent)
+    if rigid == coherent:
+        # equal graphs have equal maximal cliques, and `cliques` are
+        # those of the coherence rows
+        same, n_coll = True, len(cliques)
+        n_cliques = n_coll
+    else:
+        collections = bron_kerbosch(rigid, (1 << len(non_exc)) - 1, max_cliques)
+        exc_set = set(exc)
+        clique_sets = {tuple(sorted(set(c) - exc_set)) for c in cliques}
+        coll_sets = {tuple(non_exc[k] for k in coll) for coll in collections}
+        same, n_coll, n_cliques = coll_sets == clique_sets, len(coll_sets), len(clique_sets)
+        del collections, clique_sets, coll_sets  # free them before the oracle
+    report.check(
+        "support-tau-tilting-matches-cliques",
+        same,
+        f"{n_coll} collections vs {n_cliques} cliques",
+    )
 
     # lattice point oracle
-    oracle = ehrhart_oracle(g)
+    oracle = inst.oracle
     counts = oracle.counts
     report.data["counts"] = counts
     report.check("route-count-is-vertex-count", counts[1] == len(routes))
@@ -252,9 +293,8 @@ def analyze(
         "ehrhart-finite-differences-vanish",
         finite_differences_vanish(counts, d_poly),
     )
-    special = special_simplex_check(g, [routes[i] for i in exc], routes)
-    report.data["special_simplex"] = special
-    report.check("exceptionals-form-special-simplex", special.ok)
+    report.data["special_simplex"] = inst.special_simplex
+    report.check("exceptionals-form-special-simplex", inst.special_simplex.ok)
 
     return report
 

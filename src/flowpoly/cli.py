@@ -17,6 +17,7 @@ from pathlib import Path
 import click
 
 from . import analysis as analysis_mod
+from .analysis import Instance
 from .dag import (
     Dag,
     complete_contraction,
@@ -26,28 +27,19 @@ from .dag import (
     enumerate_routes,
     is_full,
 )
-from .ehrhart import ehrhart_oracle, special_simplex_check
 from .errors import ConsistencyError, FlowpolyError, LimitError, NotAmpleError
 from .framing import (
-    CoherenceTable,
     Framing,
     count_ample_framings,
     enumerate_ample_framings,
     framing_from_json,
     framing_to_json,
-    is_ample,
     named_framing,
     path_cycle_decomposition,
     NAMED_FRAMINGS,
 )
 from .generators import generate, random_valid_dag
-from .poset import build_poset
-from .triangulation import (
-    maximal_cliques,
-    maximal_cliques_by_flips,
-    unimodular_by_exchange,
-    verify_unimodular,
-)
+from .triangulation import DEFAULT_MAX_CLIQUES, unimodular_by_exchange, verify_unimodular
 
 
 def _echo(message: str = "", err: bool = False) -> None:
@@ -90,12 +82,13 @@ def _read_graph(path: str | None) -> Dag:
     return dag_from_edge_list(text)
 
 
-def _ample_table(g: Dag, f: Framing) -> CoherenceTable:
-    """The coherence table of g under f; `NotAmpleError` (exit 1) unless f is ample."""
-    table = CoherenceTable(g, f)
-    if not is_ample(g, f, table):
+def _ample_instance(input_path: str | None, framing: str, max_cliques: int = DEFAULT_MAX_CLIQUES) -> Instance:
+    """The stages of the graph and framing given; `NotAmpleError` (exit 1) unless the framing is ample."""
+    g = _read_graph(input_path)
+    inst = Instance(g, _resolve_framing(g, framing), max_cliques=max_cliques)
+    if not inst.ample:
         raise NotAmpleError("the framing is not ample: some edge lies on no exceptional route")
-    return table
+    return inst
 
 
 def _resolve_framing(g: Dag, spec: str) -> Framing:
@@ -224,12 +217,9 @@ def framings(input_path, as_json, do_enum) -> None:
 @click.option("--max-cliques", default=10**6, show_default=True)
 def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
     """Maximal cliques of the coherence relation, with unimodularity flags."""
-    g = _read_graph(input_path)
-    f = _resolve_framing(g, framing)
-    table = _ample_table(g, f)
-    cs = maximal_cliques(table, max_cliques)
-    dg = maximal_cliques_by_flips(table)
-    if dg.cliques != cs:
+    inst = _ample_instance(input_path, framing, max_cliques)
+    g, table, cs, dg = inst.g, inst.table, inst.cliques, inst.dual
+    if not inst.flips_match:
         raise ConsistencyError(
             "flip-traversal-matches-enumeration",
             f"{len(dg.cliques)} cliques by flips vs {len(cs)} by enumeration",
@@ -268,9 +258,7 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
 @click.option("--dot", "dot_path", default=None, help="write the Hasse diagram as DOT")
 def poset(input_path, as_json, framing, dot_path) -> None:
     """Tau-tilting poset on the dual graph, with brick labels and dcov."""
-    g = _read_graph(input_path)
-    f = _resolve_framing(g, framing)
-    p = build_poset(g, f, _ample_table(g, f))
+    p = _ample_instance(input_path, framing).poset
     dcov = p.dcov_polynomial()
     if dot_path:
         covers = [f'  n{lo} -> n{hi} [label="{"-".join(map(str, w))}"];' for lo, hi, w in p.hasse]
@@ -302,14 +290,9 @@ def poset(input_path, as_json, framing, dot_path) -> None:
 @click.option("--extensions", default=5, show_default=True, help="random linear extensions to cross-check")
 def hstar(input_path, as_json, framing, seed, extensions) -> None:
     """h-vector from the poset: dcov statistics and shelling restrictions."""
-    g = _read_graph(input_path)
-    f = _resolve_framing(g, framing)
-    p = build_poset(g, f, _ample_table(g, f))
+    p = _ample_instance(input_path, framing).poset
     dcov = p.dcov_polynomial()
-    agree = all(
-        p.h_from_shelling(e) == dcov
-        for e in [p.default_linear_extension()] + p.random_linear_extensions(extensions, seed)
-    )
+    agree = p.shelling_agrees(extensions, seed)
     if as_json:
         _echo(json.dumps({"h": dcov, "shelling_agrees": agree}))
     else:
@@ -323,8 +306,8 @@ def hstar(input_path, as_json, framing, seed, extensions) -> None:
 def oracle(input_path, as_json, framing) -> None:
     """Ehrhart oracle: lattice-point counts, h*, Gorenstein/unimodal flags."""
     g = _read_graph(input_path)
-    f = _resolve_framing(g, framing)
-    result = ehrhart_oracle(g)
+    inst = Instance(g, _resolve_framing(g, framing))
+    result = inst.oracle
     payload = {
         "dimension": result.dimension,
         "counts": result.counts,
@@ -332,9 +315,7 @@ def oracle(input_path, as_json, framing) -> None:
         **result.flags,
     }
     if is_full(g):
-        table = CoherenceTable(g, f)
-        exc = [table.routes[i] for i in table.exceptional_indices]
-        payload["special_simplex"] = special_simplex_check(g, exc, table.routes).ok
+        payload["special_simplex"] = inst.special_simplex.ok
     if as_json:
         _echo(json.dumps(payload))
     else:
@@ -402,8 +383,6 @@ def fuzz(count, seed, size, as_json) -> None:
     """Randomized structural checks on random valid DAGs."""
     import random as _random
 
-    from .analysis import analyze as run_analysis
-
     rng = _random.Random(seed)
     failures = []
     for i in range(count):
@@ -414,7 +393,7 @@ def fuzz(count, seed, size, as_json) -> None:
             failures.append((i, "contraction-not-full"))
             continue
         tagged = next(iter(enumerate_ample_framings(h)))
-        rep = run_analysis(h, tagged.framing, with_gentle=False)
+        rep = analysis_mod.analyze(h, tagged.framing)
         failures.extend((i, v.invariant) for v in rep.failed())
     if as_json:
         _echo(json.dumps({"instances": count, "failures": failures}))

@@ -121,7 +121,3 @@ class NoKappaImageError(ConsistencyError):
     def __init__(self, message: str = ""):
         super().__init__("kappa-total", message)
 
-
-class AmbiguousKappaImageError(ConsistencyError):
-    def __init__(self, message: str = ""):
-        super().__init__("kappa-single-valued", message)

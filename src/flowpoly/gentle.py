@@ -22,7 +22,7 @@ from .errors import (
     NotAmpleError,
     NotFullError,
 )
-from .framing import CoherenceTable, Framing, edge_labeling
+from .framing import Framing, edge_labeling
 from .triangulation import bron_kerbosch
 
 ArrowId = int
@@ -457,27 +457,6 @@ def tau_rigid_pair(bq: BlossomQuiver, o1: StringWord, o2: StringWord) -> bool:
 def object_kisses(bq: BlossomQuiver, objects: Sequence[StringWord]) -> list[int]:
     """`kiss_table` of the objects' blossom extensions, each extended once."""
     return kiss_table([extend_string(bq, o) for o in objects])
-
-
-def route_kiss_table(
-    g: Dag, f: Framing, table: CoherenceTable, labels: Mapping[EdgeId, int]
-) -> list[int]:
-    """Row u has bit v iff the blossom walk of route u's object kisses that
-    of route v's.  Exceptional routes have no object: their rows and
-    columns are 0."""
-    exc = set(table.exceptional_indices)
-    ids = [i for i in range(len(table.routes)) if i not in exc]
-    objects = [route_to_module(g, labels, table.routes[i]) for i in ids]
-    return kisses_by_route(object_kisses(blossom(build_quiver(g, f)), objects), ids, len(table.routes))
-
-
-def kisses_by_route(kiss: Sequence[int], ids: Sequence[int], n: int) -> list[int]:
-    """A kiss table over objects as one over n routes, object k being route
-    ids[k]; the other routes' rows and columns are 0."""
-    out = [0] * n
-    for i, row in zip(ids, kiss):
-        out[i] = sum(1 << ids[j] for j in range(row.bit_length()) if row >> j & 1)
-    return out
 
 
 def rigidity_rows(kiss: Sequence[int], objects: Sequence[StringWord]) -> list[int]:

@@ -40,9 +40,8 @@ from .errors import (
     NoQualifyingComponentError,
     NotLinearExtensionError,
 )
-from .framing import CoherenceTable, Framing, edge_labeling
-from .gentle import route_kiss_table
-from .triangulation import Clique, DualGraph, maximal_cliques_by_flips
+from .framing import CoherenceTable
+from .triangulation import Clique, DualGraph
 
 # A brick is a walk in the base DAG: (v0, e1, v1, ..., ek, vk), possibly a
 # single vertex (v0,).
@@ -243,6 +242,13 @@ class TauPoset:
             raise NotLinearExtensionError(f"{self.lo[k]} must precede {self.hi[k]}")
         return self.dcov_polynomial()
 
+    def shelling_agrees(self, extensions: int, seed: int) -> bool:
+        """The shelling h-vector equals the down-cover polynomial on the
+        default linear extension and on `extensions` random ones."""
+        dcov = self.dcov_polynomial()
+        exts = [self.default_linear_extension(), *self.random_linear_extensions(extensions, seed)]
+        return all(self.h_from_shelling(e) == dcov for e in exts)
+
     @functools.cached_property
     def kappa(self) -> dict[int, int]:
         """Node whose up-brick set equals the argument's down-brick set, so
@@ -282,20 +288,15 @@ class TauPoset:
 
 def build_poset(
     g: Dag,
-    f: Framing,
-    table: CoherenceTable | None = None,
-    dual: DualGraph | None = None,
-    labels: Mapping[EdgeId, int] | None = None,
-    kiss: Sequence[int] | None = None,
+    table: CoherenceTable,
+    dual: DualGraph,
+    labels: Mapping[EdgeId, int],
+    kiss: Sequence[int],
 ) -> TauPoset:
-    """Orient every flip record, each pair of `dual.pairs` once, and
-    certify the result as its own Hasse diagram (module docstring).
-    `table`, its flip traversal `dual`, the edge `labels` of `f` and the
-    routes' `kiss` rows are computed when not given, the rows last.
-    """
-    table = table or CoherenceTable(g, f)
-    dual = dual if dual is not None else maximal_cliques_by_flips(table)
-    labels = labels if labels is not None else edge_labeling(g, f)
+    """Orient every flip record of `dual`, the flip traversal of `table`,
+    each pair of `dual.pairs` once by the edge `labels`, and certify the
+    result as its own Hasse diagram from the routes' `kiss` rows (module
+    docstring)."""
     routes = table.routes
     brick_ids: dict[Brick, int] = {}
     # per pair: does the clique that holds `leaving` (a record's a) sit
@@ -310,8 +311,6 @@ def build_poset(
     brick = array("i", map(brick_of.__getitem__, dual.pair))
     poset = TauPoset(dual.cliques, list(routes), lo, hi, brick, list(brick_ids), dual)
     poset.topological_nodes  # acyclicity check
-    if kiss is None:
-        kiss = route_kiss_table(g, f, table, labels)
     _certify_covers(poset, kiss, table.adjacency)
     return poset
 

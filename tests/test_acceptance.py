@@ -11,7 +11,7 @@ import pytest
 
 from conftest import all_framings, is_order_reversing_automorphism, neighbors
 
-from flowpoly.analysis import analyze
+from flowpoly.analysis import Instance, analyze
 from flowpoly.dag import complete_contraction, flow_dims, idle_edges, is_full
 from flowpoly.ehrhart import (
     check_symmetry_unimodality,
@@ -40,7 +40,7 @@ from flowpoly.gentle import (
     tau_rigid_pair,
 )
 from flowpoly.generators import caracol, caracol_core, gkn, random_full_dag, random_valid_dag
-from flowpoly.poset import build_poset, orient_dual_edge
+from flowpoly.poset import orient_dual_edge
 from flowpoly.triangulation import dual_graph, maximal_cliques
 
 
@@ -241,7 +241,7 @@ def test_criterion_5_poset_kappa(corpus):
             (ra,) = set(cliques[a]) - set(cliques[b])
             (rb,) = set(cliques[b]) - set(cliques[a])
             orient_dual_edge(g, labels, t.routes[ra], t.routes[rb])  # unique or raises
-        p = build_poset(g, f, t)  # acyclic or raises
+        p = Instance(g, f).poset  # acyclic or raises
         assert p.cliques == cliques
         kappa = p.kappa  # total bijection or raises
         for i, j in kappa.items():
@@ -252,8 +252,8 @@ def test_criterion_5_poset_kappa(corpus):
 
     # the kappa non-monotonicity instance on the contracted G(2,7)
     g, f = corpus[0]
-    t = CoherenceTable(g, f)
-    p = build_poset(g, f, t)
+    inst = Instance(g, f)
+    t, p = inst.table, inst.poset
     exc = set(t.exceptional_indices)
     ridx = {r: i for i, r in enumerate(t.routes)}
 
@@ -275,8 +275,7 @@ def test_criterion_5_poset_kappa(corpus):
 def test_criterion_6_oracle_gorenstein(corpus):
     t0 = time.time()
     for g, f in corpus:
-        t = CoherenceTable(g, f)
-        p = build_poset(g, f, t)
+        p = Instance(g, f).poset
         d = flow_dims(g)[1]
         counts = flow_count_table(g, d + 2)
         hstar = hstar_from_counts(counts, d)

@@ -301,6 +301,45 @@ def test_fuzz_runs_the_oracle_on_every_instance(monkeypatch):
     assert len(calls) == 25
 
 
+def test_fuzz_runs_the_gentle_verdicts(monkeypatch, capsys):
+    import flowpoly.analysis
+    import flowpoly.cli
+
+    monkeypatch.setattr(flowpoly.analysis, "gentleness_violations", lambda q: ["a broken relation"])
+    monkeypatch.setattr(sys, "argv", ["flowpoly", "fuzz", "--count", "2"])
+    with pytest.raises(SystemExit) as stop:
+        flowpoly.cli.main()
+    out = capsys.readouterr().out
+    assert stop.value.code == 2
+    assert "instance 0: quiver-gentle" in out and "instance 1: quiver-gentle" in out
+
+
+def test_poset_commands_fail_fast_on_a_graph_that_is_not_full(tmp_path, monkeypatch, capsys):
+    # the edge labels need a full DAG, and they come before any enumeration
+    import flowpoly.analysis
+    import flowpoly.cli
+    import flowpoly.poset
+    import flowpoly.triangulation
+    from flowpoly.dag import dag_to_json
+    from flowpoly.generators import gkn
+
+    calls = []
+    for name in ("bron_kerbosch", "maximal_cliques_by_flips"):
+        fn = getattr(flowpoly.triangulation, name)
+        for mod in (flowpoly.triangulation, flowpoly.poset, flowpoly.analysis, flowpoly.cli):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+    path = tmp_path / "g211.json"
+    path.write_text(dag_to_json(gkn(2, 11)))
+    for command in ("poset", "hstar"):
+        monkeypatch.setattr(sys, "argv", ["flowpoly", command, "-i", str(path), "--framing", "paper-g27"])
+        with pytest.raises(SystemExit) as stop:
+            flowpoly.cli.main()
+        assert stop.value.code == 1
+        assert capsys.readouterr().err == "error: edge labeling needs a full DAG\n"
+    assert calls == []
+
+
 def test_oracle_json_on_car12():
     gen = run(["gen", "car", "12"])
     con = run(["contract"], stdin=gen.stdout)

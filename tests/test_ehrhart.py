@@ -124,14 +124,13 @@ def test_distinct_special_simplices_across_framings(g27h):
 
 
 def test_oracle_matches_dcov_random():
-    from flowpoly.poset import build_poset
+    from flowpoly.analysis import Instance
 
     rng = random.Random(17)
     for _ in range(8):
         g = random_full_dag(rng, rng.randrange(1, 4))
         tagged = next(iter(enumerate_ample_framings(g)))
-        t = CoherenceTable(g, tagged.framing)
-        p = build_poset(g, tagged.framing, t)
+        p = Instance(g, tagged.framing).poset
         d = flow_dims(g)[1]
         counts = flow_count_table(g, d + 2)
         h = hstar_from_counts(counts, d)

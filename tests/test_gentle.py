@@ -5,6 +5,8 @@ import re
 import pytest
 
 import flowpoly.analysis
+import flowpoly.ehrhart
+import flowpoly.framing
 import flowpoly.gentle
 import flowpoly.poset
 import flowpoly.triangulation
@@ -346,13 +348,17 @@ def test_self_kissing_walk_raises(g27h, g27f, monkeypatch):
         rigidity_adjacency(bq, objs)
 
 
-def test_analyze_computes_each_intermediate_once(g27h, g27f, g27t, monkeypatch):
+def test_analyze_computes_each_intermediate_once(g29h, tmp_path, monkeypatch):
+    from click.testing import CliRunner
+
+    import flowpoly.cli
+    from flowpoly.dag import dag_to_json
+
     calls = collections.Counter()
     extended = collections.Counter()
-    poset_labelings = []
-    triangulation = flowpoly.triangulation
     extend = flowpoly.gentle.extend_string
-    edge_labeling = flowpoly.poset.edge_labeling
+    modules = [flowpoly.framing, flowpoly.triangulation, flowpoly.poset, flowpoly.gentle, flowpoly.ehrhart]
+    modules += [flowpoly.analysis, flowpoly.cli]
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -362,30 +368,49 @@ def test_analyze_computes_each_intermediate_once(g27h, g27f, g27t, monkeypatch):
         return wrapper
 
     # every module that binds these names gets the counting wrapper
-    for name in ("bron_kerbosch", "dual_graph", "maximal_cliques_by_flips", "simplex_volume"):
-        wrapped = counted(name, getattr(triangulation, name))
-        for mod in (triangulation, flowpoly.poset, flowpoly.analysis):
+    stages = ("CoherenceTable", "bron_kerbosch", "dual_graph", "maximal_cliques_by_flips", "simplex_volume")
+    stages += ("blossom", "object_kisses", "build_poset", "ehrhart_oracle")
+    for name in stages:
+        wrapped = counted(name, next(getattr(mod, name) for mod in modules if hasattr(mod, name)))
+        for mod in modules:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, wrapped)
+    # the pipeline's labels, not the quiver's own
+    monkeypatch.setattr(flowpoly.analysis, "edge_labeling", counted("edge_labeling", edge_labeling))
 
     def counting_extend(bq, obj):
         extended[str(obj)] += 1
         return extend(bq, obj)
 
-    def counting_edge_labeling(g, f):
-        poset_labelings.append(f)
-        return edge_labeling(g, f)
-
     monkeypatch.setattr(flowpoly.gentle, "extend_string", counting_extend)
-    monkeypatch.setattr(flowpoly.poset, "edge_labeling", counting_edge_labeling)
-    assert analyze(g27h, g27f).ok
+    f = named_framing(g29h, "paper-g27")
+    assert analyze(g29h, f).ok
     # the flip records are the dual graph, one determinant certifies every
     # clique, and the cliques are enumerated once: equal rigidity and
     # coherence rows need no second enumeration
-    assert calls == {"bron_kerbosch": 1, "maximal_cliques_by_flips": 1, "simplex_volume": 1}
-    assert poset_labelings == []  # build_poset reuses analyze's labels
-    n_objects = len(g27t.routes) - len(g27t.exceptional_indices)
+    assert calls == dict.fromkeys(set(stages) - {"dual_graph"} | {"edge_labeling"}, 1)
+    t = CoherenceTable(g29h, f)
+    n_objects = len(t.routes) - len(t.exceptional_indices)
     assert len(extended) == n_objects and set(extended.values()) == {1}
+
+    # each command runs the stages it reads once, and no other
+    poset = {"CoherenceTable", "edge_labeling", "maximal_cliques_by_flips", "blossom", "object_kisses", "build_poset"}
+    needs = {
+        "cliques": {"CoherenceTable", "bron_kerbosch", "maximal_cliques_by_flips", "simplex_volume"},
+        "poset": poset,
+        "hstar": poset,
+        "oracle": {"CoherenceTable", "ehrhart_oracle"},
+    }
+    path = tmp_path / "g29.json"
+    path.write_text(dag_to_json(g29h))
+    for command, stages_read in needs.items():
+        calls.clear()
+        extended.clear()
+        res = CliRunner().invoke(flowpoly.cli.cli, [command, "--framing", "paper-g27", "-i", str(path)])
+        assert res.exit_code == 0, (command, res.output)
+        assert calls == dict.fromkeys(stages_read, 1), command
+        assert len(extended) == (n_objects if "object_kisses" in stages_read else 0), command
+        assert set(extended.values()) <= {1}, command
 
 
 def test_blossom_label_invariance(g27h, g27f):

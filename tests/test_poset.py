@@ -15,12 +15,12 @@ from conftest import (
     strictly_above,
 )
 
+from flowpoly.analysis import Instance
 from flowpoly.errors import ConsistencyError, CycleDetectedError, NotLinearExtensionError
 from flowpoly.dag import complete_contraction
-from flowpoly.framing import CoherenceTable, edge_labeling, framing_by_edge_id, named_framing
+from flowpoly.framing import edge_labeling, framing_by_edge_id, named_framing
 from flowpoly.generators import caracol, caracol_core, gkn, random_full_dag
 from flowpoly.framing import enumerate_ample_framings
-from flowpoly.gentle import route_kiss_table
 from flowpoly.poset import (
     _certify_covers,
     build_poset,
@@ -42,7 +42,7 @@ R_2119 = (7, 3, 10)
 
 @pytest.fixture(scope="module")
 def g27poset(g27h, g27f, g27t):
-    return build_poset(g27h, g27f, g27t)
+    return Instance(g27h, g27f).poset
 
 
 def clique_index(table, cliques, extra_routes):
@@ -86,13 +86,14 @@ def test_poset_shape_g27(g27poset):
 
 
 def test_poset_given_labels_match_computed(g27h, g27f, g27t, g27poset):
-    p = build_poset(g27h, g27f, g27t, labels=edge_labeling(g27h, g27f))
+    kiss = Instance(g27h, g27f).route_kiss
+    p = build_poset(g27h, g27t, maximal_cliques_by_flips(g27t), edge_labeling(g27h, g27f), kiss)
     assert list(p.hasse) == list(g27poset.hasse)
 
 
 def test_poset_single_clique(single_edge):
     f = framing_by_edge_id(single_edge)
-    p = build_poset(single_edge, f)
+    p = Instance(single_edge, f).poset
     assert len(p.cliques) == 1
     assert list(p.hasse) == []
     assert p.dcov_polynomial() == [1]
@@ -166,8 +167,7 @@ def test_poset_regular_random():
     for _ in range(10):
         g = random_full_dag(rng, rng.randrange(2, 5))
         tagged = next(iter(enumerate_ample_framings(g)))
-        t = CoherenceTable(g, tagged.framing)
-        p = build_poset(g, tagged.framing, t)
+        p = Instance(g, tagged.framing).poset
         n = len(g.inner)
         dcov = p.dcov_polynomial()
         assert dcov == dcov[::-1]
@@ -225,7 +225,7 @@ def test_bricks_match_rigidity_obstructions(g27h, g27f, g27t, core8, core8f, cor
     for g, f, t in ((g27h, g27f, g27t), (core8, core8f, core8t)):
         labels = edge_labeling(g, f)
         bq = blossom(build_quiver(g, f))
-        p = build_poset(g, f, t)
+        p = Instance(g, f).poset
         for lo, hi, brick in p.hasse:
             (r_up,) = set(p.cliques[hi]) - set(p.cliques[lo])
             (r_low,) = set(p.cliques[lo]) - set(p.cliques[hi])
@@ -240,18 +240,16 @@ def test_bricks_match_rigidity_obstructions(g27h, g27f, g27t, core8, core8f, cor
 
 @pytest.fixture(scope="module", params=["g29", "car8"])
 def flipped(request, g29h, car8h):
-    """A contracted instance with its table, flip records and labels."""
+    """The stages of a contracted instance."""
     g, name = (g29h, "paper-g27") if request.param == "g29" else (car8h, "length")
-    f = named_framing(g, name)
-    t = CoherenceTable(g, f)
-    return g, f, t, maximal_cliques_by_flips(t), edge_labeling(g, f)
+    return Instance(g, named_framing(g, name))
 
 
 def test_per_pair_work_matches_per_record_reference(flipped):
-    g, f, t, dual, labels = flipped
+    g, t, dual, labels = flipped.g, flipped.table, flipped.dual, flipped.labels
     pairs = {(rec.leaving, rec.entering) for rec in dual.pairs}
     assert len(pairs) < len(dual.pair)  # records do share route pairs
-    assert list(build_poset(g, f, t, dual, labels).hasse) == hasse_per_record(g, labels, t, dual)
+    assert list(flipped.poset.hasse) == hasse_per_record(g, labels, t, dual)
     for rec in dual.pairs:
         assert (rec.swap, rec.swap_in) == _swaps(t, rec.leaving, rec.entering)
 
@@ -259,26 +257,25 @@ def test_per_pair_work_matches_per_record_reference(flipped):
 def test_each_exchanged_pair_is_oriented_once(flipped, monkeypatch):
     import flowpoly.poset
 
-    g, f, t, dual, labels = flipped
+    dual = flipped.dual
     calls = []
     orient = flowpoly.poset.orient_dual_edge
     monkeypatch.setattr(
         flowpoly.poset, "orient_dual_edge", lambda *args: calls.append(args) or orient(*args)
     )
-    build_poset(g, f, t, dual, labels)
+    build_poset(flipped.g, flipped.table, dual, flipped.labels, flipped.route_kiss)
     assert 0 < len(calls) <= len({(rec.leaving, rec.entering) for rec in dual.pairs})
 
 
 def test_orientation_is_antisymmetric(flipped):
-    g, f, t, dual, labels = flipped
-    for r1, r2 in {(rec.leaving, rec.entering) for rec in dual.pairs}:
+    g, t, labels = flipped.g, flipped.table, flipped.labels
+    for r1, r2 in {(rec.leaving, rec.entering) for rec in flipped.dual.pairs}:
         sign, brick = orient_dual_edge(g, labels, t.routes[r1], t.routes[r2])
         assert orient_dual_edge(g, labels, t.routes[r2], t.routes[r1]) == (-sign, brick)
 
 
 def test_reversed_edges_and_implied_chords_raise(flipped):
-    g, f, t, dual, labels = flipped
-    kiss = route_kiss_table(g, f, t, labels)
+    t, kiss = flipped.table, flipped.route_kiss
     cliques = [(i,) for i in range(3)]
     chain = [(0, 1, (1,)), (1, 2, (2,))]
     # a chain closed by its reversed chord is a cycle
@@ -288,7 +285,7 @@ def test_reversed_edges_and_implied_chords_raise(flipped):
     # reversing any one lo/hi pair of a real poset leaves an implied edge,
     # and the first one found is the one the dict-based sweep finds; the
     # kissing certificate sees the leaving route kiss the entering one
-    p = build_poset(g, f, t, dual, labels)
+    p = flipped.poset
     assert implied_edge_reference(p) is None
     for k in range(0, len(p.hasse), 7):
         lo, hi = array("i", p.lo), array("i", p.hi)
@@ -335,9 +332,7 @@ def test_reversed_edges_and_implied_chords_raise(flipped):
 
 
 def test_flipped_kiss_bits_raise(flipped):
-    g, f, t, dual, labels = flipped
-    p = build_poset(g, f, t, dual, labels)
-    kiss = route_kiss_table(g, f, t, labels)
+    t, dual, p, kiss = flipped.table, flipped.dual, flipped.poset, flipped.route_kiss
     _certify_covers(p, kiss, t.adjacency)
     for ex in dual.pairs[::5]:
         r, s = ex.leaving, ex.entering
@@ -402,10 +397,9 @@ def test_kissing_order_is_the_closure():
     instances = pairs = 0
     for g, f in kissing_instances():
         f = f or framing_by_edge_id(g)
-        t = CoherenceTable(g, f)
-        p = build_poset(g, f, t)
+        inst = Instance(g, f)
+        t, p, kiss = inst.table, inst.poset, inst.route_kiss
         assert_transitively_reduced(p)
-        kiss = route_kiss_table(g, f, t, edge_labeling(g, f))
         for u, row in enumerate(kiss):
             assert not row & (t.adjacency[u] | 1 << u)
         masks = p.dual.masks
@@ -440,8 +434,7 @@ def test_check_linear_extension_rejects_non_permutations(g27poset):
 
 
 def test_shelling_matches_per_node_reference(flipped):
-    g, f, t, dual, labels = flipped
-    p = build_poset(g, f, t, dual, labels)
+    p = flipped.poset
     exts = [p.default_linear_extension()] + p.random_linear_extensions(8, seed=5)
     for ext in exts:
         assert p.h_from_shelling(ext) == shelling_reference(p, ext) == p.dcov_polynomial()

@@ -300,7 +300,7 @@ def test_exchange_certificate_rejects_broken_records(car8h):
 
 def test_seed_determinant_two_fails_the_verdict(g27h, g27f, monkeypatch):
     monkeypatch.setattr(flowpoly.triangulation, "simplex_volume", lambda g, routes: 2)
-    report = analyze(g27h, g27f, with_gentle=False)
+    report = analyze(g27h, g27f)
     assert [v.invariant for v in report.failed()] == ["cliques-unimodular"]
 
 

@@ -23,7 +23,7 @@ tau-rigidity graph on the objects.  A graph is the union of its maximal
 cliques: two graphs on one vertex set with the same maximal cliques have
 the same edges.  So the collections match the triangulation's cliques iff
 the rigidity rows equal the coherence rows, whose maximal cliques
-`maximal_cliques` has already enumerated.  `analyze` compares the rows,
+`clique_masks` has already enumerated.  `analyze` compares the rows,
 and runs a second enumeration only when they differ, to report how far
 the collections are off.
 """
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 from typing import Sequence
 
 from .dag import DEFAULT_MAX_ROUTES, Dag, enumerate_routes, flow_dims, is_full
@@ -56,9 +57,12 @@ from .gentle import (
     route_to_module,
 )
 from .poset import build_poset
+# maximal_cliques stays bound here for perfbench, whose tracer test reads it
 from .triangulation import (
     DEFAULT_MAX_CLIQUES,
     bron_kerbosch,
+    clique_masks,
+    mask_members,
     maximal_cliques,
     maximal_cliques_by_flips,
     unimodular_by_exchange,
@@ -68,10 +72,10 @@ from .triangulation import (
 @dataclass
 class Instance:
     """The stages of the pipeline on the framed DAG (g, f), each built on
-    first use and then kept: `cliques` by Bron-Kerbosch, `dual` by the flip
-    traversal.  Fullness is not checked here: the clique stages run on any
-    DAG, and `labels` raises `NotFullError`, so `poset` reads the labels
-    before it enumerates anything."""
+    first use and then kept: `cliques` (sorted route bitmasks) by Bron-
+    Kerbosch, `dual` by the flip traversal.  Fullness is not checked here:
+    `labels` raises `NotFullError`, so `poset` reads them before it
+    enumerates anything, and the clique stages run on any DAG."""
 
     g: Dag
     f: Framing
@@ -83,10 +87,10 @@ class Instance:
     )
     ample = cached_property(lambda self: is_ample(self.g, self.f, self.table))
     labels = cached_property(lambda self: edge_labeling(self.g, self.f))
-    cliques = cached_property(lambda self: maximal_cliques(self.table, self.max_cliques))
+    cliques = cached_property(lambda self: clique_masks(self.table, self.max_cliques))
     dual = cached_property(lambda self: maximal_cliques_by_flips(self.table, self.max_cliques))
-    flips_match = cached_property(lambda self: self.cliques == self.dual.cliques)
-    quiver = cached_property(lambda self: build_quiver(self.g, self.f))
+    flips_match = cached_property(lambda self: self.cliques == sorted(self.dual.masks))
+    quiver = cached_property(lambda self: build_quiver(self.g, self.f, self.labels))
     blossom_quiver = cached_property(lambda self: blossom(self.quiver))
     oracle = cached_property(lambda self: ehrhart_oracle(self.g))
 
@@ -202,7 +206,7 @@ def analyze(
     )
     report.check(
         "cliques-are-simplices",
-        all(len(c) == d_poly + 1 for c in cliques),
+        set(map(int.bit_count, cliques)) <= {d_poly + 1},
     )
     # the flip traversal's records are the dual graph; by the exchange
     # argument they carry one determinant to every clique they reach, and
@@ -213,14 +217,13 @@ def analyze(
         flips_match and unimodular_by_exchange(g, table, inst.dual),
     )
     report.check("flip-traversal-matches-enumeration", flips_match)
-    if flips_match:
-        cliques = inst.cliques = inst.dual.cliques  # keep one copy of the equal lists
     poset = inst.poset
     report.data["poset"] = poset
     n_inner = len(g.inner)
+    dcovs, ucovs = list(map(len, poset.downs)), list(map(len, poset.ups))
     report.check(
         "dual-graph-regular",
-        all(poset.dcov(i) + poset.ucov(i) == n_inner for i in range(len(cliques))),
+        set(map(add, dcovs, ucovs)) <= {n_inner},
         f"expected degree {n_inner}",
     )
 
@@ -234,10 +237,10 @@ def analyze(
         dcov[0] == 1 and dcov[-1] == 1 and len(dcov) == n_inner + 1,
     )
     report.check("shelling-h-matches-dcov", poset.shelling_agrees(extensions, seed))
-    kappa = poset.kappa
+    kappa = poset.kappa  # node i maps to kappa[i], in node order
     report.check(
         "kappa-swaps-cover-statistics",
-        all(poset.dcov(i) == poset.ucov(kappa[i]) for i in kappa),
+        dcovs == list(map(ucovs.__getitem__, kappa.values())),
     )
 
     # gentle algebra
@@ -267,9 +270,9 @@ def analyze(
         n_cliques = n_coll
     else:
         collections = bron_kerbosch(rigid, (1 << len(non_exc)) - 1, max_cliques)
-        exc_set = set(exc)
-        clique_sets = {tuple(sorted(set(c) - exc_set)) for c in cliques}
-        coll_sets = {tuple(non_exc[k] for k in coll) for coll in collections}
+        exceptional = sum(1 << i for i in exc)
+        clique_sets = {c & ~exceptional for c in cliques}
+        coll_sets = {sum(1 << non_exc[k] for k in mask_members(coll)) for coll in collections}
         same, n_coll, n_cliques = coll_sets == clique_sets, len(coll_sets), len(clique_sets)
         del collections, clique_sets, coll_sets  # free them before the oracle
     report.check(

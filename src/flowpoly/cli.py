@@ -218,12 +218,13 @@ def framings(input_path, as_json, do_enum) -> None:
 def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
     """Maximal cliques of the coherence relation, with unimodularity flags."""
     inst = _ample_instance(input_path, framing, max_cliques)
-    g, table, cs, dg = inst.g, inst.table, inst.cliques, inst.dual
+    g, table, dg = inst.g, inst.table, inst.dual
     if not inst.flips_match:
         raise ConsistencyError(
             "flip-traversal-matches-enumeration",
-            f"{len(dg.cliques)} cliques by flips vs {len(cs)} by enumeration",
+            f"{len(dg.masks)} cliques by flips vs {len(inst.cliques)} by enumeration",
         )
+    cs = dg.cliques  # the enumeration's cliques, decoded in lexicographic order
     # the exchange certificate flags every clique at once; without it, each
     # clique gets its own determinant
     if unimodular_by_exchange(g, table, dg):

@@ -23,7 +23,7 @@ from .errors import (
     NotFullError,
 )
 from .framing import Framing, edge_labeling
-from .triangulation import bron_kerbosch
+from .triangulation import bron_kerbosch, mask_members
 
 ArrowId = int
 
@@ -57,18 +57,20 @@ class Quiver:
         return [a for a in self.arrows if a.source == v]
 
 
-def build_quiver(g: Dag, f: Framing) -> Quiver:
+def build_quiver(g: Dag, f: Framing, labels: Mapping[EdgeId, int] | None = None) -> Quiver:
     """Quiver with relations for an amply framed full DAG.
 
     Arrows come from edges between inner vertices (arrow id = edge id);
-    relations are the composable pairs whose weights differ.
+    relations are the composable pairs whose weights differ.  `labels` is
+    `edge_labeling(g, f)` when the caller already holds it.
     """
     if not is_full(g):
         raise NotFullError("the quiver construction needs a full DAG")
-    try:
-        labels = edge_labeling(g, f)
-    except InconsistentFramingError as exc:
-        raise NotAmpleError(str(exc)) from exc
+    if labels is None:
+        try:
+            labels = edge_labeling(g, f)
+        except InconsistentFramingError as exc:
+            raise NotAmpleError(str(exc)) from exc
     inner = set(g.inner)
     arrows = []
     for e in sorted(g.tail):
@@ -484,4 +486,4 @@ def rigidity_adjacency(bq: BlossomQuiver, objects: Sequence[StringWord]) -> list
 def support_tau_tilting(bq: BlossomQuiver, objects: Sequence[StringWord]) -> list[tuple[int, ...]]:
     """Maximal collections of pairwise tau-rigid objects (as index tuples)."""
     adj = rigidity_adjacency(bq, objects)
-    return sorted(bron_kerbosch(adj, (1 << len(objects)) - 1))
+    return sorted(map(mask_members, bron_kerbosch(adj, (1 << len(objects)) - 1)))

@@ -5,8 +5,9 @@ component of the two routes entered on a weight-2 edge and exited on a
 weight-1 edge (by the upper route) orients the edge and becomes its brick
 label.  That depends only on the exchanged route pair, so it is computed
 once per entry of the flip traversal's pair table, however many dual edges
-exchange it.  The Hasse edges are int columns with interned brick ids.
-Down-cover statistics of the resulting poset give the h*-vector.
+exchange it.  The Hasse edges are int columns with interned brick ids; the
+nodes are the dual graph's clique numbers, decoded to route tuples only for
+output.  Down-cover statistics of the resulting poset give the h*-vector.
 
 The oriented dual graph is certified as its own Hasse diagram by the
 kissing order: a <=_kiss b iff no route of a kisses one of b
@@ -24,11 +25,10 @@ hi, kissed by s1, so mid is not <=_kiss hi, while a chain x -> mid -> ...
 from __future__ import annotations
 
 import functools
-import heapq
 import random
-from array import array
 from collections import Counter
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterator, Mapping, Sequence
 
 from .dag import Dag, EdgeId, Route
@@ -123,11 +123,10 @@ class TauPoset:
     once into per-node cover lists, which the order, linear extensions and
     kappa walk."""
 
-    cliques: list[Clique]
     routes: list[Route]
-    lo: array
-    hi: array
-    brick: array
+    lo: Sequence[int]
+    hi: Sequence[int]
+    brick: Sequence[int]
     bricks: list[Brick]
     dual: DualGraph
 
@@ -135,9 +134,17 @@ class TauPoset:
     def hasse(self) -> Hasse:
         return Hasse(self)
 
-    def _by_node(self, ends: array, values: array) -> list[list[int]]:
+    @property
+    def cliques(self) -> list[Clique]:
+        """Each node's clique as a sorted route tuple, decoded on first use."""
+        return self.dual.cliques
+
+    def __len__(self) -> int:
+        return len(self.dual.masks)
+
+    def _by_node(self, ends: Sequence[int], values: Sequence[int]) -> list[list[int]]:
         """Per node, values[k] of every Hasse edge k with the node at ends[k]."""
-        out: list[list[int]] = [[] for _ in self.cliques]
+        out: list[list[int]] = [[] for _ in range(len(self))]
         for node, value in zip(ends, values):
             out[node].append(value)
         return out
@@ -151,39 +158,43 @@ class TauPoset:
     def ucov(self, node: int) -> int:
         return len(self.ups[node])
 
+    _dcov = functools.cached_property(lambda self: Counter(map(len, self.downs)))  # nodes by dcov
+
     def dcov_polynomial(self) -> list[int]:
         """Coefficient i counts nodes covering exactly i elements."""
-        nodes = Counter(map(len, self.downs))
-        return [nodes[k] for k in range(max(nodes, default=0) + 1)]
+        return [self._dcov[k] for k in range(max(self._dcov, default=0) + 1)]
 
     @functools.cached_property
     def heights(self) -> list[int]:
-        h = [0] * len(self.cliques)
-        downs = self.downs
-        for node in self.topological_nodes:
-            h[node] = max([h[lo] + 1 for lo in downs[node]], default=0)
+        """Each node's longest chain down to a minimal node, by Kahn's pass one
+        level at a time: a node becomes ready in the level after that of its
+        last placed lower cover, which is its highest one."""
+        indeg = list(map(len, self.downs))
+        ups, h = self.ups, [0] * len(self)
+        level = [i for i, d in enumerate(indeg) if not d]
+        placed = height = 0
+        while level:
+            placed += len(level)
+            height += 1
+            next_level = []
+            for v in level:
+                for hi in ups[v]:
+                    indeg[hi] -= 1
+                    if not indeg[hi]:
+                        h[hi] = height
+                        next_level.append(hi)
+            level = next_level
+        if placed != len(self):
+            raise CycleDetectedError("oriented dual graph is not acyclic")
         return h
 
     @functools.cached_property
     def topological_nodes(self) -> list[int]:
-        indeg = list(map(len, self.downs))
-        ready = [i for i, d in enumerate(indeg) if not d]  # sorted, so a heap
-        ups = self.ups
-        order = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            for hi in ups[v]:
-                indeg[hi] -= 1
-                if not indeg[hi]:
-                    heapq.heappush(ready, hi)
-        if len(order) != len(self.cliques):
-            raise CycleDetectedError("oriented dual graph is not acyclic")
-        return order
+        """Nodes by (height, index): a stable sort on the height alone."""
+        return sorted(range(len(self)), key=self.heights.__getitem__)
 
     def default_linear_extension(self) -> list[int]:
-        """Nodes by (height, index): a stable sort on the height alone."""
-        return sorted(range(len(self.cliques)), key=self.heights.__getitem__)
+        return list(self.topological_nodes)
 
     def random_linear_extensions(self, count: int, seed: int) -> list[list[int]]:
         """Each step takes a ready node by `randrange`, inlined."""
@@ -212,7 +223,7 @@ class TauPoset:
 
     def _positions(self, ext: Sequence[int]) -> list[int]:
         """Each node's position in `ext`; raise unless `ext` permutes the nodes."""
-        n = len(self.cliques)
+        n = len(self)
         pos = [-1] * n  # the inverse permutation; n entries fill it iff they permute
         for k, v in enumerate(ext):
             if 0 <= v < n:
@@ -236,9 +247,9 @@ class TauPoset:
         sizes are the down-cover polynomial, and comparing the two checks
         only that `ext` is a linear extension."""
         pos = self._positions(ext)
-        later = [a if pos[a] > pos[b] else b for a, b in zip(self.dual.a, self.dual.b)]
-        if later != self.hi.tolist():
-            k = next(k for k, (v, hi) in enumerate(zip(later, self.hi)) if v != hi)
+        at = pos.__getitem__
+        if not all(map(lt, map(at, self.lo), map(at, self.hi))):
+            k = next(k for k, (lo, hi) in enumerate(zip(self.lo, self.hi)) if pos[lo] > pos[hi])
             raise NotLinearExtensionError(f"{self.lo[k]} must precede {self.hi[k]}")
         return self.dcov_polynomial()
 
@@ -254,19 +265,18 @@ class TauPoset:
         """Node whose up-brick set equals the argument's down-brick set, so
         dcov(i) == ucov(kappa[i]) by construction.  Cover labels at a node
         form a semibrick, so a node's bricks each way are distinct."""
-        n = len(self.cliques)
+        n, bits = len(self), [1 << w for w in range(len(self.bricks))]
         up, down = [0] * n, [0] * n
         for lo, hi, w in zip(self.lo, self.hi, self.brick):
-            bit = 1 << w
-            if up[lo] & bit or down[hi] & bit:
-                node, side = (lo, "up") if up[lo] & bit else (hi, "down")
+            bit, u, d = bits[w], up[lo], down[hi]
+            if u & bit or d & bit:
+                node, side = (lo, "up") if u & bit else (hi, "down")
                 raise ConsistencyError(
                     "cover-bricks-distinct",
                     f"brick {self.bricks[w]} labels two {side}-covers of node {node}",
                 )
-            up[lo] |= bit
-            down[hi] |= bit
-        up_index = {key: i for i, key in enumerate(up)}
+            up[lo], down[hi] = u | bit, d | bit
+        up_index = dict(zip(up, range(n)))
         if len(up_index) < n:  # name the nodes of the first repeated key
             key = next(key for i, key in enumerate(up) if up_index[key] != i)
             nodes = [i for i, other in enumerate(up) if other == key]
@@ -274,7 +284,7 @@ class TauPoset:
                 "up-bricks-determine-node", f"nodes {nodes} share up-brick multiset"
             )
         try:
-            out = {i: up_index[key] for i, key in enumerate(down)}
+            out = dict(zip(range(n), map(up_index.__getitem__, down)))
         except KeyError:
             i = next(i for i, key in enumerate(down) if key not in up_index)
             raise NoKappaImageError(f"node {i} has no kappa image") from None
@@ -306,10 +316,10 @@ def build_poset(
         sign, brick = orient_dual_edge(g, labels, routes[ex.leaving], routes[ex.entering])
         a_above.append(sign > 0)
         brick_of.append(brick_ids.setdefault(brick, len(brick_ids)))
-    lo = array("i", [b if a_above[p] else a for a, b, p in zip(dual.a, dual.b, dual.pair)])
-    hi = array("i", [a if a_above[p] else b for a, b, p in zip(dual.a, dual.b, dual.pair)])
-    brick = array("i", map(brick_of.__getitem__, dual.pair))
-    poset = TauPoset(dual.cliques, list(routes), lo, hi, brick, list(brick_ids), dual)
+    lo = tuple([b if a_above[p] else a for a, b, p in zip(dual.a, dual.b, dual.pair)])
+    hi = tuple([a if a_above[p] else b for a, b, p in zip(dual.a, dual.b, dual.pair)])
+    brick = tuple(map(brick_of.__getitem__, dual.pair))
+    poset = TauPoset(list(routes), lo, hi, brick, list(brick_ids), dual)
     poset.topological_nodes  # acyclicity check
     _certify_covers(poset, kiss, table.adjacency)
     return poset

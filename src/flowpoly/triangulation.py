@@ -3,17 +3,20 @@
 Maximal simplices of the triangulation are the maximal sets of pairwise
 coherent routes.  Two enumeration strategies are provided (pivoting
 Bron-Kerbosch on the coherence graph, and flip traversal from a seed
-clique) so each can certify the other.  The flip traversal also yields
-the dual graph as int columns, one record per dual edge, and those records
-certify unimodularity from a single determinant by an exchange argument
-(`unimodular_by_exchange`).  A record's swaps depend only on its exchanged
-route pair, which many records share, so each record holds the id of its
-pair in one table, and the swaps are computed once per pair.
+clique) so each can certify the other.  Both keep a clique as a bitmask of
+routes, and a sorted route tuple is decoded only where one is printed or
+reported.  The flip traversal also yields the dual graph as int columns,
+one record per dual edge, and those records certify unimodularity from a
+single determinant by an exchange argument (`unimodular_by_exchange`).  A
+record's swaps depend only on its exchanged route pair, which many records
+share, so each record holds the id of its pair in one table, and the swaps
+are computed once per pair.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -29,19 +32,19 @@ DEFAULT_MAX_CLIQUES = 10**6
 
 def bron_kerbosch(
     adj: Sequence[int], candidates: int, max_cliques: int = DEFAULT_MAX_CLIQUES
-) -> list[Clique]:
+) -> list[int]:
     """Maximal cliques of the graph induced on the `candidates` bitmask.
 
     `adj[v]` is the neighbour bitmask of vertex v, without v itself.
     Pivoting Bron-Kerbosch (Tomita-Tanaka-Takahashi): the pivot is the
     vertex of P | X with the most neighbours in P.  Cliques come back as
-    sorted vertex tuples in search order; no candidates gives [()].
+    vertex bitmasks in search order; no candidates gives [0].
     """
-    out: list[Clique] = []
+    out: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
-            out.append(_members(r))
+            out.append(r)
             if len(out) > max_cliques:
                 raise CliqueExplosionError(f"more than {max_cliques} maximal cliques")
             return
@@ -72,7 +75,8 @@ def bron_kerbosch(
     return out
 
 
-def _members(mask: int) -> Clique:
+def mask_members(mask: int) -> Clique:
+    """The set bits of `mask`, ascending: a clique mask decoded."""
     members = []
     while mask:
         v = (mask & -mask).bit_length() - 1
@@ -81,17 +85,20 @@ def _members(mask: int) -> Clique:
     return tuple(members)
 
 
-def maximal_cliques(table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUES) -> list[Clique]:
-    """All maximal cliques of the coherence graph, sorted.
+def clique_masks(table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUES) -> list[int]:
+    """All maximal cliques of the coherence graph, as sorted route bitmasks.
 
     Every maximal clique contains the exceptional routes, so the search
     runs on the non-exceptional part only.
     """
-    base = table.exceptional_indices
-    rest = (1 << len(table.routes)) - 1 - sum(1 << i for i in base)
-    return sorted(
-        tuple(sorted(base + c)) for c in bron_kerbosch(table.adjacency, rest, max_cliques)
-    )
+    exceptional = sum(1 << i for i in table.exceptional_indices)
+    rest = (1 << len(table.routes)) - 1 ^ exceptional
+    return sorted([c | exceptional for c in bron_kerbosch(table.adjacency, rest, max_cliques)])
+
+
+def maximal_cliques(table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUES) -> list[Clique]:
+    """All maximal cliques of the coherence graph as sorted route tuples, sorted."""
+    return sorted(map(mask_members, clique_masks(table, max_cliques)))
 
 
 # -- unimodularity ------------------------------------------------------------
@@ -170,20 +177,32 @@ class Exchange(NamedTuple):
 
 @dataclass
 class DualGraph:
-    """The flip traversal's cliques and dual edges, as int columns.
+    """The flip traversal's cliques and dual edges, as int columns: tuples,
+    which the garbage collector stops scanning, that share one int object
+    per clique number, so a pass over them allocates no ints.
 
-    Record k joins cliques a[k] < b[k], sorted by (a, b): cliques[b[k]] is
-    cliques[a[k]] with pairs[pair[k]].leaving replaced by its entering
-    route.  Many records exchange the same route pair, so they share one
-    entry of `pairs`.  masks[i] is clique i as a bitmask of routes.
-    """
+    Cliques are numbered in lexicographic order of their route tuples.
+    masks[i] is clique i as a bitmask of routes, and members[i] its
+    non-exceptional routes, ascending; `clique(i)` adds the `exceptional`
+    routes.  Record k joins cliques a[k] < b[k], sorted by (a, b): clique
+    b[k] is clique a[k] with pairs[pair[k]].leaving replaced by its
+    entering route; records that exchange one route pair share its entry
+    of `pairs`."""
 
-    cliques: list[Clique]
+    members: list[Clique]
+    exceptional: Clique
     masks: list[int]
-    a: array
-    b: array
-    pair: array
+    a: Sequence[int]
+    b: Sequence[int]
+    pair: Sequence[int]
     pairs: list[Exchange]
+
+    def clique(self, i: int) -> Clique:
+        """Clique i as a sorted route tuple."""
+        return tuple(sorted(self.members[i] + self.exceptional))
+
+    # every clique decoded, on first use
+    cliques = functools.cached_property(lambda self: list(map(self.clique, range(len(self.members)))))
 
 
 def dual_graph(cliques: Sequence[Clique]) -> list[tuple[int, int]]:
@@ -266,23 +285,27 @@ def maximal_cliques_by_flips(
     done = [0]
     # flip k goes from clique flip_i[k] to flip_j[k], in discovery ids, and
     # exchanges the unordered pair exchanges[flip_code[k] >> 1] = (r, s,
-    # swap, swap_in); the low bit is set when the flip exchanges s for r
+    # swap, swap_in), r < s, keyed by the ridge's two-bit `common` mask; the
+    # low bit is set when the flip exchanges s for r
     flip_i, flip_j, flip_code = array("i"), array("i"), array("i")
     exchanges: list[tuple[int, int, int, int]] = []
-    pair_ids: dict[tuple[int, int], int] = {}
+    pair_ids: dict[int, int] = {}
     stack = [0]
     while stack:
         i = stack.pop()
         c, mask, skip = found[i], masks[i], done[i]
-        suffix = [rest] * (len(c) + 1)
-        for k in range(len(c) - 1, -1, -1):
-            suffix[k] = suffix[k + 1] & adj[c[k]]
+        suffix, acc = [rest], rest  # suffix[k]: the AND of rest and c[k:]'s rows
+        for r in reversed(c):
+            acc &= adj[r]
+            suffix.append(acc)
+        suffix.reverse()
         prefix = rest
         for k, r in enumerate(c):
+            if skip >> r & 1:
+                prefix &= adj[r]
+                continue
             common = prefix & suffix[k + 1]
             prefix &= adj[r]
-            if skip >> r & 1:
-                continue
             bit = 1 << r  # common must be r and its one replacement s
             if common.bit_count() != 2 or not common & bit or adj[r] & common:
                 _exchange(adj, common, r)  # raises
@@ -301,52 +324,49 @@ def maximal_cliques_by_flips(
                 stack.append(j)
             else:
                 done[j] |= 1 << s
-            key = (r, s) if r < s else (s, r)
-            p = pair_ids.get(key)
+            p = pair_ids.get(common)
             if p is None:
-                p = pair_ids[key] = len(exchanges)
-                exchanges.append((*key, *_swaps(table, *key)))
+                p = pair_ids[common] = len(exchanges)
+                lo, hi = (r, s) if r < s else (s, r)
+                exchanges.append((lo, hi, *_swaps(table, lo, hi)))
             flip_i.append(i)
             flip_j.append(j)
             flip_code.append(2 * p + (r > s))
     del ids, done, pair_ids
+    # the least route in one clique and not in the other decides the
+    # lexicographic order, and it is never exceptional
     order = sorted(range(len(found)), key=found.__getitem__)
-    rank = [0] * len(order)
-    for new, old in enumerate(order):
-        rank[old] = new
-    # the least route in one clique and not in the other decides the order,
-    # and it is never exceptional
-    cliques = [tuple(sorted(found[i] + exc)) for i in order]
+    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
+    found = [found[i] for i in order]
     masks = [masks[i] | exceptional for i in order]
-    del found, order
     # one int key per flip sorts the records by clique pair a < b:
     # (a * n_cliques + b) * n_codes + code, where the code's low bit is
     # flipped when the flip went from b to a, so that it is set iff the
     # record's a holds the pair's larger route
-    n_cliques, n_codes = len(cliques), 2 * len(exchanges)
+    n_cliques, n_codes = len(found), 2 * len(exchanges)
     keys = [
         (a * n_cliques + b) * n_codes + code
         if a < b
         else (b * n_cliques + a) * n_codes + (code ^ 1)
         for a, b, code in zip(map(rank.__getitem__, flip_i), map(rank.__getitem__, flip_j), flip_code)
     ]
-    del flip_i, flip_j, flip_code, rank
+    del flip_i, flip_j, flip_code, rank, order
     keys.sort()
     codes = [key % n_codes for key in keys]
-    ab = [key // n_codes for key in keys]
-    del keys
     # pair ids in order of first use
     pair_of = {code: p for p, code in enumerate(dict.fromkeys(codes))}
     pairs = []
     for code in pair_of:
         r, s, sw, sw_in = exchanges[code >> 1]
         pairs.append(Exchange(s, r, sw_in, sw) if code & 1 else Exchange(r, s, sw, sw_in))
+    row, nodes = n_cliques * n_codes, list(range(n_cliques))
     return DualGraph(
-        cliques,
+        found,
+        exc,
         masks,
-        array("i", [x // n_cliques for x in ab]),
-        array("i", [x % n_cliques for x in ab]),
-        array("i", map(pair_of.__getitem__, codes)),
+        tuple([nodes[key // row] for key in keys]),
+        tuple([nodes[key // n_codes % n_cliques] for key in keys]),
+        tuple(map(pair_of.__getitem__, codes)),
         pairs,
     )
 
@@ -361,7 +381,7 @@ def unimodular_by_exchange(g: Dag, table: CoherenceTable, dual: DualGraph) -> bo
     det(R, s') - det(R, r) = -det(R, r), since a repeated row makes a
     determinant vanish.  So |det| is the same on the two cliques of every
     record, the traversal's dual graph is connected, and one determinant,
-    on cliques[0], settles all of them.  The vector identity is checked
+    on clique 0, settles all of them.  The vector identity is checked
     once per exchanged pair, and the ridge R of a record is the AND of its
     two clique masks.  False if a record breaks the argument or that
     determinant is not 1.
@@ -382,4 +402,5 @@ def unimodular_by_exchange(g: Dag, table: CoherenceTable, dual: DualGraph) -> bo
     for a, b, p in zip(dual.a, dual.b, dual.pair):
         if masks[a] & masks[b] & swaps[p] != swaps[p]:
             return False
-    return verify_unimodular(g, [routes[i] for i in dual.cliques[0]])
+    # row order changes only the determinant's sign
+    return verify_unimodular(g, [routes[i] for i in dual.members[0] + dual.exceptional])

@@ -376,11 +376,13 @@ def poset_from_hasse(
 ) -> TauPoset:
     """A TauPoset on hand-made (lower, upper, brick) triples, bricks interned
     in order of first use.  Without `dual`, the dual graph is the Hasse
-    edges unoriented, in their order, with no exchange records."""
+    edges unoriented, in their order, on `cliques` with no exceptional
+    routes, with no exchange records; with it, the nodes are its cliques."""
     if dual is None:
         pairs = [(min(lo, hi), max(lo, hi)) for lo, hi, _ in hasse]
         dual = DualGraph(
             cliques,
+            (),
             [sum(1 << i for i in c) for c in cliques],
             array("i", [a for a, _ in pairs]),
             array("i", [b for _, b in pairs]),
@@ -391,7 +393,7 @@ def poset_from_hasse(
     brick = array("i", [ids.setdefault(w, len(ids)) for _, _, w in hasse])
     lo = array("i", [lo for lo, _, _ in hasse])
     hi = array("i", [hi for _, hi, _ in hasse])
-    return TauPoset(cliques, [], lo, hi, brick, list(ids), dual)
+    return TauPoset([], lo, hi, brick, list(ids), dual)
 
 
 def all_framings(g: Dag) -> Iterator[Framing]:

@@ -462,7 +462,13 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = [
     (("gkn", "2", "7"), "paper-g27", command)
     for command in ("analyze", "cliques", "poset", "hstar", "oracle")
-] + [(("car", "8"), "length", "analyze")]
+] + [
+    # car 8's exceptional routes interleave with the others (indices 0, 1, 6,
+    # 10, 13, 15, 20), so its clique tuples are decoded from masks and
+    # member lists, not copied
+    (("car", "8"), "length", command)
+    for command in ("analyze", "cliques", "poset", "hstar")
+]
 
 
 @pytest.mark.parametrize("graph, framing, command", GOLDEN_CASES)

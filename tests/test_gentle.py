@@ -369,14 +369,12 @@ def test_analyze_computes_each_intermediate_once(g29h, tmp_path, monkeypatch):
 
     # every module that binds these names gets the counting wrapper
     stages = ("CoherenceTable", "bron_kerbosch", "dual_graph", "maximal_cliques_by_flips", "simplex_volume")
-    stages += ("blossom", "object_kisses", "build_poset", "ehrhart_oracle")
+    stages += ("edge_labeling", "blossom", "object_kisses", "build_poset", "ehrhart_oracle")
     for name in stages:
         wrapped = counted(name, next(getattr(mod, name) for mod in modules if hasattr(mod, name)))
         for mod in modules:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, wrapped)
-    # the pipeline's labels, not the quiver's own
-    monkeypatch.setattr(flowpoly.analysis, "edge_labeling", counted("edge_labeling", edge_labeling))
 
     def counting_extend(bq, obj):
         extended[str(obj)] += 1
@@ -387,8 +385,9 @@ def test_analyze_computes_each_intermediate_once(g29h, tmp_path, monkeypatch):
     assert analyze(g29h, f).ok
     # the flip records are the dual graph, one determinant certifies every
     # clique, and the cliques are enumerated once: equal rigidity and
-    # coherence rows need no second enumeration
-    assert calls == dict.fromkeys(set(stages) - {"dual_graph"} | {"edge_labeling"}, 1)
+    # coherence rows need no second enumeration; the quiver reads the
+    # pipeline's edge labels
+    assert calls == dict.fromkeys(set(stages) - {"dual_graph"}, 1)
     t = CoherenceTable(g29h, f)
     n_objects = len(t.routes) - len(t.exceptional_indices)
     assert len(extended) == n_objects and set(extended.values()) == {1}

@@ -319,9 +319,9 @@ def test_reversed_edges_and_implied_chords_raise(flipped):
             _certify_covers(mutant, kiss, t.adjacency)
         recorded = dataclasses.replace(
             p.dual,
-            a=p.dual.a + array("i", [lo]),
-            b=p.dual.b + array("i", [hi]),
-            pair=p.dual.pair + array("i", [p.dual.pair[0]]),
+            a=p.dual.a + (lo,),
+            b=p.dual.b + (hi,),
+            pair=p.dual.pair + (p.dual.pair[0],),
         )
         mutant = dataclasses.replace(mutant, dual=recorded)
         with pytest.raises(

@@ -20,7 +20,9 @@ from flowpoly.framing import (
 from flowpoly.generators import gkn, random_full_dag, random_valid_dag
 from flowpoly.triangulation import (
     bron_kerbosch,
+    clique_masks,
     dual_graph,
+    mask_members,
     maximal_cliques,
     maximal_cliques_by_flips,
     simplex_volume,
@@ -181,15 +183,30 @@ def test_bron_kerbosch_matches_brute_force():
                 adj[b] |= 1 << a
         vertices = [v for v in range(n) if rng.random() < 0.9]
         candidates = sum(1 << v for v in vertices)
-        got = sorted(bron_kerbosch(adj, candidates))
+        got = sorted(map(mask_members, bron_kerbosch(adj, candidates)))
         assert got == brute_force_maximal_cliques(adj, vertices)
 
 
 def test_bron_kerbosch_empty_graph_and_cap():
-    assert bron_kerbosch([], 0) == [()]
+    assert bron_kerbosch([], 0) == [0]
     assert len(bron_kerbosch([0] * 4, 0b1111, max_cliques=4)) == 4
     with pytest.raises(CliqueExplosionError):
         bron_kerbosch([0] * 5, 0b11111, max_cliques=4)
+
+
+def test_clique_masks_decode_to_the_cliques_of_both_enumerations():
+    rng = random.Random(13)
+    tables = 0
+    for _ in range(40):
+        g = complete_contraction(random_valid_dag(rng, rng.randrange(2, 5), expansions=1)).result
+        canonical = [t.framing for t in enumerate_ample_framings(g) if t.canonical]
+        for f in canonical[:3]:
+            t = CoherenceTable(g, f)
+            masks = clique_masks(t)
+            assert sorted(map(mask_members, masks)) == maximal_cliques(t)
+            assert masks == sorted(maximal_cliques_by_flips(t).masks)
+            tables += 1
+    assert tables >= 60
 
 
 def test_unimodularity_keeps_no_graph_alive():
@@ -320,3 +337,25 @@ def test_exceptional_row_losing_a_bit_fails_the_verdict(g27h, g27f, monkeypatch)
     monkeypatch.setattr(flowpoly.analysis, "CoherenceTable", tampered)
     report = analyze(g27h, g27f)
     assert [v.invariant for v in report.failed()] == ["cliques-contain-exceptionals"]
+
+
+def test_analyze_decodes_no_clique_tuple(g29h, monkeypatch):
+    # both enumerations keep cliques as bitmasks, and every verdict reads
+    # those; a route tuple is decoded only for output
+    import flowpoly.analysis
+    import flowpoly.gentle
+
+    decoded = []
+    members = flowpoly.triangulation.mask_members
+    for mod in (flowpoly.triangulation, flowpoly.analysis, flowpoly.gentle):
+        monkeypatch.setattr(mod, "mask_members", lambda mask: decoded.append(mask) or members(mask))
+    clique = flowpoly.triangulation.DualGraph.clique
+    monkeypatch.setattr(
+        flowpoly.triangulation.DualGraph, "clique", lambda self, i: decoded.append(i) or clique(self, i)
+    )
+    report = analyze(g29h, named_framing(g29h, "paper-g27"))
+    assert report.ok and report.data["cliques"] == 272
+    assert decoded == []
+    # the poset's nodes decode on demand, as do the enumeration's cliques
+    assert report.data["poset"].cliques == maximal_cliques(report.table)
+    assert len(decoded) == 2 * 272

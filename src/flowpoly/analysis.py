@@ -114,7 +114,7 @@ class Instance:
     @cached_property
     def poset(self):
         labels = self.labels  # before the flip traversal: it raises on a DAG that is not full
-        return build_poset(self.g, self.table, self.dual, labels, self.route_kiss)
+        return build_poset(self.table, self.dual, labels, self.route_kiss)
 
     @cached_property
     def special_simplex(self):

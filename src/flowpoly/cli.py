@@ -218,12 +218,13 @@ def framings(input_path, as_json, do_enum) -> None:
 def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
     """Maximal cliques of the coherence relation, with unimodularity flags."""
     inst = _ample_instance(input_path, framing, max_cliques)
-    g, table, dg = inst.g, inst.table, inst.dual
+    g, table = inst.g, inst.table
     if not inst.flips_match:
         raise ConsistencyError(
             "flip-traversal-matches-enumeration",
-            f"{len(dg.masks)} cliques by flips vs {len(inst.cliques)} by enumeration",
+            f"{len(inst.dual.masks)} cliques by flips vs {len(inst.cliques)} by enumeration",
         )
+    dg = inst.dual.relabelled()
     cs = dg.cliques  # the enumeration's cliques, decoded in lexicographic order
     # the exchange certificate flags every clique at once; without it, each
     # clique gets its own determinant
@@ -259,7 +260,10 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
 @click.option("--dot", "dot_path", default=None, help="write the Hasse diagram as DOT")
 def poset(input_path, as_json, framing, dot_path) -> None:
     """Tau-tilting poset on the dual graph, with brick labels and dcov."""
-    p = _ample_instance(input_path, framing).poset
+    inst = _ample_instance(input_path, framing)
+    inst.labels  # NotFullError before the flip traversal
+    inst.dual = inst.dual.relabelled()  # nodes numbered as printed
+    p = inst.poset
     dcov = p.dcov_polynomial()
     if dot_path:
         covers = [f'  n{lo} -> n{hi} [label="{"-".join(map(str, w))}"];' for lo, hi, w in p.hasse]

@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -130,7 +131,9 @@ class CoherenceTable:
                 cuts[v] = len(r)
             self.route_cuts.append(cuts)
 
-        by_vertex: dict[VertexId, list[int]] = {}
+        # the routes through each inner vertex
+        self.by_vertex: dict[VertexId, list[int]] = {}
+        by_vertex = self.by_vertex
         for i, cuts in enumerate(self.route_cuts):
             for v in cuts:
                 by_vertex.setdefault(v, []).append(i)
@@ -179,15 +182,21 @@ class CoherenceTable:
 
     @functools.cached_property
     def adjacency(self) -> list[int]:
-        """Coherence graph as bitmasks (bit j set on row i iff coherent)."""
-        n = len(self.routes)
-        masks = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.coherent(i, j):
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-        return masks
+        """Coherence graph as bitmasks (bit j set on row i iff coherent).
+
+        Per inner vertex, a route through it conflicts with the routes there
+        ranked lower on one side and higher on the other, so its row is the
+        complement of those bitmasks ORed over its vertices."""
+        conflicts = [0] * len(self.routes)
+        for v, through in self.by_vertex.items():
+            ins = [self.in_rank[i][v] for i in through]
+            outs = [self.out_rank[i][v] for i in through]
+            below_in, above_in = _rank_masks(through, ins)
+            below_out, above_out = _rank_masks(through, outs)
+            for i, x, y in zip(through, ins, outs):
+                conflicts[i] |= below_in[x] & above_out[y] | above_in[x] & below_out[y]
+        full = (1 << len(self.routes)) - 1
+        return [full ^ 1 << i ^ c for i, c in enumerate(conflicts)]
 
     @functools.cached_property
     def exceptional_indices(self) -> tuple[int, ...]:
@@ -211,6 +220,16 @@ class CoherenceTable:
         if i is None:
             raise ValueError(f"{tuple(route)} is not a route of this table")
         return i
+
+
+def _rank_masks(routes: Sequence[int], ranks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Per rank k, the bitmasks of the `routes` ranked below k and above k."""
+    at = [0] * (max(ranks) + 1)
+    for i, k in zip(routes, ranks):
+        at[k] |= 1 << i
+    below = [0, *itertools.accumulate(at[:-1], operator.or_)]
+    above = [*itertools.accumulate(at[:0:-1], operator.or_)][::-1] + [0]
+    return below, above
 
 
 def exceptional_routes(g: Dag, f: Framing, table: CoherenceTable | None = None) -> list[Route]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import lt
 from typing import Iterator, Mapping, Sequence
 
-from .dag import Dag, EdgeId, Route
+from .dag import EdgeId, Route
 from .errors import (
     ConsistencyError,
     CycleDetectedError,
@@ -48,55 +48,48 @@ from .triangulation import Clique, DualGraph
 Brick = tuple[int, ...]
 
 
-def common_components(g: Dag, r1: Route, r2: Route) -> list[tuple[Brick, int, int]]:
-    """Connected components of the intersection of two routes, as walks,
-    each with the position of its first vertex on r1 and on r2."""
-    verts1 = g.route_vertices(r1)
-    at2 = {v: i for i, v in enumerate(g.route_vertices(r2))}
-    edges2 = set(r2)
-    comps: list[tuple[list[int], int, int]] = []
-    cur: list[int] | None = None
-    for i, v in enumerate(verts1):
-        if v not in at2:
-            cur = None
-            continue
-        if cur is not None and r1[i - 1] in edges2:
-            cur.append(r1[i - 1])
-            cur.append(v)
-        else:
-            cur = [v]
-            comps.append((cur, i, at2[v]))
-    return [(tuple(c), i1, i2) for c, i1, i2 in comps]
-
-
 def orient_dual_edge(
-    g: Dag, labels: Mapping[EdgeId, int], r1: Route, r2: Route
+    table: CoherenceTable, labels: Mapping[EdgeId, int], i: int, j: int
 ) -> tuple[int, Brick]:
-    """Decide which of the exchanged routes sits above the other.
+    """Decide which of the exchanged routes i and j of `table` sits above
+    the other.
 
-    Returns (+1, w) when the clique containing r1 covers the one with r2,
-    (-1, w) for the opposite, where w is the qualifying component: r-upper
-    enters w on a weight-2 edge and leaves on a weight-1 edge while the
-    lower route does the reverse.
+    Returns (+1, w) when the clique containing route i covers the one with
+    route j, (-1, w) for the opposite, where w is the qualifying common
+    component: r-upper enters w on a weight-2 edge and leaves on a weight-1
+    edge while the lower route does the reverse.  A component through a
+    source or sink never qualifies, because its shared end edge gives both
+    routes one label, so the components read here are runs of shared inner
+    vertices (`table.route_cuts`) joined by the same edge on both routes.
     """
-    hits: list[tuple[int, Brick]] = []
-    for w, i1, i2 in common_components(g, r1, r2):
-        k = len(w) // 2  # edges of w; r[i - 1] enters w on r and r[i + k] leaves it
-        if min(i1, i2) == 0 or i1 + k == len(r1) or i2 + k == len(r2):
-            continue  # w holds an end of a route
-        pat1 = (labels[r1[i1 - 1]], labels[r1[i1 + k]])
-        pat2 = (labels[r2[i2 - 1]], labels[r2[i2 + k]])
+    r1, r2, cuts2 = table.routes[i], table.routes[j], table.route_cuts[j]
+    hits: list[tuple[int, int, int, int]] = []  # (sign, first vertex, its cut on r1, edges)
+    for v, c1 in table.route_cuts[i].items():
+        c2 = cuts2.get(v)
+        if c2 is None or labels[r1[c1 - 1]] == labels[r2[c2 - 1]]:
+            continue  # not shared, or both enter on one label (or one edge)
+        k = 0  # edges of the component
+        while c1 + k < len(r1) and r1[c1 + k] == r2[c2 + k]:
+            k += 1
+        if c1 + k == len(r1):
+            continue  # it holds the routes' sink
+        pat1 = (labels[r1[c1 - 1]], labels[r1[c1 + k]])
+        pat2 = (labels[r2[c2 - 1]], labels[r2[c2 + k]])
         if pat1 == (2, 1) and pat2 == (1, 2):
-            hits.append((1, w))
+            hits.append((1, v, c1, k))
         elif pat1 == (1, 2) and pat2 == (2, 1):
-            hits.append((-1, w))
+            hits.append((-1, v, c1, k))
     if not hits:
         raise NoQualifyingComponentError(f"no qualifying component for {r1} vs {r2}")
     if len(hits) > 1:
         raise MultipleQualifyingComponentsError(
             f"{len(hits)} qualifying components for {r1} vs {r2}"
         )
-    return hits[0]
+    sign, v, c1, k = hits[0]
+    head, w = table.g.head, [v]
+    for e in r1[c1 : c1 + k]:
+        w += (e, head[e])
+    return sign, tuple(w)
 
 
 class Hasse:
@@ -297,7 +290,6 @@ class TauPoset:
 
 
 def build_poset(
-    g: Dag,
     table: CoherenceTable,
     dual: DualGraph,
     labels: Mapping[EdgeId, int],
@@ -313,7 +305,7 @@ def build_poset(
     # above, and the pair's brick id
     a_above, brick_of = [], []
     for ex in dual.pairs:
-        sign, brick = orient_dual_edge(g, labels, routes[ex.leaving], routes[ex.entering])
+        sign, brick = orient_dual_edge(table, labels, ex.leaving, ex.entering)
         a_above.append(sign > 0)
         brick_of.append(brick_ids.setdefault(brick, len(brick_ids)))
     lo = tuple([b if a_above[p] else a for a, b, p in zip(dual.a, dual.b, dual.pair)])

@@ -10,7 +10,9 @@ one record per dual edge, and those records certify unimodularity from a
 single determinant by an exchange argument (`unimodular_by_exchange`).  A
 record's swaps depend only on its exchanged route pair, which many records
 share, so each record holds the id of its pair in one table, and the swaps
-are computed once per pair.
+are computed once per pair.  Cliques are numbered in breadth-first visit
+order, which no verdict depends on; lexicographic numbers exist only in
+printed output (`DualGraph.relabelled`).
 """
 
 from __future__ import annotations
@@ -181,13 +183,17 @@ class DualGraph:
     which the garbage collector stops scanning, that share one int object
     per clique number, so a pass over them allocates no ints.
 
-    Cliques are numbered in lexicographic order of their route tuples.
-    masks[i] is clique i as a bitmask of routes, and members[i] its
-    non-exceptional routes, ascending; `clique(i)` adds the `exceptional`
-    routes.  Record k joins cliques a[k] < b[k], sorted by (a, b): clique
-    b[k] is clique a[k] with pairs[pair[k]].leaving replaced by its
-    entering route; records that exchange one route pair share its entry
-    of `pairs`."""
+    Cliques are numbered in breadth-first visit order from the greedy seed,
+    clique 0, which is the lexicographically least clique; `relabelled()`
+    renumbers them in lexicographic order of their route tuples, for
+    printed output only.  masks[i] is clique i as a bitmask of routes, and
+    members[i] its non-exceptional routes, ascending; `clique(i)` adds the
+    `exceptional` routes.  Each dual edge has one record: record k joins
+    cliques a[k] and b[k], where clique b[k] is clique a[k] with
+    pairs[pair[k]].leaving replaced by its entering route, the larger one;
+    records that exchange one route pair share its entry of `pairs`.  In
+    visit order the records come in the order of the clique each was
+    flipped from."""
 
     members: list[Clique]
     exceptional: Clique
@@ -203,6 +209,37 @@ class DualGraph:
 
     # every clique decoded, on first use
     cliques = functools.cached_property(lambda self: list(map(self.clique, range(len(self.members)))))
+
+    def relabelled(self) -> DualGraph:
+        """The same dual graph with its cliques numbered in lexicographic
+        order of their route tuples, its records sorted by clique pair and
+        its pairs numbered in order of first use.  Cliques that differ in
+        one route compare as those two routes, so a record's a, which holds
+        the smaller one, stays below its b."""
+        members = self.members
+        # the least route in one clique and not in the other decides the
+        # lexicographic order, and it is never exceptional
+        order = sorted(range(len(members)), key=members.__getitem__)
+        rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
+        # one int key per record: (a * n_cliques + b) * n_pairs + pair
+        n_cliques, n_pairs = len(order), len(self.pairs)
+        keys = sorted(
+            (a * n_cliques + b) * n_pairs + p
+            for a, b, p in zip(map(rank.__getitem__, self.a), map(rank.__getitem__, self.b), self.pair)
+        )
+        del rank
+        old = [key % n_pairs for key in keys]
+        pair_of = {p: q for q, p in enumerate(dict.fromkeys(old))}  # in order of first use
+        row, nodes = n_cliques * n_pairs, list(range(n_cliques))
+        return DualGraph(
+            [members[i] for i in order],
+            self.exceptional,
+            [self.masks[i] for i in order],
+            tuple([nodes[key // row] for key in keys]),
+            tuple([nodes[key // n_pairs % n_cliques] for key in keys]),
+            tuple(map(pair_of.__getitem__, old)),
+            [self.pairs[p] for p in pair_of],
+        )
 
 
 def dual_graph(cliques: Sequence[Clique]) -> list[tuple[int, int]]:
@@ -257,7 +294,7 @@ def maximal_cliques_by_flips(
     table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUES
 ) -> DualGraph:
     """Flip traversal from a greedy seed clique: every maximal clique,
-    sorted, and one record per dual edge, sorted by clique pair.
+    numbered in breadth-first visit order, and one record per dual edge.
 
     The cross-check for `maximal_cliques`.  A flip and its reverse test the
     same ridge, so each dual edge is flipped once: flipping r out of a
@@ -265,7 +302,8 @@ def maximal_cliques_by_flips(
     masks of a clique come from prefix and suffix ANDs of its members'
     adjacency rows.  An exceptional route is coherent with every other one,
     so the traversal ANDs only the non-exceptional members' rows, from the
-    non-exceptional routes, and adds the exceptional routes at the end.
+    non-exceptional routes; the exceptional routes ride along in every
+    clique mask.
     """
     n = len(table.routes)
     adj = table.adjacency
@@ -276,24 +314,21 @@ def maximal_cliques_by_flips(
     for v in range(n):
         if rest >> v & 1 and all(adj[v] >> i & 1 for i in (*exc, *members)):
             members.append(v)
-    # cliques in order of discovery, as non-exceptional route tuples and
-    # bitmasks; done[i] marks the routes of clique i whose flip is already
-    # recorded from the other side
+    # clique i is visited i-th, as a non-exceptional route tuple and a
+    # bitmask of all its routes; done[i] marks the routes of clique i whose
+    # flip is already recorded from the other side
     found = [tuple(members)]
-    masks = [sum(1 << i for i in members)]
+    masks = [sum(1 << i for i in members) | exceptional]
     ids = {masks[0]: 0}
     done = [0]
-    # flip k goes from clique flip_i[k] to flip_j[k], in discovery ids, and
-    # exchanges the unordered pair exchanges[flip_code[k] >> 1] = (r, s,
-    # swap, swap_in), r < s, keyed by the ridge's two-bit `common` mask; the
-    # low bit is set when the flip exchanges s for r
-    flip_i, flip_j, flip_code = array("i"), array("i"), array("i")
-    exchanges: list[tuple[int, int, int, int]] = []
+    # record k joins clique a[k], which holds the smaller route of the
+    # exchanged pair pairs[pair[k]], to clique b[k]; the pair table is
+    # keyed by the ridge's two-bit `common` mask
+    a, b, pair = array("i"), array("i"), array("i")
+    pairs: list[Exchange] = []
     pair_ids: dict[int, int] = {}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        c, mask, skip = found[i], masks[i], done[i]
+    for i, c in enumerate(found):  # `found` grows as the walk goes on
+        mask, skip = masks[i], done[i]
         suffix, acc = [rest], rest  # suffix[k]: the AND of rest and c[k:]'s rows
         for r in reversed(c):
             acc &= adj[r]
@@ -321,52 +356,29 @@ def maximal_cliques_by_flips(
                 found.append(ridge[:at] + (s,) + ridge[at:])
                 masks.append(other)
                 done.append(1 << s)
-                stack.append(j)
             else:
                 done[j] |= 1 << s
             p = pair_ids.get(common)
             if p is None:
-                p = pair_ids[common] = len(exchanges)
+                p = pair_ids[common] = len(pairs)
                 lo, hi = (r, s) if r < s else (s, r)
-                exchanges.append((lo, hi, *_swaps(table, lo, hi)))
-            flip_i.append(i)
-            flip_j.append(j)
-            flip_code.append(2 * p + (r > s))
+                pairs.append(Exchange(lo, hi, *_swaps(table, lo, hi)))
+            if r < s:
+                a.append(i)
+                b.append(j)
+            else:
+                a.append(j)
+                b.append(i)
+            pair.append(p)
     del ids, done, pair_ids
-    # the least route in one clique and not in the other decides the
-    # lexicographic order, and it is never exceptional
-    order = sorted(range(len(found)), key=found.__getitem__)
-    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
-    found = [found[i] for i in order]
-    masks = [masks[i] | exceptional for i in order]
-    # one int key per flip sorts the records by clique pair a < b:
-    # (a * n_cliques + b) * n_codes + code, where the code's low bit is
-    # flipped when the flip went from b to a, so that it is set iff the
-    # record's a holds the pair's larger route
-    n_cliques, n_codes = len(found), 2 * len(exchanges)
-    keys = [
-        (a * n_cliques + b) * n_codes + code
-        if a < b
-        else (b * n_cliques + a) * n_codes + (code ^ 1)
-        for a, b, code in zip(map(rank.__getitem__, flip_i), map(rank.__getitem__, flip_j), flip_code)
-    ]
-    del flip_i, flip_j, flip_code, rank, order
-    keys.sort()
-    codes = [key % n_codes for key in keys]
-    # pair ids in order of first use
-    pair_of = {code: p for p, code in enumerate(dict.fromkeys(codes))}
-    pairs = []
-    for code in pair_of:
-        r, s, sw, sw_in = exchanges[code >> 1]
-        pairs.append(Exchange(s, r, sw_in, sw) if code & 1 else Exchange(r, s, sw, sw_in))
-    row, nodes = n_cliques * n_codes, list(range(n_cliques))
+    nodes, pair_nums = list(range(len(found))), list(range(len(pairs)))
     return DualGraph(
         found,
         exc,
         masks,
-        tuple([nodes[key // row] for key in keys]),
-        tuple([nodes[key // n_codes % n_cliques] for key in keys]),
-        tuple(map(pair_of.__getitem__, codes)),
+        tuple(map(nodes.__getitem__, a)),
+        tuple(map(nodes.__getitem__, b)),
+        tuple(map(pair_nums.__getitem__, pair)),
         pairs,
     )
 

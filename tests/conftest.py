@@ -17,6 +17,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import pytest
 
+from flowpoly.analysis import Instance
 from flowpoly.dag import (
     ContractionTrace,
     Dag,
@@ -32,7 +33,9 @@ from flowpoly.errors import (
     ConsistencyError,
     FramingError,
     FrontierExplosionError,
+    MultipleQualifyingComponentsError,
     NoFlipError,
+    NoQualifyingComponentError,
     NotFullError,
     NotLinearExtensionError,
     NotThroughVertexError,
@@ -329,18 +332,68 @@ def build_ranks_reference(table: CoherenceTable) -> tuple[list[dict], list[dict]
     return in_rank, out_rank
 
 
-def hasse_per_record(g: Dag, labels, table: CoherenceTable, dual: DualGraph) -> list[tuple]:
+def common_components(g: Dag, r1: Route, r2: Route) -> list[tuple[tuple[int, ...], int, int]]:
+    """Connected components of the intersection of two routes, as walks,
+    each with the position of its first vertex on r1 and on r2, from the
+    routes' whole vertex sequences."""
+    verts1 = g.route_vertices(r1)
+    at2 = {v: i for i, v in enumerate(g.route_vertices(r2))}
+    edges2 = set(r2)
+    comps: list[tuple[list[int], int, int]] = []
+    cur: list[int] | None = None
+    for i, v in enumerate(verts1):
+        if v not in at2:
+            cur = None
+            continue
+        if cur is not None and r1[i - 1] in edges2:
+            cur.append(r1[i - 1])
+            cur.append(v)
+        else:
+            cur = [v]
+            comps.append((cur, i, at2[v]))
+    return [(tuple(c), i1, i2) for c, i1, i2 in comps]
+
+
+def orient_by_components(g: Dag, labels, r1: Route, r2: Route) -> tuple[int, tuple[int, ...]]:
+    """`orient_dual_edge` over every common component of the two routes,
+    sources and sinks included: the reference for the library's reading
+    of the route cuts."""
+    hits = []
+    for w, i1, i2 in common_components(g, r1, r2):
+        k = len(w) // 2  # edges of w; r[i - 1] enters w on r and r[i + k] leaves it
+        if min(i1, i2) == 0 or i1 + k == len(r1) or i2 + k == len(r2):
+            continue  # w holds an end of a route
+        pat1 = (labels[r1[i1 - 1]], labels[r1[i1 + k]])
+        pat2 = (labels[r2[i2 - 1]], labels[r2[i2 + k]])
+        if pat1 == (2, 1) and pat2 == (1, 2):
+            hits.append((1, w))
+        elif pat1 == (1, 2) and pat2 == (2, 1):
+            hits.append((-1, w))
+    if not hits:
+        raise NoQualifyingComponentError(f"no qualifying component for {r1} vs {r2}")
+    if len(hits) > 1:
+        raise MultipleQualifyingComponentsError(f"{len(hits)} qualifying components for {r1} vs {r2}")
+    return hits[0]
+
+
+def hasse_per_record(labels, table: CoherenceTable, dual: DualGraph) -> list[tuple]:
     """Hasse edges (lower, upper, brick) with `orient_dual_edge` called
     afresh on every flip record: the reference for `build_poset`, which
     orients each entry of the pair table once."""
     hasse = []
     for a, b, p in zip(dual.a, dual.b, dual.pair):
         rec = dual.pairs[p]
-        sign, brick = orient_dual_edge(
-            g, labels, table.routes[rec.leaving], table.routes[rec.entering]
-        )
+        sign, brick = orient_dual_edge(table, labels, rec.leaving, rec.entering)
         hasse.append((b, a, brick) if sign > 0 else (a, b, brick))
     return hasse
+
+
+def printed_poset(g: Dag, f: Framing) -> TauPoset:
+    """The poset of (g, f) on the relabelled dual graph, its nodes numbered
+    in lexicographic clique order as the `poset` command prints them."""
+    inst = Instance(g, f)
+    inst.dual = inst.dual.relabelled()
+    return inst.poset
 
 
 def flip(table: CoherenceTable, clique: Clique, route_idx: int) -> tuple[Clique, int]:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import all_framings, is_order_reversing_automorphism, neighbors
+from conftest import all_framings, is_order_reversing_automorphism, neighbors, printed_poset
 
 from flowpoly.analysis import Instance, analyze
 from flowpoly.dag import complete_contraction, flow_dims, idle_edges, is_full
@@ -240,8 +240,8 @@ def test_criterion_5_poset_kappa(corpus):
         for a, b in dual_graph(cliques):
             (ra,) = set(cliques[a]) - set(cliques[b])
             (rb,) = set(cliques[b]) - set(cliques[a])
-            orient_dual_edge(g, labels, t.routes[ra], t.routes[rb])  # unique or raises
-        p = Instance(g, f).poset  # acyclic or raises
+            orient_dual_edge(t, labels, ra, rb)  # unique or raises
+        p = printed_poset(g, f)  # acyclic or raises
         assert p.cliques == cliques
         kappa = p.kappa  # total bijection or raises
         for i, j in kappa.items():

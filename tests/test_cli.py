@@ -468,6 +468,11 @@ GOLDEN_CASES = [
     # member lists, not copied
     (("car", "8"), "length", command)
     for command in ("analyze", "cliques", "poset", "hstar")
+] + [
+    # 272 cliques and 680 dual edges: enough that a wrong lexicographic
+    # relabelling of the flip traversal's visit order shows
+    (("gkn", "2", "9"), "paper-g27", command)
+    for command in ("cliques", "poset")
 ]
 
 

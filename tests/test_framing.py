@@ -41,7 +41,7 @@ from flowpoly.framing import (
     path_cycle_decomposition,
     validate_framing,
 )
-from flowpoly.generators import gkn, random_full_dag
+from flowpoly.generators import gkn, random_full_dag, random_valid_dag
 
 # Edge ids of the 13-edge doubled-fan graph (vertices 1..6):
 #   0..3  arcs (2,6) (3,6) (4,6) (5,6)
@@ -509,3 +509,20 @@ def test_table_agrees_with_path_comparison_under_every_framing():
                         assert _sign(d_in) == compare_paths_at(g, f, v, ri[:ci], rj[:cj], "in")
                         assert _sign(d_out) == compare_paths_at(g, f, v, ri[ci:], rj[cj:], "out")
                     assert t.coherent(i, j) == (not t.conflict_vertices(i, j))
+
+
+def test_adjacency_rows_match_pairwise_coherence():
+    # the per-vertex rank bitmasks against one `coherent` test per route pair
+    rng = random.Random(41)
+    tables = 0
+    for _ in range(30):
+        g = complete_contraction(random_valid_dag(rng, rng.randrange(1, 5), expansions=rng.randrange(0, 3))).result
+        for tagged in enumerate_ample_framings(g):
+            if not tagged.canonical:
+                continue
+            t = CoherenceTable(g, tagged.framing)
+            n = len(t.routes)
+            pairwise = [sum(1 << j for j in range(n) if j != i and t.coherent(i, j)) for i in range(n)]
+            assert t.adjacency == pairwise
+            tables += 1
+    assert tables >= 300  # 414 when written

@@ -381,6 +381,9 @@ def test_analyze_computes_each_intermediate_once(g29h, tmp_path, monkeypatch):
         return extend(bq, obj)
 
     monkeypatch.setattr(flowpoly.gentle, "extend_string", counting_extend)
+    # the lexicographic numbering is paid only by the commands that print it
+    dual_graph_class = flowpoly.triangulation.DualGraph
+    monkeypatch.setattr(dual_graph_class, "relabelled", counted("relabelled", dual_graph_class.relabelled))
     f = named_framing(g29h, "paper-g27")
     assert analyze(g29h, f).ok
     # the flip records are the dual graph, one determinant certifies every
@@ -395,8 +398,8 @@ def test_analyze_computes_each_intermediate_once(g29h, tmp_path, monkeypatch):
     # each command runs the stages it reads once, and no other
     poset = {"CoherenceTable", "edge_labeling", "maximal_cliques_by_flips", "blossom", "object_kisses", "build_poset"}
     needs = {
-        "cliques": {"CoherenceTable", "bron_kerbosch", "maximal_cliques_by_flips", "simplex_volume"},
-        "poset": poset,
+        "cliques": {"CoherenceTable", "bron_kerbosch", "maximal_cliques_by_flips", "simplex_volume", "relabelled"},
+        "poset": poset | {"relabelled"},
         "hstar": poset,
         "oracle": {"CoherenceTable", "ehrhart_oracle"},
     }
@@ -410,6 +413,9 @@ def test_analyze_computes_each_intermediate_once(g29h, tmp_path, monkeypatch):
         assert calls == dict.fromkeys(stages_read, 1), command
         assert len(extended) == (n_objects if "object_kisses" in stages_read else 0), command
         assert set(extended.values()) <= {1}, command
+    calls.clear()
+    res = CliRunner().invoke(flowpoly.cli.cli, ["fuzz", "--count", "3", "--seed", "1"])
+    assert res.exit_code == 0 and calls["maximal_cliques_by_flips"] > 0 and not calls["relabelled"]
 
 
 def test_blossom_label_invariance(g27h, g27f):

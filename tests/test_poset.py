@@ -7,24 +7,26 @@ import pytest
 
 from conftest import (
     assert_transitively_reduced,
+    common_components,
     hasse_per_record,
     implied_edge_reference,
     is_order_reversing_automorphism,
+    orient_by_components,
     poset_from_hasse,
+    printed_poset,
     shelling_reference,
     strictly_above,
 )
 
 from flowpoly.analysis import Instance
-from flowpoly.errors import ConsistencyError, CycleDetectedError, NotLinearExtensionError
+from flowpoly.errors import ConsistencyError, CycleDetectedError, FlowpolyError, NotLinearExtensionError
 from flowpoly.dag import complete_contraction
-from flowpoly.framing import edge_labeling, framing_by_edge_id, named_framing
-from flowpoly.generators import caracol, caracol_core, gkn, random_full_dag
+from flowpoly.framing import CoherenceTable, edge_labeling, framing_by_edge_id, named_framing
+from flowpoly.generators import caracol, caracol_core, gkn, random_full_dag, random_valid_dag
 from flowpoly.framing import enumerate_ample_framings
 from flowpoly.poset import (
     _certify_covers,
     build_poset,
-    common_components,
     orient_dual_edge,
 )
 from flowpoly.ehrhart import check_symmetry_unimodality
@@ -42,7 +44,7 @@ R_2119 = (7, 3, 10)
 
 @pytest.fixture(scope="module")
 def g27poset(g27h, g27f, g27t):
-    return Instance(g27h, g27f).poset
+    return printed_poset(g27h, g27f)
 
 
 def clique_index(table, cliques, extra_routes):
@@ -64,16 +66,17 @@ def test_common_components_vertex_and_edge(g27h):
         assert g27h.route_vertices(r1)[i1] == c[0] == g27h.route_vertices(r2)[i2]
 
 
-def test_orient_dual_edge_examples(g27h, g27f):
+def test_orient_dual_edge_examples(g27h, g27f, g27t):
     labels = edge_labeling(g27h, g27f)
+    r_2112, r_112, r_216 = map(g27t.index_of, (R_2112, R_112, R_216))
     # exchanged pair whose qualifying component is the edge (3,4):
     # upper route enters it on weight 2 and leaves on weight 1
-    sign, brick = orient_dual_edge(g27h, labels, R_2112, R_112)
+    sign, brick = orient_dual_edge(g27t, labels, r_2112, r_112)
     assert sign == 1 and brick == (3, 2, 4)
-    sign, brick = orient_dual_edge(g27h, labels, R_112, R_2112)
+    sign, brick = orient_dual_edge(g27t, labels, r_112, r_2112)
     assert sign == -1 and brick == (3, 2, 4)
     # exchanged pair whose qualifying component is the single vertex 5
-    sign, brick = orient_dual_edge(g27h, labels, R_216, R_2112)
+    sign, brick = orient_dual_edge(g27t, labels, r_216, r_2112)
     assert sign == 1 and brick == (5,)
 
 
@@ -87,7 +90,7 @@ def test_poset_shape_g27(g27poset):
 
 def test_poset_given_labels_match_computed(g27h, g27f, g27t, g27poset):
     kiss = Instance(g27h, g27f).route_kiss
-    p = build_poset(g27h, g27t, maximal_cliques_by_flips(g27t), edge_labeling(g27h, g27f), kiss)
+    p = build_poset(g27t, maximal_cliques_by_flips(g27t).relabelled(), edge_labeling(g27h, g27f), kiss)
     assert list(p.hasse) == list(g27poset.hasse)
 
 
@@ -246,10 +249,10 @@ def flipped(request, g29h, car8h):
 
 
 def test_per_pair_work_matches_per_record_reference(flipped):
-    g, t, dual, labels = flipped.g, flipped.table, flipped.dual, flipped.labels
+    t, dual, labels = flipped.table, flipped.dual, flipped.labels
     pairs = {(rec.leaving, rec.entering) for rec in dual.pairs}
     assert len(pairs) < len(dual.pair)  # records do share route pairs
-    assert list(flipped.poset.hasse) == hasse_per_record(g, labels, t, dual)
+    assert list(flipped.poset.hasse) == hasse_per_record(labels, t, dual)
     for rec in dual.pairs:
         assert (rec.swap, rec.swap_in) == _swaps(t, rec.leaving, rec.entering)
 
@@ -263,15 +266,15 @@ def test_each_exchanged_pair_is_oriented_once(flipped, monkeypatch):
     monkeypatch.setattr(
         flowpoly.poset, "orient_dual_edge", lambda *args: calls.append(args) or orient(*args)
     )
-    build_poset(flipped.g, flipped.table, dual, flipped.labels, flipped.route_kiss)
+    build_poset(flipped.table, dual, flipped.labels, flipped.route_kiss)
     assert 0 < len(calls) <= len({(rec.leaving, rec.entering) for rec in dual.pairs})
 
 
 def test_orientation_is_antisymmetric(flipped):
-    g, t, labels = flipped.g, flipped.table, flipped.labels
+    t, labels = flipped.table, flipped.labels
     for r1, r2 in {(rec.leaving, rec.entering) for rec in flipped.dual.pairs}:
-        sign, brick = orient_dual_edge(g, labels, t.routes[r1], t.routes[r2])
-        assert orient_dual_edge(g, labels, t.routes[r2], t.routes[r1]) == (-sign, brick)
+        sign, brick = orient_dual_edge(t, labels, r1, r2)
+        assert orient_dual_edge(t, labels, r2, r1) == (-sign, brick)
 
 
 def test_reversed_edges_and_implied_chords_raise(flipped):
@@ -461,3 +464,27 @@ def test_seeded_extensions_are_unchanged(g27poset):
     assert g27poset.default_linear_extension() == [0, 1, 2, 5, 3, 6, 10, 4, 7, 8, 11, 9, 12, 13, 15, 14]
     heights = g27poset.heights
     assert g27poset.default_linear_extension() == sorted(range(16), key=lambda i: (heights[i], i))
+
+
+def test_orientation_from_route_cuts_matches_components():
+    # every route pair, exchanged or not, against the whole-component
+    # reference: the same (sign, brick), or the same error
+    rng = random.Random(23)
+    pairs = 0
+    for _ in range(25):
+        g = complete_contraction(random_valid_dag(rng, rng.randrange(2, 5), expansions=1)).result
+        canonical = [t.framing for t in enumerate_ample_framings(g) if t.canonical]
+        for f in canonical[:3]:
+            t, labels = CoherenceTable(g, f), edge_labeling(g, f)
+            for i, j in itertools.permutations(range(len(t.routes)), 2):
+                try:
+                    want = orient_by_components(g, labels, t.routes[i], t.routes[j])
+                except FlowpolyError as exc:
+                    want = (type(exc), str(exc))
+                try:
+                    got = orient_dual_edge(t, labels, i, j)
+                except FlowpolyError as exc:
+                    got = (type(exc), str(exc))
+                assert got == want
+                pairs += 1
+    assert pairs >= 15_000  # 16,524, of which 4,032 orient, when written

@@ -119,8 +119,8 @@ def test_flip_exchanges_unique_route(g27t):
 
 
 def test_flip_traversal_matches(g27t, core8t):
-    assert maximal_cliques_by_flips(g27t).cliques == maximal_cliques(g27t)
-    assert maximal_cliques_by_flips(core8t).cliques == maximal_cliques(core8t)
+    assert maximal_cliques_by_flips(g27t).relabelled().cliques == maximal_cliques(g27t)
+    assert maximal_cliques_by_flips(core8t).relabelled().cliques == maximal_cliques(core8t)
 
 
 def test_flip_traversal_matches_random():
@@ -129,7 +129,7 @@ def test_flip_traversal_matches_random():
         g = random_full_dag(rng, rng.randrange(2, 5))
         tagged = next(iter(enumerate_ample_framings(g)))
         t = CoherenceTable(g, tagged.framing)
-        assert maximal_cliques_by_flips(t).cliques == maximal_cliques(t)
+        assert maximal_cliques_by_flips(t).relabelled().cliques == maximal_cliques(t)
 
 
 def test_volume_invariance_across_framings(g27h):
@@ -261,7 +261,21 @@ def test_flip_records_match_references(g27h, g27f, core8, core8f, car8h):
     for g, f in _flip_corpus(g27h, g27f, core8, core8f, car8h):
         t = CoherenceTable(g, f)
         cliques = maximal_cliques(t)
-        dual = maximal_cliques_by_flips(t)
+        visits = maximal_cliques_by_flips(t)
+        # visit order: breadth-first from the lexicographically least
+        # clique, each dual edge once, its a holding the pair's smaller route
+        masks = visits.masks
+        assert visits.clique(0) == cliques[0] and len(masks) == len(cliques)
+        assert len(set(map(frozenset, zip(visits.a, visits.b)))) == len(visits.a)
+        for a, b, p in zip(visits.a, visits.b, visits.pair):
+            x = visits.pairs[p]
+            assert masks[a] ^ masks[b] == 1 << x.leaving | 1 << x.entering
+            assert masks[a] >> x.leaving & 1 and x.leaving < x.entering
+        # each later clique was found from its least neighbour, and those
+        # come in visit order
+        first = [min(nb) for nb in neighbors(list(zip(visits.a, visits.b)), len(masks))[1:]]
+        assert first == sorted(first) and all(i <= j for j, i in enumerate(first))
+        dual = visits.relabelled()
         assert dual.cliques == cliques
         assert dual.masks == [sum(1 << i for i in c) for c in cliques]
         assert list(zip(dual.a, dual.b)) == dual_graph(cliques)
@@ -280,6 +294,7 @@ def test_flip_records_match_references(g27h, g27f, core8, core8f, car8h):
             assert (s[0], s[-1], s_in[0], s_in[-1]) == (r[0], r_in[-1], r_in[0], r[-1])
         per_clique = all(verify_unimodular(g, [t.routes[i] for i in c]) for c in cliques)
         assert unimodular_by_exchange(g, t, dual) == per_clique
+        assert unimodular_by_exchange(g, t, visits) == per_clique
         tables += 1
         flips += len(dual.a)
     assert tables >= 600 and flips >= 25_000  # 699 and 30,612 when written
@@ -357,5 +372,5 @@ def test_analyze_decodes_no_clique_tuple(g29h, monkeypatch):
     assert report.ok and report.data["cliques"] == 272
     assert decoded == []
     # the poset's nodes decode on demand, as do the enumeration's cliques
-    assert report.data["poset"].cliques == maximal_cliques(report.table)
+    assert sorted(report.data["poset"].cliques) == maximal_cliques(report.table)
     assert len(decoded) == 2 * 272

@@ -71,11 +71,11 @@ from .triangulation import (
 
 @dataclass
 class Instance:
-    """The stages of the pipeline on the framed DAG (g, f), each built on
-    first use and then kept: `cliques` (sorted route bitmasks) by Bron-
-    Kerbosch, `dual` by the flip traversal.  Fullness is not checked here:
-    `labels` raises `NotFullError`, so `poset` reads them before it
-    enumerates anything, and the clique stages run on any DAG."""
+    """The stages of the pipeline on the framed DAG (g, f), each built on first use
+    and then kept: `cliques` (sorted route bitmasks) by Bron-Kerbosch, `dual` by the
+    flip traversal, whose masks are distinct, so `flips_match` is multiset equality.
+    Fullness is not checked here: `labels` raises `NotFullError`, so `poset` reads
+    them before it enumerates anything, and the clique stages run on any DAG."""
 
     g: Dag
     f: Framing
@@ -89,7 +89,9 @@ class Instance:
     labels = cached_property(lambda self: edge_labeling(self.g, self.f))
     cliques = cached_property(lambda self: clique_masks(self.table, self.max_cliques))
     dual = cached_property(lambda self: maximal_cliques_by_flips(self.table, self.max_cliques))
-    flips_match = cached_property(lambda self: self.cliques == sorted(self.dual.masks))
+    flips_match = cached_property(
+        lambda self: len(self.cliques) == len(self.dual.masks) and set(self.cliques).issuperset(self.dual.masks)
+    )
     quiver = cached_property(lambda self: build_quiver(self.g, self.f, self.labels))
     blossom_quiver = cached_property(lambda self: blossom(self.quiver))
     oracle = cached_property(lambda self: ehrhart_oracle(self.g))

@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from .dag import (
@@ -30,7 +30,7 @@ from .errors import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Framing:
     """Linear orders on the in- and out-edges of each inner vertex."""
 
@@ -545,14 +545,33 @@ def count_ample_framings(
     return count
 
 
-def framing_from_labels(g: Dag, labels: Mapping[EdgeId, int]) -> Framing:
-    """Order every port by its {1,2} edge labels (label 1 first)."""
-    in_order = {}
-    out_order = {}
-    for v in g.inner:
-        in_order[v] = tuple(sorted(g.in_edges[v], key=lambda e: (labels[e], e)))
-        out_order[v] = tuple(sorted(g.out_edges[v], key=lambda e: (labels[e], e)))
-    return Framing(in_order, out_order)
+class _PortTable:
+    """Per edge (e, bit, labels), and per in-port then out-port (v, bit, orders), of a
+    full DAG: labeling `index` takes the first of each pair when its bit is clear (that
+    component is labeled 1 at its smallest edge), else the second.  A port's two edges
+    alternate in one component, so one bit picks its order; other edges are always 1."""
+
+    def __init__(self, g: Dag, decomp: Decomposition):
+        bit_of, pair = {}, dict.fromkeys(g.tail, (1, 1))
+        for bit, comp in enumerate(c for c in decomp.components if c.kind != "source-sink edge"):
+            start = comp.edges.index(min(comp.edges))
+            for i, e in enumerate(comp.edges):
+                bit_of[e], pair[e] = bit, ((1, 2), (2, 1))[(i - start) % 2]
+        self.edges = [(e, bit_of.get(e, 0), pair[e]) for e in sorted(g.tail)]
+        self.ports: tuple[list, list] = ([], [])
+        for side, at in enumerate((g.in_edges, g.out_edges)):
+            for v in g.inner:
+                d, e = at[v]
+                if d not in bit_of or bit_of[d] != bit_of.get(e) or pair[d] == pair[e]:
+                    raise ConsistencyError("port-alternation", f"edges {d}, {e} at {v}")
+                orders = ((d, e), (e, d))
+                self.ports[side].append((v, bit_of[d], orders if pair[d] == (1, 2) else orders[::-1]))
+
+    def labels(self, index: int) -> dict[EdgeId, int]:
+        return {e: pair[index >> bit & 1] for e, bit, pair in self.edges}
+
+    def framing(self, index: int) -> Framing:
+        return Framing(*({v: pair[index >> bit & 1] for v, bit, pair in side} for side in self.ports))
 
 
 @dataclass
@@ -562,46 +581,25 @@ class TaggedFraming:
     Global 1<->2 label swaps give the same triangulation, so each framing
     records the index of its swap partner; `canonical` marks the chosen
     representative of each swap pair (the component holding the smallest
-    edge id is labeled 1 at that edge).
+    edge id is labeled 1 at that edge).  `labels` and `framing` are built
+    from the graph's port table when first read.
     """
 
-    framing: Framing
-    labels: dict[EdgeId, int]
     index: int
     swap_partner: int
     canonical: bool
+    table: _PortTable = field(repr=False, compare=False)
+
+    labels = functools.cached_property(lambda self: self.table.labels(self.index))
+    framing = functools.cached_property(lambda self: self.table.framing(self.index))
 
 
 def enumerate_ample_framings(g: Dag) -> Iterator[TaggedFraming]:
     """All 2^M ample framings of a full DAG via alternating labelings."""
-    if not is_full(g):
-        raise NotFullError("enumeration needs a full DAG")
     decomp = path_cycle_decomposition(g)
-    inner = set(g.inner)
-    live = [c for c in decomp.components if any(v in inner for v in c.vertices)]
-    live.sort(key=lambda c: min(c.edges))
-    rest = [c for c in decomp.components if not any(v in inner for v in c.vertices)]
-    m = len(live)
-    for index in range(1 << m):
-        labels: dict[EdgeId, int] = {}
-        for c in rest:
-            for e in c.edges:
-                labels[e] = 1
-        for bit, comp in enumerate(live):
-            lead = 1 if (index >> bit) & 1 == 0 else 2
-            anchor = min(comp.edges)
-            pos = {e: i for i, e in enumerate(comp.edges)}
-            for e in comp.edges:
-                same_parity = (pos[e] - pos[anchor]) % 2 == 0
-                labels[e] = lead if same_parity else 3 - lead
-        framing = framing_from_labels(g, labels)
-        yield TaggedFraming(
-            framing=framing,
-            labels=labels,
-            index=index,
-            swap_partner=((1 << m) - 1) ^ index,
-            canonical=(index & 1) == 0 if m else True,
-        )
+    table, full = _PortTable(g, decomp), (1 << decomp.m) - 1
+    for index in range(full + 1):
+        yield TaggedFraming(index, full ^ index, not index & 1, table)
 
 
 # -- lifting framings from the full contraction to a valid DAG -------------------

@@ -45,8 +45,8 @@ from flowpoly.framing import (
     CoherenceTable,
     Framing,
     adjacency_graph,
-    framing_from_labels,
     named_framing,
+    path_cycle_decomposition,
 )
 from flowpoly.generators import caracol, caracol_core, gkn
 from flowpoly.poset import TauPoset, orient_dual_edge
@@ -296,6 +296,38 @@ def check_exceptional_set(g: Dag, x: Sequence[Route]) -> ExceptionalSetCheck:
     assert color is not None
     labels = {e: 1 + color[rs[0]] for e, rs in hits.items()}
     return ExceptionalSetCheck(True, None, framing_from_labels(g, labels), adj)
+
+
+def framing_from_labels(g: Dag, labels: Mapping[EdgeId, int]) -> Framing:
+    """Order every port by its {1,2} edge labels (label 1 first)."""
+    in_order = {}
+    out_order = {}
+    for v in g.inner:
+        in_order[v] = tuple(sorted(g.in_edges[v], key=lambda e: (labels[e], e)))
+        out_order[v] = tuple(sorted(g.out_edges[v], key=lambda e: (labels[e], e)))
+    return Framing(in_order, out_order)
+
+
+def ample_framings_reference(g: Dag) -> Iterator[tuple[int, int, bool, dict[EdgeId, int], Framing]]:
+    """(index, swap partner, canonical, labels, framing) per alternating
+    labeling of a full DAG, each built on its own: every live component is
+    labeled from its positions, and every port is sorted by its labels."""
+    inner = set(g.inner)
+    decomp = path_cycle_decomposition(g)
+    live = [c for c in decomp.components if any(v in inner for v in c.vertices)]
+    live.sort(key=lambda c: min(c.edges))
+    rest = [c for c in decomp.components if not any(v in inner for v in c.vertices)]
+    m = len(live)
+    for index in range(1 << m):
+        labels = {e: 1 for c in rest for e in c.edges}
+        for bit, comp in enumerate(live):
+            lead = 1 if (index >> bit) & 1 == 0 else 2
+            pos = {e: i for i, e in enumerate(comp.edges)}
+            for e in comp.edges:
+                same_parity = (pos[e] - pos[min(comp.edges)]) % 2 == 0
+                labels[e] = lead if same_parity else 3 - lead
+        canonical = (index & 1) == 0 if m else True
+        yield index, ((1 << m) - 1) ^ index, canonical, labels, framing_from_labels(g, labels)
 
 
 def build_ranks_reference(table: CoherenceTable) -> tuple[list[dict], list[dict]]:

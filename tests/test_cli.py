@@ -487,3 +487,35 @@ def test_json_output_matches_golden(graph, framing, command):
     )
     assert res.returncode == 0 and res.stderr == b""
     assert res.stdout == (GOLDEN / f"{'-'.join(graph)}_{framing}_{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize("graph", [("car", "10"), ("gkn", "2", "9")])
+def test_framings_enumerate_matches_golden(graph):
+    con = run(["contract"], stdin=run(["gen", *graph]).stdout)
+    res = subprocess.run(
+        CLI + ["framings", "--enumerate"], input=con.stdout.encode(), capture_output=True, timeout=300
+    )
+    assert res.returncode == 0 and res.stderr == b""
+    assert res.stdout == (GOLDEN / f"{'-'.join(graph)}_framings.jsonl").read_bytes()
+
+
+def test_framings_enumerate_builds_only_canonical_framings(tmp_path, monkeypatch):
+    # the swapped half is never printed, so its framings are never built
+    import flowpoly.cli
+    import flowpoly.framing
+    from click.testing import CliRunner
+
+    from flowpoly.dag import complete_contraction, dag_to_json
+    from flowpoly.generators import caracol
+
+    built = []
+    build = flowpoly.framing._PortTable.framing
+    monkeypatch.setattr(
+        flowpoly.framing._PortTable, "framing", lambda table, index: built.append(index) or build(table, index)
+    )
+    path = tmp_path / "car10.json"
+    path.write_text(dag_to_json(complete_contraction(caracol(10)).result))
+    res = CliRunner().invoke(flowpoly.cli.cli, ["framings", "--enumerate", "-i", str(path)])
+    assert res.exit_code == 0, res.output
+    assert len(res.output.splitlines()) == 64
+    assert built == list(range(0, 128, 2))

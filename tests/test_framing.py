@@ -8,6 +8,7 @@ import pytest
 import flowpoly.framing
 from conftest import (
     all_framings,
+    ample_framings_reference,
     build_ranks_reference,
     check_exceptional_set,
     compare_paths_at,
@@ -41,7 +42,7 @@ from flowpoly.framing import (
     path_cycle_decomposition,
     validate_framing,
 )
-from flowpoly.generators import gkn, random_full_dag, random_valid_dag
+from flowpoly.generators import caracol, caracol_core, gkn, random_full_dag, random_valid_dag
 
 # Edge ids of the 13-edge doubled-fan graph (vertices 1..6):
 #   0..3  arcs (2,6) (3,6) (4,6) (5,6)
@@ -340,6 +341,42 @@ def test_enumeration_matches_brute_force():
         brute = {f.key() for f in all_framings(g) if is_ample(g, f)}
         enum = {t.framing.key() for t in enumerate_ample_framings(g)}
         assert brute == enum
+
+
+def test_tagged_framings_match_per_index_reference():
+    # the port table against labeling each component and sorting each port
+    # afresh for every index
+    rng = random.Random(18)
+    graphs = [caracol(8), caracol(10), caracol_core(8), gkn(2, 7), gkn(2, 9)]
+    graphs += [random_valid_dag(rng, rng.randrange(1, 5), expansions=rng.randrange(0, 3)) for _ in range(40)]
+    seen = 0
+    for g in graphs:
+        h = complete_contraction(g).result
+        tagged = list(enumerate_ample_framings(h))
+        reference = list(ample_framings_reference(h))
+        assert len(tagged) == len(reference)
+        for t, (index, partner, canonical, labels, framing) in zip(tagged, reference):
+            assert (t.index, t.swap_partner, t.canonical) == (index, partner, canonical)
+            assert t.labels == labels
+            assert t.framing.key() == framing.key()
+            assert t.framing is t.framing  # built once
+        seen += len(tagged)
+    assert seen >= 500  # 992 when written
+
+
+def test_port_table_refuses_a_port_split_across_components(g27h):
+    from flowpoly.errors import ConsistencyError
+    from flowpoly.framing import Component, Decomposition, _PortTable
+
+    decomp = path_cycle_decomposition(g27h)
+    comp = next(c for c in decomp.components if len(c.edges) > 1)
+    split = [
+        Component(comp.vertices[:2], comp.edges[:1], "path"),
+        Component(comp.vertices[1:], comp.edges[1:], "path"),
+    ]
+    others = [c for c in decomp.components if c is not comp]
+    with pytest.raises(ConsistencyError, match="port-alternation"):
+        _PortTable(g27h, Decomposition(others + split, decomp.m + 1))
 
 
 def test_unique_exceptional_route_per_edge(g27h, g27t):

@@ -181,14 +181,8 @@ def analyze(
         len(exc) == src_deg == snk_deg,
         f"{len(exc)} vs {src_deg}/{snk_deg}",
     )
-    cover: dict[int, int] = {}
-    for i in exc:
-        for e in routes[i]:
-            cover[e] = cover.get(e, 0) + 1
-    report.check(
-        "unique-exceptional-route-per-edge",
-        all(cover.get(e, 0) == 1 for e in g.tail),
-    )
+    simplex = inst.special_simplex
+    report.check("unique-exceptional-route-per-edge", not (simplex.uncovered or simplex.multiply_covered))
     report.check(
         "exceptional-routes-label-constant",
         all(len(set(route_weight(g, labels, routes[i]))) == 1 for i in exc),
@@ -298,8 +292,8 @@ def analyze(
         "ehrhart-finite-differences-vanish",
         finite_differences_vanish(counts, d_poly),
     )
-    report.data["special_simplex"] = inst.special_simplex
-    report.check("exceptionals-form-special-simplex", inst.special_simplex.ok)
+    report.data["special_simplex"] = simplex
+    report.check("exceptionals-form-special-simplex", simplex.ok)
 
     return report
 

@@ -27,7 +27,7 @@ from .dag import (
     enumerate_routes,
     is_full,
 )
-from .errors import ConsistencyError, FlowpolyError, LimitError, NotAmpleError
+from .errors import ConsistencyError, FlowpolyError, LimitError, NotAmpleError, NotValidError
 from .framing import (
     Framing,
     count_ample_framings,
@@ -35,11 +35,11 @@ from .framing import (
     framing_from_json,
     framing_to_json,
     named_framing,
-    path_cycle_decomposition,
+    port_table,
     NAMED_FRAMINGS,
 )
 from .generators import generate, random_valid_dag
-from .triangulation import DEFAULT_MAX_CLIQUES, unimodular_by_exchange, verify_unimodular
+from .triangulation import DEFAULT_MAX_CLIQUES, unimodular_by_exchange
 
 
 def _echo(message: str = "", err: bool = False) -> None:
@@ -178,18 +178,18 @@ def routes(input_path, as_json, max_routes) -> None:
 def framings(input_path, as_json, do_enum) -> None:
     """Count (and optionally enumerate) ample framings of a valid DAG."""
     g = _read_graph(input_path)
-    trace = complete_contraction(g)
-    if not is_full(trace.result):
-        raise click.UsageError("graph is not valid (no full contraction)")
-    if do_enum:
-        if not is_full(g):
-            raise click.UsageError("--enumerate needs a full graph (contract first)")
+    if do_enum and is_full(g):
         for tagged in enumerate_ample_framings(g):
             if tagged.canonical:
                 _echo(framing_to_json(tagged.framing))
         return
-    decomp = path_cycle_decomposition(trace.result)
-    total = count_ample_framings(g, trace, decomp)
+    try:
+        table = port_table(g)
+    except NotValidError:
+        raise click.UsageError("graph is not valid (no full contraction)")
+    if do_enum:
+        raise click.UsageError("--enumerate needs a full graph (contract first)")
+    decomp, total = table.decomposition, count_ample_framings(g, table)
     if as_json:
         _echo(
             json.dumps(
@@ -226,12 +226,10 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
         )
     dg = inst.dual.relabelled()
     cs = dg.cliques  # the enumeration's cliques, decoded in lexicographic order
-    # the exchange certificate flags every clique at once; without it, each
-    # clique gets its own determinant
-    if unimodular_by_exchange(g, table, dg):
-        flags = [True] * len(cs)
-    else:
-        flags = [verify_unimodular(g, [table.routes[i] for i in c]) for c in cs]
+    # the exchange certificate flags every clique at once
+    if not unimodular_by_exchange(g, table, dg):
+        raise ConsistencyError("cliques-unimodular", "the flip exchanges do not certify every clique unimodular")
+    flags = [True] * len(cs)
     pairs = [list(ab) for ab in zip(dg.a, dg.b)]
     if dot_path:
         _write_dot(dot_path, "graph dual {", cs, [f"  n{a} -- n{b};" for a, b in pairs])

@@ -531,47 +531,105 @@ def _check_idle_forest(g: Dag, reach: IdleReachability) -> None:
                 x = step[chain[x][0]]
 
 
-def count_ample_framings(
-    g: Dag, trace: ContractionTrace | None = None, decomposition: Decomposition | None = None
-) -> int:
-    """2^M for a full DAG; for a valid DAG, times the free port orders.  g's
-    contraction `trace` and its result's `decomposition` are made if not given."""
-    plan = _lift_plan(g, trace)
-    m = (decomposition or path_cycle_decomposition(plan.trace.result)).m
-    _check_idle_forest(g, plan.reach)
-    count = 1 << m
-    for _, _, port in plan.free:
-        count *= math.factorial(len(port))
-    return count
-
-
 class _PortTable:
-    """Per edge (e, bit, labels), and per in-port then out-port (v, bit, orders), of a
-    full DAG: labeling `index` takes the first of each pair when its bit is clear (that
-    component is labeled 1 at its smallest edge), else the second.  A port's two edges
-    alternate in one component, so one bit picks its order; other edges are always 1."""
+    """How each alternating labeling of the full contraction frames g.
 
-    def __init__(self, g: Dag, decomp: Decomposition):
-        bit_of, pair = {}, dict.fromkeys(g.tail, (1, 1))
-        for bit, comp in enumerate(c for c in decomp.components if c.kind != "source-sink edge"):
+    Labeling `index` sets one bit per live component of the contraction's
+    `decomposition` (one holding an inner vertex); a clear bit labels that
+    component 1 at its smallest edge.  `edges` lists each contraction edge
+    as (e, bit, labels): its label when the bit is clear, then when it is
+    set ((1, 1) off the live components).  `ports` lists g's in-ports, then
+    its out-ports, in vertex order as (v, bit, orders): labeling `index`
+    takes the first order when its bit is clear, else the second.  A port
+    the contraction pins has two edges that stand, through contracted
+    edges, for edges of one live component with opposite labels, so one
+    bit picks its order.  The `free` ports (out-ports at V1, then in-ports
+    at V2, each in vertex order) and single-edge ports keep ascending ids.
+    Without a `trace` and `reach`, g is full: its own contraction, with no
+    idle edges.
+    """
+
+    def __init__(
+        self,
+        g: Dag,
+        decomposition: Decomposition,
+        trace: ContractionTrace | None = None,
+        reach: IdleReachability | None = None,
+    ):
+        reach = reach or IdleReachability(frozenset(), frozenset())
+        self.decomposition, self.trace, self.reach = decomposition, trace, reach
+        h = trace.result if trace else g
+        bit_of, pair = {}, dict.fromkeys(h.tail, (1, 1))
+        for bit, comp in enumerate(c for c in decomposition.components if c.kind != "source-sink edge"):
             start = comp.edges.index(min(comp.edges))
             for i, e in enumerate(comp.edges):
                 bit_of[e], pair[e] = bit, ((1, 2), (2, 1))[(i - start) % 2]
-        self.edges = [(e, bit_of.get(e, 0), pair[e]) for e in sorted(g.tail)]
+        self.edges = [(e, bit_of.get(e, 0), pair[e]) for e in sorted(h.tail)]
+        self.free = [
+            (v, side, at[v])
+            for side, vs, at in (("out", reach.v1, g.out_edges), ("in", reach.v2, g.in_edges))
+            for v in sorted(vs)
+            if len(at[v]) > 1
+        ]
+        free = {(v, side) for v, side, _ in self.free}
+        contracted = trace.contracted_edges if trace else frozenset()
+
+        def pulled(e: EdgeId, at: Mapping[VertexId, tuple[EdgeId, ...]], end: Mapping[EdgeId, VertexId]):
+            """(bit, labels) of each contraction edge reached from e through
+            contracted edges, stepping from each edge's `end` to its port there."""
+            out, stack = set(), [e]
+            while stack:
+                d = stack.pop()
+                if d in contracted:
+                    stack.extend(at[end[d]])
+                else:
+                    out.add((bit_of.get(d), pair[d]))
+            return out
+
         self.ports: tuple[list, list] = ([], [])
-        for side, at in enumerate((g.in_edges, g.out_edges)):
+        for ports, side, at, end in zip(self.ports, ("in", "out"), (g.in_edges, g.out_edges), (g.tail, g.head)):
             for v in g.inner:
-                d, e = at[v]
-                if d not in bit_of or bit_of[d] != bit_of.get(e) or pair[d] == pair[e]:
-                    raise ConsistencyError("port-alternation", f"edges {d}, {e} at {v}")
-                orders = ((d, e), (e, d))
-                self.ports[side].append((v, bit_of[d], orders if pair[d] == (1, 2) else orders[::-1]))
+                port = at[v]
+                if len(port) == 1 or (v, side) in free:
+                    ports.append((v, 0, (port, port)))
+                    continue
+                sigs = [pulled(e, at, end) for e in port]
+                bit = next(iter(sigs[0]), (None,))[0]
+                first, second = {(bit, (1, 2))}, {(bit, (2, 1))}
+                if sigs not in ([first, second], [second, first]):
+                    raise ConsistencyError("port-alternation", f"edges {', '.join(map(str, port))} at {v}")
+                ports.append((v, bit, (port, port[::-1]) if sigs[0] == first else (port[::-1], port)))
 
     def labels(self, index: int) -> dict[EdgeId, int]:
         return {e: pair[index >> bit & 1] for e, bit, pair in self.edges}
 
-    def framing(self, index: int) -> Framing:
-        return Framing(*({v: pair[index >> bit & 1] for v, bit, pair in side} for side in self.ports))
+    def framing(self, index: int, free: Sequence[tuple[EdgeId, ...]] = ()) -> Framing:
+        """Labeling `index`'s framing of g, with the free ports in the orders
+        `free`, listed as in `self.free` (ascending ids where none is given)."""
+        f = Framing(*({v: orders[index >> bit & 1] for v, bit, orders in side} for side in self.ports))
+        for (v, side, _), order in zip(self.free, free):
+            (f.in_order if side == "in" else f.out_order)[v] = order
+        return f
+
+
+def port_table(g: Dag) -> _PortTable:
+    """The port table of a valid DAG, read off its complete contraction and
+    idle reachability; `NotValidError` unless the contraction is full."""
+    trace = complete_contraction(g)
+    if not is_full(trace.result):
+        raise NotValidError("graph has no full contraction")
+    return _PortTable(g, path_cycle_decomposition(trace.result), trace, idle_reachability(g))
+
+
+def count_ample_framings(g: Dag, table: _PortTable | None = None) -> int:
+    """2^M for a full DAG; for a valid DAG, times the free port orders.  g's
+    port `table` is made if not given."""
+    table = table or port_table(g)
+    _check_idle_forest(g, table.reach)
+    count = 1 << table.decomposition.m
+    for _, _, port in table.free:
+        count *= math.factorial(len(port))
+    return count
 
 
 @dataclass
@@ -602,82 +660,7 @@ def enumerate_ample_framings(g: Dag) -> Iterator[TaggedFraming]:
         yield TaggedFraming(index, full ^ index, not index & 1, table)
 
 
-# -- lifting framings from the full contraction to a valid DAG -------------------
-
-
-@dataclass
-class _LiftPlan:
-    """What lifting a framing of the full contraction to g needs of g alone.
-
-    `ports` lists every port of two or more edges in vertex order (in before
-    out).  A forced port maps each of its edges to the contraction edges it
-    pulls back to; a free port (also listed in `free`) maps to None.
-    """
-
-    trace: ContractionTrace
-    reach: IdleReachability
-    free: list[tuple[VertexId, str, tuple[EdgeId, ...]]]
-    ports: list[tuple[VertexId, str, tuple[EdgeId, ...], dict[EdgeId, frozenset[EdgeId]] | None]]
-
-
-def _lift_plan(g: Dag, trace: ContractionTrace | None = None) -> _LiftPlan:
-    trace = trace or complete_contraction(g)
-    if not is_full(trace.result):
-        raise NotValidError("graph has no full contraction")
-    reach = idle_reachability(g)
-    # free ports: out-ports at V1, then in-ports at V2, each in vertex order
-    free = [
-        (v, side, at[v])
-        for side, vs, at in (("out", reach.v1, g.out_edges), ("in", reach.v2, g.in_edges))
-        for v in sorted(vs)
-        if len(at[v]) > 1
-    ]
-    free_keys = {(v, side) for v, side, _ in free}
-    contracted = trace.contracted_edges
-
-    def pulled(e: EdgeId, at: Mapping[VertexId, tuple[EdgeId, ...]], end: Mapping[EdgeId, VertexId]):
-        """Contraction edges reached from e through contracted edges,
-        stepping from each edge's `end` to the edges at its port there."""
-        out, stack = set(), [e]
-        while stack:
-            d = stack.pop()
-            if d in contracted:
-                stack.extend(at[end[d]])
-            else:
-                out.add(d)
-        return frozenset(out)
-
-    ports = []
-    for v in g.inner:
-        for side, at, end in (("in", g.in_edges, g.tail), ("out", g.out_edges, g.head)):
-            if len(at[v]) > 1:
-                pulls = None if (v, side) in free_keys else {e: pulled(e, at, end) for e in at[v]}
-                ports.append((v, side, at[v], pulls))
-    return _LiftPlan(trace, reach, free, ports)
-
-
-def _lift(
-    g: Dag,
-    plan: _LiftPlan,
-    labels_h: Mapping[EdgeId, int],
-    choices: Mapping[tuple[VertexId, str], Sequence[EdgeId]],
-) -> Framing:
-    """Order every forced port by the labels its edges pull back to, and
-    every free port by `choices` (ascending edge ids when not chosen)."""
-    in_order = {v: g.in_edges[v] for v in g.inner}
-    out_order = {v: g.out_edges[v] for v in g.inner}
-    for v, side, port, pulled in plan.ports:
-        if pulled is None:
-            order = tuple(choices.get((v, side), port))
-            if tuple(sorted(order)) != port:
-                raise BadChoicesError(f"{side}-order at {v} must permute {port}")
-        else:
-            sigs = [{labels_h[d] for d in pulled[e]} for e in port]
-            if any(len(s) != 1 for s in sigs) or len(set(map(min, sigs))) != len(port):
-                raise BadChoicesError(f"{side}-order at {v} is not determined by the contraction")
-            order = tuple(e for _, e in sorted(zip(map(min, sigs), port)))
-        (in_order if side == "in" else out_order)[v] = order
-    return Framing(in_order, out_order)
+# -- framings of valid DAGs --------------------------------------------------------
 
 
 def lift_framing(
@@ -687,36 +670,37 @@ def lift_framing(
 ) -> Framing:
     """Extend an ample framing of the full contraction to the valid DAG g.
 
-    Ports whose order is forced by the contraction labels are filled in;
-    the free ports (out-orders at non-source endpoints of source-reachable
-    idle edges, in-orders at the sink-side mirror) take their order from
-    `choices`, defaulting to ascending edge ids.  The contraction and what
-    each forced port pulls back to come from the per-graph plan that the
-    counter and the enumerator also read.  The lift is always checked to
-    project its exceptional routes onto those of `f_full`.
+    The contraction's labels under `f_full` must be an alternating labeling
+    of g's port table; its index orders every pinned port.  The free ports
+    (out-orders at non-source endpoints of source-reachable idle edges,
+    in-orders at the sink-side mirror) take their order from `choices`,
+    defaulting to ascending edge ids.  The lift is always checked to project
+    its exceptional routes onto those of `f_full`.
     """
-    plan = _lift_plan(g)
-    h = plan.trace.result
-    validate_framing(h, f_full)
-    chosen = {(v, side): order for v, sides in (choices or {}).items() for side, order in sides.items()}
-    f = _lift(g, plan, edge_labeling(h, f_full), chosen)
+    table = port_table(g)
+    h = table.trace.result
+    labels = edge_labeling(h, f_full)
+    index = functools.reduce(operator.or_, (1 << bit for e, bit, pair in table.edges if labels[e] != pair[0]), 0)
+    if table.labels(index) != labels:
+        raise BadChoicesError("the framing's labels are not an alternating labeling of the contraction")
+    free = [tuple((choices or {}).get(v, {}).get(side, port)) for v, side, port in table.free]
+    for (v, side, port), order in zip(table.free, free):
+        if tuple(sorted(order)) != port:
+            raise BadChoicesError(f"{side}-order at {v} must permute {port}")
+    f = table.framing(index, free)
     exc = exceptional_routes(g, f)
-    projected = {plan.trace.project_route(r) for r in exc}
+    projected = {table.trace.project_route(r) for r in exc}
     if projected != set(exceptional_routes(h, f_full)) or len(exc) != len(projected):
         raise BadChoicesError("lift does not preserve the exceptional routes")
     return f
 
 
 def enumerate_ample_framings_valid(g: Dag) -> Iterator[Framing]:
-    """All ample framings of a valid DAG: contraction framings times lifts.
-
-    Contracts g once; each framing is lifted from the contraction's
-    alternating labels and the free port orders.
-    """
-    plan = _lift_plan(g)
-    _check_idle_forest(g, plan.reach)
-    free_keys = [(v, side) for v, side, _ in plan.free]
-    port_perms = [list(itertools.permutations(p)) for _, _, p in plan.free]
-    for tagged in enumerate_ample_framings(plan.trace.result):
+    """All ample framings of a valid DAG from one port table: each alternating
+    labeling of the contraction, in index order, times the free port orders."""
+    table = port_table(g)
+    _check_idle_forest(g, table.reach)
+    port_perms = [list(itertools.permutations(port)) for _, _, port in table.free]
+    for index in range(1 << table.decomposition.m):
         for combo in itertools.product(*port_perms):
-            yield _lift(g, plan, tagged.labels, dict(zip(free_keys, combo)))
+            yield table.framing(index, combo)

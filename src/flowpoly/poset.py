@@ -214,8 +214,8 @@ class TauPoset:
             outs.append(order)
         return outs
 
-    def _positions(self, ext: Sequence[int]) -> list[int]:
-        """Each node's position in `ext`; raise unless `ext` permutes the nodes."""
+    def check_linear_extension(self, ext: Sequence[int]) -> list[int]:
+        """Raise unless `ext` is a linear extension; return each node's position."""
         n = len(self)
         pos = [-1] * n  # the inverse permutation; n entries fill it iff they permute
         for k, v in enumerate(ext):
@@ -223,14 +223,10 @@ class TauPoset:
                 pos[v] = k
         if len(ext) != n or -1 in pos:
             raise NotLinearExtensionError("not a permutation of the nodes")
-        return pos
-
-    def check_linear_extension(self, ext: Sequence[int]) -> list[int]:
-        """Raise unless `ext` is a linear extension; return each node's position."""
-        pos = self._positions(ext)
-        for lo, hi in zip(self.lo, self.hi):
-            if pos[lo] > pos[hi]:
-                raise NotLinearExtensionError(f"{lo} must precede {hi}")
+        at = pos.__getitem__
+        if not all(map(lt, map(at, self.lo), map(at, self.hi))):
+            k = next(k for k, (lo, hi) in enumerate(zip(self.lo, self.hi)) if pos[lo] > pos[hi])
+            raise NotLinearExtensionError(f"{self.lo[k]} must precede {self.hi[k]}")
         return pos
 
     def h_from_shelling(self, ext: Sequence[int]) -> list[int]:
@@ -239,11 +235,7 @@ class TauPoset:
         end must be its upper end (`NotLinearExtensionError` if not): the
         sizes are the down-cover polynomial, and comparing the two checks
         only that `ext` is a linear extension."""
-        pos = self._positions(ext)
-        at = pos.__getitem__
-        if not all(map(lt, map(at, self.lo), map(at, self.hi))):
-            k = next(k for k, (lo, hi) in enumerate(zip(self.lo, self.hi)) if pos[lo] > pos[hi])
-            raise NotLinearExtensionError(f"{self.lo[k]} must precede {self.hi[k]}")
+        self.check_linear_extension(ext)
         return self.dcov_polynomial()
 
     def shelling_agrees(self, extensions: int, seed: int) -> bool:

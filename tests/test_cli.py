@@ -80,7 +80,7 @@ def test_cliques_command():
     assert len(data["dual_edges"]) == 24
 
 
-def test_cliques_flags_come_from_the_exchange_certificate(tmp_path, monkeypatch):
+def test_cliques_flags_come_from_the_exchange_certificate(tmp_path, monkeypatch, capsys):
     import flowpoly.cli
     import flowpoly.triangulation
     from click.testing import CliRunner
@@ -99,12 +99,15 @@ def test_cliques_flags_come_from_the_exchange_certificate(tmp_path, monkeypatch)
     certified = CliRunner().invoke(flowpoly.cli.cli, argv)
     assert certified.exit_code == 0, certified.output
     assert len(volumes) == 1  # the certificate's one determinant
-    # a failed certificate falls back to one determinant per clique
+    # a failed certificate is a consistency failure, with no per-clique determinants
     monkeypatch.setattr(flowpoly.cli, "unimodular_by_exchange", lambda g, t, dual: False)
-    per_clique = CliRunner().invoke(flowpoly.cli.cli, argv)
-    assert per_clique.exit_code == 0, per_clique.output
-    assert len(volumes) == 1 + 16
-    assert per_clique.output == certified.output
+    monkeypatch.setattr(sys, "argv", ["flowpoly", *argv])
+    with pytest.raises(SystemExit) as stop:
+        flowpoly.cli.main()
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("consistency failure: cliques-unimodular")
+    assert len(volumes) == 1
 
 
 def test_analyze_g27_end_to_end():

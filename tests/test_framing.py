@@ -343,12 +343,15 @@ def test_enumeration_matches_brute_force():
         assert brute == enum
 
 
+def _seeded_valid_dags():
+    rng = random.Random(18)
+    return [random_valid_dag(rng, rng.randrange(1, 5), expansions=rng.randrange(0, 3)) for _ in range(40)]
+
+
 def test_tagged_framings_match_per_index_reference():
     # the port table against labeling each component and sorting each port
     # afresh for every index
-    rng = random.Random(18)
-    graphs = [caracol(8), caracol(10), caracol_core(8), gkn(2, 7), gkn(2, 9)]
-    graphs += [random_valid_dag(rng, rng.randrange(1, 5), expansions=rng.randrange(0, 3)) for _ in range(40)]
+    graphs = [caracol(8), caracol(10), caracol_core(8), gkn(2, 7), gkn(2, 9)] + _seeded_valid_dags()
     seen = 0
     for g in graphs:
         h = complete_contraction(g).result
@@ -478,6 +481,23 @@ def test_lift_through_long_idle_chain(g27h):
     assert len(lifts) == count_ample_framings(g) == 8
     f_full = next(enumerate_ample_framings(complete_contraction(g).result)).framing
     assert lift_framing(g, f_full) == lifts[0]
+
+
+def test_lift_reads_one_bit_per_component(car8, g27h):
+    # lifting a contraction framing must land on its own index among the
+    # valid enumeration's framings; a labeling read edge by edge (adding a
+    # component's bit once per edge) lifts most of them to another index
+    lifted = 0
+    for g in [car8, _behind_idle_chain(g27h)] + _seeded_valid_dags():
+        tagged = list(enumerate_ample_framings(complete_contraction(g).result))
+        lifts = list(enumerate_ample_framings_valid(g))
+        per_index = len(lifts) // len(tagged)
+        for t in tagged:
+            f = lift_framing(g, t.framing)
+            assert f == lifts[t.index * per_index]
+            assert is_ample(g, f)
+        lifted += len(tagged)
+    assert lifted >= 500  # 824 when written
 
 
 def test_table_ranks_are_linear_in_route_length(g27h):

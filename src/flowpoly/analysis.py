@@ -11,10 +11,11 @@ determinants differ only in sign.  Shelling restrictions equal the
 down-cover statistics on every linear extension, so that comparison
 checks only the extensions.
 
-The routes' blossom walks are extended once; their kiss table serves the
-gentle block and `build_poset`, which certifies its covers from it: no
-route kisses a coherent one (C1), and across each Hasse edge the entering
-route kisses the leaving one, not back (C2).  The non-kissing order is
+Every stage is keyed by route index; `phi` is None at the exceptional
+routes.  The routes' blossom walks are extended once; their kiss table
+serves the gentle block and `build_poset`, which certifies its covers
+from it: no route kisses a coherent one (C1), and across each Hasse edge
+the entering route kisses the leaving one, not back (C2).  The non-kissing order is
 inclusion of torsion classes (Adachi-Iyama-Reiten 2014; Palu-Pilaud-
 Plamondon 2021), hence transitive, so C1 and C2 rule out implied edges.
 
@@ -22,10 +23,10 @@ Support tau-tilting collections are the maximal cliques of the
 tau-rigidity graph on the objects.  A graph is the union of its maximal
 cliques: two graphs on one vertex set with the same maximal cliques have
 the same edges.  So the collections match the triangulation's cliques iff
-the rigidity rows equal the coherence rows, whose maximal cliques
-`clique_masks` has already enumerated.  `analyze` compares the rows,
-and runs a second enumeration only when they differ, to report how far
-the collections are off.
+the rigidity rows equal the coherence rows on the non-exceptional routes,
+whose maximal cliques `clique_masks` has already enumerated.  `analyze`
+compares the rows, and runs a second enumeration only when they differ,
+to report how far the collections are off.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .triangulation import (
     DEFAULT_MAX_CLIQUES,
     bron_kerbosch,
     clique_masks,
-    mask_members,
     maximal_cliques,
     maximal_cliques_by_flips,
     unimodular_by_exchange,
@@ -97,26 +97,18 @@ class Instance:
     oracle = cached_property(lambda self: ehrhart_oracle(self.g))
 
     @cached_property
-    def phi(self) -> dict:
-        """The object of each non-exceptional route, by route index."""
-        routes, exc = self.table.routes, set(self.table.exceptional_indices)
-        return {i: route_to_module(self.g, self.labels, r) for i, r in enumerate(routes) if i not in exc}
+    def phi(self) -> list:
+        """The object of each route, by route index; None at the exceptional routes."""
+        exc = set(self.table.exceptional_indices)
+        return [None if i in exc else route_to_module(self.g, self.labels, r) for i, r in enumerate(self.table.routes)]
 
-    # the kiss table of the objects, in route order
-    kiss = cached_property(lambda self: object_kisses(self.blossom_quiver, list(self.phi.values())))
-
-    @cached_property
-    def route_kiss(self) -> list[int]:
-        """The kiss table over routes; exceptional routes' rows and columns are 0."""
-        ids, out = list(self.phi), [0] * len(self.table.routes)
-        for i, row in zip(ids, self.kiss):
-            out[i] = sum(1 << ids[j] for j in range(row.bit_length()) if row >> j & 1)
-        return out
+    # the kiss table over routes; exceptional routes' rows and columns are 0
+    kiss = cached_property(lambda self: object_kisses(self.blossom_quiver, self.phi))
 
     @cached_property
     def poset(self):
         labels = self.labels  # before the flip traversal: it raises on a DAG that is not full
-        return build_poset(self.table, self.dual, labels, self.route_kiss)
+        return build_poset(self.table, self.dual, labels, self.kiss)
 
     @cached_property
     def special_simplex(self):
@@ -241,23 +233,25 @@ def analyze(
 
     # gentle algebra
     quiver, phi = inst.quiver, inst.phi
-    non_exc = list(phi)
+    modules = [m for m in phi if m is not None]
     report.check("quiver-gentle", not gentleness_violations(quiver))
-    report.check("blossom-gentle", not gentleness_violations(inst.blossom_quiver.quiver))
+    report.check("blossom-gentle", not gentleness_violations(inst.blossom_quiver))
     objs = objects_t(quiver)
     report.check(
         "objects-match-nonexceptional-routes",
-        len(objs) == len(non_exc),
-        f"{len(objs)} objects vs {len(non_exc)} routes",
+        len(objs) == len(modules),
+        f"{len(objs)} objects vs {len(modules)} routes",
     )
     report.check(
         "route-module-bijection",
-        sorted(map(str, phi.values())) == sorted(map(str, objs))
-        and all(module_to_route(g, labels, m) == routes[i] for i, m in phi.items()),
+        sorted(map(str, modules)) == sorted(map(str, objs))
+        and all(module_to_route(g, labels, m) == r for m, r in zip(phi, routes) if m is not None),
     )
-    # tau-rigidity of the objects in route order, against coherence
-    rigid = rigidity_rows(inst.kiss, list(phi.values()))
-    coherent = [sum(1 << k for k, j in enumerate(non_exc) if adj[i] >> j & 1) for i in non_exc]
+    # tau-rigidity of the routes' objects, against coherence among the
+    # non-exceptional routes
+    rest = full ^ sum(1 << i for i in exc)
+    rigid = rigidity_rows(inst.kiss, phi)
+    coherent = [0 if m is None else row & rest for m, row in zip(phi, adj)]
     report.check("rigidity-matches-coherence", rigid == coherent)
     if rigid == coherent:
         # equal graphs have equal maximal cliques, and `cliques` are
@@ -265,12 +259,10 @@ def analyze(
         same, n_coll = True, len(cliques)
         n_cliques = n_coll
     else:
-        collections = bron_kerbosch(rigid, (1 << len(non_exc)) - 1, max_cliques)
-        exceptional = sum(1 << i for i in exc)
-        clique_sets = {c & ~exceptional for c in cliques}
-        coll_sets = {sum(1 << non_exc[k] for k in mask_members(coll)) for coll in collections}
-        same, n_coll, n_cliques = coll_sets == clique_sets, len(coll_sets), len(clique_sets)
-        del collections, clique_sets, coll_sets  # free them before the oracle
+        collections = set(bron_kerbosch(rigid, rest, max_cliques))
+        clique_sets = {c & rest for c in cliques}
+        same, n_coll, n_cliques = collections == clique_sets, len(collections), len(clique_sets)
+        del collections, clique_sets  # free them before the oracle
     report.check(
         "support-tau-tilting-matches-cliques",
         same,

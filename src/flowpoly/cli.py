@@ -300,6 +300,8 @@ def hstar(input_path, as_json, framing, seed, extensions) -> None:
         _echo(json.dumps({"h": dcov, "shelling_agrees": agree}))
     else:
         _echo(f"h = {dcov} (shelling orders agree: {agree})")
+    if not agree:
+        raise ConsistencyError("shelling-h-matches-dcov", "instance violates the named invariants")
 
 
 @cli.command()

@@ -41,17 +41,21 @@ class Dag:
     @staticmethod
     def build(vertices: Iterable[VertexId], edges: Iterable[tuple[EdgeId, VertexId, VertexId]]) -> "Dag":
         vs = tuple(dict.fromkeys(vertices))
-        es = tuple((int(e), t, h) for e, t, h in edges)
-        g = Dag(vs, es)
+        g = Dag(vs, tuple((e, t, h) for e, t, h in edges))
         g._validate()
         return g
 
     def _validate(self) -> None:
+        for v in self.vertices:
+            if isinstance(v, bool) or not isinstance(v, (int, str)):
+                raise GraphError(f"vertex id {v!r} is neither an int nor a string")
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise GraphError("duplicate vertex ids")
         seen: set[EdgeId] = set()
         for e, t, h in self.edges:
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise GraphError(f"edge id {e!r} is not an int")
             if e in seen:
                 raise GraphError(f"duplicate edge id {e}")
             seen.add(e)
@@ -326,7 +330,7 @@ def dag_from_json(text: str) -> Dag:
     try:
         data = json.loads(text)
         vertices = data["vertices"]
-        edges = [(int(e["id"]), e["tail"], e["head"]) for e in data["edges"]]
+        edges = [(e["id"], e["tail"], e["head"]) for e in data["edges"]]
         return Dag.build(vertices, edges)
     except (ValueError, KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {type(exc).__name__} {exc}") from exc

@@ -85,39 +85,9 @@ class NegativeCoefficientError(FlowpolyError):
     """Recovered h*-vector has a negative entry."""
 
 
-class NotThroughVertexError(FlowpolyError):
-    """Path comparison requested at a vertex the path does not touch."""
-
-
 class ConsistencyError(FlowpolyError):
     """A structural invariant failed; `invariant` names the broken claim."""
 
     def __init__(self, invariant: str, message: str = ""):
         self.invariant = invariant
         super().__init__(f"{invariant}: {message}" if message else invariant)
-
-
-class NoFlipError(ConsistencyError):
-    def __init__(self, message: str = ""):
-        super().__init__("unique-flip-neighbor", message)
-
-
-class NoQualifyingComponentError(ConsistencyError):
-    def __init__(self, message: str = ""):
-        super().__init__("dual-edge-orientation-exists", message)
-
-
-class MultipleQualifyingComponentsError(ConsistencyError):
-    def __init__(self, message: str = ""):
-        super().__init__("dual-edge-orientation-unique", message)
-
-
-class CycleDetectedError(ConsistencyError):
-    def __init__(self, message: str = ""):
-        super().__init__("order-closure-acyclic", message)
-
-
-class NoKappaImageError(ConsistencyError):
-    def __init__(self, message: str = ""):
-        super().__init__("kappa-total", message)
-

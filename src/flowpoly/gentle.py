@@ -298,20 +298,14 @@ def _directed_path(g: Dag, edges: Sequence[EdgeId]) -> list[EdgeId]:
 # -- blossoming ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlossomQuiver:
-    quiver: Quiver
-    base_nodes: tuple[VertexId, ...]
-
-
-def blossom(q: Quiver) -> BlossomQuiver:
+def blossom(q: Quiver) -> Quiver:
     """Extend a gentle quiver so every original node has two arrows each way.
 
     New vertices carry a single arrow; weights of the added arrows are the
     complements of the present ones, which pins down the extended relations
     (weight changes) and keeps the result gentle.
     """
-    next_node = max(q.nodes, default=0) + 1
+    next_node = max((v for v in q.nodes if isinstance(v, int)), default=0) + 1
     next_arrow = max((a.id for a in q.arrows), default=-1) + 1
     arrows = list(q.arrows)
     for v in q.nodes:
@@ -330,8 +324,7 @@ def blossom(q: Quiver) -> BlossomQuiver:
     nodes = tuple(dict.fromkeys(list(q.nodes) + sorted(
         ({a.source for a in arrows} | {a.target for a in arrows}) - set(q.nodes)
     )))
-    bq = Quiver(nodes, tuple(arrows), _weight_relations(arrows))
-    return BlossomQuiver(bq, tuple(q.nodes))
+    return Quiver(nodes, tuple(arrows), _weight_relations(arrows))
 
 
 @dataclass(frozen=True)
@@ -374,14 +367,14 @@ def _extend(q: Quiver, letters: list[Letter]) -> None:
         letters.append(cands[0])
 
 
-def extend_string(bq: BlossomQuiver, obj: StringWord) -> Walk:
-    """Blossom extension: every object becomes a maximal mixed string.
+def extend_string(q: Quiver, obj: StringWord) -> Walk:
+    """Blossom extension in the blossomed quiver `q`: every object becomes a
+    maximal mixed string.
 
     Each end of the seed gets inverse arrows for as long as they extend it;
     a word first gets one arrow there.  The front end is extended as the
     back end of the inverse word, which mirrors letters and their kinds.
     """
-    q = bq.quiver
     if obj.kind == "word":
         letters = list(obj.letters)
     elif obj.kind == "const":  # inverse of one arrow out of v, then the other
@@ -438,52 +431,53 @@ def _windows(w: Walk, enter: int) -> Iterator[tuple[tuple, tuple]]:
                     yield verts[c : d + 1], letters[c:d]
 
 
-def kiss_table(walks: Sequence[Walk]) -> list[int]:
+def kiss_table(walks: Sequence[Walk | None]) -> list[int]:
     """Row i has bit j set iff `obstruction_walks(walks[i], walks[j])` is
     non-empty: every target window of every walk, in both orientations, is
-    hashed once, and row i ORs the hits of walk i's source windows."""
+    hashed once, and row i ORs the hits of walk i's source windows.  A None
+    position has an empty row and an empty column."""
     targets: dict[tuple, int] = {}
     for j, w in enumerate(walks):
-        for key in (*_windows(w, 1), *_windows(w.reversed(), 1)):
-            targets[key] = targets.get(key, 0) | 1 << j
-    return [reduce(or_, [targets.get(k, 0) for k in _windows(w, -1)], 0) for w in walks]
+        if w is not None:
+            for key in (*_windows(w, 1), *_windows(w.reversed(), 1)):
+                targets[key] = targets.get(key, 0) | 1 << j
+    return [0 if w is None else reduce(or_, [targets.get(k, 0) for k in _windows(w, -1)], 0) for w in walks]
 
 
-def tau_rigid_pair(bq: BlossomQuiver, o1: StringWord, o2: StringWord) -> bool:
+def tau_rigid_pair(q: Quiver, o1: StringWord, o2: StringWord) -> bool:
     """No common substring is a target in one extension and a source in the
-    other: the pairwise reference for `rigidity_adjacency`."""
-    w1, w2 = extend_string(bq, o1), extend_string(bq, o2)
+    other: the pairwise reference for `rigidity_rows`."""
+    w1, w2 = extend_string(q, o1), extend_string(q, o2)
     return not (obstruction_walks(w1, w2) or obstruction_walks(w2, w1))
 
 
-def object_kisses(bq: BlossomQuiver, objects: Sequence[StringWord]) -> list[int]:
-    """`kiss_table` of the objects' blossom extensions, each extended once."""
-    return kiss_table([extend_string(bq, o) for o in objects])
+def object_kisses(q: Quiver, objects: Sequence[StringWord | None]) -> list[int]:
+    """`kiss_table` of the objects' extensions in the blossomed quiver `q`,
+    each extended once; a None object stays None."""
+    return kiss_table([None if o is None else extend_string(q, o) for o in objects])
 
 
-def rigidity_rows(kiss: Sequence[int], objects: Sequence[StringWord]) -> list[int]:
+def rigidity_rows(kiss: Sequence[int], objects: Sequence[StringWord | None]) -> list[int]:
     """Tau-rigidity graph of the objects as bitmasks (bit j set on row i iff
     i != j and the pair is tau-rigid), read from the objects' `kiss_table`:
-    a pair is rigid iff neither walk kisses the other."""
+    a pair is rigid iff neither walk kisses the other.  None positions are
+    skipped: their rows and columns are 0."""
     adj = [0] * len(kiss)
-    for i, row in enumerate(kiss):
+    live = [i for i, o in enumerate(objects) if o is not None]
+    for n, i in enumerate(live):
+        row = kiss[i]
         if row >> i & 1:
             raise ConsistencyError(
                 "objects-self-rigid", f"object {objects[i]} is not tau-rigid"
             )
-        for j in range(i + 1, len(kiss)):
+        for j in live[n + 1 :]:
             if not (row >> j & 1 or kiss[j] >> i & 1):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
 
 
-def rigidity_adjacency(bq: BlossomQuiver, objects: Sequence[StringWord]) -> list[int]:
-    """`rigidity_rows` of the objects, extending each string once."""
-    return rigidity_rows(object_kisses(bq, objects), objects)
-
-
-def support_tau_tilting(bq: BlossomQuiver, objects: Sequence[StringWord]) -> list[tuple[int, ...]]:
+def support_tau_tilting(q: Quiver, objects: Sequence[StringWord]) -> list[tuple[int, ...]]:
     """Maximal collections of pairwise tau-rigid objects (as index tuples)."""
-    adj = rigidity_adjacency(bq, objects)
+    adj = rigidity_rows(object_kisses(q, objects), objects)
     return sorted(map(mask_members, bron_kerbosch(adj, (1 << len(objects)) - 1)))

@@ -32,14 +32,7 @@ from operator import lt
 from typing import Iterator, Mapping, Sequence
 
 from .dag import EdgeId, Route
-from .errors import (
-    ConsistencyError,
-    CycleDetectedError,
-    MultipleQualifyingComponentsError,
-    NoKappaImageError,
-    NoQualifyingComponentError,
-    NotLinearExtensionError,
-)
+from .errors import ConsistencyError, NotLinearExtensionError
 from .framing import CoherenceTable
 from .triangulation import Clique, DualGraph
 
@@ -80,10 +73,10 @@ def orient_dual_edge(
         elif pat1 == (1, 2) and pat2 == (2, 1):
             hits.append((-1, v, c1, k))
     if not hits:
-        raise NoQualifyingComponentError(f"no qualifying component for {r1} vs {r2}")
+        raise ConsistencyError("dual-edge-orientation-exists", f"no qualifying component for {r1} vs {r2}")
     if len(hits) > 1:
-        raise MultipleQualifyingComponentsError(
-            f"{len(hits)} qualifying components for {r1} vs {r2}"
+        raise ConsistencyError(
+            "dual-edge-orientation-unique", f"{len(hits)} qualifying components for {r1} vs {r2}"
         )
     sign, v, c1, k = hits[0]
     head, w = table.g.head, [v]
@@ -178,7 +171,7 @@ class TauPoset:
                         next_level.append(hi)
             level = next_level
         if placed != len(self):
-            raise CycleDetectedError("oriented dual graph is not acyclic")
+            raise ConsistencyError("order-closure-acyclic", "oriented dual graph is not acyclic")
         return h
 
     @functools.cached_property
@@ -240,10 +233,14 @@ class TauPoset:
 
     def shelling_agrees(self, extensions: int, seed: int) -> bool:
         """The shelling h-vector equals the down-cover polynomial on the
-        default linear extension and on `extensions` random ones."""
+        default linear extension and on `extensions` random ones; False if
+        one of them is not a linear extension."""
         dcov = self.dcov_polynomial()
         exts = [self.default_linear_extension(), *self.random_linear_extensions(extensions, seed)]
-        return all(self.h_from_shelling(e) == dcov for e in exts)
+        try:
+            return all(self.h_from_shelling(e) == dcov for e in exts)
+        except NotLinearExtensionError:
+            return False
 
     @functools.cached_property
     def kappa(self) -> dict[int, int]:
@@ -272,7 +269,7 @@ class TauPoset:
             out = dict(zip(range(n), map(up_index.__getitem__, down)))
         except KeyError:
             i = next(i for i, key in enumerate(down) if key not in up_index)
-            raise NoKappaImageError(f"node {i} has no kappa image") from None
+            raise ConsistencyError("kappa-total", f"node {i} has no kappa image") from None
         if len(set(out.values())) != len(out):
             raise ConsistencyError("kappa-bijective", "kappa is not injective")
         return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .dag import Dag, Route, flow_dims
-from .errors import CliqueExplosionError, NoFlipError, NotSimplexError
+from .errors import CliqueExplosionError, ConsistencyError, NotSimplexError
 from .framing import CoherenceTable
 
 Clique = tuple[int, ...]  # sorted route indices
@@ -254,7 +254,7 @@ def dual_graph(cliques: Sequence[Clique]) -> list[tuple[int, int]]:
             ridges.setdefault(ridge, []).append(idx)
     for ridge, members in ridges.items():
         if len(members) > 2:
-            raise NoFlipError(f"ridge {ridge} lies in {len(members)} maximal cliques")
+            raise ConsistencyError("unique-flip-neighbor", f"ridge {ridge} lies in {len(members)} maximal cliques")
     return sorted(tuple(sorted(pair)) for pair in ridges.values() if len(pair) == 2)
 
 
@@ -267,11 +267,11 @@ def _exchange(adj: Sequence[int], common: int, route_idx: int) -> int:
     outgoing route and its unique replacement, and the two conflict.
     """
     if not common >> route_idx & 1:
-        raise NoFlipError("clique is not a clique of this coherence table")
+        raise ConsistencyError("unique-flip-neighbor", "clique is not a clique of this coherence table")
     others = common & ~(1 << route_idx)
     if others.bit_count() != 1 or adj[route_idx] & others:
-        raise NoFlipError(
-            f"ridge admits {others.bit_count()} exchanges for route {route_idx}, expected 1"
+        raise ConsistencyError(
+            "unique-flip-neighbor", f"ridge admits {others.bit_count()} exchanges for route {route_idx}, expected 1"
         )
     return others.bit_length() - 1
 
@@ -398,8 +398,8 @@ def unimodular_by_exchange(g: Dag, table: CoherenceTable, dual: DualGraph) -> bo
     two clique masks.  False if a record breaks the argument or that
     determinant is not 1.
     """
-    routes = table.routes
-    vectors = [sum(1 << e for e in r) for r in routes]
+    routes, pos = table.routes, {e: i for i, e in enumerate(g.edge_ids)}
+    vectors = [sum(1 << pos[e] for e in r) for r in routes]  # over edge positions, not ids
     swaps = []  # per pair, the bitmask of its two swaps
     for r, r_in, s, s_in in dual.pairs:
         if s < 0 or s_in < 0:

@@ -33,12 +33,8 @@ from flowpoly.errors import (
     ConsistencyError,
     FramingError,
     FrontierExplosionError,
-    MultipleQualifyingComponentsError,
-    NoFlipError,
-    NoQualifyingComponentError,
     NotFullError,
     NotLinearExtensionError,
-    NotThroughVertexError,
 )
 from flowpoly.framing import (
     AdjacencyGraph,
@@ -236,7 +232,7 @@ def compare_paths_at(
         raise ValueError("side must be 'in' or 'out'")
     for path in (p, q):
         if not path or at[path[0]] != v:
-            raise NotThroughVertexError(f"path does not {end} at {v}")
+            raise ValueError(f"path does not {end} at {v}")
     i = 0
     while i < len(p) and i < len(q) and p[i] == q[i]:
         i += 1
@@ -402,9 +398,9 @@ def orient_by_components(g: Dag, labels, r1: Route, r2: Route) -> tuple[int, tup
         elif pat1 == (1, 2) and pat2 == (2, 1):
             hits.append((-1, w))
     if not hits:
-        raise NoQualifyingComponentError(f"no qualifying component for {r1} vs {r2}")
+        raise ConsistencyError("dual-edge-orientation-exists", f"no qualifying component for {r1} vs {r2}")
     if len(hits) > 1:
-        raise MultipleQualifyingComponentsError(f"{len(hits)} qualifying components for {r1} vs {r2}")
+        raise ConsistencyError("dual-edge-orientation-unique", f"{len(hits)} qualifying components for {r1} vs {r2}")
     return hits[0]
 
 
@@ -435,9 +431,9 @@ def flip(table: CoherenceTable, clique: Clique, route_idx: int) -> tuple[Clique,
     computed locally from the coherence graph: the reference for the
     records of the flip traversal."""
     if route_idx in table.exceptional_indices:
-        raise NoFlipError("exceptional routes are in every maximal clique")
+        raise ConsistencyError("unique-flip-neighbor", "exceptional routes are in every maximal clique")
     if route_idx not in clique:
-        raise NoFlipError("route not in clique")
+        raise ConsistencyError("unique-flip-neighbor", "route not in clique")
     adj = table.adjacency
     ridge = [i for i in clique if i != route_idx]
     common = (1 << len(table.routes)) - 1

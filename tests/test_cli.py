@@ -242,6 +242,92 @@ def test_duplicate_edge_id_exit_code():
     assert "Traceback" not in res.stderr and "duplicate edge id" in res.stderr
 
 
+def main_in_process(monkeypatch, capsys, argv, stdin=""):
+    """Exit code, stdout and stderr of `flowpoly.cli.main` on argv and stdin."""
+    import io
+
+    import flowpoly.cli
+
+    monkeypatch.setattr(sys, "argv", ["flowpoly", *argv])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    try:
+        flowpoly.cli.main()
+        code = 0
+    except SystemExit as stop:
+        code = stop.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_edge_ids_are_never_bit_positions(g27h, monkeypatch, capsys):
+    # the unimodularity certificate builds route vectors over edge
+    # positions, so negative and huge ids stay legal
+    ids = g27h.edge_ids
+    renumber = {ids[0]: -5, ids[-1]: 10**18}
+    edges = [{"id": renumber.get(e, e), "tail": t, "head": h} for e, t, h in g27h.edges]
+    graph = json.dumps({"vertices": list(g27h.vertices), "edges": edges})
+    code, out, err = main_in_process(monkeypatch, capsys, ["cliques", "--json"], graph)
+    data = json.loads(out)
+    assert code == 0 and err == ""
+    assert len(data["cliques"]) == 16 and all(data["unimodular"])
+    code, out, err = main_in_process(monkeypatch, capsys, ["cliques", "--json"], "1 2 -1\n2 3\n")
+    assert code == 0 and json.loads(out)["routes"] == [[-1, 0]]
+
+
+def test_string_vertex_ids_run_the_whole_pipeline(g27h, monkeypatch, capsys):
+    # blossoming adds int vertices beside string ones without comparing them
+    from flowpoly.dag import dag_to_json
+
+    name = {v: f"v{v}" for v in g27h.vertices}
+    edges = [{"id": e, "tail": name[t], "head": name[h]} for e, t, h in g27h.edges]
+    graph = json.dumps({"vertices": list(name.values()), "edges": edges})
+    argv = ["analyze", "--json", "--framing", "paper-g27"]
+    code, out, err = main_in_process(monkeypatch, capsys, argv, graph)
+    assert code == 0 and err == ""
+    assert out == main_in_process(monkeypatch, capsys, argv, dag_to_json(g27h))[1]
+
+
+MALFORMED_IDS = {
+    "infinite edge id": '{"vertices": [1, 2], "edges": [{"id": 1e400, "tail": 1, "head": 2}]}',
+    "fractional edge id": '{"vertices": [1, 2], "edges": [{"id": 0.5, "tail": 1, "head": 2}]}',
+    "boolean edge id": '{"vertices": [1, 2], "edges": [{"id": true, "tail": 1, "head": 2}]}',
+    "string edge id": '{"vertices": [1, 2], "edges": [{"id": "1", "tail": 1, "head": 2}]}',
+    "boolean vertex": '{"vertices": [true, 2], "edges": [{"id": 1, "tail": true, "head": 2}]}',
+    "NaN vertex": '{"vertices": [0, NaN, 2], "edges": [{"id": 0, "tail": 0, "head": NaN}, '
+    '{"id": 1, "tail": NaN, "head": 2}]}',
+}
+
+
+@pytest.mark.parametrize("graph", MALFORMED_IDS.values(), ids=MALFORMED_IDS.keys())
+def test_malformed_ids_are_graph_errors(graph, monkeypatch, capsys):
+    for command in ("routes", "cliques", "analyze"):
+        code, out, err = main_in_process(monkeypatch, capsys, [command], graph)
+        assert code == 1 and out == "", command
+        assert err.startswith("error: ") and " id " in err and "Traceback" not in err, (command, err)
+
+
+def test_failed_shelling_check_is_a_failed_verdict(g27h, monkeypatch, capsys):
+    # a shelling order that is not a linear extension fails the verdict
+    # (exit 2), it is not a usage error
+    import flowpoly.poset
+    from flowpoly.dag import dag_to_json
+
+    draw = flowpoly.poset.TauPoset.random_linear_extensions
+    monkeypatch.setattr(
+        flowpoly.poset.TauPoset,
+        "random_linear_extensions",
+        lambda self, count, seed: [order[::-1] for order in draw(self, count, seed)],
+    )
+    graph = dag_to_json(g27h)
+    code, out, err = main_in_process(monkeypatch, capsys, ["analyze", "--json", "--framing", "paper-g27"], graph)
+    failed = [v["invariant"] for v in json.loads(out)["verdicts"] if not v["ok"]]
+    assert code == 2 and failed == ["shelling-h-matches-dcov"]
+    assert err == "consistency failure: shelling-h-matches-dcov: instance violates the named invariants\n"
+    code, out, err = main_in_process(monkeypatch, capsys, ["hstar", "--json", "--framing", "paper-g27"], graph)
+    assert code == 2 and json.loads(out) == {"h": [1, 7, 7, 1], "shelling_agrees": False}
+    assert err.startswith("consistency failure: shelling-h-matches-dcov")
+
+
 # ordered verdict names of `analyze --json`; scripts rely on them, so they stay fixed
 G27_VERDICTS = [
     "framing-ample",

@@ -21,7 +21,6 @@ from flowpoly.errors import (
     BadChoicesError,
     FramingError,
     InconsistentFramingError,
-    NotThroughVertexError,
     NotValidError,
 )
 from flowpoly.framing import (
@@ -76,7 +75,7 @@ def test_compare_equal_paths(core8, core8f):
 
 
 def test_compare_not_through_vertex(core8, core8f):
-    with pytest.raises(NotThroughVertexError):
+    with pytest.raises(ValueError, match="^path does not end at 5"):
         compare_paths_at(core8, core8f, 5, (6,), (8, 9, 10), "in")
 
 

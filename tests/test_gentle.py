@@ -10,7 +10,7 @@ import flowpoly.framing
 import flowpoly.gentle
 import flowpoly.poset
 import flowpoly.triangulation
-from flowpoly.analysis import analyze
+from flowpoly.analysis import Instance, analyze
 
 from flowpoly.dag import complete_contraction
 from flowpoly.errors import ConsistencyError, ExceptionalRouteError, NotAmpleError
@@ -34,20 +34,21 @@ from flowpoly.gentle import (
     gentleness_violations,
     kiss_table,
     module_to_route,
+    object_kisses,
     obstruction_walks,
     objects_t,
-    rigidity_adjacency,
+    rigidity_rows,
     route_to_module,
     support_tau_tilting,
     tau_rigid_pair,
 )
-from flowpoly.generators import caracol, gkn, random_full_dag, random_valid_dag
+from flowpoly.generators import caracol, caracol_core, gkn, random_full_dag, random_valid_dag
 from flowpoly.triangulation import maximal_cliques
 
 
-def route_word(g, labels, bq, route):
-    """Expected blossom walk of a route: its edges with weight signs."""
-    q = bq.quiver
+def route_word(g, labels, q, route):
+    """Expected walk of a route in the blossomed quiver q: its edges with
+    weight signs."""
     inner = set(g.inner)
     added = [a for a in q.arrows if a.edge is None]
     letters = []
@@ -147,17 +148,17 @@ def test_route_module_inverse_bijection(g27h, g27f, g27t):
 def test_blossom_g27(g27h, g27f):
     q = build_quiver(g27h, g27f)
     bq = blossom(q)
-    assert len(bq.quiver.arrows) == 9
-    assert not gentleness_violations(bq.quiver)
+    assert len(bq.arrows) == 9
+    assert not gentleness_violations(bq)
     for v in q.nodes:
-        assert len(bq.quiver.arrows_into(v)) == 2
-        assert len(bq.quiver.arrows_from(v)) == 2
-    for a in bq.quiver.arrows:
+        assert len(bq.arrows_into(v)) == 2
+        assert len(bq.arrows_from(v)) == 2
+    for a in bq.arrows:
         if a.edge is None:
             blossom_end = a.source if a.source not in q.nodes else a.target
             incident = [
                 b
-                for b in bq.quiver.arrows
+                for b in bq.arrows
                 if blossom_end in (b.source, b.target)
             ]
             assert incident == [a]
@@ -218,11 +219,13 @@ def test_rigidity_rows_missing_an_edge_fail_both_verdicts(g27h, g27f, monkeypatc
     rows_of = flowpoly.analysis.rigidity_rows
 
     def dropped(kiss, objects):
-        # object 0 and its first rigid partner j no longer count as compatible
+        # the first route i with a rigid partner and its first such partner j
+        # no longer count as compatible; exceptional routes have empty rows
         rows = rows_of(kiss, objects)
-        j = (rows[0] & -rows[0]).bit_length() - 1
-        rows[0] &= ~(1 << j)
-        rows[j] &= ~1
+        i = next(i for i, row in enumerate(rows) if row)
+        j = (rows[i] & -rows[i]).bit_length() - 1
+        rows[i] &= ~(1 << j)
+        rows[j] &= ~(1 << i)
         return rows
 
     monkeypatch.setattr(flowpoly.analysis, "rigidity_rows", dropped)
@@ -268,7 +271,7 @@ def test_rigidity_adjacency_matches_pairwise_reference(core8, core8f):
     q = build_quiver(core8, core8f)
     bq = blossom(q)
     objs = objects_t(q)
-    adj = rigidity_adjacency(bq, objs)
+    adj = rigidity_rows(object_kisses(bq, objs), objs)
     for a in range(len(objs)):
         for b in range(len(objs)):
             want = a != b and tau_rigid_pair(bq, objs[a], objs[b])
@@ -303,6 +306,32 @@ def test_kiss_table_matches_pairwise_obstructions(graph, framing):
     walks = framed_walks(g, named_framing(g, framing))
     assert kiss_table_matches_pairwise_reference(walks) > 0
     assert any(kiss_table(walks))  # some pair does kiss
+
+
+@pytest.mark.parametrize(
+    "graph, framing",
+    [
+        (lambda: complete_contraction(gkn(2, 9)).result, "paper-g27"),
+        (lambda: complete_contraction(caracol(8)).result, "length"),
+        (lambda: caracol_core(8), "length"),
+    ],
+    ids=["gkn29", "car8", "carcore8"],
+)
+def test_gentle_block_is_keyed_by_route(graph, framing):
+    # phi, the kiss table and the rigidity rows share the routes' indices;
+    # an exceptional route has no object and an empty row and column
+    g = graph()
+    inst = Instance(g, named_framing(g, framing))
+    phi, kiss, exc = inst.phi, inst.kiss, set(inst.table.exceptional_indices)
+    assert len(phi) == len(kiss) == len(inst.table.routes)
+    assert {i for i, m in enumerate(phi) if m is None} == exc
+    walks = [None if m is None else extend_string(inst.blossom_quiver, m) for m in phi]
+    for i, w in enumerate(walks):
+        for j, v in enumerate(walks):
+            want = w is not None and v is not None and bool(obstruction_walks(w, v))
+            assert bool(kiss[i] >> j & 1) == want, (i, j)
+    rest = sum(1 << i for i, m in enumerate(phi) if m is not None)
+    assert rigidity_rows(kiss, phi) == [0 if m is None else row & rest for m, row in zip(phi, inst.table.adjacency)]
 
 
 def test_kiss_table_matches_pairwise_obstructions_random():
@@ -345,7 +374,7 @@ def test_self_kissing_walk_raises(g27h, g27f, monkeypatch):
         flowpoly.gentle, "extend_string", lambda bq, o: kisser if o is objs[3] else extend(bq, o)
     )
     with pytest.raises(ConsistencyError, match=re.escape(f"objects-self-rigid: object {objs[3]} ")):
-        rigidity_adjacency(bq, objs)
+        rigidity_rows(object_kisses(bq, objs), objs)
 
 
 def test_analyze_computes_each_intermediate_once(g29h, tmp_path, monkeypatch):
@@ -422,20 +451,16 @@ def test_blossom_label_invariance(g27h, g27f):
     """Renaming blossom vertices must not change rigidity outcomes."""
     q = build_quiver(g27h, g27f)
     bq = blossom(q)
-    base = bq.quiver
-    blossom_nodes = [v for v in base.nodes if v not in q.nodes]
+    blossom_nodes = [v for v in bq.nodes if v not in q.nodes]
     shift = {v: v + 100 for v in blossom_nodes}
-    renamed = Quiver(
-        tuple(shift.get(v, v) for v in base.nodes),
+    bq2 = Quiver(
+        tuple(shift.get(v, v) for v in bq.nodes),
         tuple(
             Arrow(a.id, shift.get(a.source, a.source), shift.get(a.target, a.target), a.weight, a.edge)
-            for a in base.arrows
+            for a in bq.arrows
         ),
-        base.relations,
+        bq.relations,
     )
-    from flowpoly.gentle import BlossomQuiver
-
-    bq2 = BlossomQuiver(renamed, bq.base_nodes)
     objs = objects_t(q)
     for a in range(len(objs)):
         for b in range(a, len(objs)):
@@ -454,7 +479,7 @@ def test_gentleness_and_bijection_random():
         q = build_quiver(g, f)
         assert not gentleness_violations(q)
         bq = blossom(q)
-        assert not gentleness_violations(bq.quiver)
+        assert not gentleness_violations(bq)
         t = CoherenceTable(g, f)
         exc = set(t.exceptional_indices)
         non_exc = [i for i in range(len(t.routes)) if i not in exc]

@@ -19,7 +19,7 @@ from conftest import (
 )
 
 from flowpoly.analysis import Instance
-from flowpoly.errors import ConsistencyError, CycleDetectedError, FlowpolyError, NotLinearExtensionError
+from flowpoly.errors import ConsistencyError, FlowpolyError, NotLinearExtensionError
 from flowpoly.dag import complete_contraction
 from flowpoly.framing import CoherenceTable, edge_labeling, framing_by_edge_id, named_framing
 from flowpoly.generators import caracol, caracol_core, gkn, random_full_dag, random_valid_dag
@@ -89,7 +89,7 @@ def test_poset_shape_g27(g27poset):
 
 
 def test_poset_given_labels_match_computed(g27h, g27f, g27t, g27poset):
-    kiss = Instance(g27h, g27f).route_kiss
+    kiss = Instance(g27h, g27f).kiss
     p = build_poset(g27t, maximal_cliques_by_flips(g27t).relabelled(), edge_labeling(g27h, g27f), kiss)
     assert list(p.hasse) == list(g27poset.hasse)
 
@@ -266,7 +266,7 @@ def test_each_exchanged_pair_is_oriented_once(flipped, monkeypatch):
     monkeypatch.setattr(
         flowpoly.poset, "orient_dual_edge", lambda *args: calls.append(args) or orient(*args)
     )
-    build_poset(flipped.table, dual, flipped.labels, flipped.route_kiss)
+    build_poset(flipped.table, dual, flipped.labels, flipped.kiss)
     assert 0 < len(calls) <= len({(rec.leaving, rec.entering) for rec in dual.pairs})
 
 
@@ -278,12 +278,12 @@ def test_orientation_is_antisymmetric(flipped):
 
 
 def test_reversed_edges_and_implied_chords_raise(flipped):
-    t, kiss = flipped.table, flipped.route_kiss
+    t, kiss = flipped.table, flipped.kiss
     cliques = [(i,) for i in range(3)]
     chain = [(0, 1, (1,)), (1, 2, (2,))]
     # a chain closed by its reversed chord is a cycle
     cyclic = poset_from_hasse(cliques, chain + [(2, 0, (3,))])
-    with pytest.raises(CycleDetectedError):
+    with pytest.raises(ConsistencyError, match="^order-closure-acyclic"):
         cyclic.topological_nodes
     # reversing any one lo/hi pair of a real poset leaves an implied edge,
     # and the first one found is the one the dict-based sweep finds; the
@@ -335,7 +335,7 @@ def test_reversed_edges_and_implied_chords_raise(flipped):
 
 
 def test_flipped_kiss_bits_raise(flipped):
-    t, dual, p, kiss = flipped.table, flipped.dual, flipped.poset, flipped.route_kiss
+    t, dual, p, kiss = flipped.table, flipped.dual, flipped.poset, flipped.kiss
     _certify_covers(p, kiss, t.adjacency)
     for ex in dual.pairs[::5]:
         r, s = ex.leaving, ex.entering
@@ -401,7 +401,7 @@ def test_kissing_order_is_the_closure():
     for g, f in kissing_instances():
         f = f or framing_by_edge_id(g)
         inst = Instance(g, f)
-        t, p, kiss = inst.table, inst.poset, inst.route_kiss
+        t, p, kiss = inst.table, inst.poset, inst.kiss
         assert_transitively_reduced(p)
         for u, row in enumerate(kiss):
             assert not row & (t.adjacency[u] | 1 << u)

@@ -357,12 +357,11 @@ def test_exceptional_row_losing_a_bit_fails_the_verdict(g27h, g27f, monkeypatch)
 def test_analyze_decodes_no_clique_tuple(g29h, monkeypatch):
     # both enumerations keep cliques as bitmasks, and every verdict reads
     # those; a route tuple is decoded only for output
-    import flowpoly.analysis
     import flowpoly.gentle
 
     decoded = []
     members = flowpoly.triangulation.mask_members
-    for mod in (flowpoly.triangulation, flowpoly.analysis, flowpoly.gentle):
+    for mod in (flowpoly.triangulation, flowpoly.gentle):
         monkeypatch.setattr(mod, "mask_members", lambda mask: decoded.append(mask) or members(mask))
     clique = flowpoly.triangulation.DualGraph.clique
     monkeypatch.setattr(

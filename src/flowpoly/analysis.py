@@ -208,7 +208,7 @@ def analyze(
     poset = inst.poset
     report.data["poset"] = poset
     n_inner = len(g.inner)
-    dcovs, ucovs = list(map(len, poset.downs)), list(map(len, poset.ups))
+    dcovs, ucovs = poset.down_degrees, poset.up_degrees
     report.check(
         "dual-graph-regular",
         set(map(add, dcovs, ucovs)) <= {n_inner},

@@ -98,7 +98,7 @@ def _resolve_framing(g: Dag, spec: str) -> Framing:
         text = Path(spec).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"framing {spec!r} is neither a name nor a readable file: {exc}")
-    return framing_from_json(text)
+    return framing_from_json(g, text)
 
 
 input_opt = click.option("--input", "-i", "input_path", default=None, help="graph file (default stdin)")

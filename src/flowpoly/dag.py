@@ -1,6 +1,6 @@
 """Directed acyclic multigraph model: routes, idle edges, contraction.
 
-Edges carry stable integer ids.  Everything downstream (framings, routes,
+Edges carry stable integer ids.  Every later stage (framings, routes,
 characteristic vectors) is expressed over edge ids, never endpoint pairs,
 because contraction and the caracol family produce parallel edges.
 """
@@ -49,6 +49,8 @@ class Dag:
         for v in self.vertices:
             if isinstance(v, bool) or not isinstance(v, (int, str)):
                 raise GraphError(f"vertex id {v!r} is neither an int nor a string")
+        if len({isinstance(v, str) for v in self.vertices}) > 1:
+            raise GraphError("vertex ids mix ints and strings")
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise GraphError("duplicate vertex ids")

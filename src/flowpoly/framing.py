@@ -3,8 +3,8 @@
 A framing is a pair of linear orders (on the in-edges and the out-edges) at
 every inner vertex.  It induces a total order on the maximal paths into and
 out of each vertex; two routes conflict at a shared inner vertex when those
-orders disagree, and the coherence relation this defines drives everything
-downstream (cliques, the triangulation, the poset).
+orders disagree, and the coherence relation this defines drives every
+later stage (cliques, the triangulation, the poset).
 """
 
 from __future__ import annotations
@@ -85,15 +85,25 @@ def framing_to_json(f: Framing) -> str:
     )
 
 
-def framing_from_json(text: str) -> Framing:
+def framing_from_json(g: Dag, text: str) -> Framing:
+    """The framing of g written by `framing_to_json`: each key is `str(v)`
+    for an inner vertex v of g, each order a list of int edge ids."""
     try:
         data = json.loads(text)
-        return Framing(
-            {int(v): tuple(o) for v, o in data["in_order"].items()},
-            {int(v): tuple(o) for v, o in data["out_order"].items()},
-        )
+        sides = [[(key, tuple(o)) for key, o in data[side].items()] for side in ("in_order", "out_order")]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FramingError(f"malformed framing JSON: {type(exc).__name__} {exc}") from exc
+    inner = {str(v): v for v in g.inner}
+    in_order: dict[VertexId, tuple[EdgeId, ...]] = {}
+    out_order: dict[VertexId, tuple[EdgeId, ...]] = {}
+    for orders, side in zip((in_order, out_order), sides):
+        for key, o in side:
+            if key not in inner:
+                raise FramingError(f"framing names {key!r}, which is not an inner vertex")
+            if not all(type(e) is int for e in o):
+                raise FramingError(f"order at vertex {key!r} holds an edge id that is not an int: {list(o)}")
+            orders[inner[key]] = o
+    return Framing(in_order, out_order)
 
 
 # -- coherence ----------------------------------------------------------------

@@ -29,9 +29,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from operator import lt
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .dag import EdgeId, Route
+from .dag import EdgeId
 from .errors import ConsistencyError, NotLinearExtensionError
 from .framing import CoherenceTable
 from .triangulation import Clique, DualGraph
@@ -105,11 +105,10 @@ class TauPoset:
     """Oriented dual graph with brick labels; nodes are clique indices.
 
     Hasse edge k runs from lo[k] up to hi[k] and carries the brick
-    bricks[brick[k]]; each brick is interned once.  The columns are indexed
-    once into per-node cover lists, which the order, linear extensions and
-    kappa walk."""
+    bricks[brick[k]]; each brick is interned once.  Beside these columns
+    the poset keeps only each node's upper covers (`ups`), which Kahn's
+    sweep reads, and its cover counts each way as int lists."""
 
-    routes: list[Route]
     lo: Sequence[int]
     hi: Sequence[int]
     brick: Sequence[int]
@@ -128,84 +127,64 @@ class TauPoset:
     def __len__(self) -> int:
         return len(self.dual.masks)
 
-    def _by_node(self, ends: Sequence[int], values: Sequence[int]) -> list[list[int]]:
-        """Per node, values[k] of every Hasse edge k with the node at ends[k]."""
+    @functools.cached_property
+    def ups(self) -> list[list[int]]:
+        """Each node's upper covers, in Hasse edge order."""
         out: list[list[int]] = [[] for _ in range(len(self))]
-        for node, value in zip(ends, values):
-            out[node].append(value)
+        for lo, hi in zip(self.lo, self.hi):
+            out[lo].append(hi)
         return out
 
-    ups = functools.cached_property(lambda self: self._by_node(self.lo, self.hi))  # upper covers
-    downs = functools.cached_property(lambda self: self._by_node(self.hi, self.lo))  # lower covers
+    @functools.cached_property
+    def down_degrees(self) -> list[int]:
+        """Each node's number of lower covers."""
+        count = Counter(self.hi)
+        return [count[node] for node in range(len(self))]
 
-    def dcov(self, node: int) -> int:
-        return len(self.downs[node])
-
-    def ucov(self, node: int) -> int:
-        return len(self.ups[node])
-
-    _dcov = functools.cached_property(lambda self: Counter(map(len, self.downs)))  # nodes by dcov
+    up_degrees = functools.cached_property(lambda self: list(map(len, self.ups)))
+    _dcov = functools.cached_property(lambda self: Counter(self.down_degrees))  # nodes by down-degree
 
     def dcov_polynomial(self) -> list[int]:
         """Coefficient i counts nodes covering exactly i elements."""
         return [self._dcov[k] for k in range(max(self._dcov, default=0) + 1)]
 
-    @functools.cached_property
-    def heights(self) -> list[int]:
-        """Each node's longest chain down to a minimal node, by Kahn's pass one
-        level at a time: a node becomes ready in the level after that of its
-        last placed lower cover, which is its highest one."""
-        indeg = list(map(len, self.downs))
-        ups, h = self.ups, [0] * len(self)
-        level = [i for i, d in enumerate(indeg) if not d]
-        placed = height = 0
-        while level:
-            placed += len(level)
-            height += 1
-            next_level = []
-            for v in level:
-                for hi in ups[v]:
-                    indeg[hi] -= 1
-                    if not indeg[hi]:
-                        h[hi] = height
-                        next_level.append(hi)
-            level = next_level
-        if placed != len(self):
-            raise ConsistencyError("order-closure-acyclic", "oriented dual graph is not acyclic")
-        return h
-
-    @functools.cached_property
-    def topological_nodes(self) -> list[int]:
-        """Nodes by (height, index): a stable sort on the height alone."""
-        return sorted(range(len(self)), key=self.heights.__getitem__)
-
-    def default_linear_extension(self) -> list[int]:
-        return list(self.topological_nodes)
-
-    def random_linear_extensions(self, count: int, seed: int) -> list[list[int]]:
-        """Each step takes a ready node by `randrange`, inlined."""
-        getrandbits = random.Random(seed).getrandbits
-        ups = self.ups
-        indeg0 = list(map(len, self.downs))
-        outs = []
-        for _ in range(count):
-            indeg = indeg0[:]
-            ready = [i for i, d in enumerate(indeg) if not d]
-            order: list[int] = []
-            while ready:
+    def _sweep(self, getrandbits: Callable[[int], int] | None = None) -> list[int]:
+        """Kahn's sweep (Kahn, CACM 1962): place a ready node, one whose lower
+        covers are all placed, until none is left.  It takes the last ready
+        node, or with `getrandbits` one drawn as `randrange` draws, inlined."""
+        ups, indeg = self.ups, self.down_degrees[:]
+        ready = [node for node, d in enumerate(indeg) if not d]
+        order: list[int] = []
+        while ready:
+            if getrandbits is None:
+                v = ready.pop()
+            else:
                 n = len(ready)
                 k = n.bit_length()
                 r = getrandbits(k)
                 while r >= n:
                     r = getrandbits(k)
                 v = ready.pop(r)
-                order.append(v)
-                for hi in ups[v]:
-                    indeg[hi] -= 1
-                    if not indeg[hi]:
-                        ready.append(hi)
-            outs.append(order)
-        return outs
+            order.append(v)
+            for hi in ups[v]:
+                indeg[hi] -= 1
+                if not indeg[hi]:
+                    ready.append(hi)
+        if len(order) != len(self):
+            raise ConsistencyError("order-closure-acyclic", "oriented dual graph is not acyclic")
+        return order
+
+    _default_order = functools.cached_property(lambda self: self._sweep())
+
+    def default_linear_extension(self) -> list[int]:
+        """The sweep taking the last ready node, run once: `build_poset` reads
+        it as its acyclicity check."""
+        return list(self._default_order)
+
+    def random_linear_extensions(self, count: int, seed: int) -> list[list[int]]:
+        """`count` sweeps drawing from one `random.Random(seed)`."""
+        getrandbits = random.Random(seed).getrandbits
+        return [self._sweep(getrandbits) for _ in range(count)]
 
     def check_linear_extension(self, ext: Sequence[int]) -> list[int]:
         """Raise unless `ext` is a linear extension; return each node's position."""
@@ -245,8 +224,9 @@ class TauPoset:
     @functools.cached_property
     def kappa(self) -> dict[int, int]:
         """Node whose up-brick set equals the argument's down-brick set, so
-        dcov(i) == ucov(kappa[i]) by construction.  Cover labels at a node
-        form a semibrick, so a node's bricks each way are distinct."""
+        down_degrees[i] == up_degrees[kappa[i]] by construction.  Cover
+        labels at a node form a semibrick, so a node's bricks each way are
+        distinct."""
         n, bits = len(self), [1 << w for w in range(len(self.bricks))]
         up, down = [0] * n, [0] * n
         for lo, hi, w in zip(self.lo, self.hi, self.brick):
@@ -274,9 +254,6 @@ class TauPoset:
             raise ConsistencyError("kappa-bijective", "kappa is not injective")
         return out
 
-    def covers(self, lo: int, hi: int) -> bool:
-        return lo in self.downs[hi]
-
 
 def build_poset(
     table: CoherenceTable,
@@ -288,7 +265,6 @@ def build_poset(
     each pair of `dual.pairs` once by the edge `labels`, and certify the
     result as its own Hasse diagram from the routes' `kiss` rows (module
     docstring)."""
-    routes = table.routes
     brick_ids: dict[Brick, int] = {}
     # per pair: does the clique that holds `leaving` (a record's a) sit
     # above, and the pair's brick id
@@ -300,8 +276,8 @@ def build_poset(
     lo = tuple([b if a_above[p] else a for a, b, p in zip(dual.a, dual.b, dual.pair)])
     hi = tuple([a if a_above[p] else b for a, b, p in zip(dual.a, dual.b, dual.pair)])
     brick = tuple(map(brick_of.__getitem__, dual.pair))
-    poset = TauPoset(list(routes), lo, hi, brick, list(brick_ids), dual)
-    poset.topological_nodes  # acyclicity check
+    poset = TauPoset(lo, hi, brick, list(brick_ids), dual)
+    poset._default_order  # acyclicity check
     _certify_covers(poset, kiss, table.adjacency)
     return poset
 

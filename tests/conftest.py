@@ -474,7 +474,7 @@ def poset_from_hasse(
     brick = array("i", [ids.setdefault(w, len(ids)) for _, _, w in hasse])
     lo = array("i", [lo for lo, _, _ in hasse])
     hi = array("i", [hi for _, hi, _ in hasse])
-    return TauPoset([], lo, hi, brick, list(ids), dual)
+    return TauPoset(lo, hi, brick, list(ids), dual)
 
 
 def all_framings(g: Dag) -> Iterator[Framing]:
@@ -526,7 +526,7 @@ def implied_edge_reference(p: TauPoset) -> tuple[int, int, int] | None:
     for lo, hi, _ in p.hasse:
         up[lo].append(hi)
     above: dict[int, int] = {}
-    for node in reversed(p.topological_nodes):
+    for node in reversed(p.default_linear_extension()):
         for hi in up[node]:
             for mid in up[node]:
                 if mid != hi and above[mid] >> hi & 1:
@@ -545,8 +545,8 @@ def assert_transitively_reduced(p: TauPoset) -> None:
     # a node's set is dropped once every node it covers has read it, so only
     # the sweep's frontier is held
     above = [0] * len(p.cliques)
-    unread = list(map(len, p.downs))
-    for node in reversed(p.topological_nodes):
+    unread = p.down_degrees[:]
+    for node in reversed(p.default_linear_extension()):
         ups = p.ups[node]
         mask = 0
         for hi in ups:
@@ -569,7 +569,7 @@ def strictly_above(p: TauPoset) -> list[int]:
     """Each node's strict up-set in the transitive closure of the Hasse
     edges, as a bitmask of nodes (for small posets only)."""
     above = [0] * len(p.cliques)
-    for node in reversed(p.topological_nodes):
+    for node in reversed(p.default_linear_extension()):
         for hi in p.ups[node]:
             above[node] |= 1 << hi | above[hi]
     return above

@@ -274,17 +274,65 @@ def test_edge_ids_are_never_bit_positions(g27h, monkeypatch, capsys):
     assert code == 0 and json.loads(out)["routes"] == [[-1, 0]]
 
 
+def renamed(g, name):
+    """Graph JSON of g with each vertex v renamed name(v)."""
+    edges = [{"id": e, "tail": name(t), "head": name(h)} for e, t, h in g.edges]
+    return json.dumps({"vertices": [name(v) for v in g.vertices], "edges": edges})
+
+
 def test_string_vertex_ids_run_the_whole_pipeline(g27h, monkeypatch, capsys):
     # blossoming adds int vertices beside string ones without comparing them
     from flowpoly.dag import dag_to_json
 
-    name = {v: f"v{v}" for v in g27h.vertices}
-    edges = [{"id": e, "tail": name[t], "head": name[h]} for e, t, h in g27h.edges]
-    graph = json.dumps({"vertices": list(name.values()), "edges": edges})
+    graph = renamed(g27h, "v{}".format)
     argv = ["analyze", "--json", "--framing", "paper-g27"]
     code, out, err = main_in_process(monkeypatch, capsys, argv, graph)
     assert code == 0 and err == ""
     assert out == main_in_process(monkeypatch, capsys, argv, dag_to_json(g27h))[1]
+
+
+def test_string_id_framing_file_round_trips(g27h, tmp_path, monkeypatch, capsys):
+    graph = renamed(g27h, "v{}".format)
+    code, out, err = main_in_process(monkeypatch, capsys, ["framings", "--enumerate"], graph)
+    assert code == 0 and err == ""
+    path = tmp_path / "framing.json"
+    path.write_text(out.splitlines()[0])
+    code, out, err = main_in_process(monkeypatch, capsys, ["analyze", "--json", "--framing", str(path)], graph)
+    assert code == 0 and err == ""
+    assert all(v["ok"] for v in json.loads(out)["verdicts"])
+
+
+@pytest.mark.parametrize(
+    "key, order", [("03", [1, 6]), ("v9", [1, 6]), ("3", ["x", 6]), ("3", [None, 6]), ("3", [[1], 6]),
+                   ("3", [{}, 6]), ("3", [True, 6])]
+)
+def test_malformed_framing_files_exit_1(g27h, tmp_path, monkeypatch, capsys, key, order):
+    from flowpoly.dag import dag_to_json
+    from flowpoly.framing import framing_to_json, named_framing
+
+    data = json.loads(framing_to_json(named_framing(g27h, "by-id")))
+    del data["in_order"]["3"]
+    data["in_order"][key] = order
+    path = tmp_path / "framing.json"
+    path.write_text(json.dumps(data))
+    graph = dag_to_json(g27h)
+    for command in ("cliques", "poset", "hstar", "oracle", "analyze"):
+        code, out, err = main_in_process(monkeypatch, capsys, [command, "--framing", str(path)], graph)
+        assert code == 1 and out == "", command
+        assert err.startswith("error: ") and repr(key) in err and "Traceback" not in err, (command, err)
+
+
+def test_mixed_vertex_ids_are_graph_errors(g27h, monkeypatch, capsys):
+    # ids are compared (contraction keeps the smaller end), so int and
+    # string ids never share a graph
+    graph = renamed(g27h, lambda v: "x" if v == 4 else v)
+    path = json.dumps(
+        {"vertices": [1, "a", 3], "edges": [{"id": 0, "tail": 1, "head": "a"}, {"id": 1, "tail": "a", "head": 3}]}
+    )
+    runs = [("analyze", graph), ("cliques", graph), ("poset", graph), ("contract", path), ("framings", path)]
+    for command, text in runs:
+        code, out, err = main_in_process(monkeypatch, capsys, [command], text)
+        assert (code, out, err) == (1, "", "error: vertex ids mix ints and strings\n"), command
 
 
 MALFORMED_IDS = {

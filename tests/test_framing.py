@@ -1,3 +1,4 @@
+import json
 import random
 import timeit
 from collections import Counter
@@ -155,8 +156,34 @@ def test_framing_validation(core8):
         validate_framing(core8, Framing({}, {}))
 
 
-def test_framing_json_round_trip(core8f):
-    assert framing_from_json(framing_to_json(core8f)).key() == core8f.key()
+def test_framing_json_round_trip(core8, core8f):
+    assert framing_from_json(core8, framing_to_json(core8f)).key() == core8f.key()
+
+
+def test_framing_json_keys_name_the_graphs_vertices(core8, core8f):
+    # keys are str(v) of an inner vertex, for string ids too; any other
+    # spelling names no vertex
+    name = {v: f"v{v}" for v in core8.vertices}
+    g = Dag.build(name.values(), [(e, name[t], name[h]) for e, t, h in core8.edges])
+    f = Framing(
+        {name[v]: o for v, o in core8f.in_order.items()}, {name[v]: o for v, o in core8f.out_order.items()}
+    )
+    assert framing_from_json(g, framing_to_json(f)).key() == f.key()
+    v = min(core8.inner)
+    with pytest.raises(FramingError, match=f"^framing names '{v}', which is not an inner vertex$"):
+        framing_from_json(g, framing_to_json(core8f))
+    text = framing_to_json(core8f).replace(f'"{v}"', f'"0{v}"', 1)
+    with pytest.raises(FramingError, match=f"^framing names '0{v}', which is not an inner vertex$"):
+        framing_from_json(core8, text)
+
+
+@pytest.mark.parametrize("bad", ["x", None, [1], {}, True, 1.0])
+def test_framing_json_edge_ids_are_ints(core8, core8f, bad):
+    data = json.loads(framing_to_json(core8f))
+    v = str(min(core8.inner))
+    data["out_order"][v][0] = bad
+    with pytest.raises(FramingError, match=f"^order at vertex '{v}' holds an edge id that is not an int: "):
+        framing_from_json(core8, json.dumps(data))
 
 
 def test_check_exceptional_set_negative(core8):

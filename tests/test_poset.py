@@ -126,25 +126,26 @@ def test_kappa_figure_instance(g27t, g27poset):
     d2 = clique_index(g27t, cliques, {R_2112, R_2111, R_212})
     d3 = clique_index(g27t, cliques, {R_1112, R_112, R_212})
     d4 = clique_index(g27t, cliques, {R_1112, R_2119, R_2112})
-    assert p.covers(d2, d1)
+    covers = set(zip(p.lo, p.hi))
+    assert (d2, d1) in covers
     assert p.kappa[d1] == d3
     assert p.kappa[d2] == d4
-    assert not p.covers(d4, d3)
+    assert (d4, d3) not in covers
     # hence kappa is not order-preserving on this poset
-    assert not all(p.covers(p.kappa[lo], p.kappa[hi]) for lo, hi, _ in p.hasse)
+    assert not all((p.kappa[lo], p.kappa[hi]) in covers for lo, hi, _ in p.hasse)
 
 
 def test_kappa_statistics(g27poset):
     p = g27poset
     for i, j in p.kappa.items():
-        assert p.dcov(i) == p.ucov(j)
+        assert p.down_degrees[i] == p.up_degrees[j]
     assert sorted(p.kappa.values()) == list(range(16))
 
 
 def test_kappa_max_to_min(g27poset):
     p = g27poset
-    (top,) = [i for i in range(16) if p.ucov(i) == 0]
-    (bottom,) = [i for i in range(16) if p.dcov(i) == 0]
+    (top,) = [i for i in range(16) if p.up_degrees[i] == 0]
+    (bottom,) = [i for i in range(16) if p.down_degrees[i] == 0]
     assert p.kappa[top] == bottom
 
 
@@ -176,7 +177,7 @@ def test_poset_regular_random():
         assert dcov == dcov[::-1]
         assert len(dcov) == n + 1 and dcov[0] == 1 and dcov[-1] == 1
         for i in range(len(p.cliques)):
-            assert p.dcov(i) + p.ucov(i) == n
+            assert p.down_degrees[i] + p.up_degrees[i] == n
         for ext in p.random_linear_extensions(5, seed=1):
             assert p.h_from_shelling(ext) == dcov
 
@@ -284,7 +285,7 @@ def test_reversed_edges_and_implied_chords_raise(flipped):
     # a chain closed by its reversed chord is a cycle
     cyclic = poset_from_hasse(cliques, chain + [(2, 0, (3,))])
     with pytest.raises(ConsistencyError, match="^order-closure-acyclic"):
-        cyclic.topological_nodes
+        cyclic.default_linear_extension()
     # reversing any one lo/hi pair of a real poset leaves an implied edge,
     # and the first one found is the one the dict-based sweep finds; the
     # kissing certificate sees the leaving route kiss the entering one
@@ -461,9 +462,16 @@ def test_seeded_extensions_are_unchanged(g27poset):
         [0, 2, 5, 6, 10, 8, 9, 1, 3, 11, 7, 4, 12, 15, 13, 14],
         [0, 5, 1, 2, 10, 3, 8, 4, 6, 7, 9, 11, 12, 15, 13, 14],
     ]
-    assert g27poset.default_linear_extension() == [0, 1, 2, 5, 3, 6, 10, 4, 7, 8, 11, 9, 12, 13, 15, 14]
-    heights = g27poset.heights
-    assert g27poset.default_linear_extension() == sorted(range(16), key=lambda i: (heights[i], i))
+    # the default sweep takes the last ready node
+    assert g27poset.default_linear_extension() == [0, 5, 6, 2, 10, 8, 9, 1, 7, 3, 11, 13, 4, 12, 15, 14]
+
+
+def test_cover_degrees_and_default_extension_follow_the_hasse_edges(flipped):
+    p = flipped.poset
+    hasse = list(p.hasse)
+    assert p.down_degrees == [sum(hi == node for _, hi, _ in hasse) for node in range(len(p))]
+    assert p.up_degrees == [sum(lo == node for lo, _, _ in hasse) for node in range(len(p))]
+    p.check_linear_extension(p.default_linear_extension())
 
 
 def test_orientation_from_route_cuts_matches_components():

@@ -58,7 +58,7 @@ from .gentle import (
     route_to_module,
 )
 from .poset import build_poset
-# maximal_cliques stays bound here for perfbench, whose tracer test reads it
+# maximal_cliques stays bound here: perfbench/test_perfbench.py reads analysis.maximal_cliques
 from .triangulation import (
     DEFAULT_MAX_CLIQUES,
     bron_kerbosch,
@@ -85,7 +85,7 @@ class Instance:
     table = cached_property(
         lambda self: CoherenceTable(self.g, self.f, enumerate_routes(self.g, self.max_routes))
     )
-    ample = cached_property(lambda self: is_ample(self.g, self.f, self.table))
+    ample = cached_property(lambda self: is_ample(self.table))
     labels = cached_property(lambda self: edge_labeling(self.g, self.f))
     cliques = cached_property(lambda self: clique_masks(self.table, self.max_cliques))
     dual = cached_property(lambda self: maximal_cliques_by_flips(self.table, self.max_cliques))

@@ -178,18 +178,18 @@ def routes(input_path, as_json, max_routes) -> None:
 def framings(input_path, as_json, do_enum) -> None:
     """Count (and optionally enumerate) ample framings of a valid DAG."""
     g = _read_graph(input_path)
-    if do_enum and is_full(g):
-        for tagged in enumerate_ample_framings(g):
-            if tagged.canonical:
-                _echo(framing_to_json(tagged.framing))
-        return
     try:
         table = port_table(g)
     except NotValidError:
         raise click.UsageError("graph is not valid (no full contraction)")
     if do_enum:
-        raise click.UsageError("--enumerate needs a full graph (contract first)")
-    decomp, total = table.decomposition, count_ample_framings(g, table)
+        if not is_full(g):
+            raise click.UsageError("--enumerate needs a full graph (contract first)")
+        for tagged in enumerate_ample_framings(table):
+            if tagged.canonical:
+                _echo(framing_to_json(tagged.framing))
+        return
+    decomp, total = table.decomposition, count_ample_framings(table)
     if as_json:
         _echo(
             json.dumps(
@@ -290,7 +290,10 @@ def poset(input_path, as_json, framing, dot_path) -> None:
 @json_opt
 @framing_opt
 @click.option("--seed", default=0, show_default=True)
-@click.option("--extensions", default=5, show_default=True, help="random linear extensions to cross-check")
+@click.option(
+    "--extensions", default=5, show_default=True, type=click.IntRange(min=0),
+    help="random linear extensions to cross-check",
+)
 def hstar(input_path, as_json, framing, seed, extensions) -> None:
     """h-vector from the poset: dcov statistics and shelling restrictions."""
     p = _ample_instance(input_path, framing).poset
@@ -380,9 +383,9 @@ def analyze(input_path, as_json, framing, seed, max_routes, max_cliques) -> None
 
 
 @cli.command()
-@click.option("--count", default=25, show_default=True, help="random instances")
+@click.option("--count", default=25, show_default=True, type=click.IntRange(min=0), help="random instances")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--size", default=4, show_default=True, help="inner vertices per instance")
+@click.option("--size", default=4, show_default=True, type=click.IntRange(min=2), help="inner vertices per instance")
 @json_opt
 def fuzz(count, seed, size, as_json) -> None:
     """Randomized structural checks on random valid DAGs."""
@@ -392,12 +395,11 @@ def fuzz(count, seed, size, as_json) -> None:
     failures = []
     for i in range(count):
         g = random_valid_dag(rng, rng.randrange(2, size + 1), expansions=rng.randrange(0, 3))
-        trace = complete_contraction(g)
-        h = trace.result
+        h = complete_contraction(g).result
         if not is_full(h):
             failures.append((i, "contraction-not-full"))
             continue
-        tagged = next(iter(enumerate_ample_framings(h)))
+        tagged = next(enumerate_ample_framings(port_table(h)))
         rep = analysis_mod.analyze(h, tagged.framing)
         failures.extend((i, v.invariant) for v in rep.failed())
     if as_json:

@@ -243,7 +243,7 @@ class ContractionTrace:
     result: Dag
     vertex_map: dict[VertexId, VertexId]
 
-    @property
+    @cached_property
     def contracted_edges(self) -> frozenset[EdgeId]:
         return frozenset(e for e, _ in self.steps)
 

@@ -242,20 +242,17 @@ def _rank_masks(routes: Sequence[int], ranks: Sequence[int]) -> tuple[list[int],
     return below, above
 
 
-def exceptional_routes(g: Dag, f: Framing, table: CoherenceTable | None = None) -> list[Route]:
+def exceptional_routes(table: CoherenceTable) -> list[Route]:
     """Routes coherent with every route; members of every maximal clique."""
-    table = table or CoherenceTable(g, f)
     return [table.routes[i] for i in table.exceptional_indices]
 
 
-def is_ample(g: Dag, f: Framing, table: CoherenceTable | None = None) -> bool:
+def is_ample(table: CoherenceTable) -> bool:
     """Every non-idle edge lies on at least one exceptional route."""
-    table = table or CoherenceTable(g, f)
     covered: set[EdgeId] = set()
     for i in table.exceptional_indices:
         covered.update(table.routes[i])
-    non_idle = set(g.tail) - idle_edges(g)
-    return non_idle <= covered
+    return set(table.g.tail) - idle_edges(table.g) <= covered
 
 
 # -- edge labeling -------------------------------------------------------------
@@ -542,7 +539,7 @@ def _check_idle_forest(g: Dag, reach: IdleReachability) -> None:
 
 
 class _PortTable:
-    """How each alternating labeling of the full contraction frames g.
+    """How each alternating labeling of g's complete contraction frames g.
 
     Labeling `index` sets one bit per live component of the contraction's
     `decomposition` (one holding an inner vertex); a clear bit labels that
@@ -555,26 +552,17 @@ class _PortTable:
     edges, for edges of one live component with opposite labels, so one
     bit picks its order.  The `free` ports (out-ports at V1, then in-ports
     at V2, each in vertex order) and single-edge ports keep ascending ids.
-    Without a `trace` and `reach`, g is full: its own contraction, with no
-    idle edges.
+    A full g is its own contraction, with no idle edges.
     """
 
-    def __init__(
-        self,
-        g: Dag,
-        decomposition: Decomposition,
-        trace: ContractionTrace | None = None,
-        reach: IdleReachability | None = None,
-    ):
-        reach = reach or IdleReachability(frozenset(), frozenset())
-        self.decomposition, self.trace, self.reach = decomposition, trace, reach
-        h = trace.result if trace else g
-        bit_of, pair = {}, dict.fromkeys(h.tail, (1, 1))
+    def __init__(self, g: Dag, decomposition: Decomposition, trace: ContractionTrace, reach: IdleReachability):
+        self.g, self.decomposition, self.trace, self.reach = g, decomposition, trace, reach
+        bit_of, pair = {}, dict.fromkeys(trace.result.tail, (1, 1))
         for bit, comp in enumerate(c for c in decomposition.components if c.kind != "source-sink edge"):
             start = comp.edges.index(min(comp.edges))
             for i, e in enumerate(comp.edges):
                 bit_of[e], pair[e] = bit, ((1, 2), (2, 1))[(i - start) % 2]
-        self.edges = [(e, bit_of.get(e, 0), pair[e]) for e in sorted(h.tail)]
+        self.edges = [(e, bit_of.get(e, 0), pair[e]) for e in sorted(pair)]
         self.free = [
             (v, side, at[v])
             for side, vs, at in (("out", reach.v1, g.out_edges), ("in", reach.v2, g.in_edges))
@@ -582,7 +570,7 @@ class _PortTable:
             if len(at[v]) > 1
         ]
         free = {(v, side) for v, side, _ in self.free}
-        contracted = trace.contracted_edges if trace else frozenset()
+        contracted = trace.contracted_edges
 
         def pulled(e: EdgeId, at: Mapping[VertexId, tuple[EdgeId, ...]], end: Mapping[EdgeId, VertexId]):
             """(bit, labels) of each contraction edge reached from e through
@@ -610,12 +598,16 @@ class _PortTable:
                     raise ConsistencyError("port-alternation", f"edges {', '.join(map(str, port))} at {v}")
                 ports.append((v, bit, (port, port[::-1]) if sigs[0] == first else (port[::-1], port)))
 
+    # the routes of g and of its contraction, enumerated once for every lift
+    routes = functools.cached_property(lambda self: enumerate_routes(self.g))
+    contraction_routes = functools.cached_property(lambda self: enumerate_routes(self.trace.result))
+
     def labels(self, index: int) -> dict[EdgeId, int]:
         return {e: pair[index >> bit & 1] for e, bit, pair in self.edges}
 
-    def framing(self, index: int, free: Sequence[tuple[EdgeId, ...]] = ()) -> Framing:
+    def framing(self, index: int, free: Sequence[tuple[EdgeId, ...]]) -> Framing:
         """Labeling `index`'s framing of g, with the free ports in the orders
-        `free`, listed as in `self.free` (ascending ids where none is given)."""
+        `free`, one per entry of `self.free`."""
         f = Framing(*({v: orders[index >> bit & 1] for v, bit, orders in side} for side in self.ports))
         for (v, side, _), order in zip(self.free, free):
             (f.in_order if side == "in" else f.out_order)[v] = order
@@ -631,11 +623,9 @@ def port_table(g: Dag) -> _PortTable:
     return _PortTable(g, path_cycle_decomposition(trace.result), trace, idle_reachability(g))
 
 
-def count_ample_framings(g: Dag, table: _PortTable | None = None) -> int:
-    """2^M for a full DAG; for a valid DAG, times the free port orders.  g's
-    port `table` is made if not given."""
-    table = table or port_table(g)
-    _check_idle_forest(g, table.reach)
+def count_ample_framings(table: _PortTable) -> int:
+    """2^M, times the orders of the free ports (none on a full DAG)."""
+    _check_idle_forest(table.g, table.reach)
     count = 1 << table.decomposition.m
     for _, _, port in table.free:
         count *= math.factorial(len(port))
@@ -644,50 +634,52 @@ def count_ample_framings(g: Dag, table: _PortTable | None = None) -> int:
 
 @dataclass
 class TaggedFraming:
-    """One ample framing from the alternating-labeling enumeration.
+    """One ample framing: alternating labeling `index` of the contraction,
+    with the free ports in the orders `free`.
 
-    Global 1<->2 label swaps give the same triangulation, so each framing
-    records the index of its swap partner; `canonical` marks the chosen
-    representative of each swap pair (the component holding the smallest
-    edge id is labeled 1 at that edge).  `labels` and `framing` are built
-    from the graph's port table when first read.
+    Global 1<->2 label swaps of a full DAG give the same triangulation, so
+    each framing records the index of its labeling's swap partner;
+    `canonical` marks the chosen representative of each swap pair (the
+    component holding the smallest edge id is labeled 1 at that edge).
+    `labels` (of the contraction) and `framing` are built from the graph's
+    port table when first read.
     """
 
     index: int
     swap_partner: int
     canonical: bool
     table: _PortTable = field(repr=False, compare=False)
+    free: tuple[tuple[EdgeId, ...], ...]
 
     labels = functools.cached_property(lambda self: self.table.labels(self.index))
-    framing = functools.cached_property(lambda self: self.table.framing(self.index))
+    framing = functools.cached_property(lambda self: self.table.framing(self.index, self.free))
 
 
-def enumerate_ample_framings(g: Dag) -> Iterator[TaggedFraming]:
-    """All 2^M ample framings of a full DAG via alternating labelings."""
-    decomp = path_cycle_decomposition(g)
-    table, full = _PortTable(g, decomp), (1 << decomp.m) - 1
+def enumerate_ample_framings(table: _PortTable) -> Iterator[TaggedFraming]:
+    """Every ample framing of the table's graph: each alternating labeling of
+    its contraction, in index order, times the orders of the free ports."""
+    _check_idle_forest(table.g, table.reach)
+    full = (1 << table.decomposition.m) - 1
+    port_perms = [list(itertools.permutations(port)) for _, _, port in table.free]
     for index in range(full + 1):
-        yield TaggedFraming(index, full ^ index, not index & 1, table)
-
-
-# -- framings of valid DAGs --------------------------------------------------------
+        for free in itertools.product(*port_perms):
+            yield TaggedFraming(index, full ^ index, not index & 1, table, free)
 
 
 def lift_framing(
-    g: Dag,
+    table: _PortTable,
     f_full: Framing,
     choices: Mapping[VertexId, Mapping[str, Sequence[EdgeId]]] | None = None,
 ) -> Framing:
-    """Extend an ample framing of the full contraction to the valid DAG g.
+    """Extend an ample framing of the full contraction to the table's graph.
 
     The contraction's labels under `f_full` must be an alternating labeling
-    of g's port table; its index orders every pinned port.  The free ports
+    of the port table; its index orders every pinned port.  The free ports
     (out-orders at non-source endpoints of source-reachable idle edges,
     in-orders at the sink-side mirror) take their order from `choices`,
     defaulting to ascending edge ids.  The lift is always checked to project
     its exceptional routes onto those of `f_full`.
     """
-    table = port_table(g)
     h = table.trace.result
     labels = edge_labeling(h, f_full)
     index = functools.reduce(operator.or_, (1 << bit for e, bit, pair in table.edges if labels[e] != pair[0]), 0)
@@ -698,19 +690,9 @@ def lift_framing(
         if tuple(sorted(order)) != port:
             raise BadChoicesError(f"{side}-order at {v} must permute {port}")
     f = table.framing(index, free)
-    exc = exceptional_routes(g, f)
+    exc = exceptional_routes(CoherenceTable(table.g, f, table.routes))
+    exc_full = exceptional_routes(CoherenceTable(h, f_full, table.contraction_routes))
     projected = {table.trace.project_route(r) for r in exc}
-    if projected != set(exceptional_routes(h, f_full)) or len(exc) != len(projected):
+    if projected != set(exc_full) or len(exc) != len(projected):
         raise BadChoicesError("lift does not preserve the exceptional routes")
     return f
-
-
-def enumerate_ample_framings_valid(g: Dag) -> Iterator[Framing]:
-    """All ample framings of a valid DAG from one port table: each alternating
-    labeling of the contraction, in index order, times the free port orders."""
-    table = port_table(g)
-    _check_idle_forest(g, table.reach)
-    port_perms = [list(itertools.permutations(port)) for _, _, port in table.free]
-    for index in range(1 << table.decomposition.m):
-        for combo in itertools.product(*port_perms):
-            yield table.framing(index, combo)

@@ -26,9 +26,9 @@ from flowpoly.framing import (
     count_ample_framings,
     edge_labeling,
     enumerate_ample_framings,
-    enumerate_ample_framings_valid,
     is_ample,
     named_framing,
+    port_table,
 )
 from flowpoly.gentle import (
     blossom,
@@ -117,7 +117,7 @@ def test_criterion_2_car8():
     core = caracol_core(8)
     fc = named_framing(core, "length")
     tc = CoherenceTable(core, fc)
-    assert is_ample(core, fc, tc)
+    assert is_ample(tc)
     exc = [tc.routes[i] for i in tc.exceptional_indices]
     assert len(exc) == 5
     assert exc == sorted([(4, 0), (5, 1), (6, 2), (7, 3), (8, 9, 10, 11, 12)])
@@ -154,8 +154,8 @@ def test_criterion_2_car8():
 
 def test_criterion_3_framing_counts(big_full):
     t0 = time.time()
-    assert count_ample_framings(gkn(3, 10)) == 256
-    assert count_ample_framings(big_full) == 512
+    assert count_ample_framings(port_table(gkn(3, 10))) == 256
+    assert count_ample_framings(port_table(big_full)) == 512
 
     def predicted(k, n):
         if k + 1 <= n <= 2 * k - 1:
@@ -169,12 +169,13 @@ def test_criterion_3_framing_counts(big_full):
     for k in (2, 3):
         for n in range(k + 1, 3 * k + 3):
             g = gkn(k, n + 1)
-            framings = list(enumerate_ample_framings_valid(g))
+            table = port_table(g)
+            framings = [t.framing for t in enumerate_ample_framings(table)]
             assert len({f.key() for f in framings}) == len(framings)
             for f in framings:
-                assert is_ample(g, f)
+                assert is_ample(CoherenceTable(g, f))
             count = len(framings)
-            assert count == count_ample_framings(g)
+            assert count == count_ample_framings(table)
             if n == 2 * k:
                 # n = 2k sits between the closed-form ranges; computed
                 # directly it continues the 2^n pattern of the middle range
@@ -197,7 +198,7 @@ def corpus():
     randoms = full_dag_corpus(50)
     items = list(named)
     for g in randoms:
-        items.append((g, next(iter(enumerate_ample_framings(g))).framing))
+        items.append((g, next(iter(enumerate_ample_framings(port_table(g)))).framing))
     return items
 
 
@@ -286,7 +287,7 @@ def test_criterion_6_oracle_gorenstein(corpus):
         sym, uni, gor = check_symmetry_unimodality(hstar)
         assert sym and uni and gor
         assert finite_differences_vanish(counts, d)
-        for tagged in enumerate_ample_framings(g):
+        for tagged in enumerate_ample_framings(port_table(g)):
             tf = CoherenceTable(g, tagged.framing)
             exc = [tf.routes[i] for i in tf.exceptional_indices]
             assert special_simplex_check(g, exc, tf.routes).ok
@@ -306,7 +307,7 @@ def test_criterion_7_structural_fuzzing():
         if not is_full(h):
             failures.append((instances, "not-valid"))
             continue
-        tagged = next(iter(enumerate_ample_framings(h)))
+        tagged = next(iter(enumerate_ample_framings(port_table(h))))
         t = CoherenceTable(h, tagged.framing)
         exc = [t.routes[i] for i in t.exceptional_indices]
         cover = {}
@@ -320,8 +321,8 @@ def test_criterion_7_structural_fuzzing():
         if not adjacency_graph(h, exc).is_bipartite()[0]:
             failures.append((instances, "bipartite-adjacency"))
         if len(h.edges) <= 10:
-            brute = {f.key() for f in all_framings(h) if is_ample(h, f)}
-            enum = {tf.framing.key() for tf in enumerate_ample_framings(h)}
+            brute = {f.key() for f in all_framings(h) if is_ample(CoherenceTable(h, f))}
+            enum = {tf.framing.key() for tf in enumerate_ample_framings(port_table(h))}
             if brute != enum:
                 failures.append((instances, "enumeration-vs-brute-force"))
         # contraction-order confluence: random idle order gives the same shape

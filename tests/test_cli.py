@@ -215,13 +215,13 @@ def test_non_ample_framings_exit_1(tmp_path, monkeypatch, capsys):
     import flowpoly.cli
     from conftest import all_framings
     from flowpoly.dag import dag_to_json
-    from flowpoly.framing import framing_to_json, is_ample
+    from flowpoly.framing import CoherenceTable, framing_to_json, is_ample
     from flowpoly.generators import random_full_dag
 
     rng = random.Random(5)
     for k in range(3):
         g = random_full_dag(rng, 2 + k % 2)
-        f = next(f for f in all_framings(g) if not is_ample(g, f))
+        f = next(f for f in all_framings(g) if not is_ample(CoherenceTable(g, f)))
         graph, framing = tmp_path / f"g{k}.json", tmp_path / f"f{k}.json"
         graph.write_text(dag_to_json(g))
         framing.write_text(framing_to_json(f))
@@ -421,6 +421,29 @@ def test_fuzz_command():
     res = run(["fuzz", "--count", "5", "--seed", "3", "--json"])
     assert res.returncode == 0
     assert json.loads(res.stdout)["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["hstar", "--extensions", "-3"], "--extensions"),
+        (["fuzz", "--count", "-2"], "--count"),
+        (["fuzz", "--size", "0"], "--size"),
+        (["fuzz", "--size", "1"], "--size"),
+    ],
+)
+def test_bad_counts_are_usage_errors(g27h, monkeypatch, capsys, argv, option):
+    # a negative count or a graph too small to draw is refused before any work
+    from flowpoly.dag import dag_to_json
+
+    code, out, err = main_in_process(monkeypatch, capsys, argv, dag_to_json(g27h))
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: Invalid value for '{option}'") and "Traceback" not in err
+
+
+def test_fuzz_accepts_the_smallest_size(monkeypatch, capsys):
+    code, out, err = main_in_process(monkeypatch, capsys, ["fuzz", "--count", "2", "--size", "2"])
+    assert (code, out, err) == (0, "2 instances, 0 failures\n", "")
 
 
 def test_fuzz_runs_the_oracle_on_every_instance(monkeypatch):
@@ -648,7 +671,9 @@ def test_framings_enumerate_builds_only_canonical_framings(tmp_path, monkeypatch
     built = []
     build = flowpoly.framing._PortTable.framing
     monkeypatch.setattr(
-        flowpoly.framing._PortTable, "framing", lambda table, index: built.append(index) or build(table, index)
+        flowpoly.framing._PortTable,
+        "framing",
+        lambda table, index, free: built.append(index) or build(table, index, free),
     )
     path = tmp_path / "car10.json"
     path.write_text(dag_to_json(complete_contraction(caracol(10)).result))

@@ -31,7 +31,6 @@ from flowpoly.framing import (
     count_ample_framings,
     edge_labeling,
     enumerate_ample_framings,
-    enumerate_ample_framings_valid,
     exceptional_routes,
     framing_by_edge_id,
     framing_from_json,
@@ -40,6 +39,7 @@ from flowpoly.framing import (
     is_ample,
     lift_framing,
     path_cycle_decomposition,
+    port_table,
     validate_framing,
 )
 from flowpoly.generators import caracol, caracol_core, gkn, random_full_dag, random_valid_dag
@@ -95,12 +95,12 @@ def test_coherence_symmetric_reflexive(core8, core8f, core8t):
             assert core8t.coherent(i, j) == core8t.coherent(j, i)
 
 
-def test_exceptional_routes_core8(core8, core8f, core8t):
-    assert exceptional_routes(core8, core8f, core8t) == sorted(CORE8_EXCEPTIONAL)
+def test_exceptional_routes_core8(core8t):
+    assert exceptional_routes(core8t) == sorted(CORE8_EXCEPTIONAL)
 
 
-def test_exceptional_routes_g27(g27h, g27f, g27t):
-    assert exceptional_routes(g27h, g27f, g27t) == [(1, 2, 3, 4), (6, 8, 10), (7, 9)]
+def test_exceptional_routes_g27(g27t):
+    assert exceptional_routes(g27t) == [(1, 2, 3, 4), (6, 8, 10), (7, 9)]
 
 
 def test_index_of_every_route_g27(g27h, g27t):
@@ -115,16 +115,16 @@ def test_index_of_every_route_g27(g27h, g27t):
 
 def test_exceptional_single_route(single_edge):
     f = framing_by_edge_id(single_edge)
-    assert exceptional_routes(single_edge, f) == [(0,)]
-    assert is_ample(single_edge, f)
+    assert exceptional_routes(CoherenceTable(single_edge, f)) == [(0,)]
+    assert is_ample(CoherenceTable(single_edge, f))
 
 
 def test_is_ample_core8(core8, core8f):
-    assert is_ample(core8, core8f)
+    assert is_ample(CoherenceTable(core8, core8f))
     # flipping one out-order breaks the labeling and loses coverage
     broken = Framing(dict(core8f.in_order), dict(core8f.out_order))
     broken.out_order[3] = tuple(reversed(broken.out_order[3]))
-    assert not is_ample(core8, broken)
+    assert not is_ample(CoherenceTable(core8, broken))
 
 
 def test_edge_labeling_core8(core8, core8f):
@@ -200,7 +200,7 @@ def test_check_exceptional_set_positive(core8):
     res = check_exceptional_set(core8, CORE8_EXCEPTIONAL)
     assert res.ok and res.framing is not None
     table = CoherenceTable(core8, res.framing)
-    assert is_ample(core8, res.framing, table)
+    assert is_ample(table)
     got = [table.routes[i] for i in table.exceptional_indices]
     assert got == sorted(CORE8_EXCEPTIONAL)
 
@@ -219,7 +219,7 @@ def test_decomposition_big_full(big_full):
     walks = {c.walk() for c in d.components}
     # the long component through all six fan vertices, as in the worked example
     assert any(len(c.edges) == 8 for c in d.components)
-    assert count_ample_framings(big_full) == 512
+    assert count_ample_framings(port_table(big_full)) == 512
 
 
 def test_decomposition_g310():
@@ -228,7 +228,7 @@ def test_decomposition_g310():
     assert d.m == 4
     assert len(d.components) == 4
     assert sorted(len(c.edges) for c in d.components) == [2, 2, 3, 5]
-    assert count_ample_framings(gkn(3, 10)) == 256
+    assert count_ample_framings(port_table(gkn(3, 10))) == 256
 
 
 def test_decomposition_single_edge(single_edge):
@@ -236,7 +236,7 @@ def test_decomposition_single_edge(single_edge):
     assert d.m == 0
     assert len(d.components) == 1
     assert d.components[0].kind == "source-sink edge"
-    assert count_ample_framings(single_edge) == 1
+    assert count_ample_framings(port_table(single_edge)) == 1
 
 
 def test_decomposition_cycle_component():
@@ -294,8 +294,8 @@ def test_count_refuses_nonforest_idle_structure():
 
     assert _is_valid(g)
     with pytest.raises(ConsistencyError):
-        count_ample_framings(g)
-    brute = sum(1 for f in all_framings(g) if is_ample(g, f))
+        count_ample_framings(port_table(g))
+    brute = sum(1 for f in all_framings(g) if is_ample(CoherenceTable(g, f)))
     assert brute == 16
 
 
@@ -305,7 +305,7 @@ def test_count_not_valid():
         [(0, 0, 1), (1, 0, 1), (2, 0, 1), (3, 1, 2), (4, 1, 2), (5, 1, 2)],
     )
     with pytest.raises(NotValidError):
-        count_ample_framings(g)
+        count_ample_framings(port_table(g))
 
 
 def test_gkn_framing_count_table():
@@ -323,14 +323,15 @@ def test_gkn_framing_count_table():
         (3, 11): 256,
     }
     for (k, n), want in expected.items():
-        assert count_ample_framings(gkn(k, n + 1)) == want, (k, n)
+        assert count_ample_framings(port_table(gkn(k, n + 1))) == want, (k, n)
 
 
 def test_enumerate_ample_framings_g27(g27h):
-    tagged = list(enumerate_ample_framings(g27h))
-    assert len(tagged) == count_ample_framings(g27h) == 8
+    table = port_table(g27h)
+    tagged = list(enumerate_ample_framings(table))
+    assert len(tagged) == count_ample_framings(table) == 8
     for t in tagged:
-        assert is_ample(g27h, t.framing)
+        assert is_ample(CoherenceTable(g27h, t.framing))
         partner = tagged[t.swap_partner]
         framed = {
             e
@@ -345,7 +346,7 @@ def test_distinct_triangulations_are_half(g27h):
     from flowpoly.triangulation import maximal_cliques
 
     seen = {}
-    for t in enumerate_ample_framings(g27h):
+    for t in enumerate_ample_framings(port_table(g27h)):
         table = CoherenceTable(g27h, t.framing)
         key = frozenset(
             frozenset(table.routes[i] for i in c) for c in maximal_cliques(table)
@@ -364,8 +365,8 @@ def test_enumeration_matches_brute_force():
         if len(g.edges) > 10:
             continue
         done += 1
-        brute = {f.key() for f in all_framings(g) if is_ample(g, f)}
-        enum = {t.framing.key() for t in enumerate_ample_framings(g)}
+        brute = {f.key() for f in all_framings(g) if is_ample(CoherenceTable(g, f))}
+        enum = {t.framing.key() for t in enumerate_ample_framings(port_table(g))}
         assert brute == enum
 
 
@@ -381,7 +382,7 @@ def test_tagged_framings_match_per_index_reference():
     seen = 0
     for g in graphs:
         h = complete_contraction(g).result
-        tagged = list(enumerate_ample_framings(h))
+        tagged = list(enumerate_ample_framings(port_table(h)))
         reference = list(ample_framings_reference(h))
         assert len(tagged) == len(reference)
         for t, (index, partner, canonical, labels, framing) in zip(tagged, reference):
@@ -404,8 +405,9 @@ def test_port_table_refuses_a_port_split_across_components(g27h):
         Component(comp.vertices[1:], comp.edges[1:], "path"),
     ]
     others = [c for c in decomp.components if c is not comp]
+    trace, reach = complete_contraction(g27h), idle_reachability(g27h)
     with pytest.raises(ConsistencyError, match="port-alternation"):
-        _PortTable(g27h, Decomposition(others + split, decomp.m + 1))
+        _PortTable(g27h, Decomposition(others + split, decomp.m + 1), trace, reach)
 
 
 def test_unique_exceptional_route_per_edge(g27h, g27t):
@@ -435,25 +437,25 @@ def test_idle_reachability_g310():
 
 
 def test_lift_framing_identity_on_full(core8, core8f):
-    lifted = lift_framing(core8, core8f)
+    lifted = lift_framing(port_table(core8), core8f)
     assert lifted.key() == core8f.key()
 
 
 def test_lift_framing_car8(car8, car8h):
-    f_full = next(iter(enumerate_ample_framings(car8h))).framing
-    lifted = lift_framing(car8, f_full)
+    f_full = next(iter(enumerate_ample_framings(port_table(car8h)))).framing
+    lifted = lift_framing(port_table(car8), f_full)
     table = CoherenceTable(car8, lifted)
-    assert is_ample(car8, lifted, table)
+    assert is_ample(table)
     trace = complete_contraction(car8)
     exc_g = {trace.project_route(table.routes[i]) for i in table.exceptional_indices}
-    exc_h = {tuple(r) for r in exceptional_routes(car8h, f_full)}
+    exc_h = {tuple(r) for r in exceptional_routes(CoherenceTable(car8h, f_full))}
     assert exc_g == exc_h
 
 
 def test_lift_bad_choices(car8, car8h):
-    f_full = next(iter(enumerate_ample_framings(car8h))).framing
+    f_full = next(iter(enumerate_ample_framings(port_table(car8h)))).framing
     with pytest.raises(BadChoicesError):
-        lift_framing(car8, f_full, {2: {"out": (999, 998)}})
+        lift_framing(port_table(car8), f_full, {2: {"out": (999, 998)}})
 
 
 def test_lift_count_matches_formula(car8, car8h):
@@ -466,8 +468,9 @@ def test_lift_count_matches_formula(car8, car8h):
     for v in reach.v2:
         per_full *= math.factorial(len(car8.in_edges[v]))
     assert per_full == 4
-    lifts = list(enumerate_ample_framings_valid(car8))
-    assert len(lifts) == count_ample_framings(car8) == 128
+    table = port_table(car8)
+    lifts = [t.framing for t in enumerate_ample_framings(table)]
+    assert len(lifts) == count_ample_framings(table) == 128
     assert len({f.key() for f in lifts}) == 128
 
 
@@ -481,10 +484,26 @@ def test_valid_enumeration_contracts_once(car8, monkeypatch):
 
     for name in ("complete_contraction", "idle_reachability", "edge_labeling"):
         monkeypatch.setattr(flowpoly.framing, name, counted(name, getattr(flowpoly.framing, name)))
-    got = [framing_to_json(f) for f in enumerate_ample_framings_valid(car8)]
+    got = [framing_to_json(t.framing) for t in enumerate_ample_framings(port_table(car8))]
     assert calls == {"complete_contraction": 1, "idle_reachability": 1}
     golden = Path(__file__).parent / "golden" / "car-8_valid_framings.jsonl"
     assert got == golden.read_text().splitlines()
+
+
+def test_lifts_through_one_table_contract_once(car8, car8h, monkeypatch):
+    # the table keeps the routes of g and of its contraction for every lift
+    canonical = [t.framing for t in enumerate_ample_framings(port_table(car8h)) if t.canonical]
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    for name in ("complete_contraction", "enumerate_routes"):
+        monkeypatch.setattr(flowpoly.framing, name, counted(name, getattr(flowpoly.framing, name)))
+    table = port_table(car8)
+    lifts = [lift_framing(table, f) for f in canonical]
+    assert len({f.key() for f in lifts}) == len(canonical) == 16
+    assert calls == {"complete_contraction": 1, "enumerate_routes": 2}
 
 
 def _behind_idle_chain(g27h):
@@ -503,10 +522,11 @@ def _behind_idle_chain(g27h):
 def test_lift_through_long_idle_chain(g27h):
     # the forced out-port's pullback walks the whole chain
     g = _behind_idle_chain(g27h)
-    lifts = list(enumerate_ample_framings_valid(g))
-    assert len(lifts) == count_ample_framings(g) == 8
-    f_full = next(enumerate_ample_framings(complete_contraction(g).result)).framing
-    assert lift_framing(g, f_full) == lifts[0]
+    table = port_table(g)
+    lifts = [t.framing for t in enumerate_ample_framings(table)]
+    assert len(lifts) == count_ample_framings(table) == 8
+    f_full = next(enumerate_ample_framings(port_table(table.trace.result))).framing
+    assert lift_framing(table, f_full) == lifts[0]
 
 
 def test_lift_reads_one_bit_per_component(car8, g27h):
@@ -515,13 +535,14 @@ def test_lift_reads_one_bit_per_component(car8, g27h):
     # component's bit once per edge) lifts most of them to another index
     lifted = 0
     for g in [car8, _behind_idle_chain(g27h)] + _seeded_valid_dags():
-        tagged = list(enumerate_ample_framings(complete_contraction(g).result))
-        lifts = list(enumerate_ample_framings_valid(g))
+        table = port_table(g)
+        tagged = list(enumerate_ample_framings(port_table(table.trace.result)))
+        lifts = [t.framing for t in enumerate_ample_framings(table)]
         per_index = len(lifts) // len(tagged)
         for t in tagged:
-            f = lift_framing(g, t.framing)
+            f = lift_framing(table, t.framing)
             assert f == lifts[t.index * per_index]
-            assert is_ample(g, f)
+            assert is_ample(CoherenceTable(g, f))
         lifted += len(tagged)
     assert lifted >= 500  # 824 when written
 
@@ -530,7 +551,7 @@ def test_table_ranks_are_linear_in_route_length(g27h):
     # routes of 1,503 edges: ranking by whole sliced keys took about 0.13 s
     # per table, ranking each vertex from its neighbour's ranks about 0.01 s
     g = _behind_idle_chain(g27h)
-    f = next(enumerate_ample_framings_valid(g))
+    f = next(enumerate_ample_framings(port_table(g))).framing
     routes = enumerate_routes(g)
     assert max(map(len, routes)) > 1500
     assert min(timeit.repeat(lambda: CoherenceTable(g, f, routes), number=1, repeat=3)) < 0.04
@@ -538,14 +559,14 @@ def test_table_ranks_are_linear_in_route_length(g27h):
 
 def test_table_ranks_match_sliced_keys(car8, car8h, g29h):
     instances = [
-        (car8, next(enumerate_ample_framings_valid(car8))),
+        (car8, next(enumerate_ample_framings(port_table(car8))).framing),
         (car8h, framing_by_edge_id(car8h)),
         (g29h, framing_by_edge_id(g29h)),
     ]
     rng = random.Random(41)
     for _ in range(30):
         g = random_full_dag(rng, rng.randrange(2, 7), rng.randrange(1, 3), rng.randrange(1, 3))
-        instances += [(g, tagged.framing) for tagged in enumerate_ample_framings(g)][:3]
+        instances += [(g, tagged.framing) for tagged in enumerate_ample_framings(port_table(g))][:3]
     for g, f in instances:
         t = CoherenceTable(g, f)
         assert (t.in_rank, t.out_rank) == build_ranks_reference(t)
@@ -553,10 +574,11 @@ def test_table_ranks_match_sliced_keys(car8, car8h, g29h):
 
 def test_valid_enumeration_all_ample():
     g = gkn(2, 7)
-    framings = list(enumerate_ample_framings_valid(g))
-    assert len(framings) == count_ample_framings(g) == 32
+    table = port_table(g)
+    framings = [t.framing for t in enumerate_ample_framings(table)]
+    assert len(framings) == count_ample_framings(table) == 32
     for f in framings:
-        assert is_ample(g, f)
+        assert is_ample(CoherenceTable(g, f))
 
 
 def test_gkn_degenerate_case_empirical():
@@ -564,8 +586,8 @@ def test_gkn_degenerate_case_empirical():
     # directly, these graphs (a path plus one chord) admit a single framing
     for k in (2, 3, 4):
         g = gkn(k, k + 1)
-        count = count_ample_framings(g)
-        brute = sum(1 for f in all_framings(g) if is_ample(g, f))
+        count = count_ample_framings(port_table(g))
+        brute = sum(1 for f in all_framings(g) if is_ample(CoherenceTable(g, f)))
         assert count == brute
         assert count == 1
 
@@ -600,7 +622,7 @@ def test_adjacency_rows_match_pairwise_coherence():
     tables = 0
     for _ in range(30):
         g = complete_contraction(random_valid_dag(rng, rng.randrange(1, 5), expansions=rng.randrange(0, 3))).result
-        for tagged in enumerate_ample_framings(g):
+        for tagged in enumerate_ample_framings(port_table(g)):
             if not tagged.canonical:
                 continue
             t = CoherenceTable(g, tagged.framing)

@@ -16,6 +16,7 @@ from flowpoly.framing import (
     count_ample_framings,
     enumerate_ample_framings,
     is_ample,
+    port_table,
 )
 from flowpoly.generators import random_full_dag, random_valid_dag
 
@@ -29,7 +30,7 @@ def test_full_pipeline_on_random_full_dags():
             n_sources=rng.randrange(1, 3),
             n_sinks=rng.randrange(1, 3),
         )
-        tagged = next(iter(enumerate_ample_framings(g)))
+        tagged = next(iter(enumerate_ample_framings(port_table(g))))
         report = analyze(g, tagged.framing, extensions=3)
         assert report.ok, [v.invariant for v in report.failed()]
 
@@ -44,7 +45,7 @@ def test_structural_invariants_on_random_valid_dags():
         # routes correspond bijectively under contraction
         routes_g = enumerate_routes(g)
         assert sorted(trace.project_route(r) for r in routes_g) == enumerate_routes(h)
-        for tagged in enumerate_ample_framings(h):
+        for tagged in enumerate_ample_framings(port_table(h)):
             t = CoherenceTable(h, tagged.framing)
             exc = [t.routes[i] for i in t.exceptional_indices]
             cover = {}
@@ -66,9 +67,8 @@ def test_enumeration_equals_brute_force_small():
         if len(g.edges) > 10:
             continue
         done += 1
-        from flowpoly.framing import enumerate_ample_framings_valid
-
-        brute = {f.key() for f in all_framings(g) if is_ample(g, f)}
-        enum = {f.key() for f in enumerate_ample_framings_valid(g)}
+        table = port_table(g)
+        brute = {f.key() for f in all_framings(g) if is_ample(CoherenceTable(g, f))}
+        enum = {t.framing.key() for t in enumerate_ample_framings(table)}
         assert brute == enum
-        assert len(brute) == count_ample_framings(g)
+        assert len(brute) == count_ample_framings(table)

@@ -23,7 +23,7 @@ from flowpoly.errors import ConsistencyError, FlowpolyError, NotLinearExtensionE
 from flowpoly.dag import complete_contraction
 from flowpoly.framing import CoherenceTable, edge_labeling, framing_by_edge_id, named_framing
 from flowpoly.generators import caracol, caracol_core, gkn, random_full_dag, random_valid_dag
-from flowpoly.framing import enumerate_ample_framings
+from flowpoly.framing import enumerate_ample_framings, port_table
 from flowpoly.poset import (
     _certify_covers,
     build_poset,
@@ -170,7 +170,7 @@ def test_poset_regular_random():
     rng = random.Random(77)
     for _ in range(10):
         g = random_full_dag(rng, rng.randrange(2, 5))
-        tagged = next(iter(enumerate_ample_framings(g)))
+        tagged = next(iter(enumerate_ample_framings(port_table(g))))
         p = Instance(g, tagged.framing).poset
         n = len(g.inner)
         dcov = p.dcov_polynomial()
@@ -389,7 +389,7 @@ def kissing_instances():
     rng = random.Random(1414)
     for k in range(60):
         g = random_full_dag(rng, 2 + k % 4)
-        canonical = (tagged.framing for tagged in enumerate_ample_framings(g) if tagged.canonical)
+        canonical = (tagged.framing for tagged in enumerate_ample_framings(port_table(g)) if tagged.canonical)
         for f in itertools.islice(canonical, 6):
             yield g, f
 
@@ -481,7 +481,7 @@ def test_orientation_from_route_cuts_matches_components():
     pairs = 0
     for _ in range(25):
         g = complete_contraction(random_valid_dag(rng, rng.randrange(2, 5), expansions=1)).result
-        canonical = [t.framing for t in enumerate_ample_framings(g) if t.canonical]
+        canonical = [t.framing for t in enumerate_ample_framings(port_table(g)) if t.canonical]
         for f in canonical[:3]:
             t, labels = CoherenceTable(g, f), edge_labeling(g, f)
             for i, j in itertools.permutations(range(len(t.routes)), 2):

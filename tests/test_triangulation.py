@@ -16,6 +16,7 @@ from flowpoly.framing import (
     enumerate_ample_framings,
     framing_by_edge_id,
     named_framing,
+    port_table,
 )
 from flowpoly.generators import gkn, random_full_dag, random_valid_dag
 from flowpoly.triangulation import (
@@ -127,14 +128,14 @@ def test_flip_traversal_matches_random():
     rng = random.Random(21)
     for _ in range(15):
         g = random_full_dag(rng, rng.randrange(2, 5))
-        tagged = next(iter(enumerate_ample_framings(g)))
+        tagged = next(iter(enumerate_ample_framings(port_table(g))))
         t = CoherenceTable(g, tagged.framing)
         assert maximal_cliques_by_flips(t).relabelled().cliques == maximal_cliques(t)
 
 
 def test_volume_invariance_across_framings(g27h):
     counts = set()
-    for tagged in enumerate_ample_framings(g27h):
+    for tagged in enumerate_ample_framings(port_table(g27h)):
         if not tagged.canonical:
             continue
         t = CoherenceTable(g27h, tagged.framing)
@@ -199,7 +200,7 @@ def test_clique_masks_decode_to_the_cliques_of_both_enumerations():
     tables = 0
     for _ in range(40):
         g = complete_contraction(random_valid_dag(rng, rng.randrange(2, 5), expansions=1)).result
-        canonical = [t.framing for t in enumerate_ample_framings(g) if t.canonical]
+        canonical = [t.framing for t in enumerate_ample_framings(port_table(g)) if t.canonical]
         for f in canonical[:3]:
             t = CoherenceTable(g, f)
             masks = clique_masks(t)
@@ -251,7 +252,7 @@ def _flip_corpus(g27h, g27f, core8, core8f, car8h):
     for _ in range(100):
         g = random_valid_dag(rng, rng.randrange(2, 5), expansions=rng.randrange(0, 4))
         h = complete_contraction(g).result
-        canonical = [t.framing for t in enumerate_ample_framings(h) if t.canonical]
+        canonical = [t.framing for t in enumerate_ample_framings(port_table(h)) if t.canonical]
         for f in canonical[:8]:
             yield h, f
 

@@ -154,16 +154,13 @@ def analyze(
     inst = Instance(g, f, max_routes, max_cliques)
     table = inst.table
     report = AnalysisReport(g, table)
-    d_space, d_poly = flow_dims(g)
+    d_poly = flow_dims(g)[1]
     routes = table.routes
     exc = list(table.exceptional_indices)
     report.data["routes"] = len(routes)
     report.data["exceptional"] = len(exc)
-    report.data["dims"] = (d_space, d_poly)
-    report.data["ample"] = inst.ample
     report.check("framing-ample", inst.ample)
     labels = inst.labels
-    report.data["labels"] = labels
 
     # exceptional structure
     src_deg = sum(len(g.out_edges[s]) for s in g.sources)
@@ -272,7 +269,6 @@ def analyze(
     # lattice point oracle
     oracle = inst.oracle
     counts = oracle.counts
-    report.data["counts"] = counts
     report.check("route-count-is-vertex-count", counts[1] == len(routes))
     report.data["hstar"] = oracle.hstar
     report.check("hstar-matches-dcov", _pad_eq(dcov, oracle.hstar))
@@ -284,7 +280,6 @@ def analyze(
         "ehrhart-finite-differences-vanish",
         finite_differences_vanish(counts, d_poly),
     )
-    report.data["special_simplex"] = simplex
     report.check("exceptionals-form-special-simplex", simplex.ok)
 
     return report

@@ -106,6 +106,8 @@ json_opt = click.option("--json", "as_json", is_flag=True, help="machine-readabl
 framing_opt = click.option(
     "--framing", default="by-id", show_default=True, help="named framing or framing JSON file"
 )
+max_routes_opt = click.option("--max-routes", default=10**6, show_default=True, type=click.IntRange(min=1))
+max_cliques_opt = click.option("--max-cliques", default=10**6, show_default=True, type=click.IntRange(min=1))
 
 
 @click.group(cls=_Group)
@@ -158,7 +160,7 @@ def contract(input_path, as_json) -> None:
 @cli.command()
 @input_opt
 @json_opt
-@click.option("--max-routes", default=10**6, show_default=True)
+@max_routes_opt
 def routes(input_path, as_json, max_routes) -> None:
     """Enumerate routes (maximal source-to-sink paths)."""
     g = _read_graph(input_path)
@@ -214,7 +216,7 @@ def framings(input_path, as_json, do_enum) -> None:
 @json_opt
 @framing_opt
 @click.option("--dot", "dot_path", default=None, help="write the dual graph as DOT")
-@click.option("--max-cliques", default=10**6, show_default=True)
+@max_cliques_opt
 def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
     """Maximal cliques of the coherence relation, with unimodularity flags."""
     inst = _ample_instance(input_path, framing, max_cliques)
@@ -340,8 +342,8 @@ def oracle(input_path, as_json, framing) -> None:
 @json_opt
 @framing_opt
 @click.option("--seed", default=0, show_default=True)
-@click.option("--max-routes", default=10**6, show_default=True)
-@click.option("--max-cliques", default=10**6, show_default=True)
+@max_routes_opt
+@max_cliques_opt
 def analyze(input_path, as_json, framing, seed, max_routes, max_cliques) -> None:
     """Run the whole pipeline and every cross-check."""
     g = _read_graph(input_path)

@@ -16,18 +16,20 @@ n+1 and its in-edges,
 where K counts the nonnegative integer flows with the given netflows.  So
 t enters only through binomials: the counts are a polynomial of degree at
 most d = sum_i o_i, and c_{d - o_1} is the normalized volume
-(Postnikov-Stanley).  From the counts the h*-vector is recovered exactly
-in the binomial basis, with palindromicity, unimodality, and the special
-simplex property of the exceptional routes.  Everything is exact integer
+(Postnikov-Stanley).  A sink receives nothing in G|n: it is n+1, or a
+vertex with o = 0 whose only out-edge, to the virtual super-sink, was
+dropped.  From the counts the h*-vector is recovered exactly in the
+binomial basis, with palindromicity, unimodality, and the special simplex
+property of the exceptional routes.  Everything is exact integer
 arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .dag import Dag, EdgeId, Route, flow_dims, is_full
 from .errors import (
@@ -50,31 +52,14 @@ def count_integer_flows(g: Dag, strength: int, max_states: int = DEFAULT_MAX_STA
 def flow_count_table(g: Dag, tmax: int, max_states: int = DEFAULT_MAX_STATES) -> dict[int, int]:
     """Number of nonnegative integer flows of each strength 0..tmax.
 
-    Evaluates the Lidskii formula (Baldoni-Vergne 2008, Meszaros-Morales
-    2019) of the module docstring:
-
-        counts[t] = sum_u C(t + o_1, o_1 + u) * c_u
-        c_u = sum over j_1 = o_1 + u, j_i <= o_i of
-              prod_{i >= 2} C(o_i, j_i) * K_{G|n}(j_1 - o_1, ..., j_n - o_n)
-
-    so c_{d - o_1} is the normalized volume (Postnikov-Stanley).  The root
-    1 is the source, or a virtual super-source joined to each source by one
-    edge when there are several.  A sink can receive nothing in G|n: it is
-    n+1, or, below a virtual super-sink joined to each sink by one edge, a
-    vertex with o = 0 whose only out-edge was dropped.  So every sink is
-    dropped with its in-edges, and so are isolated vertices.
-
-    Every c_u comes from one dynamic programming sweep over G|n in reverse
-    topological order.  A state holds, for each vertex not yet split, the
-    units that its split out-neighbours sent back to it, i.e. its outflow in
-    G|n.  Splitting vertex i >= 2 adds a = o_i - j_i in 0..o_i units with
-    weight C(o_i, a) and hands the total back along its in-edges, split by
-    tail.  The root is never split: in each final state it holds u, the
-    units leaving it, and the state's value is c_u.  Sweeping toward the
-    root reads u off the state instead of carrying it in the values, and
-    keeps the source's fan as one entry.  On full graphs with one source
-    o_i = 1 at inner vertices, so at most #inner units are ever in flight.
-    Each layer may hold at most `max_states` states.
+    One dynamic programming sweep over G|n in reverse topological order
+    gives every c_u.  A state holds, for each vertex not yet split, the
+    units that its split out-neighbours sent back to it, i.e. its outflow
+    in G|n.  Splitting vertex i >= 2 adds a = o_i - j_i in 0..o_i units with
+    weight C(o_i, a), and cuts the total into one share per in-edge, each
+    share sent back to the edge's tail.  The root is never split: in each
+    final state it holds u, the units leaving it, and the state's value is
+    c_u.  Each layer may hold at most `max_states` states.
     """
     if not g.sources:
         return {t: int(t == 0) for t in range(tmax + 1)}
@@ -86,85 +71,43 @@ def flow_count_table(g: Dag, tmax: int, max_states: int = DEFAULT_MAX_STATES) ->
     else:  # the virtual super-source takes one more slot
         root = len(order)
         o_root = len(g.sources) - 1
-
-    def overflow(size: int) -> None:
-        raise FrontierExplosionError(
-            f"flow DP: {size} states at vertex {k + 1} of {len(order)}, over the limit"
-            f" of {max_states} (strengths 0..{tmax})"
-        )
-
     states = {(0,) * max(len(order), root + 1): 1}
     for k in reversed(range(len(order))):
         v = order[k]
         if k == root or not g.out_edges[v]:
             continue
-        tails = Counter(pos[g.tail[e]] for e in g.in_edges[v]) if g.in_edges[v] else {root: 1}
-        states = _split_vertex(
-            states, k, sorted(tails.items()), len(g.out_edges[v]) - 1, max_states, overflow
-        )
+        tails = [pos[g.tail[e]] for e in g.in_edges[v]] or [root]
+        bars = len(tails) - 1
+        o = len(g.out_edges[v]) - 1
+        new: dict[tuple[int, ...], int] = {}
+        for state, value in states.items():
+            base = list(state)
+            base[k] = 0
+            for a in range(o + 1):
+                units = state[k] + a
+                weight = value * math.comb(o, a)
+                # stars and bars: the cuts split `units` into one share per in-edge;
+                # the shares of parallel edges add up in one state
+                for cuts in itertools.combinations(range(units + bars), bars):
+                    s = base.copy()
+                    prev = -1
+                    for p, cut in zip(tails, cuts):
+                        s[p] += cut - prev - 1
+                        prev = cut
+                    s[tails[-1]] += units + bars - 1 - prev
+                    key = tuple(s)
+                    new[key] = new.get(key, 0) + weight
+                    if len(new) > max_states:
+                        raise FrontierExplosionError(
+                            f"flow DP: {len(new)} states at vertex {k + 1} of {len(order)},"
+                            f" over the limit of {max_states} (strengths 0..{tmax})"
+                        )
+        states = new
     c = {state[root]: value for state, value in states.items()}
     return {
         t: sum(math.comb(t + o_root, o_root + u) * cu for u, cu in c.items())
         for t in range(tmax + 1)
     }
-
-
-def _split_vertex(
-    states: dict[tuple[int, ...], int],
-    k: int,
-    tails: Sequence[tuple[int, int]],
-    o: int,
-    max_states: int,
-    overflow: Callable[[int], None],
-) -> dict[tuple[int, ...], int]:
-    """Add 0..o units to the pending outflow of position k, with weight
-    C(o, a) for a units, and send the inflow that results back to its tails.
-
-    `tails` lists (position, number of parallel edges); a stars-and-bars
-    factor counts the ways to split a tail's share among its parallel
-    edges.  The splits of each state are generated one at a time, and
-    `overflow` is called with the size of the new layer as soon as it holds
-    more than `max_states` states.
-    """
-    new: dict[tuple[int, ...], int] = {}
-    last = len(tails) - 1
-    base: list[int] = []
-
-    def record(key: tuple[int, ...], value: int) -> None:
-        old = new.get(key)
-        if old is None:
-            new[key] = value
-            if len(new) > max_states:
-                overflow(len(new))
-        else:
-            new[key] = old + value
-
-    def spread(i: int, rest: int, value: int) -> None:
-        # hand `rest` units to tails i..last, then record the state
-        p, m = tails[i]
-        before = base[p]
-        if i < last:
-            for a in range(rest + 1):
-                base[p] = before + a
-                share = value * math.comb(a + m - 1, m - 1) if m > 1 and a else value
-                spread(i + 1, rest - a, share)
-        else:
-            base[p] = before + rest
-            record(tuple(base), value * math.comb(rest + m - 1, m - 1) if m > 1 and rest else value)
-        base[p] = before
-
-    try:
-        for state, value in states.items():
-            base = list(state)
-            base[k] = 0
-            for a in range(o + 1):
-                spread(0, state[k] + a, value * math.comb(o, a))
-    finally:
-        # spread refers to itself through its closure cell, and through
-        # record to the layer `new`: a reference cycle that would keep each
-        # layer alive until a full collection.  Emptying the cell breaks it.
-        del spread
-    return new
 
 
 @dataclass(frozen=True)

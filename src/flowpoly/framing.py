@@ -598,9 +598,12 @@ class _PortTable:
                     raise ConsistencyError("port-alternation", f"edges {', '.join(map(str, port))} at {v}")
                 ports.append((v, bit, (port, port[::-1]) if sigs[0] == first else (port[::-1], port)))
 
-    # the routes of g and of its contraction, enumerated once for every lift
+    # the routes of g and of its contraction, enumerated once for every lift;
+    # a full g is its own contraction and shares its routes
     routes = functools.cached_property(lambda self: enumerate_routes(self.g))
-    contraction_routes = functools.cached_property(lambda self: enumerate_routes(self.trace.result))
+    contraction_routes = functools.cached_property(
+        lambda self: self.routes if self.trace.result is self.g else enumerate_routes(self.trace.result)
+    )
 
     def labels(self, index: int) -> dict[EdgeId, int]:
         return {e: pair[index >> bit & 1] for e, bit, pair in self.edges}

@@ -43,38 +43,33 @@ def bron_kerbosch(
     vertex bitmasks in search order; no candidates gives [0].
     """
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            if len(out) > max_cliques:
-                raise CliqueExplosionError(f"more than {max_cliques} maximal cliques")
-            return
-        pool = p | x
-        best, best_cover = -1, -1
-        while pool:
-            v = (pool & -pool).bit_length() - 1
-            pool &= pool - 1
-            c = (p & adj[v]).bit_count()
-            if c > best_cover:
-                best, best_cover = v, c
-        cand = p & ~adj[best]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            bit = 1 << v
-            expand(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
-
-    try:
-        expand(0, candidates, 0)
-    finally:
-        # expand refers to itself through its closure cell, a reference
-        # cycle that would keep `out` alive until a full collection; emptying
-        # the cell breaks it
-        del expand
+    _expand(adj, 0, candidates, 0, out, max_cliques)
     return out
+
+
+def _expand(adj: Sequence[int], r: int, p: int, x: int, out: list[int], max_cliques: int) -> None:
+    """Append to `out` every maximal clique that adds to r vertices of p and none of x."""
+    if p == 0 and x == 0:
+        out.append(r)
+        if len(out) > max_cliques:
+            raise CliqueExplosionError(f"more than {max_cliques} maximal cliques")
+        return
+    pool = p | x
+    best, best_cover = -1, -1
+    while pool:
+        v = (pool & -pool).bit_length() - 1
+        pool &= pool - 1
+        c = (p & adj[v]).bit_count()
+        if c > best_cover:
+            best, best_cover = v, c
+    cand = p & ~adj[best]
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        bit = 1 << v
+        _expand(adj, r | bit, p & adj[v], x & adj[v], out, max_cliques)
+        p &= ~bit
+        x |= bit
 
 
 def mask_members(mask: int) -> Clique:

@@ -430,6 +430,9 @@ def test_fuzz_command():
         (["fuzz", "--count", "-2"], "--count"),
         (["fuzz", "--size", "0"], "--size"),
         (["fuzz", "--size", "1"], "--size"),
+        (["routes", "--max-routes", "-1"], "--max-routes"),
+        (["cliques", "--max-cliques", "0"], "--max-cliques"),
+        (["analyze", "--max-routes", "0"], "--max-routes"),
     ],
 )
 def test_bad_counts_are_usage_errors(g27h, monkeypatch, capsys, argv, option):

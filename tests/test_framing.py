@@ -506,6 +506,18 @@ def test_lifts_through_one_table_contract_once(car8, car8h, monkeypatch):
     assert calls == {"complete_contraction": 1, "enumerate_routes": 2}
 
 
+def test_lifts_on_a_full_dag_enumerate_routes_once(car8h, monkeypatch):
+    # a full DAG is its own contraction: its routes serve both sides of every lift
+    canonical = [t.framing for t in enumerate_ample_framings(port_table(car8h)) if t.canonical]
+    calls = []
+    enumerate_routes = flowpoly.framing.enumerate_routes
+    monkeypatch.setattr(flowpoly.framing, "enumerate_routes", lambda g: calls.append(g) or enumerate_routes(g))
+    table = port_table(car8h)
+    lifts = [lift_framing(table, f) for f in canonical]
+    assert [f.key() for f in lifts] == [f.key() for f in canonical]
+    assert len(calls) == 1 and calls[0] is car8h
+
+
 def _behind_idle_chain(g27h):
     """G(2,7) with 1,500 idle edges between a full vertex and the head of
     one of its out-edges."""

@@ -19,6 +19,7 @@ import click
 from . import analysis as analysis_mod
 from .analysis import Instance
 from .dag import (
+    DEFAULT_MAX_ROUTES,
     Dag,
     complete_contraction,
     dag_from_edge_list,
@@ -27,6 +28,7 @@ from .dag import (
     enumerate_routes,
     is_full,
 )
+from .ehrhart import finite_differences_vanish
 from .errors import ConsistencyError, FlowpolyError, LimitError, NotAmpleError, NotValidError
 from .framing import (
     Framing,
@@ -106,8 +108,8 @@ json_opt = click.option("--json", "as_json", is_flag=True, help="machine-readabl
 framing_opt = click.option(
     "--framing", default="by-id", show_default=True, help="named framing or framing JSON file"
 )
-max_routes_opt = click.option("--max-routes", default=10**6, show_default=True, type=click.IntRange(min=1))
-max_cliques_opt = click.option("--max-cliques", default=10**6, show_default=True, type=click.IntRange(min=1))
+max_routes_opt = click.option("--max-routes", default=DEFAULT_MAX_ROUTES, show_default=True, type=click.IntRange(min=1))
+max_cliques_opt = click.option("--max-cliques", default=DEFAULT_MAX_CLIQUES, show_default=True, type=click.IntRange(min=1))
 
 
 @click.group(cls=_Group)
@@ -335,6 +337,8 @@ def oracle(input_path, as_json, framing) -> None:
         _echo(", ".join(f"{name}: {flag}" for name, flag in result.flags.items()))
         if "special_simplex" in payload:
             _echo(f"exceptional routes form a special simplex: {payload['special_simplex']}")
+    if not finite_differences_vanish(result.counts, result.dimension):
+        raise ConsistencyError("ehrhart-finite-differences-vanish")
 
 
 @cli.command()

@@ -26,6 +26,19 @@ Route = tuple[EdgeId, ...]
 DEFAULT_MAX_ROUTES = 10**6
 
 
+def find(parent: dict, x):
+    """Representative of x's class, halving the path walked.
+
+    `parent` maps each merged element to another element of its class, never
+    to itself; an element it does not map represents its class.
+    """
+    while x in parent:
+        up = parent[x]
+        parent[x] = parent.get(up, up)
+        x = parent[x]
+    return x
+
+
 @dataclass(frozen=True)
 class Dag:
     """Immutable directed acyclic multigraph.
@@ -142,16 +155,9 @@ class Dag:
         inner = set(self.inner)
         node = {v: (v if v in inner else star) for v in self.vertices}
         parent: dict = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
         tree: set[EdgeId] = set()
         for e in self.edge_ids:
-            a, b = find(node[self.tail[e]]), find(node[self.head[e]])
+            a, b = find(parent, node[self.tail[e]]), find(parent, node[self.head[e]])
             if a != b:
                 parent[a] = b
                 tree.add(e)
@@ -260,48 +266,41 @@ def complete_contraction(g: Dag) -> ContractionTrace:
     keeps its id.  Multi-edges arise naturally.  A graph that collapses to
     a bundle of parallel source-to-sink edges is a legitimate result.
 
-    A graph without idle edges is its own result.  Otherwise the steps
-    update plain tail/head/port maps, and the result is built (and
-    validated) once at the end.  No step can create a self-loop, a
-    cycle or a duplicate id: an idle edge is the only way into its head or
-    the only way out of its tail.  No step makes an edge idle either (the
-    merged vertex's single in- or out-edge was idle already), so one pass
-    over the idle edges of g, in id order, contracts each one that no
-    earlier step has made non-idle.
+    A graph without idle edges is its own result.  Otherwise a union-find
+    over the vertices (`find`) holds the merges, with in- and out-degree
+    counts per class, so no step relabels an edge and the contraction runs
+    in near-linear time; the result is built (and validated) once at the
+    end.  No step can create a self-loop, a cycle or a duplicate id: an idle
+    edge is the only way into its head or the only way out of its tail.  No
+    step makes an edge idle either (the merged vertex's single in- or
+    out-edge was idle already), so one pass over the idle edges of g, in id
+    order, contracts each one that no earlier step has made non-idle.
     """
     idle = sorted(idle_edges(g))
     if not idle:
         return ContractionTrace((), g, {v: v for v in g.vertices})
-    tail, head = dict(g.tail), dict(g.head)
-    ins = {v: set(es) for v, es in g.in_edges.items()}
-    outs = {v: set(es) for v, es in g.out_edges.items()}
+    indeg = {v: len(es) for v, es in g.in_edges.items()}
+    outdeg = {v: len(es) for v, es in g.out_edges.items()}
+    parent: dict[VertexId, VertexId] = {}
     steps: list[tuple[EdgeId, tuple[VertexId, VertexId]]] = []
     for e in idle:
-        u, v = tail[e], head[e]
+        u, v = find(parent, g.tail[e]), find(parent, g.head[e])
         # still idle: the only edge into an inner head or out of an inner tail
-        if not (len(ins[v]) == 1 and outs[v] or len(outs[u]) == 1 and ins[u]):
+        if not (indeg[v] == 1 and outdeg[v] or outdeg[u] == 1 and indeg[u]):
             continue
-        del tail[e], head[e]
+        outdeg[u] -= 1
+        indeg[v] -= 1
         keep, drop = (u, v) if u < v else (v, u)
         steps.append((e, (keep, drop)))
-        outs[u].discard(e)
-        ins[v].discard(e)
-        for d in ins[drop]:
-            head[d] = keep
-        for d in outs[drop]:
-            tail[d] = keep
-        ins[keep] |= ins.pop(drop)
-        outs[keep] |= outs.pop(drop)
-    # each vertex is dropped once, so later steps have already resolved
-    # the final representative of every vertex kept at an earlier step
-    final: dict[VertexId, VertexId] = {}
-    for _, (keep, drop) in reversed(steps):
-        final[drop] = final.get(keep, keep)
+        parent[drop] = keep
+        indeg[keep] += indeg[drop]
+        outdeg[keep] += outdeg[drop]
+    contracted = {e for e, _ in steps}
     result = Dag.build(
-        (x for x in g.vertices if x in ins),
-        ((e, tail[e], head[e]) for e, _, _ in g.edges if e in tail),
+        (x for x in g.vertices if x not in parent),
+        ((e, find(parent, t), find(parent, h)) for e, t, h in g.edges if e not in contracted),
     )
-    return ContractionTrace(tuple(steps), result, {v: final.get(v, v) for v in g.vertices})
+    return ContractionTrace(tuple(steps), result, {v: find(parent, v) for v in g.vertices})
 
 
 def is_full(g: Dag) -> bool:

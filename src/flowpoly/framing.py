@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from .dag import (
-    ContractionTrace, Dag, EdgeId, Route, VertexId, complete_contraction, enumerate_routes, idle_edges, is_full,
+    ContractionTrace, Dag, EdgeId, Route, VertexId, complete_contraction, enumerate_routes, find, idle_edges, is_full,
 )
 from .errors import (
     BadChoicesError,
@@ -361,13 +361,12 @@ class Decomposition:
 
 
 class _Walk:
-    __slots__ = ("vertices", "edges", "closed", "dead")
+    __slots__ = ("vertices", "edges", "closed")
 
     def __init__(self, vertices, edges):
         self.vertices = list(vertices)
         self.edges = list(edges)
         self.closed = False
-        self.dead = False
 
     def orient(self, x, end: int) -> None:
         """Reverse the walk if needed so that x sits at `end` (0 or -1)."""
@@ -389,9 +388,11 @@ def path_cycle_decomposition(g: Dag) -> Decomposition:
     if not is_full(g):
         raise NotFullError("decomposition is defined for full DAGs")
     walks: list[_Walk] = []
-    # open end registry: inner vertex x -> walk index whose end edge leaves x.
+    # open end registry: inner vertex x -> walk index whose end edge leaves x,
+    # read through `merged`, which maps each absorbed walk to its absorber.
     # A full vertex has two out-edges, so at most one end is ever open at x.
     ends: dict[VertexId, int] = {}
+    merged: dict[int, int] = {}
     sinks = set(g.sinks)
     inner = set(g.inner)
 
@@ -400,7 +401,7 @@ def path_cycle_decomposition(g: Dag) -> Decomposition:
         if x not in ends:
             ends[x] = cur
             return cur
-        oid = ends.pop(x)
+        oid = find(merged, ends.pop(x))
         if oid == cur:
             walks[cur].closed = True  # both ends met: an alternating cycle
             return cur
@@ -409,10 +410,7 @@ def path_cycle_decomposition(g: Dag) -> Decomposition:
         o.orient(x, 0)
         w.vertices.extend(o.vertices[1:])
         w.edges.extend(o.edges)
-        o.dead = True
-        for y, idx in list(ends.items()):
-            if idx == oid:
-                ends[y] = cur
+        merged[oid] = cur
         return cur
 
     for v in g.topological_order:
@@ -433,7 +431,7 @@ def path_cycle_decomposition(g: Dag) -> Decomposition:
         if x not in inner:
             walks.append(_Walk([x, t], [e]))  # source -> sink edge
         elif x in ends:
-            w = walks[ends.pop(x)]
+            w = walks[find(merged, ends.pop(x))]
             w.orient(x, -1)
             w.vertices.append(t)
             w.edges.append(e)
@@ -442,8 +440,8 @@ def path_cycle_decomposition(g: Dag) -> Decomposition:
             walks.append(_Walk([t, x], [e]))
 
     components: list[Component] = []
-    for w in walks:
-        if w.dead:
+    for i, w in enumerate(walks):
+        if i in merged:
             continue
         if w.closed:
             kind = "cycle"  # closed walks already repeat their endpoint
@@ -503,16 +501,9 @@ def _check_idle_forest(g: Dag, reach: IdleReachability) -> None:
     on those the product formula overcounts, so fail loudly instead.
     """
     idle = idle_edges(g)
-    parent: dict[VertexId, VertexId] = {v: v for v in g.vertices}
-
-    def find(x: VertexId) -> VertexId:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent: dict[VertexId, VertexId] = {}
     for e in sorted(idle):
-        a, b = find(g.tail[e]), find(g.head[e])
+        a, b = find(parent, g.tail[e]), find(parent, g.head[e])
         if a == b:
             raise ConsistencyError(
                 "idle-forest-structure", f"idle edges contain a cycle through edge {e}"

@@ -376,6 +376,31 @@ def test_failed_shelling_check_is_a_failed_verdict(g27h, monkeypatch, capsys):
     assert err.startswith("consistency failure: shelling-h-matches-dcov")
 
 
+
+def test_counts_off_the_ehrhart_fit_are_a_failed_verdict(g27h, monkeypatch, capsys):
+    # a count above the dimension that misses the polynomial through the
+    # counts at 0..d fails the finite-difference verdict (exit 2), it is not
+    # an input error
+    import flowpoly.ehrhart
+    from flowpoly.dag import dag_to_json
+
+    table = flowpoly.ehrhart.flow_count_table
+
+    def bumped(g, tmax, *args):
+        counts = table(g, tmax, *args)
+        counts[tmax] += 1
+        return counts
+
+    monkeypatch.setattr(flowpoly.ehrhart, "flow_count_table", bumped)
+    graph = dag_to_json(g27h)
+    code, out, err = main_in_process(monkeypatch, capsys, ["analyze", "--json", "--framing", "paper-g27"], graph)
+    failed = [v["invariant"] for v in json.loads(out)["verdicts"] if not v["ok"]]
+    assert code == 2 and failed == ["ehrhart-finite-differences-vanish"]
+    assert err.startswith("consistency failure: ehrhart-finite-differences-vanish")
+    code, out, err = main_in_process(monkeypatch, capsys, ["oracle", "--json", "--framing", "paper-g27"], graph)
+    assert code == 2 and json.loads(out)["hstar"] == [1, 7, 7, 1, 0, 0]
+    assert err == "consistency failure: ehrhart-finite-differences-vanish\n"
+
 # ordered verdict names of `analyze --json`; scripts rely on them, so they stay fixed
 G27_VERDICTS = [
     "framing-ample",

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -248,6 +249,18 @@ def _contraction_corpus():
     # idle chains, with vertex ids rising and falling along the path
     yield Dag.build(range(501), [(i, i, i + 1) for i in range(500)])
     yield Dag.build(range(101), [(i, 100 - i, 99 - i) for i in range(100)])
+    yield _fan_chain(100)
+
+
+def _fan_chain(n: int) -> Dag:
+    """Idle chain source -> n-1 -> ... -> 0 -> sink, with a fan edge from each
+    chain vertex to the sink.  The source and sink ids n and n + 1 exceed the
+    chain's, so each step keeps the new chain vertex and drops the merged one,
+    whose fan edges keep growing."""
+    source, sink = n, n + 1
+    path = [source, *range(n - 1, -1, -1), sink]
+    edges = [(i, t, h) for i, (t, h) in enumerate(zip(path, path[1:]))]
+    return Dag.build(range(n + 2), edges + [(n + 1 + v, v, sink) for v in range(n)])
 
 
 def test_contraction_matches_stepwise_reference(monkeypatch):
@@ -263,6 +276,22 @@ def test_contraction_matches_stepwise_reference(monkeypatch):
         assert got.result.vertices == want.result.vertices
         assert got.result.edges == want.result.edges
         assert list(got.vertex_map.items()) == list(want.vertex_map.items())
+
+
+def test_contraction_is_linear_on_a_falling_id_fan_chain():
+    def best_of_3(g):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            trace = complete_contraction(g)
+            times.append(time.perf_counter() - start)
+        assert len(trace.result.vertices) == 2 and len(trace.steps) == len(g.vertices) - 2
+        return min(times)
+
+    small, large = _fan_chain(1500), _fan_chain(6000)
+    # linear time reads about 4x; relabelling the dropped vertex's edges at
+    # each step reads about 14x
+    assert best_of_3(large) < 8 * best_of_3(small)
 
 
 def test_json_round_trip(g27h):

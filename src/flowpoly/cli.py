@@ -5,7 +5,8 @@ compose in pipelines; analysis commands read a graph from stdin or --input
 and print a report (pretty text, or JSON with --json).
 
 Exit codes: 0 all checks pass, 1 usage or limit errors, 2 a structural
-invariant failed on this instance.
+invariant failed on this instance: `main` maps the families of
+`flowpoly.errors` to these codes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .dag import (
     is_full,
 )
 from .ehrhart import finite_differences_vanish
-from .errors import ConsistencyError, FlowpolyError, LimitError, NotAmpleError, NotValidError
+from .errors import ConsistencyError, FlowpolyError, FramingError, LimitError, NotFullError
 from .framing import (
     Framing,
     count_ample_framings,
@@ -85,11 +86,11 @@ def _read_graph(path: str | None) -> Dag:
 
 
 def _ample_instance(input_path: str | None, framing: str, max_cliques: int = DEFAULT_MAX_CLIQUES) -> Instance:
-    """The stages of the graph and framing given; `NotAmpleError` (exit 1) unless the framing is ample."""
+    """The stages of the graph and framing given; `FramingError` (exit 1) unless the framing is ample."""
     g = _read_graph(input_path)
     inst = Instance(g, _resolve_framing(g, framing), max_cliques=max_cliques)
     if not inst.ample:
-        raise NotAmpleError("the framing is not ample: some edge lies on no exceptional route")
+        raise FramingError("the framing is not ample: some edge lies on no exceptional route")
     return inst
 
 
@@ -184,7 +185,7 @@ def framings(input_path, as_json, do_enum) -> None:
     g = _read_graph(input_path)
     try:
         table = port_table(g)
-    except NotValidError:
+    except NotFullError:
         raise click.UsageError("graph is not valid (no full contraction)")
     if do_enum:
         if not is_full(g):

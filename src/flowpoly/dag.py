@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import (
-    CycleError,
-    GraphError,
-    IsolatedVertexError,
-    RouteExplosionError,
-)
+from .errors import GraphError, RouteExplosionError
 
 VertexId = int
 EdgeId = int
@@ -45,7 +40,8 @@ class Dag:
 
     `edges` is a tuple of (edge_id, tail, head) triples.  Edge ids must be
     distinct; endpoints must be listed in `vertices`; self-loops and
-    directed cycles are rejected at construction.
+    directed cycles are rejected at construction.  A vertex without edges
+    is neither a source, a sink nor inner, so no stage reads it.
     """
 
     vertices: tuple[VertexId, ...]
@@ -77,8 +73,8 @@ class Dag:
             if t not in vset or h not in vset:
                 raise GraphError(f"edge {e} has unknown endpoint")
             if t == h:
-                raise CycleError(f"edge {e} is a self-loop")
-        self.topological_order  # raises CycleError on a directed cycle
+                raise GraphError(f"edge {e} is a self-loop")
+        self.topological_order  # raises GraphError on a directed cycle
 
     # -- basic accessors -------------------------------------------------
 
@@ -140,7 +136,7 @@ class Dag:
                 if indeg[w] == 0:
                     heapq.heappush(ready, w)
         if len(order) != len(self.vertices):
-            raise CycleError("graph contains a directed cycle")
+            raise GraphError("graph contains a directed cycle")
         return tuple(order)
 
     @cached_property
@@ -178,18 +174,7 @@ class Dag:
         return f"Dag({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-# -- vertex classification and dimensions --------------------------------
-
-
-def classify_vertices(g: Dag) -> tuple[set[VertexId], set[VertexId], set[VertexId]]:
-    """Partition vertices into (sources, sinks, inner).
-
-    Raises IsolatedVertexError when a vertex has no incident edges at all.
-    """
-    for v in g.vertices:
-        if not g.in_edges[v] and not g.out_edges[v]:
-            raise IsolatedVertexError(f"vertex {v} has no incident edges")
-    return set(g.sources), set(g.sinks), set(g.inner)
+# -- dimensions -----------------------------------------------------------
 
 
 def flow_dims(g: Dag) -> tuple[int, int]:

@@ -32,12 +32,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .dag import Dag, EdgeId, Route, flow_dims, is_full
-from .errors import (
-    FrontierExplosionError,
-    NegativeCoefficientError,
-    NonIntegralSolutionError,
-    NotFullError,
-)
+from .errors import ConsistencyError, FlowpolyError, FrontierExplosionError, NotFullError
 
 DEFAULT_MAX_STATES = 2_000_000
 
@@ -136,18 +131,19 @@ def hstar_from_counts(counts: Mapping[int, int], d: int) -> list[int]:
     """Solve counts[t] = sum_i h_i * C(t + d - i, d) for h, exactly.
 
     The system is unitriangular, so the counts at t = 0..d fix an integral
-    solution; a negative entry signals a wrong dimension or a counting bug.
+    solution.  h* is nonnegative (Stanley 1980), so a negative entry, which
+    signals a wrong dimension or a counting bug, breaks `hstar-nonnegative`.
     Counts at t > d do not enter: `finite_differences_vanish` checks them.
     """
     for t in range(d + 1):
         if t not in counts:
-            raise NonIntegralSolutionError(f"counts missing dilation {t}")
+            raise FlowpolyError(f"counts missing dilation {t}")
     h = [0] * (d + 1)
     for t in range(d + 1):
         acc = sum(h[i] * math.comb(t + d - i, d) for i in range(t))
         h[t] = counts[t] - acc
         if h[t] < 0:
-            raise NegativeCoefficientError(f"h*_{t} = {h[t]} < 0")
+            raise ConsistencyError("hstar-nonnegative", f"h*_{t} = {h[t]} < 0")
     return h
 
 
@@ -156,7 +152,7 @@ def finite_differences_vanish(counts: Mapping[int, int], d: int) -> bool:
     tmax = max(counts)
     values = [counts[t] for t in range(tmax + 1)]
     if len(values) < d + 2:
-        raise NonIntegralSolutionError("need counts up to at least d+1")
+        raise FlowpolyError("need counts up to at least d+1")
     diffs = values
     for _ in range(d + 1):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]

@@ -20,14 +20,7 @@ from typing import Iterator, Mapping, Sequence
 from .dag import (
     ContractionTrace, Dag, EdgeId, Route, VertexId, complete_contraction, enumerate_routes, find, idle_edges, is_full,
 )
-from .errors import (
-    BadChoicesError,
-    ConsistencyError,
-    FramingError,
-    InconsistentFramingError,
-    NotFullError,
-    NotValidError,
-)
+from .errors import ConsistencyError, FramingError, NotFullError
 
 
 @dataclass(frozen=True)
@@ -224,13 +217,6 @@ class CoherenceTable:
             index.setdefault(r, i)
         return index
 
-    def index_of(self, route: Route) -> int:
-        """Position of `route` in `routes`; ValueError if it is not there."""
-        i = self.route_index.get(tuple(route))
-        if i is None:
-            raise ValueError(f"{tuple(route)} is not a route of this table")
-        return i
-
 
 def _rank_masks(routes: Sequence[int], ranks: Sequence[int]) -> tuple[list[int], list[int]]:
     """Per rank k, the bitmasks of the `routes` ranked below k and above k."""
@@ -262,8 +248,9 @@ def edge_labeling(g: Dag, f: Framing) -> dict[EdgeId, int]:
     """Label each edge 1 (minimal at both ports) or 2 (maximal at both).
 
     Defined for ample framings on full DAGs; an edge that is minimal on one
-    side and maximal on the other makes the framing inconsistent.  Edges
-    with no framed port (source to sink) get label 1 by convention.
+    side and maximal on the other is a `FramingError` (the framing is not
+    ample).  Edges with no framed port (source to sink) get label 1 by
+    convention.
     """
     if not is_full(g):
         raise NotFullError("edge labeling needs a full DAG")
@@ -278,7 +265,7 @@ def edge_labeling(g: Dag, f: Framing) -> dict[EdgeId, int]:
         if h in f.in_order and len(f.in_order[h]) > 1:
             head_label = 1 if f.in_order[h][0] == e else 2
         if tail_label is not None and head_label is not None and tail_label != head_label:
-            raise InconsistentFramingError(
+            raise FramingError(
                 f"edge {e} is rank {tail_label} at its tail but {head_label} at its head"
             )
         labels[e] = tail_label or head_label or 1
@@ -373,7 +360,8 @@ class _Walk:
         if self.vertices[end] != x:
             self.vertices.reverse()
             self.edges.reverse()
-        assert self.vertices[end] == x
+        if self.vertices[end] != x:
+            raise ConsistencyError("alternating-walks-meet-at-ends", f"{x} is not an end of {self.vertices}")
 
 
 def path_cycle_decomposition(g: Dag) -> Decomposition:
@@ -453,7 +441,8 @@ def path_cycle_decomposition(g: Dag) -> Decomposition:
     components.sort(key=lambda c: min(c.edges))
     m = sum(1 for c in components if any(v in inner for v in c.vertices))
     seen = [e for c in components for e in c.edges]
-    assert len(seen) == len(g.edges) and len(set(seen)) == len(seen)
+    if len(seen) != len(g.edges) or len(set(seen)) != len(seen):
+        raise ConsistencyError("components-partition-edges", f"{len(seen)} edge slots for {len(g.edges)} edges")
     return Decomposition(components, m)
 
 
@@ -610,10 +599,10 @@ class _PortTable:
 
 def port_table(g: Dag) -> _PortTable:
     """The port table of a valid DAG, read off its complete contraction and
-    idle reachability; `NotValidError` unless the contraction is full."""
+    idle reachability; `NotFullError` unless the contraction is full."""
     trace = complete_contraction(g)
     if not is_full(trace.result):
-        raise NotValidError("graph has no full contraction")
+        raise NotFullError("graph has no full contraction")
     return _PortTable(g, path_cycle_decomposition(trace.result), trace, idle_reachability(g))
 
 
@@ -678,15 +667,15 @@ def lift_framing(
     labels = edge_labeling(h, f_full)
     index = functools.reduce(operator.or_, (1 << bit for e, bit, pair in table.edges if labels[e] != pair[0]), 0)
     if table.labels(index) != labels:
-        raise BadChoicesError("the framing's labels are not an alternating labeling of the contraction")
+        raise FramingError("the framing's labels are not an alternating labeling of the contraction")
     free = [tuple((choices or {}).get(v, {}).get(side, port)) for v, side, port in table.free]
     for (v, side, port), order in zip(table.free, free):
         if tuple(sorted(order)) != port:
-            raise BadChoicesError(f"{side}-order at {v} must permute {port}")
+            raise FramingError(f"{side}-order at {v} must permute {port}")
     f = table.framing(index, free)
     exc = exceptional_routes(CoherenceTable(table.g, f, table.routes))
     exc_full = exceptional_routes(CoherenceTable(h, f_full, table.contraction_routes))
     projected = {table.trace.project_route(r) for r in exc}
     if projected != set(exc_full) or len(exc) != len(projected):
-        raise BadChoicesError("lift does not preserve the exceptional routes")
+        raise FramingError("lift does not preserve the exceptional routes")
     return f

@@ -15,13 +15,7 @@ from operator import or_
 from typing import Iterator, Mapping, Sequence
 
 from .dag import Dag, EdgeId, Route, VertexId, is_full
-from .errors import (
-    ConsistencyError,
-    ExceptionalRouteError,
-    InconsistentFramingError,
-    NotAmpleError,
-    NotFullError,
-)
+from .errors import ConsistencyError, NotFullError
 from .framing import Framing, edge_labeling
 from .triangulation import bron_kerbosch, mask_members
 
@@ -67,10 +61,7 @@ def build_quiver(g: Dag, f: Framing, labels: Mapping[EdgeId, int] | None = None)
     if not is_full(g):
         raise NotFullError("the quiver construction needs a full DAG")
     if labels is None:
-        try:
-            labels = edge_labeling(g, f)
-        except InconsistentFramingError as exc:
-            raise NotAmpleError(str(exc)) from exc
+        labels = edge_labeling(g, f)
     inner = set(g.inner)
     arrows = []
     for e in sorted(g.tail):
@@ -220,7 +211,7 @@ def route_to_module(g: Dag, labels: Mapping[EdgeId, int], route: Route) -> Strin
     """
     w = [labels[e] for e in route]
     if all(x == 1 for x in w) or all(x == 2 for x in w):
-        raise ExceptionalRouteError("route is exceptional")
+        raise ConsistencyError("route-module-bijection", f"route {route} is exceptional")
     i = w.index(2)
     j = len(w) - 1 - w[::-1].index(1)
     if i > j:  # pattern 1^a 2^b with a, b >= 1
@@ -233,10 +224,17 @@ def route_to_module(g: Dag, labels: Mapping[EdgeId, int], route: Route) -> Strin
     return StringWord("word", letters=_canonical(letters))
 
 
+def _only(items: list, invariant: str, what: str):
+    """The one member of `items`, the `what` found; `invariant` is broken
+    unless there is exactly one."""
+    if len(items) != 1:
+        raise ConsistencyError(invariant, f"{what} {items}, expected one")
+    return items[0]
+
+
 def _edge_of_weight(labels: Mapping[EdgeId, int], port: Sequence[EdgeId], weight: int) -> EdgeId:
     es = [e for e in port if labels[e] == weight]
-    assert len(es) == 1
-    return es[0]
+    return _only(es, "route-module-bijection", "edges of one weight in a port:")
 
 
 def _weight_run(
@@ -284,14 +282,12 @@ def _directed_path(g: Dag, edges: Sequence[EdgeId]) -> list[EdgeId]:
     """Order the edges of a directed path in g from its start."""
     heads = {g.head[e] for e in edges}
     first = [e for e in edges if g.tail[e] not in heads]
-    assert len(first) == 1
-    path = [first[0]]
-    rest = set(edges) - {first[0]}
+    path = [_only(first, "route-module-bijection", "first edges of a string's path:")]
+    rest = set(edges) - {path[0]}
     while rest:
         nxt = [e for e in rest if g.tail[e] == g.head[path[-1]]]
-        assert len(nxt) == 1
-        path.append(nxt[0])
-        rest.remove(nxt[0])
+        path.append(_only(nxt, "route-module-bijection", "next edges of a string's path:"))
+        rest.remove(path[-1])
     return path
 
 
@@ -342,7 +338,8 @@ def _walk_from_letters(q: Quiver, letters: Sequence[Letter]) -> Walk:
     verts = [_letter_ends(q, letters[0])[0]]
     for lt in letters:
         s, t = _letter_ends(q, lt)
-        assert s == verts[-1]
+        if s != verts[-1]:
+            raise ConsistencyError("blossom-extension-is-a-walk", f"letter {lt} does not continue {letters}")
         verts.append(t)
     return Walk(tuple(verts), tuple(letters))
 
@@ -361,10 +358,12 @@ def _candidates(q: Quiver, letters: Sequence[Letter], direct: bool) -> list[Lett
 
 
 def _extend(q: Quiver, letters: list[Letter]) -> None:
-    """Append inverse arrows while a (unique) valid one exists."""
+    """Append inverse arrows while a valid one exists.  Gentle quivers admit
+    at most one, and a string uses each arrow at most once, so it stops."""
     while cands := _candidates(q, letters, direct=False):
-        assert len(cands) == 1, "gentle quivers admit unique extensions"
-        letters.append(cands[0])
+        if len(letters) >= len(q.arrows):
+            raise ConsistencyError("blossom-extension-unique", f"{letters} extends past every arrow")
+        letters.append(_only(cands, "blossom-extension-unique", "extensions:"))
 
 
 def extend_string(q: Quiver, obj: StringWord) -> Walk:
@@ -386,8 +385,7 @@ def extend_string(q: Quiver, obj: StringWord) -> Walk:
     for _ in range(2):
         if obj.kind == "word":
             hook = _candidates(q, letters, direct=True)
-            assert len(hook) == 1, "gentle quivers admit unique extensions"
-            letters.append(hook[0])
+            letters.append(_only(hook, "blossom-extension-unique", "hooks:"))
         _extend(q, letters)
         letters = list(_inverse(tuple(letters)))
     return _walk_from_letters(q, tuple(letters))

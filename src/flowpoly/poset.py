@@ -32,7 +32,7 @@ from operator import lt
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .dag import EdgeId
-from .errors import ConsistencyError, NotLinearExtensionError
+from .errors import ConsistencyError, FlowpolyError, NotLinearExtensionError
 from .framing import CoherenceTable
 from .triangulation import Clique, DualGraph
 
@@ -183,6 +183,8 @@ class TauPoset:
 
     def random_linear_extensions(self, count: int, seed: int) -> list[list[int]]:
         """`count` sweeps drawing from one `random.Random(seed)`."""
+        if count < 0:
+            raise FlowpolyError(f"extension count {count} is negative")
         getrandbits = random.Random(seed).getrandbits
         return [self._sweep(getrandbits) for _ in range(count)]
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .dag import Dag, Route, flow_dims
-from .errors import CliqueExplosionError, ConsistencyError, NotSimplexError
+from .errors import CliqueExplosionError, ConsistencyError
 from .framing import CoherenceTable
 
 Clique = tuple[int, ...]  # sorted route indices
@@ -108,11 +108,12 @@ def simplex_volume(g: Dag, routes: Sequence[Route]) -> int:
     The d+1 routes of a d-simplex, written in the d+1 flow-lattice
     coordinates, form a square matrix; strength is a primitive linear form
     that is 1 on every route, so the absolute determinant is the simplex's
-    normalized volume.  1 means unimodular, 0 means degenerate.
+    normalized volume.  1 means unimodular, 0 means degenerate.  Fewer or
+    more than d+1 routes break `cliques-are-simplices`.
     """
     d = flow_dims(g)[1]
     if len(routes) != d + 1:
-        raise NotSimplexError(f"clique has {len(routes)} routes, need {d + 1}")
+        raise ConsistencyError("cliques-are-simplices", f"clique has {len(routes)} routes, need {d + 1}")
     pos = {e: i for i, e in enumerate(g.nontree_edges)}
     mat = []
     for r in routes:
@@ -149,7 +150,7 @@ def _int_det(m: list[list[int]]) -> int:
 
 
 def verify_unimodular(g: Dag, routes: Sequence[Route]) -> bool:
-    """True iff the clique spans a unimodular simplex; NotSimplex if not dim+1."""
+    """True iff the clique spans a unimodular simplex (`simplex_volume`)."""
     return simplex_volume(g, routes) == 1
 
 

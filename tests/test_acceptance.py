@@ -123,7 +123,7 @@ def test_criterion_2_car8():
     assert exc == sorted([(4, 0), (5, 1), (6, 2), (7, 3), (8, 9, 10, 11, 12)])
     cliques = maximal_cliques(tc)
     nine = frozenset(
-        tc.index_of(r)
+        tc.route_index[r]
         for r in [
             (4, 0),
             (5, 1),

@@ -7,8 +7,8 @@ import pytest
 
 from flowpoly.dag import Dag, complete_contraction, flow_dims
 from flowpoly.errors import (
+    ConsistencyError,
     FrontierExplosionError,
-    NegativeCoefficientError,
 )
 from flowpoly.ehrhart import (
     ehrhart_oracle,
@@ -72,8 +72,8 @@ def test_hstar_needs_consistent_counts(g27h):
     counts[7] += 1
     assert hstar_from_counts(counts, 5) == [1, 7, 7, 1, 0, 0]  # t > d does not enter
     bad = {0: 1, 1: 2, 2: 3}
-    with pytest.raises(NegativeCoefficientError):
-        hstar_from_counts(bad, 2)  # forces h*_2 = 3 - 3*2 - ... < 0
+    with pytest.raises(ConsistencyError, match=r"^hstar-nonnegative: h\*_1 = -1 < 0$"):
+        hstar_from_counts(bad, 2)  # h*_1 = 2 - C(3, 2) * h*_0
     assert not finite_differences_vanish(counts, 5)
 
 

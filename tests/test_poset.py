@@ -49,7 +49,7 @@ def g27poset(g27h, g27f, g27t):
 
 def clique_index(table, cliques, extra_routes):
     exc = set(table.exceptional_indices)
-    want = {table.index_of(r) for r in extra_routes} | exc
+    want = {table.route_index[r] for r in extra_routes} | exc
     (hit,) = [i for i, c in enumerate(cliques) if set(c) == want]
     return hit
 
@@ -68,7 +68,7 @@ def test_common_components_vertex_and_edge(g27h):
 
 def test_orient_dual_edge_examples(g27h, g27f, g27t):
     labels = edge_labeling(g27h, g27f)
-    r_2112, r_112, r_216 = map(g27t.index_of, (R_2112, R_112, R_216))
+    r_2112, r_112, r_216 = map(g27t.route_index.__getitem__, (R_2112, R_112, R_216))
     # exchanged pair whose qualifying component is the edge (3,4):
     # upper route enters it on weight 2 and leaves on weight 1
     sign, brick = orient_dual_edge(g27t, labels, r_2112, r_112)
@@ -464,6 +464,17 @@ def test_seeded_extensions_are_unchanged(g27poset):
     ]
     # the default sweep takes the last ready node
     assert g27poset.default_linear_extension() == [0, 5, 6, 2, 10, 8, 9, 1, 7, 3, 11, 13, 4, 12, 15, 14]
+
+
+def test_negative_extension_counts_are_rejected(g27h, g27poset):
+    # a negative count would draw no extension and pass silently
+    from flowpoly.analysis import analyze
+
+    with pytest.raises(FlowpolyError, match="^extension count -3 is negative$"):
+        g27poset.random_linear_extensions(-3, seed=0)
+    with pytest.raises(FlowpolyError, match="^extension count -3 is negative$"):
+        analyze(g27h, named_framing(g27h, "paper-g27"), extensions=-3)
+    assert g27poset.random_linear_extensions(0, seed=0) == []
 
 
 def test_cover_degrees_and_default_extension_follow_the_hasse_edges(flipped):

@@ -10,7 +10,7 @@ import pytest
 import flowpoly.triangulation
 from flowpoly.analysis import analyze
 from flowpoly.dag import complete_contraction, enumerate_routes, flow_dims
-from flowpoly.errors import CliqueExplosionError, NotSimplexError
+from flowpoly.errors import CliqueExplosionError, ConsistencyError
 from flowpoly.framing import (
     CoherenceTable,
     enumerate_ample_framings,
@@ -51,7 +51,7 @@ def test_single_route_clique(single_edge):
 def test_core8_big_clique_present(core8t):
     cliques = maximal_cliques(core8t)
     assert len(set(CORE8_BIG_CLIQUE)) == 9
-    want = frozenset(core8t.index_of(r) for r in CORE8_BIG_CLIQUE)
+    want = frozenset(core8t.route_index[r] for r in CORE8_BIG_CLIQUE)
     assert any(frozenset(c) == want for c in cliques)
 
 
@@ -68,7 +68,7 @@ def test_unimodular_core8(core8, core8t):
 def test_unimodular_rejects_bad_cliques(g27h, g27t):
     cliques = maximal_cliques(g27t)
     routes = [g27t.routes[i] for i in cliques[0]]
-    with pytest.raises(NotSimplexError):
+    with pytest.raises(ConsistencyError, match="^cliques-are-simplices: clique has 5 routes, need 6$"):
         verify_unimodular(g27h, routes[:-1])
     # repeating a vertex degenerates the simplex
     degenerate = routes[:-1] + [routes[0]]

@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import click
 
 from . import analysis as analysis_mod
-from .analysis import Instance
+from .analysis import Instance, Verdict, ample_instance, run_verdicts
 from .dag import (
     DEFAULT_MAX_ROUTES,
     Dag,
@@ -29,8 +30,7 @@ from .dag import (
     enumerate_routes,
     is_full,
 )
-from .ehrhart import finite_differences_vanish
-from .errors import ConsistencyError, FlowpolyError, FramingError, LimitError, NotFullError
+from .errors import ConsistencyError, FlowpolyError, LimitError, NotFullError
 from .framing import (
     Framing,
     count_ample_framings,
@@ -39,10 +39,11 @@ from .framing import (
     framing_to_json,
     named_framing,
     port_table,
+    validate_framing,
     NAMED_FRAMINGS,
 )
 from .generators import generate, random_valid_dag
-from .triangulation import DEFAULT_MAX_CLIQUES, unimodular_by_exchange
+from .triangulation import DEFAULT_MAX_CLIQUES
 
 
 def _echo(message: str = "", err: bool = False) -> None:
@@ -85,23 +86,26 @@ def _read_graph(path: str | None) -> Dag:
     return dag_from_edge_list(text)
 
 
-def _ample_instance(input_path: str | None, framing: str, max_cliques: int = DEFAULT_MAX_CLIQUES) -> Instance:
-    """The stages of the graph and framing given; `FramingError` (exit 1) unless the framing is ample."""
+def _framed(input_path: str | None, spec: str) -> tuple[Dag, Framing]:
+    """The graph read from input_path and its framing: a name, or a file that
+    must frame exactly this graph's inner vertices."""
     g = _read_graph(input_path)
-    inst = Instance(g, _resolve_framing(g, framing), max_cliques=max_cliques)
-    if not inst.ample:
-        raise FramingError("the framing is not ample: some edge lies on no exceptional route")
-    return inst
-
-
-def _resolve_framing(g: Dag, spec: str) -> Framing:
     if spec in NAMED_FRAMINGS:
-        return named_framing(g, spec)
+        return g, named_framing(g, spec)
     try:
         text = Path(spec).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"framing {spec!r} is neither a name nor a readable file: {exc}")
-    return framing_from_json(g, text)
+    f = framing_from_json(g, text)
+    validate_framing(g, f)
+    return g, f
+
+
+def _check(verdicts: Iterable[Verdict]) -> None:
+    """Exit 2 naming every failed verdict; a command prints its payload first."""
+    failed = ", ".join(v.invariant for v in verdicts if not v.ok)
+    if failed:
+        raise ConsistencyError(failed, "instance violates the named invariants")
 
 
 input_opt = click.option("--input", "-i", "input_path", default=None, help="graph file (default stdin)")
@@ -111,6 +115,13 @@ framing_opt = click.option(
 )
 max_routes_opt = click.option("--max-routes", default=DEFAULT_MAX_ROUTES, show_default=True, type=click.IntRange(min=1))
 max_cliques_opt = click.option("--max-cliques", default=DEFAULT_MAX_CLIQUES, show_default=True, type=click.IntRange(min=1))
+
+# the verdicts each checking command runs, on the stages it prints
+CLIQUES_VERDICTS = (
+    "cliques-contain-exceptionals", "cliques-are-simplices", "cliques-unimodular", "flip-traversal-matches-enumeration"
+)
+POSET_VERDICTS = ("dual-graph-regular", "dcov-palindromic", "dcov-extremes", "kappa-swaps-cover-statistics")
+HSTAR_VERDICTS = ("dual-graph-regular", "dcov-palindromic", "dcov-extremes", "shelling-h-matches-dcov")
 
 
 @click.group(cls=_Group)
@@ -222,19 +233,12 @@ def framings(input_path, as_json, do_enum) -> None:
 @max_cliques_opt
 def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
     """Maximal cliques of the coherence relation, with unimodularity flags."""
-    inst = _ample_instance(input_path, framing, max_cliques)
-    g, table = inst.g, inst.table
-    if not inst.flips_match:
-        raise ConsistencyError(
-            "flip-traversal-matches-enumeration",
-            f"{len(inst.dual.masks)} cliques by flips vs {len(inst.cliques)} by enumeration",
-        )
-    dg = inst.dual.relabelled()
-    cs = dg.cliques  # the enumeration's cliques, decoded in lexicographic order
+    inst = ample_instance(*_framed(input_path, framing), max_cliques=max_cliques)
+    verdicts = run_verdicts(inst, CLIQUES_VERDICTS)
+    table, dg = inst.table, inst.dual.relabelled()
+    cs = dg.cliques  # the flip traversal's cliques, decoded in lexicographic order
     # the exchange certificate flags every clique at once
-    if not unimodular_by_exchange(g, table, dg):
-        raise ConsistencyError("cliques-unimodular", "the flip exchanges do not certify every clique unimodular")
-    flags = [True] * len(cs)
+    flags = [verdicts["cliques-unimodular"].ok] * len(cs)
     pairs = [list(ab) for ab in zip(dg.a, dg.b)]
     if dot_path:
         _write_dot(dot_path, "graph dual {", cs, [f"  n{a} -- n{b};" for a, b in pairs])
@@ -254,6 +258,7 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
         _echo(f"{len(table.routes)} routes, {len(table.exceptional_indices)} exceptional")
         _echo(f"{len(cs)} maximal cliques, all unimodular: {all(flags)}")
         _echo(f"dual graph: {len(dg.a)} edges")
+    _check(verdicts.values())
 
 
 @cli.command()
@@ -263,11 +268,11 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
 @click.option("--dot", "dot_path", default=None, help="write the Hasse diagram as DOT")
 def poset(input_path, as_json, framing, dot_path) -> None:
     """Tau-tilting poset on the dual graph, with brick labels and dcov."""
-    inst = _ample_instance(input_path, framing)
+    inst = ample_instance(*_framed(input_path, framing))
     inst.labels  # NotFullError before the flip traversal
     inst.dual = inst.dual.relabelled()  # nodes numbered as printed
-    p = inst.poset
-    dcov = p.dcov_polynomial()
+    verdicts = run_verdicts(inst, POSET_VERDICTS)
+    p, dcov = inst.poset, inst.dcov
     if dot_path:
         covers = [f'  n{lo} -> n{hi} [label="{"-".join(map(str, w))}"];' for lo, hi, w in p.hasse]
         _write_dot(dot_path, "digraph poset {\n  rankdir=BT;", p.cliques, covers)
@@ -288,6 +293,7 @@ def poset(input_path, as_json, framing, dot_path) -> None:
         _echo(f"{len(p.cliques)} nodes, {len(p.hasse)} cover relations")
         _echo(f"dcov polynomial coefficients: {dcov}")
         _echo(f"kappa is a bijection on {len(p.kappa)} nodes")
+    _check(verdicts.values())
 
 
 @cli.command()
@@ -301,15 +307,14 @@ def poset(input_path, as_json, framing, dot_path) -> None:
 )
 def hstar(input_path, as_json, framing, seed, extensions) -> None:
     """h-vector from the poset: dcov statistics and shelling restrictions."""
-    p = _ample_instance(input_path, framing).poset
-    dcov = p.dcov_polynomial()
-    agree = p.shelling_agrees(extensions, seed)
+    inst = ample_instance(*_framed(input_path, framing), seed=seed, extensions=extensions)
+    verdicts = run_verdicts(inst, HSTAR_VERDICTS)
+    agree = verdicts["shelling-h-matches-dcov"].ok
     if as_json:
-        _echo(json.dumps({"h": dcov, "shelling_agrees": agree}))
+        _echo(json.dumps({"h": inst.dcov, "shelling_agrees": agree}))
     else:
-        _echo(f"h = {dcov} (shelling orders agree: {agree})")
-    if not agree:
-        raise ConsistencyError("shelling-h-matches-dcov", "instance violates the named invariants")
+        _echo(f"h = {inst.dcov} (shelling orders agree: {agree})")
+    _check(verdicts.values())
 
 
 @cli.command()
@@ -318,9 +323,8 @@ def hstar(input_path, as_json, framing, seed, extensions) -> None:
 @framing_opt
 def oracle(input_path, as_json, framing) -> None:
     """Ehrhart oracle: lattice-point counts, h*, Gorenstein/unimodal flags."""
-    g = _read_graph(input_path)
-    inst = Instance(g, _resolve_framing(g, framing))
-    result = inst.oracle
+    inst = Instance(*_framed(input_path, framing))
+    g, result = inst.g, inst.oracle
     payload = {
         "dimension": result.dimension,
         "counts": result.counts,
@@ -338,8 +342,7 @@ def oracle(input_path, as_json, framing) -> None:
         _echo(", ".join(f"{name}: {flag}" for name, flag in result.flags.items()))
         if "special_simplex" in payload:
             _echo(f"exceptional routes form a special simplex: {payload['special_simplex']}")
-    if not finite_differences_vanish(result.counts, result.dimension):
-        raise ConsistencyError("ehrhart-finite-differences-vanish")
+    _check(run_verdicts(inst, ("ehrhart-finite-differences-vanish",)).values())
 
 
 @cli.command()
@@ -351,29 +354,13 @@ def oracle(input_path, as_json, framing) -> None:
 @max_cliques_opt
 def analyze(input_path, as_json, framing, seed, max_routes, max_cliques) -> None:
     """Run the whole pipeline and every cross-check."""
-    g = _read_graph(input_path)
-    f = _resolve_framing(g, framing)
     report = analysis_mod.analyze(
-        g, f, seed=seed, max_routes=max_routes, max_cliques=max_cliques
+        *_framed(input_path, framing), seed=seed, max_routes=max_routes, max_cliques=max_cliques
     )
     if as_json:
-        _echo(
-            json.dumps(
-                {
-                    "routes": report.data.get("routes"),
-                    "exceptional": report.data.get("exceptional"),
-                    "cliques": report.data.get("cliques"),
-                    "dcov": report.data.get("dcov"),
-                    "hstar": report.data.get("hstar"),
-                    "flags": report.data.get("flags"),
-                    "verdicts": [
-                        {"invariant": v.invariant, "ok": v.ok, "detail": v.detail}
-                        for v in report.verdicts
-                    ],
-                    "ok": report.ok,
-                }
-            )
-        )
+        payload = {key: report.data[key] for key in ("routes", "exceptional", "cliques", "dcov", "hstar", "flags")}
+        verdicts = [{"invariant": v.invariant, "ok": v.ok, "detail": v.detail} for v in report.verdicts]
+        _echo(json.dumps({**payload, "verdicts": verdicts, "ok": report.ok}))
     else:
         _echo(f"routes: {report.data.get('routes')}")
         _echo(f"exceptional routes: {report.data.get('exceptional')}")
@@ -384,9 +371,7 @@ def analyze(input_path, as_json, framing, seed, max_routes, max_cliques) -> None
         for v in report.verdicts:
             mark = "ok " if v.ok else "FAIL"
             _echo(f"  [{mark}] {v.invariant}" + (f" ({v.detail})" if v.detail else ""))
-    if not report.ok:
-        failed = ", ".join(v.invariant for v in report.failed())
-        raise ConsistencyError(failed, "instance violates the named invariants")
+    _check(report.verdicts)
 
 
 @cli.command()

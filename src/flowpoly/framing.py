@@ -272,10 +272,6 @@ def edge_labeling(g: Dag, f: Framing) -> dict[EdgeId, int]:
     return labels
 
 
-def route_weight(g: Dag, labels: Mapping[EdgeId, int], route: Route) -> tuple[int, ...]:
-    return tuple(labels[e] for e in route)
-
-
 # -- exceptional set checking (adjacency graph) ---------------------------------
 
 

@@ -4,8 +4,9 @@ selection", Computer 1978).
 Each row breaks one stage of the pipeline, deterministically, by patching
 it, runs `flowpoly.cli.main` in-process on contracted gkn(2,9) and car 10,
 and expects exit 2 with the row's invariant named on stderr: among the
-failed verdicts of `analyze`, or as the invariant of a raised
-`ConsistencyError`.  An equivalent mutant changes no output.
+failed verdicts that `analyze` or a checking subcommand ran, or as the
+invariant of a raised `ConsistencyError`.  An equivalent mutant changes no
+output.
 
 Two verdicts hold by construction, so a mutant fails them only by breaking
 what they read: `shelling-h-matches-dcov` (the shelling h-vector is the
@@ -144,12 +145,15 @@ def wrong_candidate(patch: Patch) -> None:
 class Mutant:
     stage: str
     mutation: str
-    invariant: str | dict[str, str] | None  # expected; per graph where they differ; None if equivalent
+    # expected; per graph or per command where they differ; None if equivalent
+    invariant: str | dict[str, str] | None
     apply: Callable[[Patch], None]
     commands: tuple[str, ...] = ("analyze",)
 
-    def expected(self, graph: str) -> str:
-        return self.invariant if isinstance(self.invariant, str) else self.invariant[graph]
+    def expected(self, graph: str, command: str) -> str:
+        if isinstance(self.invariant, str):
+            return self.invariant
+        return self.invariant.get(graph) or self.invariant[command]
 
 
 KILLS = {
@@ -176,12 +180,14 @@ KILLS = {
         ("analyze", "hstar"),
     ),
     "dcov-h1-raised": Mutant(
-        "poset", "h_1 of the down-cover polynomial raised by 1", "hstar-matches-dcov",
+        "poset", "h_1 of the down-cover polynomial raised by 1",
+        {"analyze": "hstar-matches-dcov", "poset": "dcov-palindromic", "hstar": "dcov-palindromic"},
         lambda p: _wrap(p, poset.TauPoset, "dcov_polynomial", lambda h, *a: [h[0], h[1] + 1, *h[2:]]),
+        ("analyze", "poset", "hstar"),
     ),
     "kappa-images-swapped": Mutant(
         "poset", "two kappa images swapped", "kappa-swaps-cover-statistics",
-        lambda p: _cached(p, poset.TauPoset, "kappa", swap_kappa_images),
+        lambda p: _cached(p, poset.TauPoset, "kappa", swap_kappa_images), ("analyze", "poset"),
     ),
     "hasse-edge-reversed": Mutant(
         "poset", "Hasse edge 0 reversed after certification",
@@ -305,7 +311,7 @@ def texts() -> dict[str, str]:
 def test_every_mutant_exits_2_naming_its_invariant(key, texts):
     row = KILLS[key]
     for graph, command, code, out, names in outcomes(row, texts):
-        assert (code, row.expected(graph) in names) == (2, True), (graph, command, code, names)
+        assert (code, row.expected(graph, command) in names) == (2, True), (graph, command, code, names)
         if command == "analyze" and out:  # a payload: its failed verdicts are the ones named
             assert names == [v["invariant"] for v in json.loads(out)["verdicts"] if not v["ok"]]
 
@@ -328,7 +334,7 @@ def test_guards_hold_under_python_O(texts):
         lines = [json.loads(line) for line in res.stdout.splitlines()]
         assert len(lines) == len(texts) * len(KILLS[key].commands)
         for graph, command, code, names in lines:
-            assert (code, KILLS[key].expected(graph) in names) == (2, True), (key, graph, command, code, names)
+            assert (code, KILLS[key].expected(graph, command) in names) == (2, True), (key, graph, command, code, names)
 
 
 def test_no_assert_statement_in_the_package():

@@ -4,19 +4,20 @@ Graph-producing commands (gen, contract) write graph JSON to stdout so they
 compose in pipelines; analysis commands read a graph from stdin or --input
 and print a report (pretty text, or JSON with --json).
 
-Exit codes: 0 all checks pass, 1 usage or limit errors, 2 a structural
-invariant failed on this instance: `main` maps the families of
-`flowpoly.errors` to these codes.
+One argparse parser, built once when this module is imported, parses every
+call, and `main` runs the command it names.  Exit codes: 0 all checks pass,
+1 usage or limit errors, 2 a structural invariant failed on this instance:
+`main` maps the families of `flowpoly.errors` to these codes.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
-
-import click
 
 from . import analysis as analysis_mod
 from .analysis import Instance, Verdict, ample_instance, run_verdicts
@@ -36,7 +37,6 @@ from .framing import (
     count_ample_framings,
     enumerate_ample_framings,
     framing_from_json,
-    framing_to_json,
     named_framing,
     port_table,
     validate_framing,
@@ -46,41 +46,43 @@ from .generators import generate, random_valid_dag
 from .triangulation import DEFAULT_MAX_CLIQUES
 
 
-def _echo(message: str = "", err: bool = False) -> None:
-    """click.echo to the current sys.stdout or sys.stderr.  Given no file,
-    click caches each stream's wrapper in a WeakKeyDictionary whose value
-    is the stream itself, so every stream that a caller redirected output
-    to while calling `main` in-process would stay alive with its text."""
-    click.echo(message, file=sys.stderr if err else sys.stdout)
+class UsageError(Exception):
+    """A command line, or an input named on it, that no command can run on."""
 
 
-def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
-    """click's own --help callback, printing through `_echo`."""
-    if value and not ctx.resilient_parsing:
-        _echo(ctx.get_help())
-        ctx.exit()
+class _Parser(argparse.ArgumentParser):
+    """Raises `UsageError` instead of exiting, takes no abbreviated options,
+    and has `--help` as its only help option."""
+
+    def __init__(self, **settings) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **settings)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
-class _Command(click.Command):
-    def get_help_option(self, ctx: click.Context) -> click.Option | None:
-        option = super().get_help_option(ctx)
-        if option is not None:
-            option.callback = _show_help
-        return option
+def _at_least(low: int):
+    """An int option type refusing values below `low`."""
 
+    def checked(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
 
-class _Group(_Command, click.Group):
-    command_class = _Command
+    checked.__name__ = "int"  # argparse names the type in "invalid int value"
+    return checked
 
 
 def _read_graph(path: str | None) -> Dag:
     try:
         text = sys.stdin.read() if path in (None, "-") else Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise click.UsageError(f"graph file {path!r} is not readable text: {exc}")
+        raise UsageError(f"graph file {path!r} is not readable text: {exc}")
     text = text.strip()
     if not text:
-        raise click.UsageError("empty graph input")
+        raise UsageError("empty graph input")
     if text.startswith("{"):
         return dag_from_json(text)
     return dag_from_edge_list(text)
@@ -95,7 +97,7 @@ def _framed(input_path: str | None, spec: str) -> tuple[Dag, Framing]:
     try:
         text = Path(spec).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise click.UsageError(f"framing {spec!r} is neither a name nor a readable file: {exc}")
+        raise UsageError(f"framing {spec!r} is neither a name nor a readable file: {exc}")
     f = framing_from_json(g, text)
     validate_framing(g, f)
     return g, f
@@ -108,13 +110,37 @@ def _check(verdicts: Iterable[Verdict]) -> None:
         raise ConsistencyError(failed, "instance violates the named invariants")
 
 
-input_opt = click.option("--input", "-i", "input_path", default=None, help="graph file (default stdin)")
-json_opt = click.option("--json", "as_json", is_flag=True, help="machine-readable output")
-framing_opt = click.option(
-    "--framing", default="by-id", show_default=True, help="named framing or framing JSON file"
+PARSER = _Parser(prog="flowpoly", description="Flow polytopes of DAGs: framings, triangulations, posets, h*-vectors.")
+_commands = PARSER.add_subparsers(metavar="COMMAND", required=True)
+
+
+def _option(*flags: str, **settings) -> tuple[tuple[str, ...], dict]:
+    return flags, settings
+
+
+def command(*options: tuple[tuple[str, ...], dict]):
+    """Add the decorated function to PARSER as the command of its name,
+    with these options; `main` calls it with them as keywords."""
+
+    def register(run):
+        sub = _commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__)
+        for flags, settings in options:
+            sub.add_argument(*flags, **settings)
+        sub.set_defaults(run=run)
+        return run
+
+    return register
+
+
+INPUT = _option("--input", "-i", dest="input_path", metavar="PATH", help="graph file (default stdin)")
+JSON = _option("--json", dest="as_json", action="store_true", help="machine-readable output")
+FRAMING = _option("--framing", default="by-id", help="named framing or framing JSON file (default: %(default)s)")
+SEED = _option("--seed", type=int, default=0, help="(default: %(default)s)")
+MAX_ROUTES = _option("--max-routes", type=_at_least(1), default=DEFAULT_MAX_ROUTES, help="(default: %(default)s)")
+MAX_CLIQUES = _option("--max-cliques", type=_at_least(1), default=DEFAULT_MAX_CLIQUES, help="(default: %(default)s)")
+EXTENSIONS = _option(
+    "--extensions", type=_at_least(0), default=5, help="random linear extensions to cross-check (default: %(default)s)"
 )
-max_routes_opt = click.option("--max-routes", default=DEFAULT_MAX_ROUTES, show_default=True, type=click.IntRange(min=1))
-max_cliques_opt = click.option("--max-cliques", default=DEFAULT_MAX_CLIQUES, show_default=True, type=click.IntRange(min=1))
 
 # the verdicts each checking command runs, on the stages it prints
 CLIQUES_VERDICTS = (
@@ -124,113 +150,72 @@ POSET_VERDICTS = ("dual-graph-regular", "dcov-palindromic", "dcov-extremes", "ka
 HSTAR_VERDICTS = ("dual-graph-regular", "dcov-palindromic", "dcov-extremes", "shelling-h-matches-dcov")
 
 
-@click.group(cls=_Group)
-def cli() -> None:
-    """Flow polytopes of DAGs: framings, triangulations, posets, h*-vectors."""
-
-
-@cli.command()
-@click.argument("name")
-@click.argument("args", nargs=-1, type=int)
-def gen(name: str, args: tuple[int, ...]) -> None:
+@command(_option("name"), _option("args", nargs="*", type=int, metavar="N"))
+def gen(name: str, args: list[int]) -> None:
     """Generate a built-in graph (car N | carcore N | gkn K N1)."""
     try:
-        g = generate(name, list(args))
+        g = generate(name, args)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _echo(dag_to_json(g))
+        raise UsageError(str(exc))
+    print(dag_to_json(g))
 
 
-@cli.command()
-@input_opt
-@json_opt
+@command(INPUT, JSON)
 def contract(input_path, as_json) -> None:
     """Contract idle edges to a complete contraction."""
     g = _read_graph(input_path)
     trace = complete_contraction(g)
+    full = is_full(trace.result)
     if as_json:
-        _echo(
-            json.dumps(
-                {
-                    "steps": [
-                        {"edge": e, "kept": k, "removed": r} for e, (k, r) in trace.steps
-                    ],
-                    "result": json.loads(dag_to_json(trace.result)),
-                    "vertex_map": trace.vertex_map,
-                    "full": is_full(trace.result),
-                    "valid": is_full(trace.result),
-                }
-            )
-        )
+        steps = [{"edge": e, "kept": k, "removed": r} for e, (k, r) in trace.steps]
+        result = json.loads(dag_to_json(trace.result))
+        vertex_map = trace.vertex_map
+        print(json.dumps({"steps": steps, "result": result, "vertex_map": vertex_map, "full": full, "valid": full}))
     else:
-        _echo(dag_to_json(trace.result))
-        _echo(
-            f"contracted {len(trace.steps)} idle edge(s); "
-            f"result full: {is_full(trace.result)}",
-            err=True,
-        )
+        print(dag_to_json(trace.result))
+        print(f"contracted {len(trace.steps)} idle edge(s); result full: {full}", file=sys.stderr)
 
 
-@cli.command()
-@input_opt
-@json_opt
-@max_routes_opt
+@command(INPUT, JSON, MAX_ROUTES)
 def routes(input_path, as_json, max_routes) -> None:
     """Enumerate routes (maximal source-to-sink paths)."""
     g = _read_graph(input_path)
     rs = enumerate_routes(g, max_routes)
     if as_json:
-        _echo(json.dumps({"count": len(rs), "routes": [list(r) for r in rs]}))
+        print(json.dumps({"count": len(rs), "routes": [list(r) for r in rs]}))
     else:
-        _echo(f"{len(rs)} routes")
+        print(f"{len(rs)} routes")
         for r in rs:
-            _echo(" ".join(map(str, r)))
+            print(" ".join(map(str, r)))
 
 
-@cli.command()
-@input_opt
-@json_opt
-@click.option("--enumerate", "do_enum", is_flag=True, help="stream the ample framings")
+@command(INPUT, JSON, _option("--enumerate", dest="do_enum", action="store_true", help="stream the ample framings"))
 def framings(input_path, as_json, do_enum) -> None:
     """Count (and optionally enumerate) ample framings of a valid DAG."""
     g = _read_graph(input_path)
     try:
         table = port_table(g)
     except NotFullError:
-        raise click.UsageError("graph is not valid (no full contraction)")
+        raise UsageError("graph is not valid (no full contraction)")
     if do_enum:
         if not is_full(g):
-            raise click.UsageError("--enumerate needs a full graph (contract first)")
+            raise UsageError("--enumerate needs a full graph (contract first)")
         for tagged in enumerate_ample_framings(table):
             if tagged.canonical:
-                _echo(framing_to_json(tagged.framing))
+                print(table.framing_json(tagged.index))
         return
     decomp, total = table.decomposition, count_ample_framings(table)
     if as_json:
-        _echo(
-            json.dumps(
-                {
-                    "m": decomp.m,
-                    "components": [
-                        {"kind": c.kind, "walk": list(c.walk())} for c in decomp.components
-                    ],
-                    "count": total,
-                }
-            )
-        )
+        components = [{"kind": c.kind, "walk": list(c.walk())} for c in decomp.components]
+        print(json.dumps({"m": decomp.m, "components": components, "count": total}))
     else:
-        _echo(f"M = {decomp.m} alternating components with inner vertices")
+        print(f"M = {decomp.m} alternating components with inner vertices")
         for c in decomp.components:
-            _echo(f"  {c.kind}: " + "-".join(map(str, c.walk())))
-        _echo(f"ample framings: {total}")
+            print(f"  {c.kind}: " + "-".join(map(str, c.walk())))
+        print(f"ample framings: {total}")
 
 
-@cli.command()
-@input_opt
-@json_opt
-@framing_opt
-@click.option("--dot", "dot_path", default=None, help="write the dual graph as DOT")
-@max_cliques_opt
+@command(INPUT, JSON, FRAMING, _option("--dot", dest="dot_path", help="write the dual graph as DOT"), MAX_CLIQUES)
 def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
     """Maximal cliques of the coherence relation, with unimodularity flags."""
     inst = ample_instance(*_framed(input_path, framing), max_cliques=max_cliques)
@@ -243,7 +228,7 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
     if dot_path:
         _write_dot(dot_path, "graph dual {", cs, [f"  n{a} -- n{b};" for a, b in pairs])
     if as_json:
-        _echo(
+        print(
             json.dumps(
                 {
                     "routes": [list(r) for r in table.routes],
@@ -255,17 +240,13 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
             )
         )
     else:
-        _echo(f"{len(table.routes)} routes, {len(table.exceptional_indices)} exceptional")
-        _echo(f"{len(cs)} maximal cliques, all unimodular: {all(flags)}")
-        _echo(f"dual graph: {len(dg.a)} edges")
+        print(f"{len(table.routes)} routes, {len(table.exceptional_indices)} exceptional")
+        print(f"{len(cs)} maximal cliques, all unimodular: {all(flags)}")
+        print(f"dual graph: {len(dg.a)} edges")
     _check(verdicts.values())
 
 
-@cli.command()
-@input_opt
-@json_opt
-@framing_opt
-@click.option("--dot", "dot_path", default=None, help="write the Hasse diagram as DOT")
+@command(INPUT, JSON, FRAMING, _option("--dot", dest="dot_path", help="write the Hasse diagram as DOT"))
 def poset(input_path, as_json, framing, dot_path) -> None:
     """Tau-tilting poset on the dual graph, with brick labels and dcov."""
     inst = ample_instance(*_framed(input_path, framing))
@@ -277,7 +258,7 @@ def poset(input_path, as_json, framing, dot_path) -> None:
         covers = [f'  n{lo} -> n{hi} [label="{"-".join(map(str, w))}"];' for lo, hi, w in p.hasse]
         _write_dot(dot_path, "digraph poset {\n  rankdir=BT;", p.cliques, covers)
     if as_json:
-        _echo(
+        print(
             json.dumps(
                 {
                     "nodes": [list(c) for c in p.cliques],
@@ -290,37 +271,26 @@ def poset(input_path, as_json, framing, dot_path) -> None:
             )
         )
     else:
-        _echo(f"{len(p.cliques)} nodes, {len(p.hasse)} cover relations")
-        _echo(f"dcov polynomial coefficients: {dcov}")
-        _echo(f"kappa is a bijection on {len(p.kappa)} nodes")
+        print(f"{len(p.cliques)} nodes, {len(p.hasse)} cover relations")
+        print(f"dcov polynomial coefficients: {dcov}")
+        print(f"kappa is a bijection on {len(p.kappa)} nodes")
     _check(verdicts.values())
 
 
-@cli.command()
-@input_opt
-@json_opt
-@framing_opt
-@click.option("--seed", default=0, show_default=True)
-@click.option(
-    "--extensions", default=5, show_default=True, type=click.IntRange(min=0),
-    help="random linear extensions to cross-check",
-)
+@command(INPUT, JSON, FRAMING, SEED, EXTENSIONS)
 def hstar(input_path, as_json, framing, seed, extensions) -> None:
     """h-vector from the poset: dcov statistics and shelling restrictions."""
     inst = ample_instance(*_framed(input_path, framing), seed=seed, extensions=extensions)
     verdicts = run_verdicts(inst, HSTAR_VERDICTS)
     agree = verdicts["shelling-h-matches-dcov"].ok
     if as_json:
-        _echo(json.dumps({"h": inst.dcov, "shelling_agrees": agree}))
+        print(json.dumps({"h": inst.dcov, "shelling_agrees": agree}))
     else:
-        _echo(f"h = {inst.dcov} (shelling orders agree: {agree})")
+        print(f"h = {inst.dcov} (shelling orders agree: {agree})")
     _check(verdicts.values())
 
 
-@cli.command()
-@input_opt
-@json_opt
-@framing_opt
+@command(INPUT, JSON, FRAMING)
 def oracle(input_path, as_json, framing) -> None:
     """Ehrhart oracle: lattice-point counts, h*, Gorenstein/unimodal flags."""
     inst = Instance(*_framed(input_path, framing))
@@ -334,24 +304,18 @@ def oracle(input_path, as_json, framing) -> None:
     if is_full(g):
         payload["special_simplex"] = inst.special_simplex.ok
     if as_json:
-        _echo(json.dumps(payload))
+        print(json.dumps(payload))
     else:
-        _echo(f"dim = {result.dimension}")
-        _echo("counts: " + ", ".join(f"{t}:{c}" for t, c in sorted(result.counts.items())))
-        _echo(f"h* = {result.hstar}")
-        _echo(", ".join(f"{name}: {flag}" for name, flag in result.flags.items()))
+        print(f"dim = {result.dimension}")
+        print("counts: " + ", ".join(f"{t}:{c}" for t, c in sorted(result.counts.items())))
+        print(f"h* = {result.hstar}")
+        print(", ".join(f"{name}: {flag}" for name, flag in result.flags.items()))
         if "special_simplex" in payload:
-            _echo(f"exceptional routes form a special simplex: {payload['special_simplex']}")
+            print(f"exceptional routes form a special simplex: {payload['special_simplex']}")
     _check(run_verdicts(inst, ("ehrhart-finite-differences-vanish",)).values())
 
 
-@cli.command()
-@input_opt
-@json_opt
-@framing_opt
-@click.option("--seed", default=0, show_default=True)
-@max_routes_opt
-@max_cliques_opt
+@command(INPUT, JSON, FRAMING, SEED, MAX_ROUTES, MAX_CLIQUES)
 def analyze(input_path, as_json, framing, seed, max_routes, max_cliques) -> None:
     """Run the whole pipeline and every cross-check."""
     report = analysis_mod.analyze(
@@ -360,25 +324,26 @@ def analyze(input_path, as_json, framing, seed, max_routes, max_cliques) -> None
     if as_json:
         payload = {key: report.data[key] for key in ("routes", "exceptional", "cliques", "dcov", "hstar", "flags")}
         verdicts = [{"invariant": v.invariant, "ok": v.ok, "detail": v.detail} for v in report.verdicts]
-        _echo(json.dumps({**payload, "verdicts": verdicts, "ok": report.ok}))
+        print(json.dumps({**payload, "verdicts": verdicts, "ok": report.ok}))
     else:
-        _echo(f"routes: {report.data.get('routes')}")
-        _echo(f"exceptional routes: {report.data.get('exceptional')}")
-        _echo(f"maximal cliques: {report.data.get('cliques')}")
-        _echo(f"dcov: {report.data.get('dcov')}")
-        _echo(f"oracle h*: {report.data.get('hstar')}")
-        _echo(f"flags: {report.data.get('flags')}")
+        print(f"routes: {report.data.get('routes')}")
+        print(f"exceptional routes: {report.data.get('exceptional')}")
+        print(f"maximal cliques: {report.data.get('cliques')}")
+        print(f"dcov: {report.data.get('dcov')}")
+        print(f"oracle h*: {report.data.get('hstar')}")
+        print(f"flags: {report.data.get('flags')}")
         for v in report.verdicts:
             mark = "ok " if v.ok else "FAIL"
-            _echo(f"  [{mark}] {v.invariant}" + (f" ({v.detail})" if v.detail else ""))
+            print(f"  [{mark}] {v.invariant}" + (f" ({v.detail})" if v.detail else ""))
     _check(report.verdicts)
 
 
-@cli.command()
-@click.option("--count", default=25, show_default=True, type=click.IntRange(min=0), help="random instances")
-@click.option("--seed", default=0, show_default=True)
-@click.option("--size", default=4, show_default=True, type=click.IntRange(min=2), help="inner vertices per instance")
-@json_opt
+@command(
+    _option("--count", type=_at_least(0), default=25, help="random instances (default: %(default)s)"),
+    SEED,
+    _option("--size", type=_at_least(2), default=4, help="inner vertices per instance (default: %(default)s)"),
+    JSON,
+)
 def fuzz(count, seed, size, as_json) -> None:
     """Randomized structural checks on random valid DAGs."""
     import random as _random
@@ -395,11 +360,11 @@ def fuzz(count, seed, size, as_json) -> None:
         rep = analysis_mod.analyze(h, tagged.framing)
         failures.extend((i, v.invariant) for v in rep.failed())
     if as_json:
-        _echo(json.dumps({"instances": count, "failures": failures}))
+        print(json.dumps({"instances": count, "failures": failures}))
     else:
-        _echo(f"{count} instances, {len(failures)} failures")
+        print(f"{count} instances, {len(failures)} failures")
         for idx, inv in failures:
-            _echo(f"  instance {idx}: {inv}")
+            print(f"  instance {idx}: {inv}")
     if failures:
         raise ConsistencyError("fuzz-invariants", f"{len(failures)} failures")
 
@@ -416,23 +381,27 @@ def _write_dot(path: str, opening: str, cliques, edge_lines: list[str]) -> None:
 
 def main() -> None:
     try:
-        cli.main(standalone_mode=False)
-    except click.UsageError as exc:
-        _echo(f"usage error: {exc.format_message()}", err=True)
-        sys.exit(1)
-    except click.ClickException as exc:
-        exc.show()
+        options = vars(PARSER.parse_args())
+        options.pop("run")(**options)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         sys.exit(1)
     except LimitError as exc:
-        _echo(f"limit exceeded: {exc}", err=True)
+        print(f"limit exceeded: {exc}", file=sys.stderr)
         sys.exit(1)
     except ConsistencyError as exc:
-        _echo(f"consistency failure: {exc}", err=True)
+        print(f"consistency failure: {exc}", file=sys.stderr)
         sys.exit(2)
     except FlowpolyError as exc:
-        _echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
-    except click.exceptions.Abort:
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so the flush at exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
         sys.exit(1)
 
 

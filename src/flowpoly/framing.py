@@ -592,6 +592,24 @@ class _PortTable:
             (f.in_order if side == "in" else f.out_order)[v] = order
         return f
 
+    @functools.cached_property
+    def _port_texts(self) -> tuple[list, ...]:
+        """Per side, each port's `"v": [order]` JSON text when its bit is
+        clear and when it is set, in the vertex order of `framing_to_json`."""
+        return tuple(
+            [
+                (bit, tuple(f"{json.dumps(str(v))}: {json.dumps(list(o))}" for o in orders))
+                for v, bit, orders in sorted(side, key=lambda port: port[0])
+            ]
+            for side in self.ports
+        )
+
+    def framing_json(self, index: int) -> str:
+        """`framing_to_json` of labeling `index`'s framing with every free
+        port in ascending order, joined from text built once per table."""
+        in_text, out_text = (", ".join(texts[index >> bit & 1] for bit, texts in side) for side in self._port_texts)
+        return f'{{"in_order": {{{in_text}}}, "out_order": {{{out_text}}}}}'
+
 
 def port_table(g: Dag) -> _PortTable:
     """The port table of a valid DAG, read off its complete contraction and

@@ -8,8 +8,10 @@ certify the code with the code itself.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +49,21 @@ from flowpoly.framing import (
 from flowpoly.generators import caracol, caracol_core, gkn
 from flowpoly.poset import TauPoset, orient_dual_edge
 from flowpoly.triangulation import Clique, DualGraph, _exchange
+
+
+def main_in_process(monkeypatch, capsys, argv, stdin=""):
+    """Exit code, stdout and stderr of `flowpoly.cli.main` on argv and stdin."""
+    import flowpoly.cli
+
+    monkeypatch.setattr(sys, "argv", ["flowpoly", *argv])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    try:
+        flowpoly.cli.main()
+        code = 0
+    except SystemExit as stop:
+        code = stop.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
 
 
 @pytest.fixture(scope="session")

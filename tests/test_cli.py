@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import main_in_process
 
 CLI = [sys.executable, "-m", "flowpoly.cli"]
 
@@ -41,11 +44,10 @@ def test_framings_counts():
         assert json.loads(res.stdout)["count"] == expect
 
 
-def test_framings_json_contracts_once(tmp_path, monkeypatch):
+def test_framings_json_contracts_once(tmp_path, monkeypatch, capsys):
     import flowpoly.cli
     import flowpoly.dag
     import flowpoly.framing
-    from click.testing import CliRunner
 
     from flowpoly.dag import dag_to_json
     from flowpoly.generators import caracol
@@ -58,9 +60,9 @@ def test_framings_json_contracts_once(tmp_path, monkeypatch):
         )
     path = tmp_path / "car8.json"
     path.write_text(dag_to_json(caracol(8)))
-    res = CliRunner().invoke(flowpoly.cli.cli, ["framings", "--json", "-i", str(path)])
-    assert res.exit_code == 0, res.output
-    assert json.loads(res.output)["count"] == 128
+    code, out, err = main_in_process(monkeypatch, capsys, ["framings", "--json", "-i", str(path)])
+    assert (code, err) == (0, ""), err
+    assert json.loads(out)["count"] == 128
     assert len(calls) == 1
 
 
@@ -84,7 +86,6 @@ def test_cliques_flags_come_from_the_exchange_certificate(tmp_path, monkeypatch,
     import flowpoly.analysis
     import flowpoly.cli
     import flowpoly.triangulation
-    from click.testing import CliRunner
 
     from flowpoly.dag import complete_contraction, dag_to_json
     from flowpoly.generators import gkn
@@ -97,8 +98,8 @@ def test_cliques_flags_come_from_the_exchange_certificate(tmp_path, monkeypatch,
     monkeypatch.setattr(
         flowpoly.triangulation, "simplex_volume", lambda g, rs: volumes.append(rs) or volume(g, rs)
     )
-    certified = CliRunner().invoke(flowpoly.cli.cli, argv)
-    assert certified.exit_code == 0, certified.output
+    code, out, err = main_in_process(monkeypatch, capsys, argv)
+    assert (code, err) == (0, ""), err
     assert len(volumes) == 1  # the certificate's one determinant
     # a failed certificate is a consistency failure, printed after the payload
     # with every flag false, and with no per-clique determinants
@@ -241,23 +242,6 @@ def test_duplicate_edge_id_exit_code():
     res = run(["routes"], stdin="0 1 0\n0 1 0\n")
     assert res.returncode == 1
     assert "Traceback" not in res.stderr and "duplicate edge id" in res.stderr
-
-
-def main_in_process(monkeypatch, capsys, argv, stdin=""):
-    """Exit code, stdout and stderr of `flowpoly.cli.main` on argv and stdin."""
-    import io
-
-    import flowpoly.cli
-
-    monkeypatch.setattr(sys, "argv", ["flowpoly", *argv])
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    try:
-        flowpoly.cli.main()
-        code = 0
-    except SystemExit as stop:
-        code = stop.code
-    out = capsys.readouterr()
-    return code, out.out, out.err
 
 
 def test_edge_ids_are_never_bit_positions(g27h, monkeypatch, capsys):
@@ -519,7 +503,25 @@ def test_bad_counts_are_usage_errors(g27h, monkeypatch, capsys, argv, option):
 
     code, out, err = main_in_process(monkeypatch, capsys, argv, dag_to_json(g27h))
     assert code == 1 and out == ""
-    assert err.startswith(f"usage error: Invalid value for '{option}'") and "Traceback" not in err
+    assert err.startswith(f"usage error: argument {option}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [([], "COMMAND"), (["foo"], "'foo'"), (["analyze", "--fram", "by-id"], "--fram"), (["gen", "car", "x"], "'x'")],
+)
+def test_command_lines_that_name_nothing_are_usage_errors(monkeypatch, capsys, argv, named):
+    # no command, an unknown one, an abbreviated option and a non-integer
+    # generator argument are refused before any work
+    code, out, err = main_in_process(monkeypatch, capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and named in err and "Traceback" not in err
+
+
+def test_importing_the_cli_loads_no_click():
+    probe = "import sys, flowpoly.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'click'))"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stdout) == (0, "[]\n"), res.stderr
 
 
 def test_fuzz_accepts_the_smallest_size(monkeypatch, capsys):
@@ -527,18 +529,15 @@ def test_fuzz_accepts_the_smallest_size(monkeypatch, capsys):
     assert (code, out, err) == (0, "2 instances, 0 failures\n", "")
 
 
-def test_fuzz_runs_the_oracle_on_every_instance(monkeypatch):
+def test_fuzz_runs_the_oracle_on_every_instance(monkeypatch, capsys):
     import flowpoly.analysis
-    from click.testing import CliRunner
-
-    from flowpoly.cli import cli
 
     calls = []
     oracle = flowpoly.analysis.ehrhart_oracle
     monkeypatch.setattr(flowpoly.analysis, "ehrhart_oracle", lambda g: calls.append(g) or oracle(g))
-    res = CliRunner().invoke(cli, ["fuzz", "--count", "25", "--seed", "0", "--json"])
-    assert res.exit_code == 0, res.output
-    assert json.loads(res.output) == {"instances": 25, "failures": []}
+    code, out, err = main_in_process(monkeypatch, capsys, ["fuzz", "--count", "25", "--seed", "0", "--json"])
+    assert (code, err) == (0, ""), err
+    assert json.loads(out) == {"instances": 25, "failures": []}
     assert len(calls) == 25
 
 
@@ -619,9 +618,10 @@ def test_in_process_help_releases_the_redirected_stdout(monkeypatch, argv):
 
     monkeypatch.setattr(sys, "argv", ["flowpoly", *argv])
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with pytest.raises(SystemExit) as stop, contextlib.redirect_stdout(out):
         main()
-    assert out.getvalue().startswith("Usage: ") and "Show this message and exit." in out.getvalue()
+    assert stop.value.code == 0
+    assert out.getvalue().startswith("usage: flowpoly ") and "show this message and exit" in out.getvalue()
     ref = weakref.ref(out)
     del out
     gc.collect()
@@ -740,25 +740,52 @@ def test_framings_enumerate_matches_golden(graph):
     assert res.stdout == (GOLDEN / f"{'-'.join(graph)}_framings.jsonl").read_bytes()
 
 
-def test_framings_enumerate_builds_only_canonical_framings(tmp_path, monkeypatch):
-    # the swapped half is never printed, so its framings are never built
-    import flowpoly.cli
+@pytest.mark.parametrize("graph, lines_read", [(("car", "10"), 1), (("gkn", "2", "9"), 0)])
+def test_a_reader_closing_the_pipe_ends_the_enumeration_with_exit_1(graph, lines_read):
+    # stdout is block-buffered.  Car 10's 13 kB of framings cannot all pass
+    # a pipe of one page before the reader closes it after the first line;
+    # gkn(2,9)'s 672 bytes are written when the command ends, into a pipe
+    # closed from the start, and the flush at exit must not fail again
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe sizes are set on Linux only")
+    con = run(["contract"], stdin=run(["gen", *graph]).stdout)
+    read, write = os.pipe()
+    fcntl.fcntl(read, fcntl.F_SETPIPE_SZ, 4096)
+    if not lines_read:
+        os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(
+        CLI + ["framings", "--enumerate"], stdin=subprocess.PIPE, stdout=write, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        os.close(write)
+        proc.stdin.write(con.stdout.encode())
+        proc.stdin.close()
+        if lines_read:
+            with os.fdopen(read, "rb") as reader:
+                assert reader.readline().startswith(b'{"in_order": ')
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+def test_framings_enumerate_builds_only_canonical_framings(tmp_path, monkeypatch, capsys):
+    # the swapped half is never printed, so its framings' text is never built
     import flowpoly.framing
-    from click.testing import CliRunner
 
     from flowpoly.dag import complete_contraction, dag_to_json
     from flowpoly.generators import caracol
 
     built = []
-    build = flowpoly.framing._PortTable.framing
+    build = flowpoly.framing._PortTable.framing_json
     monkeypatch.setattr(
         flowpoly.framing._PortTable,
-        "framing",
-        lambda table, index, free: built.append(index) or build(table, index, free),
+        "framing_json",
+        lambda table, index: built.append(index) or build(table, index),
     )
     path = tmp_path / "car10.json"
     path.write_text(dag_to_json(complete_contraction(caracol(10)).result))
-    res = CliRunner().invoke(flowpoly.cli.cli, ["framings", "--enumerate", "-i", str(path)])
-    assert res.exit_code == 0, res.output
-    assert len(res.output.splitlines()) == 64
+    code, out, err = main_in_process(monkeypatch, capsys, ["framings", "--enumerate", "-i", str(path)])
+    assert (code, err) == (0, ""), err
+    assert len(out.splitlines()) == 64
     assert built == list(range(0, 128, 2))

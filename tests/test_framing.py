@@ -483,6 +483,18 @@ def test_valid_enumeration_contracts_once(car8, monkeypatch):
     assert got == golden.read_text().splitlines()
 
 
+def test_framing_json_joins_the_port_texts(car8, car8h, g29h):
+    # each labeling's line is framing_to_json of its framing with the free
+    # ports ascending; string ids, escaped ones too, sort and print as str(v)
+    name = {v: f'v"{v}' for v in car8.vertices}
+    renamed = Dag.build(name.values(), [(e, name[t], name[h]) for e, t, h in car8.edges])
+    for g in (car8, car8h, g29h, renamed):
+        table = port_table(g)
+        ascending = [port for _, _, port in table.free]
+        for index in range(1 << table.decomposition.m):
+            assert table.framing_json(index) == framing_to_json(table.framing(index, ascending))
+
+
 def test_lifts_through_one_table_contract_once(car8, car8h, monkeypatch):
     # the table keeps the routes of g and of its contraction for every lift
     canonical = [t.framing for t in enumerate_ample_framings(port_table(car8h)) if t.canonical]

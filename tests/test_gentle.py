@@ -4,6 +4,8 @@ import re
 
 import pytest
 
+from conftest import main_in_process
+
 import flowpoly.analysis
 import flowpoly.ehrhart
 import flowpoly.framing
@@ -378,9 +380,7 @@ def test_self_kissing_walk_raises(g27h, g27f, monkeypatch):
         rigidity_rows(object_kisses(bq, objs), objs)
 
 
-def test_analyze_computes_each_intermediate_once(g29h, tmp_path, monkeypatch):
-    from click.testing import CliRunner
-
+def test_analyze_computes_each_intermediate_once(g29h, tmp_path, monkeypatch, capsys):
     import flowpoly.cli
     from flowpoly.dag import dag_to_json
 
@@ -438,14 +438,14 @@ def test_analyze_computes_each_intermediate_once(g29h, tmp_path, monkeypatch):
     for command, stages_read in needs.items():
         calls.clear()
         extended.clear()
-        res = CliRunner().invoke(flowpoly.cli.cli, [command, "--framing", "paper-g27", "-i", str(path)])
-        assert res.exit_code == 0, (command, res.output)
+        code, out, err = main_in_process(monkeypatch, capsys, [command, "--framing", "paper-g27", "-i", str(path)])
+        assert (code, err) == (0, ""), (command, err)
         assert calls == dict.fromkeys(stages_read, 1), command
         assert len(extended) == (n_objects if "object_kisses" in stages_read else 0), command
         assert set(extended.values()) <= {1}, command
     calls.clear()
-    res = CliRunner().invoke(flowpoly.cli.cli, ["fuzz", "--count", "3", "--seed", "1"])
-    assert res.exit_code == 0 and calls["maximal_cliques_by_flips"] > 0 and not calls["relabelled"]
+    code, out, err = main_in_process(monkeypatch, capsys, ["fuzz", "--count", "3", "--seed", "1"])
+    assert (code, err) == (0, "") and calls["maximal_cliques_by_flips"] > 0 and not calls["relabelled"]
 
 
 def test_blossom_label_invariance(g27h, g27f):

@@ -375,8 +375,11 @@ def _write_dot(path: str, opening: str, cliques, edge_lines: list[str]) -> None:
     lines.extend(f'  n{i} [label="{" ".join(map(str, c))}"];' for i, c in enumerate(cliques))
     lines.extend(edge_lines)
     lines.append("}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise UsageError(f"--dot file {path!r} cannot be written: {exc}")
 
 
 def main() -> None:

@@ -49,8 +49,7 @@ class Dag:
 
     @staticmethod
     def build(vertices: Iterable[VertexId], edges: Iterable[tuple[EdgeId, VertexId, VertexId]]) -> "Dag":
-        vs = tuple(dict.fromkeys(vertices))
-        g = Dag(vs, tuple((e, t, h) for e, t, h in edges))
+        g = Dag(tuple(vertices), tuple((e, t, h) for e, t, h in edges))
         g._validate()
         return g
 

@@ -343,99 +343,52 @@ class Decomposition:
     m: int  # components containing at least one inner vertex
 
 
-class _Walk:
-    __slots__ = ("vertices", "edges", "closed")
-
-    def __init__(self, vertices, edges):
-        self.vertices = list(vertices)
-        self.edges = list(edges)
-        self.closed = False
-
-    def orient(self, x, end: int) -> None:
-        """Reverse the walk if needed so that x sits at `end` (0 or -1)."""
-        if self.vertices[end] != x:
-            self.vertices.reverse()
-            self.edges.reverse()
-        if self.vertices[end] != x:
-            raise ConsistencyError("alternating-walks-meet-at-ends", f"{x} is not an end of {self.vertices}")
-
-
 def path_cycle_decomposition(g: Dag) -> Decomposition:
     """Edge-disjoint alternating paths and cycles of a full DAG.
 
-    Processes inner vertices in topological order; the length-two walk
-    through the in-edges of each vertex is glued to the existing walk at
-    any inner endpoint whose other out-edge was already consumed.  Edges
-    into sinks extend walks (or pair up) at the end.  Alternating 1/2
-    labelings of the resulting components are exactly the ample framings.
+    At each inner vertex its two in-edges are partners, and so are its two
+    out-edges, so an edge has at most one partner at each end and the
+    partner relation splits the edges into paths, which end at sources or
+    sinks, and cycles.  Each component is walked once: a path from the
+    smaller of its two end edges, leaving from that edge's free end (the
+    tail, for a lone source-sink edge); a cycle from its smallest edge,
+    leaving from that edge's tail.  Components come in order of their
+    smallest edge.  Alternating 1/2 labelings of them are exactly the ample
+    framings.
     """
     if not is_full(g):
         raise NotFullError("decomposition is defined for full DAGs")
-    walks: list[_Walk] = []
-    # open end registry: inner vertex x -> walk index whose end edge leaves x,
-    # read through `merged`, which maps each absorbed walk to its absorber.
-    # A full vertex has two out-edges, so at most one end is ever open at x.
-    ends: dict[VertexId, int] = {}
-    merged: dict[int, int] = {}
-    sinks = set(g.sinks)
     inner = set(g.inner)
-
-    def glue(cur: int, x: VertexId) -> int:
-        """Join the open end at x (if any) with walk cur's end at x."""
-        if x not in ends:
-            ends[x] = cur
-            return cur
-        oid = find(merged, ends.pop(x))
-        if oid == cur:
-            walks[cur].closed = True  # both ends met: an alternating cycle
-            return cur
-        w, o = walks[cur], walks[oid]
-        w.orient(x, -1)
-        o.orient(x, 0)
-        w.vertices.extend(o.vertices[1:])
-        w.edges.extend(o.edges)
-        merged[oid] = cur
-        return cur
-
-    for v in g.topological_order:
-        if v not in inner:
-            continue
-        e1, e2 = g.in_edges[v]
-        a, b = g.tail[e1], g.tail[e2]
-        cur = len(walks)
-        walks.append(_Walk([a, v, b], [e1, e2]))
-        if a in inner:
-            cur = glue(cur, a)
-        if b in inner and not walks[cur].closed:
-            cur = glue(cur, b)
-
-    # edges into sinks were never consumed as in-edges; extend or pair them
-    for e in sorted(e for e, _, h in g.edges if h in sinks):
-        x, t = g.tail[e], g.head[e]
-        if x not in inner:
-            walks.append(_Walk([x, t], [e]))  # source -> sink edge
-        elif x in ends:
-            w = walks[find(merged, ends.pop(x))]
-            w.orient(x, -1)
-            w.vertices.append(t)
-            w.edges.append(e)
-        else:
-            ends[x] = len(walks)
-            walks.append(_Walk([t, x], [e]))
-
+    walked: set[EdgeId] = set()
     components: list[Component] = []
-    for i, w in enumerate(walks):
-        if i in merged:
-            continue
-        if w.closed:
-            kind = "cycle"  # closed walks already repeat their endpoint
-        elif len(w.edges) == 1 and w.vertices[0] not in inner and w.vertices[-1] not in inner:
-            kind = "source-sink edge"
-        else:
-            kind = "path"
-        components.append(Component(tuple(w.vertices), tuple(w.edges), kind))
+
+    def walk(start: EdgeId, x: VertexId) -> None:
+        vertices, edges, e = [x], [], start
+        while True:
+            edges.append(e)
+            # cross e away from x; at an inner vertex step to e's partner there
+            x, port = (g.head[e], g.in_edges) if x == g.tail[e] else (g.tail[e], g.out_edges)
+            vertices.append(x)
+            if x not in inner:
+                kind = "path" if len(edges) > 1 else "source-sink edge"
+                break
+            a, b = port[x]
+            e = b if e == a else a
+            if e == start:
+                kind = "cycle"  # the closed walk repeats its first vertex
+                break
+        walked.update(edges)
+        components.append(Component(tuple(vertices), tuple(edges), kind))
+
+    # in id order, an edge with a free end is the smaller end edge of its path
+    for e in g.edge_ids:
+        if e not in walked and (g.tail[e] not in inner or g.head[e] not in inner):
+            walk(e, g.tail[e] if g.tail[e] not in inner else g.head[e])
+    for e in g.edge_ids:
+        if e not in walked:
+            walk(e, g.tail[e])
     components.sort(key=lambda c: min(c.edges))
-    m = sum(1 for c in components if any(v in inner for v in c.vertices))
+    m = sum(1 for c in components if c.kind != "source-sink edge")
     seen = [e for c in components for e in c.edges]
     if len(seen) != len(g.edges) or len(set(seen)) != len(seen):
         raise ConsistencyError("components-partition-edges", f"{len(seen)} edge slots for {len(g.edges)} edges")
@@ -455,26 +408,26 @@ def idle_reachability(g: Dag) -> IdleReachability:
     """Classify idle edges by directed idle-edge paths from sources / to sinks."""
     idle = idle_edges(g)
     return IdleReachability(
-        _idle_reach(idle, set(g.sources), g.tail, g.head),
-        _idle_reach(idle, set(g.sinks), g.head, g.tail),
+        _idle_reach(idle, g.sources, g.out_edges, g.head),
+        _idle_reach(idle, g.sinks, g.in_edges, g.tail),
     )
 
 
 def _idle_reach(
     idle: frozenset[EdgeId],
-    ends: set[VertexId],
-    near: Mapping[EdgeId, VertexId],
+    ends: Sequence[VertexId],
+    port: Mapping[VertexId, tuple[EdgeId, ...]],
     far: Mapping[EdgeId, VertexId],
 ) -> frozenset[VertexId]:
-    """Endpoints outside `ends` of the idle edges joined to `ends` by idle
-    paths, each edge's `near` end facing them."""
-    reach: set[EdgeId] = set()
-    frontier = {e for e in idle if near[e] in ends}
-    while frontier:
-        reach |= frontier
-        fars = {far[e] for e in frontier}
-        frontier = {e for e in idle - reach if near[e] in fars}
-    return frozenset(v for e in reach for v in (near[e], far[e]) if v not in ends)
+    """Vertices outside `ends` reached from them along idle edges, each
+    taken from its end in `port` to its `far` end: one search from `ends`."""
+    reached, stack = set(ends), list(ends)
+    while stack:
+        for e in port[stack.pop()]:
+            if e in idle and far[e] not in reached:
+                reached.add(far[e])
+                stack.append(far[e])
+    return frozenset(reached.difference(ends))
 
 
 def _check_idle_forest(g: Dag, reach: IdleReachability) -> None:
@@ -498,19 +451,21 @@ def _check_idle_forest(g: Dag, reach: IdleReachability) -> None:
     # in-paths through v coincide, i.e. the chain from v back to a source
     # is forced (in-degree one throughout); dually on the sink side
     for side, starts, ends, fan, chain, step in (
-        ("source", reach.v1, set(g.sources), g.out_edges, g.in_edges, g.tail),
-        ("sink", reach.v2, set(g.sinks), g.in_edges, g.out_edges, g.head),
+        ("source", reach.v1, g.sources, g.out_edges, g.in_edges, g.tail),
+        ("sink", reach.v2, g.sinks, g.in_edges, g.out_edges, g.head),
     ):
-        for v in starts:
+        checked = set(ends)  # the ends, and the chains already walked back to one
+        for v in sorted(starts):  # so the message names the smallest failing fan vertex
             if len(fan[v]) < 2:
                 continue
             x = v
-            while x not in ends:
+            while x not in checked:
                 if len(chain[x]) != 1:
                     raise ConsistencyError(
                         "idle-forest-structure",
                         f"{side}-side idle chain through {v} branches at {x}",
                     )
+                checked.add(x)
                 x = step[chain[x][0]]
 
 

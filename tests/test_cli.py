@@ -647,6 +647,21 @@ def test_dot_outputs(tmp_path):
     assert text.count("->") == 24
 
 
+def test_unwritable_dot_path_is_a_usage_error(tmp_path):
+    con = run(["contract"], stdin=run(["gen", "gkn", "2", "7"]).stdout)
+    for command, path in (("cliques", tmp_path / "missing" / "dual.dot"), ("poset", tmp_path)):
+        res = run([command, "--dot", str(path)], stdin=con.stdout)
+        assert res.returncode == 1, res.stderr
+        assert res.stdout == ""
+        assert res.stderr.startswith("usage error: --dot file ") and res.stderr.count("\n") == 1
+
+
+def test_repeated_vertex_ids_exit_1():
+    res = run(["routes", "--json"], stdin='{"vertices":[1,1,2],"edges":[{"id":0,"tail":1,"head":2}]}')
+    assert res.returncode == 1
+    assert res.stdout == "" and res.stderr == "error: duplicate vertex ids\n"
+
+
 def test_analyze_car8_pipeline():
     # the honest contraction keeps the two source-to-sink through edges, so
     # there are seven exceptional routes (five fan routes plus two singles)

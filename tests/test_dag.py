@@ -71,6 +71,13 @@ def test_duplicate_edge_id_rejected():
         Dag.build([0, 1], [(0, 0, 1), (0, 0, 1)])
 
 
+def test_repeated_vertex_id_rejected():
+    with pytest.raises(GraphError, match="^duplicate vertex ids$"):
+        Dag.build([1, 1, 2], [(0, 1, 2)])
+    with pytest.raises(GraphError, match="^duplicate vertex ids$"):
+        dag_from_json('{"vertices": [1, 1, 2], "edges": [{"id": 0, "tail": 1, "head": 2}]}')
+
+
 def test_unknown_endpoint_rejected():
     with pytest.raises(GraphError, match="^edge 0 has unknown endpoint$"):
         Dag.build([0, 1], [(0, 0, 2)])

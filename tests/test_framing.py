@@ -232,9 +232,9 @@ def test_decomposition_single_edge(single_edge):
     assert count_ample_framings(port_table(single_edge)) == 1
 
 
-def test_decomposition_cycle_component():
+def _bipartite_middle():
     # a complete bipartite middle layer closes an alternating 4-cycle
-    g = Dag.build(
+    return Dag.build(
         [0, 1, 2, 3, 4, 5],
         [
             (0, 0, 1),
@@ -251,6 +251,10 @@ def test_decomposition_cycle_component():
             (11, 4, 5),
         ],
     )
+
+
+def test_decomposition_cycle_component():
+    g = _bipartite_middle()
     assert is_full(g)
     d = path_cycle_decomposition(g)
     cycles = [c for c in d.components if c.kind == "cycle"]
@@ -259,6 +263,55 @@ def test_decomposition_cycle_component():
         assert len(c.edges) % 2 == 0
         assert c.vertices[0] == c.vertices[-1]
     assert sorted(cycles[0].edges) == [4, 5, 6, 7]
+
+
+def _full_corpus(count):
+    """`count` seeded random full DAGs, then contracted car 6-10, gkn(2, 6-10)
+    and gkn(3, 8-12)."""
+    rng = random.Random(5)
+    graphs = [random_full_dag(rng, rng.randint(1, 8), rng.randint(1, 3), rng.randint(1, 3)) for _ in range(count)]
+    for n in range(6, 11):
+        graphs += [complete_contraction(g).result for g in (caracol(n), gkn(2, n), gkn(3, n + 2))]
+    return graphs
+
+
+def test_decomposition_walks_follow_port_partners(big_full):
+    kinds = Counter()
+    for g in _full_corpus(300) + [big_full, _bipartite_middle()]:
+        inner = set(g.inner)
+        components = path_cycle_decomposition(g).components
+        assert sorted(e for c in components for e in c.edges) == list(g.edge_ids)
+        assert [min(c.edges) for c in components] == sorted(min(c.edges) for c in components)
+        for c in components:
+            vs, es = c.vertices, c.edges
+            kinds[c.kind] += 1
+            # a walk of g: each edge joins the vertices on either side of it
+            assert len(vs) == len(es) + 1
+            assert all({x, y} == {g.tail[e], g.head[e]} for x, e, y in zip(vs, es, vs[1:]))
+            # consecutive edges (and, on a cycle, the last and the first) are
+            # the two in-edges or the two out-edges of the vertex they share
+            closing = [(es[-1], vs[0], es[0])] if c.kind == "cycle" else []
+            for d, v, e in [*zip(es, vs[1:-1], es[1:]), *closing]:
+                assert v in inner and {d, e} in ({*g.in_edges[v]}, {*g.out_edges[v]})
+            # the start rule
+            if c.kind == "cycle":
+                assert vs[0] == vs[-1] and es[0] == min(es) and vs[0] == g.tail[es[0]]
+            elif c.kind == "path":
+                assert len(es) > 1 and es[0] < es[-1]
+                assert vs[0] not in inner and vs[-1] not in inner and inner.issuperset(vs[1:-1])
+            else:
+                assert c.kind == "source-sink edge" and vs == (g.tail[es[0]], g.head[es[0]])
+                assert not inner & {*vs}
+    assert min(kinds.values()) > 0 and len(kinds) == 3
+
+
+def test_decomposition_is_linear_on_contracted_gkn():
+    def best_of_3(n):
+        h = complete_contraction(gkn(2, n)).result
+        return min(timeit.repeat(lambda: path_cycle_decomposition(h), number=1, repeat=3))
+
+    # linear time reads about 4x; gluing walks by reversing lists read about 20x
+    assert best_of_3(8000) < 8 * best_of_3(2000)
 
 
 def test_count_refuses_nonforest_idle_structure():
@@ -290,6 +343,18 @@ def test_count_refuses_nonforest_idle_structure():
         count_ample_framings(port_table(g))
     brute = sum(1 for f in all_framings(g) if is_ample(CoherenceTable(g, f)))
     assert brute == 16
+
+
+def test_idle_chain_message_names_the_smallest_branching_fan_vertex():
+    # fan vertices 5 and 9 both sit on source-side idle chains that branch at
+    # themselves; the message names 5, whatever order a set holds them in
+    from flowpoly.errors import ConsistencyError
+
+    edges = [(0, 1, 4), (1, 2, 9), (2, 2, 5), (3, 10, 5), (4, 9, 6), (5, 9, 7), (6, 5, 8), (7, 5, 8), (8, 4, 9), (9, 3, 10)]
+    g = Dag.build(range(1, 11), edges)
+    assert sorted(idle_reachability(g).v1) == [4, 5, 9, 10]
+    with pytest.raises(ConsistencyError, match="^idle-forest-structure: source-side idle chain through 5 branches at 5$"):
+        count_ample_framings(port_table(g))
 
 
 def test_count_not_valid():
@@ -427,6 +492,25 @@ def test_idle_reachability_g310():
     r = idle_reachability(g)
     assert sorted(r.v1) == [2, 3]
     assert sorted(r.v2) == [8, 9]
+
+
+def _comb(n):
+    """Vertex i -> i + 1 and i -> the sink n + 2, for i = 1..n: a chain of
+    n - 1 idle edges out of the source, each vertex on it fanning out."""
+    edges = [(2 * i, i, i + 1) for i in range(1, n + 1)] + [(2 * i + 1, i, n + 2) for i in range(1, n + 1)]
+    return Dag.build(range(1, n + 3), edges)
+
+
+def test_idle_side_is_linear_on_a_comb():
+    def best_of_3(n):
+        g, counts = _comb(n), []
+        time = min(timeit.repeat(lambda: counts.append(count_ample_framings(port_table(g))), number=1, repeat=3))
+        assert counts == [2 ** (n - 1)] * 3
+        return time
+
+    # linear time reads about 4.5x; rescanning the idle edges per depth step,
+    # and walking back from every fan vertex to the source, read about 16x
+    assert best_of_3(6000) < 8 * best_of_3(1500)
 
 
 def test_lift_framing_identity_on_full(core8, core8f):

@@ -60,9 +60,8 @@ class Instance:
     """The stages of the pipeline on the framed DAG (g, f), each built on first use
     and then kept: `cliques` (sorted route bitmasks) by Bron-Kerbosch, `dual` by the
     flip traversal, whose masks are distinct, so `flips_match` is multiset equality.
-    Fullness is not checked here: `labels` raises `NotFullError`, so `poset` reads
-    them before it enumerates anything, and the clique stages run on any DAG.  A
-    graph without edges has no route, hence no polytope: `GraphError`.  `seed` and
+    `full_instance` gates on fullness; the clique stages run on any DAG.  A graph
+    without edges has no route, hence no polytope: `GraphError`.  `seed` and
     `extensions` pick the linear extensions that `shelling-h-matches-dcov` draws."""
 
     g: Dag
@@ -107,10 +106,7 @@ class Instance:
         lambda self: [0 if m is None else row & self.live for m, row in zip(self.phi, self.table.adjacency)]
     )
 
-    @cached_property
-    def poset(self):
-        labels = self.labels  # before the flip traversal: it raises on a DAG that is not full
-        return build_poset(self.table, self.dual, labels, self.kiss)
+    poset = cached_property(lambda self: build_poset(self.table, self.dual, self.labels, self.kiss))
 
     dcov = cached_property(lambda self: self.poset.dcov_polynomial())
 
@@ -127,6 +123,13 @@ def ample_instance(g: Dag, f: Framing, **options: int) -> Instance:
     if not inst.ample:
         raise FramingError("the framing is not ample: some edge lies on no exceptional route")
     return inst
+
+
+def full_instance(g: Dag, f: Framing, **options: int) -> Instance:
+    """`ample_instance` of a full DAG, else `NotFullError`: the gate of `analyze`, `poset` and `hstar`."""
+    if not is_full(g):
+        raise NotFullError("the graph is not full; run `flowpoly contract` first")
+    return ample_instance(g, f, **options)
 
 
 def _exceptional_count(inst: Instance):
@@ -252,9 +255,7 @@ def analyze(
     max_cliques: int = DEFAULT_MAX_CLIQUES,
 ) -> AnalysisReport:
     """The gate, then every verdict of the table, then the report's data."""
-    if not is_full(g):
-        raise NotFullError("analyze needs a full DAG; run `flowpoly contract` first")
-    inst = ample_instance(g, f, max_routes=max_routes, max_cliques=max_cliques, seed=seed, extensions=extensions)
+    inst = full_instance(g, f, max_routes=max_routes, max_cliques=max_cliques, seed=seed, extensions=extensions)
     verdicts = list(run_verdicts(inst).values())
     data = {"routes": len(inst.table.routes), "exceptional": len(inst.exceptional), "cliques": len(inst.cliques),
             "poset": inst.poset, "dcov": inst.dcov, "hstar": inst.oracle.hstar, "flags": inst.oracle.flags}

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import analysis as analysis_mod
-from .analysis import Instance, Verdict, ample_instance, run_verdicts
+from .analysis import Instance, Verdict, ample_instance, full_instance, run_verdicts
 from .dag import (
     DEFAULT_MAX_ROUTES,
     Dag,
@@ -249,8 +249,7 @@ def cliques(input_path, as_json, framing, dot_path, max_cliques) -> None:
 @command(INPUT, JSON, FRAMING, _option("--dot", dest="dot_path", help="write the Hasse diagram as DOT"))
 def poset(input_path, as_json, framing, dot_path) -> None:
     """Tau-tilting poset on the dual graph, with brick labels and dcov."""
-    inst = ample_instance(*_framed(input_path, framing))
-    inst.labels  # NotFullError before the flip traversal
+    inst = full_instance(*_framed(input_path, framing))
     inst.dual = inst.dual.relabelled()  # nodes numbered as printed
     verdicts = run_verdicts(inst, POSET_VERDICTS)
     p, dcov = inst.poset, inst.dcov
@@ -280,7 +279,7 @@ def poset(input_path, as_json, framing, dot_path) -> None:
 @command(INPUT, JSON, FRAMING, SEED, EXTENSIONS)
 def hstar(input_path, as_json, framing, seed, extensions) -> None:
     """h-vector from the poset: dcov statistics and shelling restrictions."""
-    inst = ample_instance(*_framed(input_path, framing), seed=seed, extensions=extensions)
+    inst = full_instance(*_framed(input_path, framing), seed=seed, extensions=extensions)
     verdicts = run_verdicts(inst, HSTAR_VERDICTS)
     agree = verdicts["shelling-h-matches-dcov"].ok
     if as_json:

@@ -186,21 +186,24 @@ def flow_dims(g: Dag) -> tuple[int, int]:
 
 
 def enumerate_routes(g: Dag, max_routes: int = DEFAULT_MAX_ROUTES) -> list[Route]:
-    """All maximal source-to-sink edge paths, sorted by edge-id sequence."""
+    """All maximal source-to-sink edge paths, sorted by edge-id sequence, each copied once."""
     routes: list[Route] = []
-    out = g.out_edges
-    head = g.head
+    out, head = g.out_edges, g.head
     for s in g.sources:
-        stack: list[tuple[VertexId, tuple[EdgeId, ...]]] = [(s, ())]
+        # one depth-first path: the edges into stack[1:]'s vertices, and the out-edges left at each
+        path, stack = [], [iter(out[s])]
         while stack:
-            v, path = stack.pop()
-            if not out[v]:
-                routes.append(path)
+            for e in stack[-1]:
+                if out[head[e]]:
+                    path.append(e)
+                    stack.append(iter(out[head[e]]))
+                    break
+                routes.append((*path, e))
                 if len(routes) > max_routes:
                     raise RouteExplosionError(f"more than {max_routes} routes")
-                continue
-            for e in reversed(out[v]):
-                stack.append((head[e], path + (e,)))
+            else:  # every out-edge tried: step back
+                stack.pop()
+                del path[-1:]
     routes.sort()
     return routes
 
@@ -226,12 +229,13 @@ class ContractionTrace:
     steps: (contracted edge id, (kept vertex, removed vertex)) per step,
     in contraction order.  vertex_map sends every original vertex to its
     final merged representative.  Contracted edges disappear; all other
-    edges keep their ids with endpoints remapped.
+    edges keep their ids with endpoints remapped.  idle: the original's idle edges.
     """
 
     steps: tuple[tuple[EdgeId, tuple[VertexId, VertexId]], ...]
     result: Dag
     vertex_map: dict[VertexId, VertexId]
+    idle: frozenset[EdgeId]
 
     @cached_property
     def contracted_edges(self) -> frozenset[EdgeId]:
@@ -260,14 +264,14 @@ def complete_contraction(g: Dag) -> ContractionTrace:
     out-edge was idle already), so one pass over the idle edges of g, in id
     order, contracts each one that no earlier step has made non-idle.
     """
-    idle = sorted(idle_edges(g))
+    idle = idle_edges(g)
     if not idle:
-        return ContractionTrace((), g, {v: v for v in g.vertices})
+        return ContractionTrace((), g, {v: v for v in g.vertices}, idle)
     indeg = {v: len(es) for v, es in g.in_edges.items()}
     outdeg = {v: len(es) for v, es in g.out_edges.items()}
     parent: dict[VertexId, VertexId] = {}
     steps: list[tuple[EdgeId, tuple[VertexId, VertexId]]] = []
-    for e in idle:
+    for e in sorted(idle):
         u, v = find(parent, g.tail[e]), find(parent, g.head[e])
         # still idle: the only edge into an inner head or out of an inner tail
         if not (indeg[v] == 1 and outdeg[v] or outdeg[u] == 1 and indeg[u]):
@@ -284,7 +288,7 @@ def complete_contraction(g: Dag) -> ContractionTrace:
         (x for x in g.vertices if x not in parent),
         ((e, find(parent, t), find(parent, h)) for e, t, h in g.edges if e not in contracted),
     )
-    return ContractionTrace(tuple(steps), result, {v: find(parent, v) for v in g.vertices})
+    return ContractionTrace(tuple(steps), result, {v: find(parent, v) for v in g.vertices}, idle)
 
 
 def is_full(g: Dag) -> bool:

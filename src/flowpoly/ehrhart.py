@@ -3,11 +3,10 @@
 Counts the nonnegative integer flows of every strength t by the Lidskii
 formula (Baldoni-Vergne, "Kostant partition functions and flow
 polytopes", 2008; Meszaros-Morales, "Volumes and Ehrhart polynomials of
-flow polytopes", 2019).  Number the vertices 1..n+1 topologically, 1 the
-unique source and n+1 the unique sink: several sources are joined to a
-virtual super-source by one edge each, and several sinks to a virtual
-super-sink.  With o_i = outdeg(i) - 1, and G|n the graph without vertex
-n+1 and its in-edges,
+flow polytopes", 2019).  Number the vertices 1..n+1 topologically: 1 is
+a virtual super-source that every source always hangs off by one edge,
+and n+1 the sink (several sinks feed a virtual super-sink).  With
+o_i = outdeg(i) - 1, and G|n the graph without vertex n+1 and its in-edges,
 
     counts[t] = sum_u C(t + o_1, o_1 + u) * c_u
     c_u = sum over j_1 = o_1 + u, j_i <= o_i of
@@ -31,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .dag import Dag, EdgeId, Route, flow_dims, is_full
+from .dag import Dag, EdgeId, Route, complete_contraction, flow_dims, is_full
 from .errors import ConsistencyError, FlowpolyError, FrontierExplosionError, NotFullError
 
 DEFAULT_MAX_STATES = 2_000_000
@@ -45,24 +44,20 @@ def flow_count_table(g: Dag, tmax: int, max_states: int = DEFAULT_MAX_STATES) ->
     units that its split out-neighbours sent back to it, i.e. its outflow
     in G|n.  Splitting vertex i >= 2 adds a = o_i - j_i in 0..o_i units with
     weight C(o_i, a), and cuts the total into one share per in-edge, each
-    share sent back to the edge's tail.  The root is never split: in each
-    final state it holds u, the units leaving it, and the state's value is
-    c_u.  Each layer may hold at most `max_states` states.
+    share sent back to the edge's tail.  The sources always hang off the
+    virtual super-source, the root in the last slot, which is never split:
+    in each final state it holds u, the units leaving it, and the state's
+    value is c_u.  Each layer may hold at most `max_states` states.
     """
     if not g.sources:
         return {t: int(t == 0) for t in range(tmax + 1)}
     order = g.topological_order
     pos = {v: i for i, v in enumerate(order)}
-    if len(g.sources) == 1:
-        root = pos[g.sources[0]]
-        o_root = len(g.out_edges[g.sources[0]]) - 1
-    else:  # the virtual super-source takes one more slot
-        root = len(order)
-        o_root = len(g.sources) - 1
-    states = {(0,) * max(len(order), root + 1): 1}
+    root, o_root = len(order), len(g.sources) - 1
+    states = {(0,) * (root + 1): 1}
     for k in reversed(range(len(order))):
         v = order[k]
-        if k == root or not g.out_edges[v]:
+        if not g.out_edges[v]:
             continue
         tails = [pos[g.tail[e]] for e in g.in_edges[v]] or [root]
         bars = len(tails) - 1
@@ -120,9 +115,10 @@ class OracleResult:
 
 
 def ehrhart_oracle(g: Dag) -> OracleResult:
-    """Count the dilates 0..d+2 of the flow polytope, solve for h* and flag it."""
+    """Count the dilates 0..d+2 of the flow polytope, solve for h* and flag it.  An idle edge's
+    flow is fixed by its neighbours, so the counts are taken on g's complete contraction."""
     d = flow_dims(g)[1]
-    counts = flow_count_table(g, d + 2)
+    counts = flow_count_table(complete_contraction(g).result, d + 2)
     hstar = hstar_from_counts(counts, d)
     return OracleResult(d, counts, hstar, *check_symmetry_unimodality(hstar))
 

@@ -404,9 +404,8 @@ class IdleReachability:
     v2: frozenset[VertexId]  # non-sink endpoints of sink-reachable idle edges
 
 
-def idle_reachability(g: Dag) -> IdleReachability:
-    """Classify idle edges by directed idle-edge paths from sources / to sinks."""
-    idle = idle_edges(g)
+def idle_reachability(g: Dag, idle: frozenset[EdgeId]) -> IdleReachability:
+    """Classify g's idle edges `idle` by directed idle-edge paths from sources / to sinks."""
     return IdleReachability(
         _idle_reach(idle, g.sources, g.out_edges, g.head),
         _idle_reach(idle, g.sinks, g.in_edges, g.tail),
@@ -430,17 +429,17 @@ def _idle_reach(
     return frozenset(reached.difference(ends))
 
 
-def _check_idle_forest(g: Dag, reach: IdleReachability) -> None:
-    """The counting formula needs the idle edges to form a forest whose
-    source-side vertices have a single in-edge (dually for the sink side).
+def _check_idle_forest(table: _PortTable) -> None:
+    """The counting formula needs the table's idle edges to form a forest
+    whose source-side vertices have a single in-edge (dually for the sink side).
 
     Vertex splits at sinks or sources can produce valid DAGs that break
     this (a previously non-idle parallel edge turns idle, closing a cycle);
     on those the product formula overcounts, so fail loudly instead.
     """
-    idle = idle_edges(g)
+    g, reach = table.g, table.reach
     parent: dict[VertexId, VertexId] = {}
-    for e in sorted(idle):
+    for e in sorted(table.trace.idle):
         a, b = find(parent, g.tail[e]), find(parent, g.head[e])
         if a == b:
             raise ConsistencyError(
@@ -572,12 +571,12 @@ def port_table(g: Dag) -> _PortTable:
     trace = complete_contraction(g)
     if not is_full(trace.result):
         raise NotFullError("graph has no full contraction")
-    return _PortTable(g, path_cycle_decomposition(trace.result), trace, idle_reachability(g))
+    return _PortTable(g, path_cycle_decomposition(trace.result), trace, idle_reachability(g, trace.idle))
 
 
 def count_ample_framings(table: _PortTable) -> int:
     """2^M, times the orders of the free ports (none on a full DAG)."""
-    _check_idle_forest(table.g, table.reach)
+    _check_idle_forest(table)
     count = 1 << table.decomposition.m
     for _, _, port in table.free:
         count *= math.factorial(len(port))
@@ -610,7 +609,7 @@ class TaggedFraming:
 def enumerate_ample_framings(table: _PortTable) -> Iterator[TaggedFraming]:
     """Every ample framing of the table's graph: each alternating labeling of
     its contraction, in index order, times the orders of the free ports."""
-    _check_idle_forest(table.g, table.reach)
+    _check_idle_forest(table)
     full = (1 << table.decomposition.m) - 1
     port_perms = [list(itertools.permutations(port)) for _, _, port in table.free]
     for index in range(full + 1):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .dag import Dag, VertexId, is_valid
+from .dag import Dag, VertexId, idle_edges, is_valid
 
 
 def caracol(n: int) -> Dag:
@@ -166,8 +166,6 @@ def random_valid_dag(rng: random.Random, n_inner: int, expansions: int = 2, **kw
     idle and close an undirected cycle of idle edges; such graphs are still
     valid but fall outside the counting formula's hypotheses.
     """
-    from .dag import idle_edges
-
     g = random_full_dag(rng, n_inner, **kw)
     for _ in range(expansions):
         for _attempt in range(8):

@@ -613,7 +613,7 @@ def complete_contraction_reference(g: Dag) -> ContractionTrace:
         for x, r in rep.items():
             if r == drop:
                 rep[x] = keep
-    return ContractionTrace(tuple(steps), cur, rep)
+    return ContractionTrace(tuple(steps), cur, rep, idle_edges(g))
 
 
 def flow_count_table_reference(

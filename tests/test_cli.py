@@ -555,7 +555,7 @@ def test_fuzz_runs_the_gentle_verdicts(monkeypatch, capsys):
 
 
 def test_poset_commands_fail_fast_on_a_graph_that_is_not_full(tmp_path, monkeypatch, capsys):
-    # the edge labels need a full DAG, and they come before any enumeration
+    # one gate refuses a graph that is not full, before any enumeration
     import flowpoly.analysis
     import flowpoly.cli
     import flowpoly.poset
@@ -576,7 +576,7 @@ def test_poset_commands_fail_fast_on_a_graph_that_is_not_full(tmp_path, monkeypa
         with pytest.raises(SystemExit) as stop:
             flowpoly.cli.main()
         assert stop.value.code == 1
-        assert capsys.readouterr().err == "error: edge labeling needs a full DAG\n"
+        assert capsys.readouterr().err == "error: the graph is not full; run `flowpoly contract` first\n"
     assert calls == []
 
 

@@ -1,11 +1,13 @@
 import gc
+import json
 import math
 import random
 import re
+import time
 
 import pytest
 
-from flowpoly.dag import Dag, complete_contraction, flow_dims
+from flowpoly.dag import Dag, complete_contraction, dag_to_json, flow_dims
 from flowpoly.errors import (
     ConsistencyError,
     FrontierExplosionError,
@@ -300,3 +302,54 @@ def test_analyze_car12_with_the_oracle():
     report = analyze(g, named_framing(g, "length"))
     assert report.ok, [v.invariant for v in report.failed()]
     assert sum(report.data["hstar"]) == report.data["cliques"] == 4862
+
+
+# -- the oracle counts on the complete contraction ----------------------------
+
+
+def _subdivided(g: Dag, k: int) -> Dag:
+    """g with every edge replaced by a chain of k + 1 edges through k new vertices."""
+    vertices, edges, fresh = list(g.vertices), [], max(g.vertices) + 1
+    for e, t, h in g.edges:
+        chain = [t, *range(fresh, fresh + k), h]
+        vertices += chain[1:-1]
+        fresh += k
+        edges += [(len(edges) + i, a, b) for i, (a, b) in enumerate(zip(chain, chain[1:]))]
+    return Dag.build(vertices, edges)
+
+
+def test_oracle_counts_on_the_contraction():
+    rng = random.Random(30)
+    graphs = [caracol(8), generate("gkn", [3, 10]), generate("carcore", [8])]
+    graphs += [random_valid_dag(rng, rng.randrange(1, 5), expansions=rng.randrange(0, 3)) for _ in range(200)]
+    for g in graphs:
+        got, want = ehrhart_oracle(g), ehrhart_oracle(complete_contraction(g).result)
+        assert got == want
+        assert got.counts == flow_count_table(g, got.dimension + 2)
+
+
+def test_oracle_hands_the_table_a_graph_without_idle_edges(monkeypatch):
+    import flowpoly.ehrhart
+    from flowpoly.dag import idle_edges
+
+    seen = []
+    table = flowpoly.ehrhart.flow_count_table
+    monkeypatch.setattr(flowpoly.ehrhart, "flow_count_table", lambda g, t: seen.append(idle_edges(g)) or table(g, t))
+    ehrhart_oracle(caracol(8))
+    assert seen == [frozenset()]
+
+
+def test_oracle_command_on_a_subdivided_car10_takes_the_contractions_time(tmp_path, monkeypatch, capsys):
+    # 2,108 vertices whose idle chains contract to car 10's 8; a DP state per
+    # vertex of the raw graph took half a minute
+    from conftest import main_in_process
+
+    g = _subdivided(complete_contraction(caracol(10)).result, 100)
+    assert len(g.vertices) == 2108
+    path = tmp_path / "car10x100.json"
+    path.write_text(dag_to_json(g))
+    start = time.perf_counter()
+    code, out, _ = main_in_process(monkeypatch, capsys, ["oracle", "--json", "-i", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out)["hstar"] == ehrhart_oracle(complete_contraction(caracol(10)).result).hstar

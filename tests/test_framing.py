@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import flowpoly.dag
 import flowpoly.framing
 from conftest import (
     all_framings,
@@ -17,7 +18,7 @@ from conftest import (
     routes_coherent,
 )
 
-from flowpoly.dag import Dag, complete_contraction, enumerate_routes, is_full
+from flowpoly.dag import Dag, complete_contraction, enumerate_routes, idle_edges, is_full
 from flowpoly.errors import FramingError, NotFullError
 from flowpoly.framing import (
     CoherenceTable,
@@ -352,7 +353,7 @@ def test_idle_chain_message_names_the_smallest_branching_fan_vertex():
 
     edges = [(0, 1, 4), (1, 2, 9), (2, 2, 5), (3, 10, 5), (4, 9, 6), (5, 9, 7), (6, 5, 8), (7, 5, 8), (8, 4, 9), (9, 3, 10)]
     g = Dag.build(range(1, 11), edges)
-    assert sorted(idle_reachability(g).v1) == [4, 5, 9, 10]
+    assert sorted(idle_reachability(g, idle_edges(g)).v1) == [4, 5, 9, 10]
     with pytest.raises(ConsistencyError, match="^idle-forest-structure: source-side idle chain through 5 branches at 5$"):
         count_ample_framings(port_table(g))
 
@@ -463,7 +464,7 @@ def test_port_table_refuses_a_port_split_across_components(g27h):
         Component(comp.vertices[1:], comp.edges[1:], "path"),
     ]
     others = [c for c in decomp.components if c is not comp]
-    trace, reach = complete_contraction(g27h), idle_reachability(g27h)
+    trace, reach = complete_contraction(g27h), idle_reachability(g27h, idle_edges(g27h))
     with pytest.raises(ConsistencyError, match="port-alternation"):
         _PortTable(g27h, Decomposition(others + split, decomp.m + 1), trace, reach)
 
@@ -489,7 +490,7 @@ def test_adjacency_graph_bipartite_for_exceptionals(core8, core8t):
 
 def test_idle_reachability_g310():
     g = gkn(3, 10)
-    r = idle_reachability(g)
+    r = idle_reachability(g, idle_edges(g))
     assert sorted(r.v1) == [2, 3]
     assert sorted(r.v2) == [8, 9]
 
@@ -537,7 +538,7 @@ def test_lift_bad_choices(car8, car8h):
 
 def test_lift_count_matches_formula(car8, car8h):
     per_full = 1
-    reach = idle_reachability(car8)
+    reach = idle_reachability(car8, idle_edges(car8))
     import math
 
     for v in reach.v1:
@@ -565,6 +566,17 @@ def test_valid_enumeration_contracts_once(car8, monkeypatch):
     assert calls == {"complete_contraction": 1, "idle_reachability": 1}
     golden = Path(__file__).parent / "golden" / "car-8_valid_framings.jsonl"
     assert got == golden.read_text().splitlines()
+
+
+def test_a_count_reads_the_idle_edges_once(car8, monkeypatch):
+    # the contraction keeps the idle set it started from; reachability and
+    # the forest check read it there
+    calls = []
+    idle = flowpoly.dag.idle_edges
+    for module in (flowpoly.dag, flowpoly.framing):
+        monkeypatch.setattr(module, "idle_edges", lambda g: calls.append(g) or idle(g))
+    assert count_ample_framings(port_table(car8)) == 128
+    assert calls == [car8]
 
 
 def test_framing_json_joins_the_port_texts(car8, car8h, g29h):

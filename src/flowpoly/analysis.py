@@ -43,7 +43,7 @@ from typing import Callable, Iterable
 from .dag import DEFAULT_MAX_ROUTES, Dag, enumerate_routes, flow_dims, is_full
 from .ehrhart import ehrhart_oracle, finite_differences_vanish, special_simplex_check
 from .errors import FramingError, GraphError, NotFullError
-from .framing import CoherenceTable, Framing, adjacency_graph, edge_labeling, is_ample
+from .framing import CoherenceTable, Framing, adjacency_graph, edge_labeling, exceptional_routes, is_ample
 from .gentle import (
     blossom, build_quiver, gentleness_violations, module_to_route, object_kisses, objects_t, rigidity_rows,
     route_to_module,
@@ -90,6 +90,9 @@ class Instance:
     blossom_quiver = cached_property(lambda self: blossom(self.quiver))
     objects = cached_property(lambda self: objects_t(self.quiver))
     oracle = cached_property(lambda self: ehrhart_oracle(self.g))
+    special_simplex = cached_property(
+        lambda self: special_simplex_check(self.g, exceptional_routes(self.table), self.table.routes)
+    )
 
     @cached_property
     def phi(self) -> list:
@@ -100,20 +103,14 @@ class Instance:
     # the kiss table over routes; exceptional routes' rows and columns are 0
     kiss = cached_property(lambda self: object_kisses(self.blossom_quiver, self.phi))
     rigid = cached_property(lambda self: rigidity_rows(self.kiss, self.phi))
-    # the bitmask of the non-exceptional routes, and their coherence rows
-    live = cached_property(lambda self: (1 << len(self.table.routes)) - 1 ^ sum(1 << i for i in self.exceptional))
+    # the coherence rows of the non-exceptional routes
     coherent = cached_property(
-        lambda self: [0 if m is None else row & self.live for m, row in zip(self.phi, self.table.adjacency)]
+        lambda self: [0 if m is None else row & self.table.live for m, row in zip(self.phi, self.table.adjacency)]
     )
 
     poset = cached_property(lambda self: build_poset(self.table, self.dual, self.labels, self.kiss))
 
     dcov = cached_property(lambda self: self.poset.dcov_polynomial())
-
-    @cached_property
-    def special_simplex(self):
-        routes = self.table.routes
-        return special_simplex_check(self.g, [routes[i] for i in self.exceptional], routes)
 
 
 def ample_instance(g: Dag, f: Framing, **options: int) -> Instance:
@@ -160,8 +157,8 @@ def _collections_match(inst: Instance):
     if inst.rigid == inst.coherent:
         # equal graphs have equal maximal cliques, and `cliques` are those of the coherence rows
         return True, f"{len(inst.cliques)} collections vs {len(inst.cliques)} cliques"
-    collections = set(bron_kerbosch(inst.rigid, inst.live, inst.max_cliques))
-    cliques = {c & inst.live for c in inst.cliques}
+    collections = set(bron_kerbosch(inst.rigid, inst.table.live, inst.max_cliques))
+    cliques = {c & inst.table.live for c in inst.cliques}
     return collections == cliques, f"{len(collections)} collections vs {len(cliques)} cliques"
 
 
@@ -178,9 +175,9 @@ VERDICTS: dict[str, Callable[[Instance], object]] = {
     "exceptional-adjacency-bipartite": lambda inst: adjacency_graph(
         inst.g, [inst.table.routes[i] for i in inst.exceptional]
     ).is_bipartite()[0],
-    # exceptional rows are full: both enumerations rely on it, neither sets it
-    "cliques-contain-exceptionals": lambda inst: all(
-        inst.table.adjacency[i] | 1 << i == (1 << len(inst.table.routes)) - 1 for i in inst.exceptional
+    # two computations: the rank rule's exceptional routes are the routes whose coherence rows are full
+    "cliques-contain-exceptionals": lambda inst: inst.exceptional == tuple(
+        i for i, row in enumerate(inst.table.adjacency) if (row | 1 << i).bit_count() == len(inst.table.routes)
     ),
     "cliques-are-simplices": lambda inst: set(map(int.bit_count, inst.cliques)) <= {flow_dims(inst.g)[1] + 1},
     # the flip traversal's records are the dual graph; by the exchange

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -198,17 +199,10 @@ def special_simplex_check(
     if not is_full(g):
         raise NotFullError("special simplices are certified on full DAGs")
     d = flow_dims(g)[1]
-    uncovered: list[EdgeId] = []
-    multiply: list[EdgeId] = []
-    anomalies: list[EdgeId] = []
-    for e in sorted(g.tail):
-        hits = sum(1 for r in exceptional if e in r)
-        if hits == 0:
-            uncovered.append(e)
-        elif hits > 1:
-            multiply.append(e)
-        support = sum(1 for r in routes if e not in r)
-        if support < d:
-            anomalies.append(e)
-    ok = not uncovered and not multiply and not anomalies
-    return SpecialSimplexReport(ok, uncovered, multiply, anomalies)
+    # the exceptional routes and all the routes through each edge, one pass over each
+    hits, through = (Counter(itertools.chain.from_iterable(rs)) for rs in (exceptional, routes))
+    edges = sorted(g.tail)
+    uncovered = [e for e in edges if not hits[e]]
+    multiply = [e for e in edges if hits[e] > 1]
+    anomalies = [e for e in edges if len(routes) - through[e] < d]
+    return SpecialSimplexReport(not (uncovered or multiply or anomalies), uncovered, multiply, anomalies)

@@ -108,7 +108,9 @@ class CoherenceTable:
     For each inner vertex the distinct route prefixes ending there (and the
     suffixes starting there) are totally ordered by the framing; a route
     pair conflicts at v exactly when its in-ranks and out-ranks compare in
-    opposite directions.
+    opposite directions.  `routes` must hold every route of g (the default,
+    `enumerate_routes(g)`): the exceptional routes are read off the ranks
+    on that premise.
     """
 
     def __init__(self, g: Dag, f: Framing, routes: Sequence[Route] | None = None):
@@ -150,10 +152,11 @@ class CoherenceTable:
         out_pos = {e: k for v in g.inner for k, e in enumerate(f.out_order[v])}
         self.in_rank: list[dict[VertexId, int]] = [dict() for _ in self.routes]
         self.out_rank: list[dict[VertexId, int]] = [dict() for _ in self.routes]
+        self.in_top, self.out_top = {}, {}  # each inner vertex's greatest in-rank and out-rank
         order = [v for v in g.topological_order if v in by_vertex]
-        for ranks, sweep, step, pos, far in (
-            (self.in_rank, order, -1, in_pos, g.tail),
-            (self.out_rank, order[::-1], 0, out_pos, g.head),
+        for ranks, top, sweep, step, pos, far in (
+            (self.in_rank, self.in_top, order, -1, in_pos, g.tail),
+            (self.out_rank, self.out_top, order[::-1], 0, out_pos, g.head),
         ):
             for v in sweep:
                 keys = {}
@@ -162,6 +165,7 @@ class CoherenceTable:
                     e = r[cut] if 0 <= cut < len(r) else None
                     keys[i] = (-1, -1) if e is None else (pos[e], ranks[i].get(far[e], -1))
                 rank = {key: k for k, key in enumerate(sorted(set(keys.values())))}
+                top[v] = len(rank) - 1
                 for i, key in keys.items():
                     ranks[i][v] = rank[key]
 
@@ -203,11 +207,20 @@ class CoherenceTable:
 
     @functools.cached_property
     def exceptional_indices(self) -> tuple[int, ...]:
-        n = len(self.routes)
-        full = (1 << n) - 1
+        """The routes coherent with every route, read off the ranks: a prefix
+        into v and a suffix out of v make a route of g, so the routes through
+        v take every pair of ranks there, and one conflicts with none exactly
+        when its ranks are both least, both greatest, or one side has one rank."""
+        in_top, out_top = self.in_top, self.out_top
         return tuple(
-            i for i in range(n) if self.adjacency[i] | (1 << i) == full
+            i for i, (ins, outs) in enumerate(zip(self.in_rank, self.out_rank))
+            if all((ins[v] == 0 or outs[v] == out_top[v]) and (outs[v] == 0 or ins[v] == in_top[v]) for v in ins)
         )
+
+    # the bitmask of the non-exceptional routes
+    live = functools.cached_property(
+        lambda self: (1 << len(self.routes)) - 1 ^ sum(1 << i for i in self.exceptional_indices)
+    )
 
     @functools.cached_property
     def route_index(self) -> dict[Route, int]:
@@ -235,10 +248,7 @@ def exceptional_routes(table: CoherenceTable) -> list[Route]:
 
 def is_ample(table: CoherenceTable) -> bool:
     """Every non-idle edge lies on at least one exceptional route."""
-    covered: set[EdgeId] = set()
-    for i in table.exceptional_indices:
-        covered.update(table.routes[i])
-    return set(table.g.tail) - idle_edges(table.g) <= covered
+    return set(table.g.tail) - idle_edges(table.g) <= {e for r in exceptional_routes(table) for e in r}
 
 
 # -- edge labeling -------------------------------------------------------------

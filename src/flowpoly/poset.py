@@ -225,10 +225,10 @@ class TauPoset:
 
     @functools.cached_property
     def kappa(self) -> dict[int, int]:
-        """Node whose up-brick set equals the argument's down-brick set, so
-        down_degrees[i] == up_degrees[kappa[i]] by construction.  Cover
-        labels at a node form a semibrick, so a node's bricks each way are
-        distinct."""
+        """Node whose up-cover bricks are the argument's down-cover bricks.
+        Cover labels at a node form a semibrick, so a node's bricks are
+        distinct each way and down_degrees[i] == up_degrees[kappa[i]] holds
+        by construction: only a broken kappa fails `kappa-swaps-cover-statistics`."""
         n, bits = len(self), [1 << w for w in range(len(self.bricks))]
         up, down = [0] * n, [0] * n
         for lo, hi, w in zip(self.lo, self.hi, self.brick):

@@ -88,9 +88,8 @@ def clique_masks(table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUES) 
     Every maximal clique contains the exceptional routes, so the search
     runs on the non-exceptional part only.
     """
-    exceptional = sum(1 << i for i in table.exceptional_indices)
-    rest = (1 << len(table.routes)) - 1 ^ exceptional
-    return sorted([c | exceptional for c in bron_kerbosch(table.adjacency, rest, max_cliques)])
+    exceptional = (1 << len(table.routes)) - 1 ^ table.live
+    return sorted([c | exceptional for c in bron_kerbosch(table.adjacency, table.live, max_cliques)])
 
 
 def maximal_cliques(table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUES) -> list[Clique]:
@@ -303,9 +302,8 @@ def maximal_cliques_by_flips(
     """
     n = len(table.routes)
     adj = table.adjacency
-    exc = table.exceptional_indices
-    exceptional = sum(1 << i for i in exc)
-    rest = (1 << n) - 1 ^ exceptional
+    exc, rest = table.exceptional_indices, table.live
+    exceptional = (1 << n) - 1 ^ rest
     members: list[int] = []
     for v in range(n):
         if rest >> v & 1 and all(adj[v] >> i & 1 for i in (*exc, *members)):

@@ -713,6 +713,40 @@ def test_oracle_reports_special_simplex():
     assert data["special_simplex"] is True
 
 
+def test_oracle_and_the_ample_gate_build_no_coherence_rows(tmp_path, monkeypatch, capsys):
+    # the exceptional routes come from the table's ranks, so the routes x
+    # routes coherence rows are built only for the cliques and row verdicts
+    import functools
+
+    from flowpoly.dag import complete_contraction, dag_to_json
+    from flowpoly.framing import CoherenceTable, framing_by_edge_id, framing_to_json, is_ample
+    from flowpoly.generators import caracol, gkn
+
+    g29h, car10h = (complete_contraction(g).result for g in (gkn(2, 9), caracol(10)))
+    # a framing with one in-port reversed, which the gate refuses
+    for v in g29h.inner:
+        f = framing_by_edge_id(g29h)
+        f.in_order[v] = f.in_order[v][::-1]
+        if not is_ample(CoherenceTable(g29h, f)):
+            break
+    path = tmp_path / "f.json"
+    path.write_text(framing_to_json(f))
+    built = []
+    rows = CoherenceTable.__dict__["adjacency"].func
+    spy = functools.cached_property(lambda table: built.append(len(table.routes)) or rows(table))
+    spy.__set_name__(CoherenceTable, "adjacency")
+    monkeypatch.setattr(CoherenceTable, "adjacency", spy)
+    for g in (g29h, car10h):
+        code, out, _ = main_in_process(monkeypatch, capsys, ["oracle", "--json"], dag_to_json(g))
+        assert code == 0 and json.loads(out)["special_simplex"] is True
+    code, _, err = main_in_process(monkeypatch, capsys, ["cliques", "--framing", str(path)], dag_to_json(g29h))
+    assert (code, err) == (1, "error: the framing is not ample: some edge lies on no exceptional route\n")
+    assert built == []
+    # the spy counts: the clique stages build the rows once
+    assert main_in_process(monkeypatch, capsys, ["cliques", "--json"], dag_to_json(g29h))[0] == 0
+    assert built == [len(CoherenceTable(g29h, framing_by_edge_id(g29h)).routes)]
+
+
 # Reference `--json` outputs; regenerate one only when its output is meant to change.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = [

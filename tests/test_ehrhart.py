@@ -13,6 +13,7 @@ from flowpoly.errors import (
     FrontierExplosionError,
 )
 from flowpoly.ehrhart import (
+    SpecialSimplexReport,
     ehrhart_oracle,
     finite_differences_vanish,
     flow_count_table,
@@ -104,6 +105,43 @@ def test_special_simplex_fails_on_nonexceptional_set(g27h, g27t):
     not_special = [routes[i] for i in list(g27t.exceptional_indices)[:-1]]
     rep = special_simplex_check(g27h, not_special, routes)
     assert not rep.ok and rep.uncovered
+
+
+def _special_simplex_by_edge_scan(g, exceptional, routes):
+    """The reference: one scan of every route per edge."""
+    d = flow_dims(g)[1]
+    uncovered, multiply, anomalies = [], [], []
+    for e in sorted(g.tail):
+        hits = sum(1 for r in exceptional if e in r)
+        if hits == 0:
+            uncovered.append(e)
+        elif hits > 1:
+            multiply.append(e)
+        if sum(1 for r in routes if e not in r) < d:
+            anomalies.append(e)
+    return SpecialSimplexReport(not uncovered and not multiply and not anomalies, uncovered, multiply, anomalies)
+
+
+def test_special_simplex_check_matches_the_per_edge_scan():
+    # exceptional and non-exceptional route sets, against all routes and a
+    # sample of them, so every list of the report is non-empty somewhere
+    rng = random.Random(53)
+    reports = []
+    for _ in range(60):
+        g = random_full_dag(rng, rng.randrange(1, 6), rng.randrange(1, 3), rng.randrange(1, 3))
+        for tagged in list(enumerate_ample_framings(port_table(g)))[:2]:
+            t = CoherenceTable(g, tagged.framing)
+            exc = [t.routes[i] for i in t.exceptional_indices]
+            rest = [r for r in t.routes if r not in exc]
+            for chosen in (exc, rest, exc[1:] + rest[:1], rng.sample(t.routes, rng.randrange(len(t.routes) + 1))):
+                for routes in (t.routes, rng.sample(t.routes, rng.randrange(len(t.routes) + 1))):
+                    rep = special_simplex_check(g, chosen, routes)
+                    assert rep == _special_simplex_by_edge_scan(g, chosen, routes)
+                    reports.append(rep)
+    assert len(reports) >= 500
+    for field in ("ok", "uncovered", "multiply_covered", "facet_anomalies"):
+        assert any(getattr(rep, field) for rep in reports), field
+    assert not all(rep.ok for rep in reports)
 
 
 def test_distinct_special_simplices_across_framings(g27h):

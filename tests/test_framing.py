@@ -744,3 +744,40 @@ def test_adjacency_rows_match_pairwise_coherence():
             assert t.adjacency == pairwise
             tables += 1
     assert tables >= 300  # 414 when written
+
+
+def _random_dag(rng: random.Random) -> Dag:
+    """An arbitrary DAG: edges go up in vertex order, parallel edges allowed,
+    so it may have several sources and sinks."""
+    n = rng.randrange(2, 8)
+    edges = []
+    for e in range(rng.randrange(1, 13)):
+        t = rng.randrange(n - 1)
+        edges.append((e, t, rng.randrange(t + 1, n)))
+    return Dag.build(range(n), edges)
+
+
+def _random_framing(rng: random.Random, g: Dag) -> Framing:
+    def shuffled(port):
+        return tuple(rng.sample(port, len(port)))
+
+    return Framing({v: shuffled(g.in_edges[v]) for v in g.inner}, {v: shuffled(g.out_edges[v]) for v in g.inner})
+
+
+def test_exceptional_routes_by_rank_rule_match_the_full_rows(car8):
+    # the reference is the row rule: a route is exceptional when its
+    # coherence row is full
+    rng = random.Random(37)
+    graphs = [(_random_dag(rng), 2) for _ in range(1000)]
+    graphs += [(random_valid_dag(rng, rng.randrange(1, 5), expansions=rng.randrange(0, 3)), 2) for _ in range(300)]
+    graphs += [(complete_contraction(g).result, 40) for g in (caracol(10), gkn(2, 11), gkn(3, 10))]
+    graphs += [(car8, 40), (gkn(2, 9), 40)]
+    tables, partial = 0, 0
+    for g, framings in graphs:
+        for _ in range(framings):
+            t = CoherenceTable(g, _random_framing(rng, g))
+            full = (1 << len(t.routes)) - 1
+            assert t.exceptional_indices == tuple(i for i, row in enumerate(t.adjacency) if row | 1 << i == full)
+            tables += 1
+            partial += 0 < len(t.exceptional_indices) < len(t.routes)
+    assert tables >= 2000 and partial >= 1000  # 2,800 and 1,257 when written

@@ -8,11 +8,17 @@ failed verdicts that `analyze` or a checking subcommand ran, or as the
 invariant of a raised `ConsistencyError`.  An equivalent mutant changes no
 output.
 
-Two verdicts hold by construction, so a mutant fails them only by breaking
-what they read: `shelling-h-matches-dcov` (the shelling h-vector is the
-down-cover polynomial once an order is a linear extension) and
+Three verdicts hold by construction, so a mutant fails them only by
+breaking what they read: `shelling-h-matches-dcov` (the shelling h-vector
+is the down-cover polynomial once an order is a linear extension),
 `support-tau-tilting-matches-cliques` (the collections are the cliques
-whenever the rigidity rows equal the coherence rows).
+whenever the rigidity rows equal the coherence rows) and
+`kappa-swaps-cover-statistics` (kappa maps each node to the node whose
+up-cover bricks are its down-cover bricks, and a node's bricks are
+distinct each way, so the two degrees agree; only the patched-kappa row
+fails it).  `cliques-contain-exceptionals` compares two computations: the
+exceptional routes that the coherence table reads off its ranks, and the
+routes whose coherence rows are full.
 
 Run as a script, `python [-O] tests/test_mutants.py ROW` applies one row's
 mutation and prints, per graph and command, a JSON line [graph, command,

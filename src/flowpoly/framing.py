@@ -105,12 +105,12 @@ def framing_from_json(g: Dag, text: str) -> Framing:
 class CoherenceTable:
     """Per-vertex route ranks for fast pairwise coherence tests.
 
-    For each inner vertex the distinct route prefixes ending there (and the
-    suffixes starting there) are totally ordered by the framing; a route
-    pair conflicts at v exactly when its in-ranks and out-ranks compare in
-    opposite directions.  `routes` must hold every route of g (the default,
-    `enumerate_routes(g)`): the exceptional routes are read off the ranks
-    on that premise.
+    For each inner vertex v the framing totally orders the maximal paths of
+    g into v (the prefixes) and out of v (the suffixes); a route's in-rank
+    and out-rank at v are the positions of its prefix and suffix there.  A
+    route pair conflicts at v exactly when its in-ranks and out-ranks compare
+    in opposite directions.  The ranks count every path of g, so `routes`
+    may be any set of routes of g (by default `enumerate_routes(g)`).
     """
 
     def __init__(self, g: Dag, f: Framing, routes: Sequence[Route] | None = None):
@@ -121,53 +121,45 @@ class CoherenceTable:
         self._build_ranks()
 
     def _build_ranks(self) -> None:
+        # The prefixes into an inner vertex v come in one block per in-edge e,
+        # in port order, each block ordered like the prefixes into e's tail
+        # (one, empty, at a source).  So a route's in-rank at v is its in-rank
+        # at e's tail plus the sizes of the blocks before e's: a sum along the
+        # route of each edge's offset.  Out-ranks are the same sum taken back
+        # from the sink.  One sweep in topological order sizes the blocks of
+        # prefixes, one in reverse order those of suffixes.
         g, f = self.g, self.f
-        inner = set(g.inner)
-        # position of each inner vertex on each route
-        self.route_cuts: list[dict[VertexId, int]] = []
-        for r in self.routes:
-            cuts: dict[VertexId, int] = {}
-            v = g.tail[r[0]]
-            for idx, e in enumerate(r):
-                if v in inner:
-                    cuts[v] = idx
-                v = g.head[e]
-            if v in inner:
-                cuts[v] = len(r)
-            self.route_cuts.append(cuts)
-
-        # the routes through each inner vertex
-        self.by_vertex: dict[VertexId, list[int]] = {}
-        by_vertex = self.by_vertex
-        for i, cuts in enumerate(self.route_cuts):
-            for v in cuts:
-                by_vertex.setdefault(v, []).append(i)
-
-        # Distinct maximal fragments read away from v first differ at a
-        # shared port, so they sort by the port position of their first edge
-        # e, then by the rank of the rest at e's far end (-1 at a source or
-        # sink; an empty fragment is first).  So one sweep in topological
-        # order ranks the prefixes, and one in reverse order the suffixes.
-        in_pos = {e: k for v in g.inner for k, e in enumerate(f.in_order[v])}
-        out_pos = {e: k for v in g.inner for k, e in enumerate(f.out_order[v])}
-        self.in_rank: list[dict[VertexId, int]] = [dict() for _ in self.routes]
-        self.out_rank: list[dict[VertexId, int]] = [dict() for _ in self.routes]
         self.in_top, self.out_top = {}, {}  # each inner vertex's greatest in-rank and out-rank
-        order = [v for v in g.topological_order if v in by_vertex]
-        for ranks, top, sweep, step, pos, far in (
-            (self.in_rank, self.in_top, order, -1, in_pos, g.tail),
-            (self.out_rank, self.out_top, order[::-1], 0, out_pos, g.head),
+        in_offset, out_offset = dict.fromkeys(g.tail, 0), dict.fromkeys(g.tail, 0)
+        for top, sweep, order, offset, far in (
+            (self.in_top, g.topological_order, f.in_order, in_offset, g.tail),
+            (self.out_top, g.topological_order[::-1], f.out_order, out_offset, g.head),
         ):
+            paths = dict.fromkeys(g.vertices, 1)  # the paths into (out of) each vertex
             for v in sweep:
-                keys = {}
-                for i in by_vertex[v]:
-                    r, cut = self.routes[i], self.route_cuts[i][v] + step
-                    e = r[cut] if 0 <= cut < len(r) else None
-                    keys[i] = (-1, -1) if e is None else (pos[e], ranks[i].get(far[e], -1))
-                rank = {key: k for k, key in enumerate(sorted(set(keys.values())))}
-                top[v] = len(rank) - 1
-                for i, key in keys.items():
-                    ranks[i][v] = rank[key]
+                if v in order:
+                    n = 0
+                    for e in order[v]:
+                        offset[e] = n
+                        n += paths[far[e]]
+                    paths[v], top[v] = n, n - 1
+
+        self.route_cuts: list[dict[VertexId, int]] = []  # position of each inner vertex on each route
+        self.in_rank: list[dict[VertexId, int]] = []
+        self.out_rank: list[dict[VertexId, int]] = []
+        head, inner = g.head, self.in_top
+        for r in self.routes:
+            cuts, ins, outs = {}, {}, {}
+            k_in, k_out = 0, sum(map(out_offset.__getitem__, r))
+            for idx, e in enumerate(r, 1):
+                k_in += in_offset[e]
+                k_out -= out_offset[e]
+                v = head[e]
+                if v in inner:
+                    cuts[v], ins[v], outs[v] = idx, k_in, k_out
+            self.route_cuts.append(cuts)
+            self.in_rank.append(ins)
+            self.out_rank.append(outs)
 
     def _conflicts(self, i: int, j: int) -> Iterator[VertexId]:
         """Shared inner vertices where the in- and out-ranks of routes i and j
@@ -194,8 +186,12 @@ class CoherenceTable:
         Per inner vertex, a route through it conflicts with the routes there
         ranked lower on one side and higher on the other, so its row is the
         complement of those bitmasks ORed over its vertices."""
+        by_vertex: dict[VertexId, list[int]] = {}  # the routes through each inner vertex
+        for i, cuts in enumerate(self.route_cuts):
+            for v in cuts:
+                by_vertex.setdefault(v, []).append(i)
         conflicts = [0] * len(self.routes)
-        for v, through in self.by_vertex.items():
+        for v, through in by_vertex.items():
             ins = [self.in_rank[i][v] for i in through]
             outs = [self.out_rank[i][v] for i in through]
             below_in, above_in = _rank_masks(through, ins)
@@ -207,10 +203,11 @@ class CoherenceTable:
 
     @functools.cached_property
     def exceptional_indices(self) -> tuple[int, ...]:
-        """The routes coherent with every route, read off the ranks: a prefix
-        into v and a suffix out of v make a route of g, so the routes through
-        v take every pair of ranks there, and one conflicts with none exactly
-        when its ranks are both least, both greatest, or one side has one rank."""
+        """The routes coherent with every route of g, read off the ranks: a
+        prefix into v and a suffix out of v make a route of g, so the routes of
+        g through v take every pair of ranks there, and one conflicts with none
+        exactly when its ranks are both least, both greatest, or one side has
+        one rank."""
         in_top, out_top = self.in_top, self.out_top
         return tuple(
             i for i, (ins, outs) in enumerate(zip(self.in_rank, self.out_rank))
@@ -231,13 +228,17 @@ class CoherenceTable:
         return index
 
 
-def _rank_masks(routes: Sequence[int], ranks: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Per rank k, the bitmasks of the `routes` ranked below k and above k."""
-    at = [0] * (max(ranks) + 1)
+def _rank_masks(routes: Sequence[int], ranks: Sequence[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """Per rank k that one of the `routes` holds, the bitmasks of the `routes`
+    ranked below k and above k.  Only the ranks held are indexed: a table of a
+    few routes may hold ranks far larger than its size."""
+    at: dict[int, int] = {}
     for i, k in zip(routes, ranks):
-        at[k] |= 1 << i
-    below = [0, *itertools.accumulate(at[:-1], operator.or_)]
-    above = [*itertools.accumulate(at[:0:-1], operator.or_)][::-1] + [0]
+        at[k] = at.get(k, 0) | 1 << i
+    held = sorted(at)
+    masks = [at[k] for k in held]
+    below = dict(zip(held, [0, *itertools.accumulate(masks[:-1], operator.or_)]))
+    above = dict(zip(held, [*itertools.accumulate(masks[:0:-1], operator.or_)][::-1] + [0]))
     return below, above
 
 

@@ -44,11 +44,17 @@ class Quiver:
     def _by_id(self) -> dict[ArrowId, Arrow]:
         return {a.id: a for a in self.arrows}
 
-    def arrows_into(self, v: VertexId) -> list[Arrow]:
-        return [a for a in self.arrows if a.target == v]
+    def arrows_at(self, v: VertexId, sign: int) -> Sequence[Arrow]:
+        """The arrows out of v (sign 1) or into v (sign -1), in id order."""
+        return self._at.get((v, sign), ())
 
-    def arrows_from(self, v: VertexId) -> list[Arrow]:
-        return [a for a in self.arrows if a.source == v]
+    @cached_property
+    def _at(self) -> dict[tuple[VertexId, int], list[Arrow]]:
+        at: dict[tuple[VertexId, int], list[Arrow]] = {}
+        for a in sorted(self.arrows, key=lambda a: a.id):
+            at.setdefault((a.source, 1), []).append(a)
+            at.setdefault((a.target, -1), []).append(a)
+        return at
 
 
 def build_quiver(g: Dag, f: Framing, labels: Mapping[EdgeId, int] | None = None) -> Quiver:
@@ -71,35 +77,30 @@ def build_quiver(g: Dag, f: Framing, labels: Mapping[EdgeId, int] | None = None)
                 arrows.append(Arrow(e, t, h, 1, e))
             else:
                 arrows.append(Arrow(e, h, t, 2, e))
-    relations = _weight_relations(arrows)
-    return Quiver(tuple(sorted(inner)), tuple(arrows), relations)
+    return _with_weight_relations(Quiver(tuple(sorted(inner)), tuple(arrows), frozenset()))
 
 
-def _weight_relations(arrows: Sequence[Arrow]) -> frozenset[tuple[ArrowId, ArrowId]]:
-    rel = set()
-    for a in arrows:
-        for b in arrows:
-            if a.target == b.source and a.weight != b.weight:
-                rel.add((a.id, b.id))
-    return frozenset(rel)
+def _with_weight_relations(q: Quiver) -> Quiver:
+    """q with the composable pairs whose weights differ as its relations."""
+    rel = frozenset((a.id, b.id) for a in q.arrows for b in q.arrows_at(a.target, 1) if a.weight != b.weight)
+    return Quiver(q.nodes, q.arrows, rel)
 
 
 def gentleness_violations(q: Quiver) -> list[str]:
     """Empty iff the quiver with relations is gentle."""
     issues = []
     for v in q.nodes:
-        if len(q.arrows_into(v)) > 2:
-            issues.append(f"node {v} has more than two incoming arrows")
-        if len(q.arrows_from(v)) > 2:
-            issues.append(f"node {v} has more than two outgoing arrows")
+        for sign, side in ((-1, "incoming"), (1, "outgoing")):
+            if len(q.arrows_at(v, sign)) > 2:
+                issues.append(f"node {v} has more than two {side} arrows")
     rel = q.relations
     for a1, a2 in rel:
         if q.arrow(a1).target != q.arrow(a2).source:
             issues.append(f"relation ({a1},{a2}) is not composable")
     for a in q.arrows:
         for side, pairs in (
-            ("continuations", [(a.id, b.id) for b in q.arrows if a.target == b.source]),
-            ("predecessors", [(b.id, a.id) for b in q.arrows if b.target == a.source]),
+            ("continuations", [(a.id, b.id) for b in q.arrows_at(a.target, 1)]),
+            ("predecessors", [(b.id, a.id) for b in q.arrows_at(a.source, -1)]),
         ):
             inside = sum(pair in rel for pair in pairs)
             if len(pairs) - inside > 1:
@@ -168,15 +169,11 @@ def enumerate_strings(q: Quiver) -> list[StringWord]:
     repeat would contradict that, so it is reported rather than pruned.
     """
     words: set[tuple[Letter, ...]] = set()
-    letters = [(a.id, e) for a in q.arrows for e in (1, -1)]
-    stack: list[tuple[tuple[Letter, ...], tuple[VertexId, ...]]] = []
-    for lt in letters:
-        s, t = _letter_ends(q, lt)
-        stack.append(((lt,), (s, t)))
+    stack = [((lt,), _letter_ends(q, lt)) for a in q.arrows for lt in ((a.id, 1), (a.id, -1))]
     while stack:
         word, verts = stack.pop()
         words.add(_canonical(word))
-        for lt in letters:
+        for lt in [(a.id, sign) for sign in (1, -1) for a in q.arrows_at(verts[-1], sign)]:
             if not _letters_ok(q, word[-1], lt):
                 continue
             nxt = _letter_ends(q, lt)[1]
@@ -305,22 +302,18 @@ def blossom(q: Quiver) -> Quiver:
     next_arrow = max((a.id for a in q.arrows), default=-1) + 1
     arrows = list(q.arrows)
     for v in q.nodes:
-        in_w = sorted(a.weight for a in q.arrows if a.target == v)
-        out_w = sorted(a.weight for a in q.arrows if a.source == v)
-        for w in (1, 2):
-            if w not in in_w:
-                arrows.append(Arrow(next_arrow, next_node, v, w, None))
-                next_arrow += 1
-                next_node += 1
-        for w in (1, 2):
-            if w not in out_w:
-                arrows.append(Arrow(next_arrow, v, next_node, w, None))
-                next_arrow += 1
-                next_node += 1
+        for sign in (-1, 1):
+            present = {a.weight for a in q.arrows_at(v, sign)}
+            for w in (1, 2):
+                if w not in present:
+                    ends = (next_node, v) if sign == -1 else (v, next_node)
+                    arrows.append(Arrow(next_arrow, *ends, w, None))
+                    next_arrow += 1
+                    next_node += 1
     nodes = tuple(dict.fromkeys(list(q.nodes) + sorted(
         ({a.source for a in arrows} | {a.target for a in arrows}) - set(q.nodes)
     )))
-    return Quiver(nodes, tuple(arrows), _weight_relations(arrows))
+    return _with_weight_relations(Quiver(nodes, tuple(arrows), frozenset()))
 
 
 @dataclass(frozen=True)
@@ -349,12 +342,7 @@ def _candidates(q: Quiver, letters: Sequence[Letter], direct: bool) -> list[Lett
     may follow the last letter."""
     v = _letter_ends(q, letters[-1])[1]
     sign = 1 if direct else -1
-    pool = q.arrows_from(v) if direct else q.arrows_into(v)
-    return [
-        (arr.id, sign)
-        for arr in sorted(pool, key=lambda a: a.id)
-        if _letters_ok(q, letters[-1], (arr.id, sign))
-    ]
+    return [(a.id, sign) for a in q.arrows_at(v, sign) if _letters_ok(q, letters[-1], (a.id, sign))]
 
 
 def _extend(q: Quiver, letters: list[Letter]) -> None:
@@ -377,10 +365,10 @@ def extend_string(q: Quiver, obj: StringWord) -> Walk:
     if obj.kind == "word":
         letters = list(obj.letters)
     elif obj.kind == "const":  # inverse of one arrow out of v, then the other
-        a, b = sorted(q.arrows_from(obj.vertex), key=lambda a: a.id)
+        a, b = q.arrows_at(obj.vertex, 1)
         letters = [(a.id, -1), (b.id, 1)]
     else:  # shifted marker: an arrow into v, then the other one inverted
-        a, b = sorted(q.arrows_into(obj.vertex), key=lambda a: a.id)
+        a, b = q.arrows_at(obj.vertex, -1)
         letters = [(a.id, 1), (b.id, -1)]
     for _ in range(2):
         if obj.kind == "word":

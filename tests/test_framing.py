@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import timeit
 from collections import Counter
 from pathlib import Path
@@ -662,7 +663,8 @@ def test_lift_reads_one_bit_per_component(car8, g27h):
 
 def test_table_ranks_are_linear_in_route_length(g27h):
     # routes of 1,503 edges: ranking by whole sliced keys took about 0.13 s
-    # per table, ranking each vertex from its neighbour's ranks about 0.01 s
+    # per table; summing each route's block offsets along it is one pass per
+    # route
     g = _behind_idle_chain(g27h)
     f = next(enumerate_ample_framings(port_table(g))).framing
     routes = enumerate_routes(g)
@@ -766,18 +768,54 @@ def _random_framing(rng: random.Random, g: Dag) -> Framing:
 
 def test_exceptional_routes_by_rank_rule_match_the_full_rows(car8):
     # the reference is the row rule: a route is exceptional when its
-    # coherence row is full
+    # coherence row is full.  A table on a random subset of the routes ranks
+    # them as the full table does, so it reads the same exceptional flags,
+    # conflict vertices and rows
     rng = random.Random(37)
     graphs = [(_random_dag(rng), 2) for _ in range(1000)]
     graphs += [(random_valid_dag(rng, rng.randrange(1, 5), expansions=rng.randrange(0, 3)), 2) for _ in range(300)]
     graphs += [(complete_contraction(g).result, 40) for g in (caracol(10), gkn(2, 11), gkn(3, 10))]
     graphs += [(car8, 40), (gkn(2, 9), 40)]
-    tables, partial = 0, 0
+    tables, partial, subsets_partial = 0, 0, 0
     for g, framings in graphs:
         for _ in range(framings):
-            t = CoherenceTable(g, _random_framing(rng, g))
+            f = _random_framing(rng, g)
+            t = CoherenceTable(g, f)
             full = (1 << len(t.routes)) - 1
             assert t.exceptional_indices == tuple(i for i, row in enumerate(t.adjacency) if row | 1 << i == full)
             tables += 1
             partial += 0 < len(t.exceptional_indices) < len(t.routes)
+
+            kept = sorted(rng.sample(range(len(t.routes)), rng.randrange(1, len(t.routes) + 1)))
+            sub = CoherenceTable(g, f, [t.routes[i] for i in kept])
+            assert (sub.in_rank, sub.out_rank) == ([t.in_rank[i] for i in kept], [t.out_rank[i] for i in kept])
+            assert sub.exceptional_indices == tuple(p for p, i in enumerate(kept) if i in t.exceptional_indices)
+            for _ in range(5):
+                p, q = rng.randrange(len(kept)), rng.randrange(len(kept))
+                assert sub.conflict_vertices(p, q) == t.conflict_vertices(kept[p], kept[q])
+            assert sub.adjacency == [
+                sum(1 << q for q, j in enumerate(kept) if t.adjacency[i] >> j & 1) for i in kept
+            ]
+            subsets_partial += 0 < len(sub.exceptional_indices) < len(kept)
     assert tables >= 2000 and partial >= 1000  # 2,800 and 1,257 when written
+    assert subsets_partial >= 500
+
+
+def test_rows_of_two_routes_with_huge_ranks():
+    # the first-edge and last-edge walks of contracted gkn(2,60) have
+    # in-ranks up to 5.9e11: the rows index only the ranks the table holds
+    g = complete_contraction(gkn(2, 60)).result
+
+    def walk(pick) -> tuple[int, ...]:
+        route, v = [], g.sources[0]
+        while g.out_edges[v]:
+            route.append(pick(g.out_edges[v]))
+            v = g.head[route[-1]]
+        return tuple(route)
+
+    t = CoherenceTable(g, framing_by_edge_id(g), [walk(min), walk(max)])
+    assert max(t.in_rank[1].values()) > 5 * 10**11
+    start = time.perf_counter()
+    assert t.adjacency == [0b10, 0b01]
+    assert time.perf_counter() - start < 0.5
+    assert t.exceptional_indices == (0, 1)

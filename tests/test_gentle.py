@@ -154,8 +154,8 @@ def test_blossom_g27(g27h, g27f):
     assert len(bq.arrows) == 9
     assert not gentleness_violations(bq)
     for v in q.nodes:
-        assert len(bq.arrows_into(v)) == 2
-        assert len(bq.arrows_from(v)) == 2
+        assert len(bq.arrows_at(v, -1)) == 2
+        assert len(bq.arrows_at(v, 1)) == 2
     for a in bq.arrows:
         if a.edge is None:
             blossom_end = a.source if a.source not in q.nodes else a.target

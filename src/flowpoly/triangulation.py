@@ -5,19 +5,21 @@ coherent routes.  Two enumeration strategies are provided (pivoting
 Bron-Kerbosch on the coherence graph, and flip traversal from a seed
 clique) so each can certify the other.  Both keep a clique as a bitmask of
 routes, and a sorted route tuple is decoded only where one is printed or
-reported.  The flip traversal also yields the dual graph as int columns,
-one record per dual edge, and those records certify unimodularity from a
-single determinant by an exchange argument (`unimodular_by_exchange`).  A
-record's swaps depend only on its exchanged route pair, which many records
-share, so each record holds the id of its pair in one table, and the swaps
-are computed once per pair.  Cliques are numbered in breadth-first visit
-order, which no verdict depends on; lexicographic numbers exist only in
-printed output (`DualGraph.relabelled`).
+reported.  The flip traversal counts, per clique, how many of its members
+each route conflicts with: the counts certify that the clique is maximal
+and name, for each member, the one route that replaces it.  It also yields
+the dual graph as int columns, one record per dual edge, and those records
+certify unimodularity from a single determinant by an exchange argument
+(`unimodular_by_exchange`).  A record's swaps depend only on its exchanged
+route pair, which many records share, so each record holds the id of its
+pair in one table, and the swaps are computed once per pair.  Cliques are
+numbered in breadth-first visit order, which no verdict depends on;
+lexicographic numbers exist only in printed output
+(`DualGraph.relabelled`).
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 from array import array
 from dataclasses import dataclass
@@ -75,11 +77,11 @@ def _expand(adj: Sequence[int], r: int, p: int, x: int, out: list[int], max_cliq
 def mask_members(mask: int) -> Clique:
     """The set bits of `mask`, ascending: a clique mask decoded."""
     members = []
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
+    while mask:  # highest bit first: two int operations per bit, not four
+        v = mask.bit_length() - 1
+        mask ^= 1 << v
         members.append(v)
-    return tuple(members)
+    return tuple(reversed(members))
 
 
 def clique_masks(table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUES) -> list[int]:
@@ -181,17 +183,14 @@ class DualGraph:
     Cliques are numbered in breadth-first visit order from the greedy seed,
     clique 0, which is the lexicographically least clique; `relabelled()`
     renumbers them in lexicographic order of their route tuples, for
-    printed output only.  masks[i] is clique i as a bitmask of routes, and
-    members[i] its non-exceptional routes, ascending; `clique(i)` adds the
-    `exceptional` routes.  Each dual edge has one record: record k joins
-    cliques a[k] and b[k], where clique b[k] is clique a[k] with
-    pairs[pair[k]].leaving replaced by its entering route, the larger one;
-    records that exchange one route pair share its entry of `pairs`.  In
-    visit order the records come in the order of the clique each was
-    flipped from."""
+    printed output only.  masks[i] is clique i as a bitmask of all its
+    routes, exceptional ones included, and `clique(i)` decodes it.  Each
+    dual edge has one record: record k joins cliques a[k] and b[k], where
+    clique b[k] is clique a[k] with pairs[pair[k]].leaving replaced by its
+    entering route, the larger one; records that exchange one route pair
+    share its entry of `pairs`.  In visit order the records come in the
+    order of the clique each was flipped from."""
 
-    members: list[Clique]
-    exceptional: Clique
     masks: list[int]
     a: Sequence[int]
     b: Sequence[int]
@@ -200,21 +199,19 @@ class DualGraph:
 
     def clique(self, i: int) -> Clique:
         """Clique i as a sorted route tuple."""
-        return tuple(sorted(self.members[i] + self.exceptional))
+        return mask_members(self.masks[i])
 
     # every clique decoded, on first use
-    cliques = functools.cached_property(lambda self: list(map(self.clique, range(len(self.members)))))
+    cliques = functools.cached_property(lambda self: list(map(mask_members, self.masks)))
 
     def relabelled(self) -> DualGraph:
         """The same dual graph with its cliques numbered in lexicographic
         order of their route tuples, its records sorted by clique pair and
         its pairs numbered in order of first use.  Cliques that differ in
         one route compare as those two routes, so a record's a, which holds
-        the smaller one, stays below its b."""
-        members = self.members
-        # the least route in one clique and not in the other decides the
-        # lexicographic order, and it is never exceptional
-        order = sorted(range(len(members)), key=members.__getitem__)
+        the smaller one, stays below its b.  The decoded cliques carry over."""
+        cliques = self.cliques
+        order = sorted(range(len(cliques)), key=cliques.__getitem__)
         rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
         # one int key per record: (a * n_cliques + b) * n_pairs + pair
         n_cliques, n_pairs = len(order), len(self.pairs)
@@ -226,15 +223,15 @@ class DualGraph:
         old = [key % n_pairs for key in keys]
         pair_of = {p: q for q, p in enumerate(dict.fromkeys(old))}  # in order of first use
         row, nodes = n_cliques * n_pairs, list(range(n_cliques))
-        return DualGraph(
-            [members[i] for i in order],
-            self.exceptional,
+        out = DualGraph(
             [self.masks[i] for i in order],
             tuple([nodes[key // row] for key in keys]),
             tuple([nodes[key // n_pairs % n_cliques] for key in keys]),
             tuple(map(pair_of.__getitem__, old)),
             [self.pairs[p] for p in pair_of],
         )
+        out.cliques = [cliques[i] for i in order]
+        return out
 
 
 def dual_graph(cliques: Sequence[Clique]) -> list[tuple[int, int]]:
@@ -251,24 +248,6 @@ def dual_graph(cliques: Sequence[Clique]) -> list[tuple[int, int]]:
         if len(members) > 2:
             raise ConsistencyError("unique-flip-neighbor", f"ridge {ridge} lies in {len(members)} maximal cliques")
     return sorted(tuple(sorted(pair)) for pair in ridges.values() if len(pair) == 2)
-
-
-def _exchange(adj: Sequence[int], common: int, route_idx: int) -> int:
-    """The route that replaces `route_idx` over a ridge whose common
-    coherent neighbours form the bitmask `common`.
-
-    Every route coherent with the whole ridge belongs to one of the (at
-    most two) maximal cliques over it, so `common` holds exactly the
-    outgoing route and its unique replacement, and the two conflict.
-    """
-    if not common >> route_idx & 1:
-        raise ConsistencyError("unique-flip-neighbor", "clique is not a clique of this coherence table")
-    others = common & ~(1 << route_idx)
-    if others.bit_count() != 1 or adj[route_idx] & others:
-        raise ConsistencyError(
-            "unique-flip-neighbor", f"ridge admits {others.bit_count()} exchanges for route {route_idx}, expected 1"
-        )
-    return others.bit_length() - 1
 
 
 def _swaps(table: CoherenceTable, r: int, s: int) -> tuple[int, int]:
@@ -291,67 +270,77 @@ def maximal_cliques_by_flips(
     """Flip traversal from a greedy seed clique: every maximal clique,
     numbered in breadth-first visit order, and one record per dual edge.
 
-    The cross-check for `maximal_cliques`.  A flip and its reverse test the
-    same ridge, so each dual edge is flipped once: flipping r out of a
-    clique marks the reverse flip on the neighbour as done.  The ridge
-    masks of a clique come from prefix and suffix ANDs of its members'
-    adjacency rows.  An exceptional route is coherent with every other one,
-    so the traversal ANDs only the non-exceptional members' rows, from the
-    non-exceptional routes; the exceptional routes ride along in every
-    clique mask.
+    The cross-check for `maximal_cliques`.  Route v's clash row holds the
+    non-exceptional routes that conflict with it.  Per clique, the rows of
+    its non-exceptional members are summed into bit-sliced counters: `once`
+    holds the routes that conflict with at least one member, `twice` those
+    that conflict with two or more.  The clique is one when no member is in
+    `once`, and maximal when every other non-exceptional route is.  The
+    routes that could replace member r are those that conflict with r
+    alone, in `once` but not in `twice`, and there must be exactly one:
+    none or two raise `unique-flip-neighbor`.  A flip and its reverse test
+    the same ridge, so each dual edge is flipped once: flipping r out of a
+    clique marks the reverse flip on the neighbour as done.  An exceptional
+    route is coherent with every other one, so it has no clash row to
+    count and rides along in every clique mask.
     """
     n = len(table.routes)
-    adj = table.adjacency
-    exc, rest = table.exceptional_indices, table.live
-    exceptional = (1 << n) - 1 ^ rest
-    members: list[int] = []
+    adj, live = table.adjacency, table.live
+    clash = [live & ~row & ~(1 << v) for v, row in enumerate(adj)]
+    # the exceptional routes, then each other route coherent with all routes taken before it
+    seed = (1 << n) - 1 ^ live
     for v in range(n):
-        if rest >> v & 1 and all(adj[v] >> i & 1 for i in (*exc, *members)):
-            members.append(v)
-    # clique i is visited i-th, as a non-exceptional route tuple and a
-    # bitmask of all its routes; done[i] marks the routes of clique i whose
-    # flip is already recorded from the other side
-    found = [tuple(members)]
-    masks = [sum(1 << i for i in members) | exceptional]
-    ids = {masks[0]: 0}
+        if live >> v & 1 and not seed & ~adj[v]:
+            seed |= 1 << v
+    # clique i is visited i-th, as a bitmask of all its routes; done[i]
+    # marks the routes of clique i whose flip is already recorded from the
+    # other side
+    masks = [seed]
+    ids = {seed: 0}
     done = [0]
     # record k joins clique a[k], which holds the smaller route of the
     # exchanged pair pairs[pair[k]], to clique b[k]; the pair table is
-    # keyed by the ridge's two-bit `common` mask
+    # keyed by the two-bit mask of the pair
     a, b, pair = array("i"), array("i"), array("i")
     pairs: list[Exchange] = []
     pair_ids: dict[int, int] = {}
-    for i, c in enumerate(found):  # `found` grows as the walk goes on
-        mask, skip = masks[i], done[i]
-        suffix, acc = [rest], rest  # suffix[k]: the AND of rest and c[k:]'s rows
-        for r in reversed(c):
-            acc &= adj[r]
-            suffix.append(acc)
-        suffix.reverse()
-        prefix = rest
-        for k, r in enumerate(c):
-            if skip >> r & 1:
-                prefix &= adj[r]
-                continue
-            common = prefix & suffix[k + 1]
-            prefix &= adj[r]
-            bit = 1 << r  # common must be r and its one replacement s
-            if common.bit_count() != 2 or not common & bit or adj[r] & common:
-                _exchange(adj, common, r)  # raises
-            s = (common ^ bit).bit_length() - 1
+    for i, mask in enumerate(masks):  # `masks` grows as the walk goes on
+        members = mask & live
+        once = twice = 0
+        rest = members
+        while rest:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            row = clash[v]
+            twice |= once & row
+            once |= row
+        if once & members:
+            raise ConsistencyError("unique-flip-neighbor", "clique is not a clique of this coherence table")
+        if once | members != live:
+            raise ConsistencyError("unique-flip-neighbor", "clique is not maximal in this coherence table")
+        alone = once ^ twice  # the routes that conflict with one member
+        todo = members ^ done[i]  # done[i] holds members only
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            r = bit.bit_length() - 1
+            entering = alone & clash[r]
+            if entering.bit_count() != 1:
+                raise ConsistencyError(
+                    "unique-flip-neighbor", f"ridge admits {entering.bit_count()} exchanges for route {r}, expected 1"
+                )
+            s = entering.bit_length() - 1
+            common = bit | entering
             other = mask ^ common
             j = ids.get(other)
             if j is None:
                 j = ids[other] = len(masks)
                 if j >= max_cliques:
                     raise CliqueExplosionError(f"more than {max_cliques} maximal cliques")
-                ridge = c[:k] + c[k + 1 :]
-                at = bisect.bisect(ridge, s)
-                found.append(ridge[:at] + (s,) + ridge[at:])
                 masks.append(other)
-                done.append(1 << s)
+                done.append(entering)
             else:
-                done[j] |= 1 << s
+                done[j] |= entering
             p = pair_ids.get(common)
             if p is None:
                 p = pair_ids[common] = len(pairs)
@@ -365,10 +354,8 @@ def maximal_cliques_by_flips(
                 b.append(i)
             pair.append(p)
     del ids, done, pair_ids
-    nodes, pair_nums = list(range(len(found))), list(range(len(pairs)))
+    nodes, pair_nums = list(range(len(masks))), list(range(len(pairs)))
     return DualGraph(
-        found,
-        exc,
         masks,
         tuple(map(nodes.__getitem__, a)),
         tuple(map(nodes.__getitem__, b)),
@@ -408,5 +395,5 @@ def unimodular_by_exchange(g: Dag, table: CoherenceTable, dual: DualGraph) -> bo
     for a, b, p in zip(dual.a, dual.b, dual.pair):
         if masks[a] & masks[b] & swaps[p] != swaps[p]:
             return False
-    # row order changes only the determinant's sign
-    return verify_unimodular(g, [routes[i] for i in dual.members[0] + dual.exceptional])
+    seed = dual.masks[0]
+    return verify_unimodular(g, [r for i, r in enumerate(routes) if seed >> i & 1])

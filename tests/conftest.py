@@ -48,7 +48,7 @@ from flowpoly.framing import (
 )
 from flowpoly.generators import caracol, caracol_core, gkn
 from flowpoly.poset import TauPoset, orient_dual_edge
-from flowpoly.triangulation import Clique, DualGraph, _exchange
+from flowpoly.triangulation import Clique, DualGraph
 
 
 def main_in_process(monkeypatch, capsys, argv, stdin=""):
@@ -446,7 +446,10 @@ def flip(table: CoherenceTable, clique: Clique, route_idx: int) -> tuple[Clique,
 
     Returns the adjacent maximal clique and the incoming route index,
     computed locally from the coherence graph: the reference for the
-    records of the flip traversal."""
+    records of the flip traversal.  Every route coherent with the whole
+    ridge belongs to one of the (at most two) maximal cliques over it, so
+    the ridge's common coherent neighbours are exactly the outgoing route
+    and its unique replacement, and the two conflict."""
     if route_idx in table.exceptional_indices:
         raise ConsistencyError("unique-flip-neighbor", "exceptional routes are in every maximal clique")
     if route_idx not in clique:
@@ -456,7 +459,14 @@ def flip(table: CoherenceTable, clique: Clique, route_idx: int) -> tuple[Clique,
     common = (1 << len(table.routes)) - 1
     for i in ridge:
         common &= adj[i]
-    incoming = _exchange(adj, common, route_idx)
+    if not common >> route_idx & 1:
+        raise ConsistencyError("unique-flip-neighbor", "clique is not a clique of this coherence table")
+    others = common & ~(1 << route_idx)
+    if others.bit_count() != 1 or adj[route_idx] & others:
+        raise ConsistencyError(
+            "unique-flip-neighbor", f"ridge admits {others.bit_count()} exchanges for route {route_idx}, expected 1"
+        )
+    incoming = others.bit_length() - 1
     return tuple(sorted(ridge + [incoming])), incoming
 
 
@@ -479,8 +489,6 @@ def poset_from_hasse(
     if dual is None:
         pairs = [(min(lo, hi), max(lo, hi)) for lo, hi, _ in hasse]
         dual = DualGraph(
-            cliques,
-            (),
             [sum(1 << i for i in c) for c in cliques],
             array("i", [a for a, _ in pairs]),
             array("i", [b for _, b in pairs]),

@@ -85,9 +85,19 @@ def _poset(p: poset.TauPoset, lo=None, hi=None, brick=None) -> poset.TauPoset:
 
 def drop_coherence_bit(table, adj: list[int]) -> list[int]:
     """Clear the first coherent pair of non-exceptional routes."""
+    return _toggle_coherence_bit(adj, 1)
+
+
+def add_coherence_bit(table, adj: list[int]) -> list[int]:
+    """Set the first conflicting pair of non-exceptional routes."""
+    return _toggle_coherence_bit(adj, 0)
+
+
+def _toggle_coherence_bit(adj: list[int], bit: int) -> list[int]:
+    """Toggle the first pair of non-exceptional routes whose coherence bit is `bit`."""
     full = (1 << len(adj)) - 1
     live = [i for i, row in enumerate(adj) if row | 1 << i != full]
-    i, j = next((i, j) for i in live for j in live if i < j and adj[i] >> j & 1)
+    i, j = next((i, j) for i in live for j in live if i < j and adj[i] >> j & 1 == bit)
     adj = list(adj)
     adj[i] ^= 1 << j
     adj[j] ^= 1 << i
@@ -179,6 +189,10 @@ KILLS = {
     "coherence-bit-dropped": Mutant(
         "framing", "one coherence bit dropped", "unique-flip-neighbor",
         lambda p: _cached(p, framing.CoherenceTable, "adjacency", drop_coherence_bit), ("analyze", "cliques"),
+    ),
+    "coherence-bit-added": Mutant(
+        "framing", "one conflicting pair made coherent", "unique-flip-neighbor",
+        lambda p: _cached(p, framing.CoherenceTable, "adjacency", add_coherence_bit), ("analyze", "cliques"),
     ),
     "extensions-reversed": Mutant(
         "poset", "the random linear extensions reversed", "shelling-h-matches-dcov",

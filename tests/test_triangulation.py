@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import random
+import types
 import weakref
 from array import array
 
@@ -117,6 +118,45 @@ def test_flip_exchanges_unique_route(g27t):
     assert set(c) - set(other) == {r}
     assert set(other) - set(c) == {s}
     assert not g27t.coherent(r, s)
+
+
+def _rows_table(adjacency: list[int]) -> types.SimpleNamespace:
+    """A stand-in coherence table on hand-made rows, with no exceptional route."""
+    n = len(adjacency)
+    return types.SimpleNamespace(
+        routes=[(i,) for i in range(n)], adjacency=adjacency, exceptional_indices=(), live=(1 << n) - 1
+    )
+
+
+@pytest.mark.parametrize(
+    "n, coherent, exchanges",
+    [
+        # 2 and 3 conflict with 0 only, so either could replace it
+        (4, {(0, 1), (1, 2), (1, 3), (2, 3)}, 2),
+        # 2 conflicts with both 0 and 1: the ridge {1} lies on the boundary
+        (3, {(0, 1)}, 0),
+    ],
+)
+def test_flip_traversal_needs_one_exchange_per_ridge(n, coherent, exchanges):
+    # the seed clique is {0, 1}, and flipping 0 out of it is the first flip tried
+    adjacency = [sum(1 << j for j in range(n) if (i, j) in coherent or (j, i) in coherent) for i in range(n)]
+    message = f"^unique-flip-neighbor: ridge admits {exchanges} exchanges for route 0, expected 1$"
+    with pytest.raises(ConsistencyError, match=message):
+        maximal_cliques_by_flips(_rows_table(adjacency))
+
+
+@pytest.mark.parametrize(
+    "adjacency, message",
+    [
+        # row 1 says 0 is coherent with it, row 0 disagrees: the seed {0, 1} clashes
+        ([0b00, 0b01], "clique is not a clique of this coherence table"),
+        # row 0 says 1 is coherent with it, row 1 disagrees: the seed {0} misses 1
+        ([0b10, 0b00], "clique is not maximal in this coherence table"),
+    ],
+)
+def test_flip_traversal_certifies_each_clique(adjacency, message):
+    with pytest.raises(ConsistencyError, match=f"^unique-flip-neighbor: {message}$"):
+        maximal_cliques_by_flips(_rows_table(adjacency))
 
 
 def test_flip_traversal_matches(g27t, core8t):

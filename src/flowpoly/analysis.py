@@ -191,7 +191,7 @@ VERDICTS: dict[str, Callable[[Instance], object]] = {
     "dcov-extremes": lambda inst: inst.dcov[0] == inst.dcov[-1] == 1 and len(inst.dcov) == len(inst.g.inner) + 1,
     "shelling-h-matches-dcov": lambda inst: inst.poset.shelling_agrees(inst.extensions, inst.seed),
     "kappa-swaps-cover-statistics": lambda inst: inst.poset.down_degrees == [
-        inst.poset.up_degrees[j] for j in inst.poset.kappa.values()  # node i maps to kappa[i], in node order
+        inst.poset.up_degrees[j] for j in inst.poset.kappa  # node i maps to kappa[i], in node order
     ],
     "quiver-gentle": lambda inst: not gentleness_violations(inst.quiver),
     "blossom-gentle": lambda inst: not gentleness_violations(inst.blossom_quiver),

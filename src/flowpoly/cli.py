@@ -265,7 +265,7 @@ def poset(input_path, as_json, framing, dot_path) -> None:
                         {"lower": lo, "upper": hi, "brick": list(w)} for lo, hi, w in p.hasse
                     ],
                     "dcov": dcov,
-                    "kappa": p.kappa,
+                    "kappa": dict(enumerate(p.kappa)),
                 }
             )
         )

@@ -106,8 +106,9 @@ class TauPoset:
 
     Hasse edge k runs from lo[k] up to hi[k] and carries the brick
     bricks[brick[k]]; each brick is interned once.  Beside these columns
-    the poset keeps only each node's upper covers (`ups`), which Kahn's
-    sweep reads, and its cover counts each way as int lists."""
+    the poset keeps only each node's upper covers (`ups`, one int tuple per
+    node, which the garbage collector untracks), which Kahn's sweep reads,
+    its cover counts each way as int lists, and kappa as a node list."""
 
     lo: Sequence[int]
     hi: Sequence[int]
@@ -128,11 +129,13 @@ class TauPoset:
         return len(self.dual.masks)
 
     @functools.cached_property
-    def ups(self) -> list[list[int]]:
+    def ups(self) -> list[tuple[int, ...]]:
         """Each node's upper covers, in Hasse edge order."""
-        out: list[list[int]] = [[] for _ in range(len(self))]
+        out: list = [[] for _ in range(len(self))]
         for lo, hi in zip(self.lo, self.hi):
             out[lo].append(hi)
+        for node, covers in enumerate(out):  # one list freed per tuple made
+            out[node] = tuple(covers)
         return out
 
     @functools.cached_property
@@ -224,11 +227,13 @@ class TauPoset:
             return False
 
     @functools.cached_property
-    def kappa(self) -> dict[int, int]:
-        """Node whose up-cover bricks are the argument's down-cover bricks.
-        Cover labels at a node form a semibrick, so a node's bricks are
-        distinct each way and down_degrees[i] == up_degrees[kappa[i]] holds
-        by construction: only a broken kappa fails `kappa-swaps-cover-statistics`."""
+    def kappa(self) -> list[int]:
+        """kappa[i] is the node whose up-cover bricks are node i's down-cover
+        bricks.  Cover labels at a node form a semibrick, so a node's bricks
+        are distinct each way and down_degrees[i] == up_degrees[kappa[i]]
+        holds by construction: only a broken kappa fails
+        `kappa-swaps-cover-statistics`.  Each side is a bitmask of brick ids
+        per node, and the one dict, from up-masks to nodes, is transient."""
         n, bits = len(self), [1 << w for w in range(len(self.bricks))]
         up, down = [0] * n, [0] * n
         for lo, hi, w in zip(self.lo, self.hi, self.brick):
@@ -248,11 +253,14 @@ class TauPoset:
                 "up-bricks-determine-node", f"nodes {nodes} share up-brick multiset"
             )
         try:
-            out = dict(zip(range(n), map(up_index.__getitem__, down)))
+            out = list(map(up_index.__getitem__, down))
         except KeyError:
             i = next(i for i, key in enumerate(down) if key not in up_index)
             raise ConsistencyError("kappa-total", f"node {i} has no kappa image") from None
-        if len(set(out.values())) != len(out):
+        hit = bytearray(n)
+        for j in out:
+            hit[j] = 1
+        if hit.count(0):
             raise ConsistencyError("kappa-bijective", "kappa is not injective")
         return out
 

@@ -35,42 +35,44 @@ DEFAULT_MAX_CLIQUES = 10**6
 
 
 def bron_kerbosch(
-    adj: Sequence[int], candidates: int, max_cliques: int = DEFAULT_MAX_CLIQUES
+    adj: Sequence[int], candidates: int, max_cliques: int = DEFAULT_MAX_CLIQUES, base: int = 0
 ) -> list[int]:
     """Maximal cliques of the graph induced on the `candidates` bitmask.
 
     `adj[v]` is the neighbour bitmask of vertex v, without v itself.
     Pivoting Bron-Kerbosch (Tomita-Tanaka-Takahashi): the pivot is the
     vertex of P | X with the most neighbours in P.  Cliques come back as
-    vertex bitmasks in search order; no candidates gives [0].
+    vertex bitmasks in search order, each joined with `base` (vertices
+    outside `candidates`); no candidates gives [base].
     """
     out: list[int] = []
-    _expand(adj, 0, candidates, 0, out, max_cliques)
+    _expand(adj, base, candidates, 0, out, max_cliques)
     return out
 
 
 def _expand(adj: Sequence[int], r: int, p: int, x: int, out: list[int], max_cliques: int) -> None:
     """Append to `out` every maximal clique that adds to r vertices of p and none of x."""
-    if p == 0 and x == 0:
-        out.append(r)
-        if len(out) > max_cliques:
-            raise CliqueExplosionError(f"more than {max_cliques} maximal cliques")
+    if not p:  # r is maximal iff no vertex of x extends it either
+        if not x:
+            out.append(r)
+            if len(out) > max_cliques:
+                raise CliqueExplosionError(f"more than {max_cliques} maximal cliques")
         return
     pool = p | x
     best, best_cover = -1, -1
-    while pool:
-        v = (pool & -pool).bit_length() - 1
-        pool &= pool - 1
+    while pool:  # highest bit first, as in `mask_members`
+        v = pool.bit_length() - 1
+        pool ^= 1 << v
         c = (p & adj[v]).bit_count()
         if c > best_cover:
             best, best_cover = v, c
     cand = p & ~adj[best]
     while cand:
-        v = (cand & -cand).bit_length() - 1
-        cand &= cand - 1
+        v = cand.bit_length() - 1
         bit = 1 << v
+        cand ^= bit
         _expand(adj, r | bit, p & adj[v], x & adj[v], out, max_cliques)
-        p &= ~bit
+        p ^= bit
         x |= bit
 
 
@@ -88,10 +90,12 @@ def clique_masks(table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUES) 
     """All maximal cliques of the coherence graph, as sorted route bitmasks.
 
     Every maximal clique contains the exceptional routes, so the search
-    runs on the non-exceptional part only.
+    starts from them and runs on the non-exceptional part only.
     """
     exceptional = (1 << len(table.routes)) - 1 ^ table.live
-    return sorted([c | exceptional for c in bron_kerbosch(table.adjacency, table.live, max_cliques)])
+    masks = bron_kerbosch(table.adjacency, table.live, max_cliques, exceptional)
+    masks.sort()
+    return masks
 
 
 def maximal_cliques(table: CoherenceTable, max_cliques: int = DEFAULT_MAX_CLIQUES) -> list[Clique]:

@@ -245,7 +245,7 @@ def test_criterion_5_poset_kappa(corpus):
         p = printed_poset(g, f)  # acyclic or raises
         assert p.cliques == cliques
         kappa = p.kappa  # total bijection or raises
-        for i, j in kappa.items():
+        for i, j in enumerate(kappa):
             assert p.down_degrees[i] == p.up_degrees[j]
         dcov = p.dcov_polynomial()
         for ext in p.random_linear_extensions(20, seed=11):

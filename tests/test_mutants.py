@@ -122,10 +122,10 @@ def swap_modules(inst, phi: list) -> list:
     return _swap(phi, i, j)
 
 
-def swap_kappa_images(p, kappa: dict) -> dict:
+def swap_kappa_images(p, kappa: list[int]) -> list[int]:
     """Swap the images of node 0 and the first node of another down-degree."""
-    j = next(j for j in kappa if p.down_degrees[j] != p.down_degrees[0])
-    return dict(zip(kappa, _swap(list(kappa.values()), 0, j)))
+    j = next(j for j, d in enumerate(p.down_degrees) if d != p.down_degrees[0])
+    return _swap(kappa, 0, j)
 
 
 def swap_down_degrees(p, *args) -> poset.TauPoset:

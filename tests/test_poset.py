@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -137,9 +138,9 @@ def test_kappa_figure_instance(g27t, g27poset):
 
 def test_kappa_statistics(g27poset):
     p = g27poset
-    for i, j in p.kappa.items():
+    for i, j in enumerate(p.kappa):
         assert p.down_degrees[i] == p.up_degrees[j]
-    assert sorted(p.kappa.values()) == list(range(16))
+    assert sorted(p.kappa) == list(range(16))
 
 
 def test_kappa_max_to_min(g27poset):
@@ -377,6 +378,44 @@ def test_repeated_cover_brick_raises():
         ConsistencyError, match=r"cover-bricks-distinct: brick \(5,\) labels two down-covers of node 2$"
     ):
         p.kappa
+
+
+@pytest.mark.parametrize(
+    "hasse, failure",
+    [
+        # nodes 1 and 2 are both maximal: no up-brick tells them apart
+        ([(0, 1, (5,)), (0, 2, (6,))], r"up-bricks-determine-node: nodes \[1, 2\] share up-brick multiset"),
+        # no node has the up-bricks {5} that node 1 has below it
+        ([(0, 1, (5,)), (0, 2, (6,)), (1, 3, (6,)), (2, 3, (7,))], "kappa-total: node 1 has no kappa image"),
+        # nodes 0 and 2 both have down-bricks {5}, so both map to node 1
+        ([(1, 0, (5,)), (3, 2, (5,)), (2, 3, (6,)), (3, 1, (6,))], "kappa-bijective: kappa is not injective"),
+    ],
+)
+def test_kappa_failures_are_named(hasse, failure):
+    nodes = 1 + max(max(lo, hi) for lo, hi, _ in hasse)
+    p = poset_from_hasse([(i,) for i in range(nodes)], hasse)
+    with pytest.raises(ConsistencyError, match=failure + "$"):
+        p.kappa
+
+
+def test_kappa_memory_per_node():
+    # kappa is a node list, and only a transient dict maps up-masks to nodes.
+    # On contracted car 10 (429 nodes) Python 3.11 reads 143 B/node at the
+    # peak and 22 B/node kept; a result dict and a set of its values read 279
+    # and 69.  The bounds sit about 50% above the list (and well below the
+    # dicts), room for the container sizes of other Python versions.
+    g = complete_contraction(caracol(10)).result
+    p = Instance(g, named_framing(g, "length")).poset
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        p.kappa
+        kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak / len(p) < 215
+    assert kept / len(p) < 35
 
 
 def kissing_instances():

@@ -110,7 +110,8 @@ class CoherenceTable:
     and out-rank at v are the positions of its prefix and suffix there.  A
     route pair conflicts at v exactly when its in-ranks and out-ranks compare
     in opposite directions.  The ranks count every path of g, so `routes`
-    may be any set of routes of g (by default `enumerate_routes(g)`).
+    may be any set of routes of g (by default `enumerate_routes(g)`).  The
+    table stores no rank: `visits` sums them along a route when read.
     """
 
     def __init__(self, g: Dag, f: Framing, routes: Sequence[Route] | None = None):
@@ -118,9 +119,6 @@ class CoherenceTable:
         self.g = g
         self.f = f
         self.routes: list[Route] = list(routes) if routes is not None else enumerate_routes(g)
-        self._build_ranks()
-
-    def _build_ranks(self) -> None:
         # The prefixes into an inner vertex v come in one block per in-edge e,
         # in port order, each block ordered like the prefixes into e's tail
         # (one, empty, at a source).  So a route's in-rank at v is its in-rank
@@ -128,12 +126,11 @@ class CoherenceTable:
         # route of each edge's offset.  Out-ranks are the same sum taken back
         # from the sink.  One sweep in topological order sizes the blocks of
         # prefixes, one in reverse order those of suffixes.
-        g, f = self.g, self.f
         self.in_top, self.out_top = {}, {}  # each inner vertex's greatest in-rank and out-rank
-        in_offset, out_offset = dict.fromkeys(g.tail, 0), dict.fromkeys(g.tail, 0)
+        self.in_offset, self.out_offset = dict.fromkeys(g.tail, 0), dict.fromkeys(g.tail, 0)
         for top, sweep, order, offset, far in (
-            (self.in_top, g.topological_order, f.in_order, in_offset, g.tail),
-            (self.out_top, g.topological_order[::-1], f.out_order, out_offset, g.head),
+            (self.in_top, g.topological_order, f.in_order, self.in_offset, g.tail),
+            (self.out_top, g.topological_order[::-1], f.out_order, self.out_offset, g.head),
         ):
             paths = dict.fromkeys(g.vertices, 1)  # the paths into (out of) each vertex
             for v in sweep:
@@ -144,40 +141,32 @@ class CoherenceTable:
                         n += paths[far[e]]
                     paths[v], top[v] = n, n - 1
 
-        self.route_cuts: list[dict[VertexId, int]] = []  # position of each inner vertex on each route
-        self.in_rank: list[dict[VertexId, int]] = []
-        self.out_rank: list[dict[VertexId, int]] = []
-        head, inner = g.head, self.in_top
-        for r in self.routes:
-            cuts, ins, outs = {}, {}, {}
-            k_in, k_out = 0, sum(map(out_offset.__getitem__, r))
-            for idx, e in enumerate(r, 1):
-                k_in += in_offset[e]
-                k_out -= out_offset[e]
-                v = head[e]
-                if v in inner:
-                    cuts[v], ins[v], outs[v] = idx, k_in, k_out
-            self.route_cuts.append(cuts)
-            self.in_rank.append(ins)
-            self.out_rank.append(outs)
+    def visits(self, i: int) -> Iterator[tuple[VertexId, int, int, int]]:
+        """(v, cut, in-rank, out-rank) for each inner vertex v on route i, in
+        route order, where route[:cut] is the prefix into v."""
+        r, head, inner = self.routes[i], self.g.head, self.in_top
+        in_offset, out_offset = self.in_offset, self.out_offset
+        k_in, k_out = 0, sum(map(out_offset.__getitem__, r))
+        for cut, e in enumerate(r, 1):
+            k_in += in_offset[e]
+            k_out -= out_offset[e]
+            v = head[e]
+            if v in inner:
+                yield v, cut, k_in, k_out
 
-    def _conflicts(self, i: int, j: int) -> Iterator[VertexId]:
-        """Shared inner vertices where the in- and out-ranks of routes i and j
-        compare in opposite directions."""
-        a, b = self.route_cuts[i], self.route_cuts[j]
-        if len(a) > len(b):
-            a, b = b, a
-        in_i, in_j = self.in_rank[i], self.in_rank[j]
-        out_i, out_j = self.out_rank[i], self.out_rank[j]
-        for v in a:
-            if v in b and (in_i[v] - in_j[v]) * (out_i[v] - out_j[v]) < 0:
-                yield v
-
-    def conflict_vertices(self, i: int, j: int) -> list[VertexId]:
-        return sorted(self._conflicts(i, j))
+    def conflict_cuts(self, i: int, j: int) -> list[tuple[VertexId, int, int]]:
+        """(v, cut on route i, cut on route j) for each shared inner vertex v
+        where the in- and out-ranks of routes i and j compare in opposite
+        directions, sorted by v."""
+        at_j = {v: (cut, x, y) for v, cut, x, y in self.visits(j)}
+        return sorted(
+            (v, cut, at_j[v][0])
+            for v, cut, x, y in self.visits(i)
+            if v in at_j and (x - at_j[v][1]) * (y - at_j[v][2]) < 0
+        )
 
     def coherent(self, i: int, j: int) -> bool:
-        return next(self._conflicts(i, j), None) is None
+        return not self.conflict_cuts(i, j)
 
     @functools.cached_property
     def adjacency(self) -> list[int]:
@@ -186,14 +175,16 @@ class CoherenceTable:
         Per inner vertex, a route through it conflicts with the routes there
         ranked lower on one side and higher on the other, so its row is the
         complement of those bitmasks ORed over its vertices."""
-        by_vertex: dict[VertexId, list[int]] = {}  # the routes through each inner vertex
-        for i, cuts in enumerate(self.route_cuts):
-            for v in cuts:
-                by_vertex.setdefault(v, []).append(i)
+        # the routes through each inner vertex, with their in- and out-ranks there
+        by_vertex = {v: ([], [], []) for v in self.in_top}
+        for i in range(len(self.routes)):
+            for v, _, x, y in self.visits(i):
+                through, ins, outs = by_vertex[v]
+                through.append(i)
+                ins.append(x)
+                outs.append(y)
         conflicts = [0] * len(self.routes)
-        for v, through in by_vertex.items():
-            ins = [self.in_rank[i][v] for i in through]
-            outs = [self.out_rank[i][v] for i in through]
+        for through, ins, outs in by_vertex.values():
             below_in, above_in = _rank_masks(through, ins)
             below_out, above_out = _rank_masks(through, outs)
             for i, x, y in zip(through, ins, outs):
@@ -210,8 +201,8 @@ class CoherenceTable:
         one rank."""
         in_top, out_top = self.in_top, self.out_top
         return tuple(
-            i for i, (ins, outs) in enumerate(zip(self.in_rank, self.out_rank))
-            if all((ins[v] == 0 or outs[v] == out_top[v]) and (outs[v] == 0 or ins[v] == in_top[v]) for v in ins)
+            i for i in range(len(self.routes))
+            if all((x == 0 or y == out_top[v]) and (y == 0 or x == in_top[v]) for v, _, x, y in self.visits(i))
         )
 
     # the bitmask of the non-exceptional routes

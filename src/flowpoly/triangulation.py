@@ -188,7 +188,7 @@ class DualGraph:
     clique 0, which is the lexicographically least clique; `relabelled()`
     renumbers them in lexicographic order of their route tuples, for
     printed output only.  masks[i] is clique i as a bitmask of all its
-    routes, exceptional ones included, and `clique(i)` decodes it.  Each
+    routes, exceptional ones included, and `cliques` decodes them.  Each
     dual edge has one record: record k joins cliques a[k] and b[k], where
     clique b[k] is clique a[k] with pairs[pair[k]].leaving replaced by its
     entering route, the larger one; records that exchange one route pair
@@ -200,10 +200,6 @@ class DualGraph:
     b: Sequence[int]
     pair: Sequence[int]
     pairs: list[Exchange]
-
-    def clique(self, i: int) -> Clique:
-        """Clique i as a sorted route tuple."""
-        return mask_members(self.masks[i])
 
     # every clique decoded, on first use
     cliques = functools.cached_property(lambda self: list(map(mask_members, self.masks)))
@@ -258,8 +254,7 @@ def _swaps(table: CoherenceTable, r: int, s: int) -> tuple[int, int]:
     """The routes r[:cut] + s[cut':] and s[:cut'] + r[cut:] cut at the
     smallest conflict vertex of routes r and s, as indices (-1 if not in
     the table)."""
-    v = table.conflict_vertices(r, s)[0]
-    cut_r, cut_s = table.route_cuts[r][v], table.route_cuts[s][v]
+    _, cut_r, cut_s = table.conflict_cuts(r, s)[0]
     route_r, route_s = table.routes[r], table.routes[s]
     index = table.route_index
     return (

@@ -264,7 +264,7 @@ def compare_paths_at(
 def route_conflicts(g: Dag, f: Framing, r: Route, s: Route) -> list[VertexId]:
     """Shared inner vertices where r and s conflict (empty iff coherent)."""
     table = CoherenceTable(g, f, [tuple(r), tuple(s)])
-    return table.conflict_vertices(0, 1)
+    return [v for v, _, _ in table.conflict_cuts(0, 1)]
 
 
 def routes_coherent(g: Dag, f: Framing, r: Route, s: Route) -> bool:
@@ -358,8 +358,11 @@ def build_ranks_reference(table: CoherenceTable) -> tuple[list[dict], list[dict]
     out_pos = {e: k for v in g.inner for k, e in enumerate(f.out_order[v])}
     in_keys = [tuple(in_pos.get(e, -1) for e in r) for r in table.routes]
     out_keys = [tuple(out_pos.get(e, -1) for e in r) for r in table.routes]
+    inner = set(g.inner)
+    # the position of each inner vertex on each route, read off the route
+    route_cuts = [{g.head[e]: cut for cut, e in enumerate(r, 1) if g.head[e] in inner} for r in table.routes]
     by_vertex: dict[int, list[int]] = {}
-    for i, cuts in enumerate(table.route_cuts):
+    for i, cuts in enumerate(route_cuts):
         for v in cuts:
             by_vertex.setdefault(v, []).append(i)
     in_rank: list[dict] = [{} for _ in table.routes]
@@ -368,7 +371,7 @@ def build_ranks_reference(table: CoherenceTable) -> tuple[list[dict], list[dict]
         for ranks, keys, before in ((in_rank, in_keys, True), (out_rank, out_keys, False)):
             groups: dict[tuple[int, ...], list[int]] = {}
             for i in idxs:
-                cut = table.route_cuts[i][v]
+                cut = route_cuts[i][v]
                 key = keys[i][:cut][::-1] if before else keys[i][cut:]
                 groups.setdefault(key, []).append(i)
             for rank, key in enumerate(sorted(groups)):

@@ -2,6 +2,7 @@ import json
 import random
 import time
 import timeit
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -664,12 +665,31 @@ def test_lift_reads_one_bit_per_component(car8, g27h):
 def test_table_ranks_are_linear_in_route_length(g27h):
     # routes of 1,503 edges: ranking by whole sliced keys took about 0.13 s
     # per table; summing each route's block offsets along it is one pass per
-    # route
+    # route, which the rank rule reads
     g = _behind_idle_chain(g27h)
     f = next(enumerate_ample_framings(port_table(g))).framing
     routes = enumerate_routes(g)
     assert max(map(len, routes)) > 1500
-    assert min(timeit.repeat(lambda: CoherenceTable(g, f, routes), number=1, repeat=3)) < 0.04
+    assert min(timeit.repeat(lambda: CoherenceTable(g, f, routes).exceptional_indices, number=1, repeat=3)) < 0.04
+
+
+def test_table_memory_per_route():
+    # the table keeps per-edge offsets and per-vertex tops, and reads ranks
+    # along a route when asked.  On contracted gkn(2,20) (6,765 routes) Python
+    # 3.11 keeps 9 B/route with the list of routes, the rank rule and `live`;
+    # three dicts per route kept 1,942.  The bound leaves room for the
+    # container sizes of other Python versions.
+    g = complete_contraction(gkn(2, 20)).result
+    f, routes = framing_by_edge_id(g), enumerate_routes(g)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = CoherenceTable(g, f, routes)
+        t.exceptional_indices, t.live
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / len(routes) < 64
 
 
 def test_table_ranks_match_sliced_keys(car8, car8h, g29h):
@@ -684,7 +704,15 @@ def test_table_ranks_match_sliced_keys(car8, car8h, g29h):
         instances += [(g, tagged.framing) for tagged in enumerate_ample_framings(port_table(g))][:3]
     for g, f in instances:
         t = CoherenceTable(g, f)
-        assert (t.in_rank, t.out_rank) == build_ranks_reference(t)
+        visits = [list(t.visits(i)) for i in range(len(t.routes))]
+        in_rank = [{v: x for v, _, x, _ in seen} for seen in visits]
+        out_rank = [{v: y for v, _, _, y in seen} for seen in visits]
+        assert (in_rank, out_rank) == build_ranks_reference(t)
+        inner = set(g.inner)
+        for r, seen in zip(t.routes, visits):
+            assert [(v, cut) for v, cut, _, _ in seen] == [
+                (g.head[e], cut) for cut, e in enumerate(r, 1) if g.head[e] in inner
+            ]
 
 
 def test_valid_enumeration_all_ample():
@@ -720,15 +748,19 @@ def test_table_agrees_with_path_comparison_under_every_framing():
         for f in all_framings(g):
             t = CoherenceTable(g, f)
             for i, ri in enumerate(t.routes):
+                at_i = {v: (cut, x, y) for v, cut, x, y in t.visits(i)}
                 for j in range(i, len(t.routes)):
-                    rj = t.routes[j]
-                    for v in t.route_cuts[i].keys() & t.route_cuts[j].keys():
-                        ci, cj = t.route_cuts[i][v], t.route_cuts[j][v]
-                        d_in = t.in_rank[i][v] - t.in_rank[j][v]
-                        d_out = t.out_rank[i][v] - t.out_rank[j][v]
+                    rj, conflicts = t.routes[j], []
+                    for v, cj, x, y in t.visits(j):
+                        if v not in at_i:
+                            continue
+                        ci, d_in, d_out = at_i[v][0], at_i[v][1] - x, at_i[v][2] - y
                         assert _sign(d_in) == compare_paths_at(g, f, v, ri[:ci], rj[:cj], "in")
                         assert _sign(d_out) == compare_paths_at(g, f, v, ri[ci:], rj[cj:], "out")
-                    assert t.coherent(i, j) == (not t.conflict_vertices(i, j))
+                        if d_in * d_out < 0:
+                            conflicts.append((v, ci, cj))
+                    assert t.conflict_cuts(i, j) == sorted(conflicts)
+                    assert t.coherent(i, j) == (not t.conflict_cuts(i, j))
 
 
 def test_adjacency_rows_match_pairwise_coherence():
@@ -788,11 +820,11 @@ def test_exceptional_routes_by_rank_rule_match_the_full_rows(car8):
 
             kept = sorted(rng.sample(range(len(t.routes)), rng.randrange(1, len(t.routes) + 1)))
             sub = CoherenceTable(g, f, [t.routes[i] for i in kept])
-            assert (sub.in_rank, sub.out_rank) == ([t.in_rank[i] for i in kept], [t.out_rank[i] for i in kept])
+            assert [list(sub.visits(p)) for p in range(len(kept))] == [list(t.visits(i)) for i in kept]
             assert sub.exceptional_indices == tuple(p for p, i in enumerate(kept) if i in t.exceptional_indices)
             for _ in range(5):
                 p, q = rng.randrange(len(kept)), rng.randrange(len(kept))
-                assert sub.conflict_vertices(p, q) == t.conflict_vertices(kept[p], kept[q])
+                assert sub.conflict_cuts(p, q) == t.conflict_cuts(kept[p], kept[q])
             assert sub.adjacency == [
                 sum(1 << q for q, j in enumerate(kept) if t.adjacency[i] >> j & 1) for i in kept
             ]
@@ -814,7 +846,7 @@ def test_rows_of_two_routes_with_huge_ranks():
         return tuple(route)
 
     t = CoherenceTable(g, framing_by_edge_id(g), [walk(min), walk(max)])
-    assert max(t.in_rank[1].values()) > 5 * 10**11
+    assert max(x for _, _, x, _ in t.visits(1)) > 5 * 10**11
     start = time.perf_counter()
     assert t.adjacency == [0b10, 0b01]
     assert time.perf_counter() - start < 0.5

@@ -306,7 +306,7 @@ def test_flip_records_match_references(g27h, g27f, core8, core8f, car8h):
         # visit order: breadth-first from the lexicographically least
         # clique, each dual edge once, its a holding the pair's smaller route
         masks = visits.masks
-        assert visits.clique(0) == cliques[0] and len(masks) == len(cliques)
+        assert visits.cliques[0] == cliques[0] and len(masks) == len(cliques)
         assert len(set(map(frozenset, zip(visits.a, visits.b)))) == len(visits.a)
         for a, b, p in zip(visits.a, visits.b, visits.pair):
             x = visits.pairs[p]
@@ -406,10 +406,6 @@ def test_analyze_decodes_no_clique_tuple(g29h, monkeypatch):
     members = flowpoly.triangulation.mask_members
     for mod in (flowpoly.triangulation, flowpoly.gentle):
         monkeypatch.setattr(mod, "mask_members", lambda mask: decoded.append(mask) or members(mask))
-    clique = flowpoly.triangulation.DualGraph.clique
-    monkeypatch.setattr(
-        flowpoly.triangulation.DualGraph, "clique", lambda self, i: decoded.append(i) or clique(self, i)
-    )
     report = analyze(g29h, named_framing(g29h, "paper-g27"))
     assert report.ok and report.data["cliques"] == 272
     assert decoded == []

@@ -56,6 +56,13 @@ def flow_count_table(g: Dag, tmax: int, max_states: int = DEFAULT_MAX_STATES) ->
     pos = {v: i for i, v in enumerate(order)}
     root, o_root = len(order), len(g.sources) - 1
     states = {(0,) * (root + 1): 1}
+
+    def over_limit() -> FrontierExplosionError:  # as soon as layer `new` at vertex k passes the limit
+        return FrontierExplosionError(
+            f"flow DP: {len(new)} states at vertex {k + 1} of {len(order)},"
+            f" over the limit of {max_states} (strengths 0..{tmax})"
+        )
+
     for k in reversed(range(len(order))):
         v = order[k]
         if not g.out_edges[v]:
@@ -70,6 +77,14 @@ def flow_count_table(g: Dag, tmax: int, max_states: int = DEFAULT_MAX_STATES) ->
             for a in range(o + 1):
                 units = state[k] + a
                 weight = value * math.comb(o, a)
+                if not bars:  # one in-edge, as at every source: its tail takes every unit
+                    base[tails[0]] += units
+                    key = tuple(base)
+                    base[tails[0]] -= units
+                    new[key] = new.get(key, 0) + weight
+                    if len(new) > max_states:
+                        raise over_limit()
+                    continue
                 # stars and bars: the cuts split `units` into one share per in-edge;
                 # the shares of parallel edges add up in one state
                 for cuts in itertools.combinations(range(units + bars), bars):
@@ -82,10 +97,7 @@ def flow_count_table(g: Dag, tmax: int, max_states: int = DEFAULT_MAX_STATES) ->
                     key = tuple(s)
                     new[key] = new.get(key, 0) + weight
                     if len(new) > max_states:
-                        raise FrontierExplosionError(
-                            f"flow DP: {len(new)} states at vertex {k + 1} of {len(order)},"
-                            f" over the limit of {max_states} (strengths 0..{tmax})"
-                        )
+                        raise over_limit()
         states = new
     c = {state[root]: value for state, value in states.items()}
     return {

@@ -111,7 +111,10 @@ class CoherenceTable:
     route pair conflicts at v exactly when its in-ranks and out-ranks compare
     in opposite directions.  The ranks count every path of g, so `routes`
     may be any set of routes of g (by default `enumerate_routes(g)`).  The
-    table stores no rank: `visits` sums them along a route when read.
+    table keeps only per-edge offsets, from which `visits` sums the ranks
+    along a route.  `adjacency` and `exceptional_indices` stream `visits`;
+    the pair tests (`conflict_cuts`) read `stops`, each route's visits kept
+    as one dict, built on first read.
     """
 
     def __init__(self, g: Dag, f: Framing, routes: Sequence[Route] | None = None):
@@ -154,16 +157,22 @@ class CoherenceTable:
             if v in inner:
                 yield v, cut, k_in, k_out
 
+    @functools.cached_property
+    def stops(self) -> list[dict[VertexId, tuple[int, int, int]]]:
+        """Per route, {v: (cut, in-rank, out-rank)} for each inner vertex v on
+        it, in route order: `visits`, walked once per route and kept."""
+        return [{v: (cut, x, y) for v, cut, x, y in self.visits(i)} for i in range(len(self.routes))]
+
     def conflict_cuts(self, i: int, j: int) -> list[tuple[VertexId, int, int]]:
         """(v, cut on route i, cut on route j) for each shared inner vertex v
         where the in- and out-ranks of routes i and j compare in opposite
-        directions, sorted by v."""
-        at_j = {v: (cut, x, y) for v, cut, x, y in self.visits(j)}
-        return sorted(
+        directions, in the order of route i, read off the two routes' stops."""
+        at_j = self.stops[j]
+        return [
             (v, cut, at_j[v][0])
-            for v, cut, x, y in self.visits(i)
+            for v, (cut, x, y) in self.stops[i].items()
             if v in at_j and (x - at_j[v][1]) * (y - at_j[v][2]) < 0
-        )
+        ]
 
     def coherent(self, i: int, j: int) -> bool:
         return not self.conflict_cuts(i, j)

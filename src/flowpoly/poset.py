@@ -53,13 +53,14 @@ def orient_dual_edge(
     edge while the lower route does the reverse.  A component through a
     source or sink never qualifies, because its shared end edge gives both
     routes one label, so the components read here are runs of shared inner
-    vertices (`table.visits`) joined by the same edge on both routes.
+    vertices joined by the same edge on both routes.  The shared vertices
+    and their cuts are read off the two routes' `table.stops`.
     """
     r1, r2 = table.routes[i], table.routes[j]
-    cuts2 = {v: cut for v, cut, _, _ in table.visits(j)}
+    stops2 = table.stops[j]
     hits: list[tuple[int, int, int, int]] = []  # (sign, first vertex, its cut on r1, edges)
-    for v, c1, _, _ in table.visits(i):
-        c2 = cuts2.get(v)
+    for v, (c1, _, _) in table.stops[i].items():
+        c2 = stops2[v][0] if v in stops2 else None
         if c2 is None or labels[r1[c1 - 1]] == labels[r2[c2 - 1]]:
             continue  # not shared, or both enter on one label (or one edge)
         k = 0  # edges of the component

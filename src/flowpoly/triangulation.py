@@ -12,7 +12,8 @@ the dual graph as int columns, one record per dual edge, and those records
 certify unimodularity from a single determinant by an exchange argument
 (`unimodular_by_exchange`).  A record's swaps depend only on its exchanged
 route pair, which many records share, so each record holds the id of its
-pair in one table, and the swaps are computed once per pair.  Cliques are
+pair in one table, and the swaps are computed once per pair, from the two
+routes' entries in the coherence table's stop table (`stops`).  Cliques are
 numbered in breadth-first visit order, which no verdict depends on;
 lexicographic numbers exist only in printed output
 (`DualGraph.relabelled`).
@@ -21,7 +22,6 @@ lexicographic numbers exist only in printed output
 from __future__ import annotations
 
 import functools
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -253,8 +253,9 @@ def dual_graph(cliques: Sequence[Clique]) -> list[tuple[int, int]]:
 def _swaps(table: CoherenceTable, r: int, s: int) -> tuple[int, int]:
     """The routes r[:cut] + s[cut':] and s[:cut'] + r[cut:] cut at the
     smallest conflict vertex of routes r and s, as indices (-1 if not in
-    the table)."""
-    _, cut_r, cut_s = table.conflict_cuts(r, s)[0]
+    the table).  The conflicts are read off the routes' stops, so neither
+    route is walked."""
+    _, cut_r, cut_s = min(table.conflict_cuts(r, s))
     route_r, route_s = table.routes[r], table.routes[s]
     index = table.route_index
     return (
@@ -300,9 +301,11 @@ def maximal_cliques_by_flips(
     # record k joins clique a[k], which holds the smaller route of the
     # exchanged pair pairs[pair[k]], to clique b[k]; the pair table is
     # keyed by the two-bit mask of the pair
-    a, b, pair = array("i"), array("i"), array("i")
+    a, b, pair = [], [], []
+    a_append, b_append, pair_append = a.append, b.append, pair.append
     pairs: list[Exchange] = []
     pair_ids: dict[int, int] = {}
+    clique_of, pair_of = ids.get, pair_ids.get
     for i, mask in enumerate(masks):  # `masks` grows as the walk goes on
         members = mask & live
         once = twice = 0
@@ -324,14 +327,13 @@ def maximal_cliques_by_flips(
             todo ^= bit
             r = bit.bit_length() - 1
             entering = alone & clash[r]
-            if entering.bit_count() != 1:
+            if not entering or entering & entering - 1:  # not a single bit
                 raise ConsistencyError(
                     "unique-flip-neighbor", f"ridge admits {entering.bit_count()} exchanges for route {r}, expected 1"
                 )
-            s = entering.bit_length() - 1
             common = bit | entering
             other = mask ^ common
-            j = ids.get(other)
+            j = clique_of(other)
             if j is None:
                 j = ids[other] = len(masks)
                 if j >= max_cliques:
@@ -340,19 +342,20 @@ def maximal_cliques_by_flips(
                 done.append(entering)
             else:
                 done[j] |= entering
-            p = pair_ids.get(common)
+            p = pair_of(common)
             if p is None:
                 p = pair_ids[common] = len(pairs)
+                s = entering.bit_length() - 1
                 lo, hi = (r, s) if r < s else (s, r)
                 pairs.append(Exchange(lo, hi, *_swaps(table, lo, hi)))
-            if r < s:
-                a.append(i)
-                b.append(j)
+            if bit < entering:  # r < s
+                a_append(i)
+                b_append(j)
             else:
-                a.append(j)
-                b.append(i)
-            pair.append(p)
-    del ids, done, pair_ids
+                a_append(j)
+                b_append(i)
+            pair_append(p)
+    del ids, done, pair_ids, clique_of, pair_of, a_append, b_append, pair_append
     nodes, pair_nums = list(range(len(masks))), list(range(len(pairs)))
     return DualGraph(
         masks,

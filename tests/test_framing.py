@@ -705,6 +705,7 @@ def test_table_ranks_match_sliced_keys(car8, car8h, g29h):
     for g, f in instances:
         t = CoherenceTable(g, f)
         visits = [list(t.visits(i)) for i in range(len(t.routes))]
+        assert [[(v, *stop) for v, stop in stops.items()] for stops in t.stops] == visits
         in_rank = [{v: x for v, _, x, _ in seen} for seen in visits]
         out_rank = [{v: y for v, _, _, y in seen} for seen in visits]
         assert (in_rank, out_rank) == build_ranks_reference(t)
@@ -759,7 +760,7 @@ def test_table_agrees_with_path_comparison_under_every_framing():
                         assert _sign(d_out) == compare_paths_at(g, f, v, ri[ci:], rj[cj:], "out")
                         if d_in * d_out < 0:
                             conflicts.append((v, ci, cj))
-                    assert t.conflict_cuts(i, j) == sorted(conflicts)
+                    assert sorted(t.conflict_cuts(i, j)) == sorted(conflicts)
                     assert t.coherent(i, j) == (not t.conflict_cuts(i, j))
 
 

@@ -272,6 +272,19 @@ def test_each_exchanged_pair_is_oriented_once(flipped, monkeypatch):
     assert 0 < len(calls) <= len({(rec.leaving, rec.entering) for rec in dual.pairs})
 
 
+def test_flips_and_poset_walk_each_route_at_most_once(g29h, monkeypatch):
+    # the exchanged pairs read their swaps and orientations off the stop
+    # table, which walks each route once
+    inst = Instance(g29h, named_framing(g29h, "paper-g27"))
+    t = inst.table
+    t.adjacency, t.live, inst.kiss  # these walk the routes on their own
+    walks = []
+    visits = CoherenceTable.visits
+    monkeypatch.setattr(CoherenceTable, "visits", lambda self, i: walks.append(i) or visits(self, i))
+    build_poset(t, maximal_cliques_by_flips(t), inst.labels, inst.kiss)
+    assert walks and len(walks) == len(set(walks))
+
+
 def test_orientation_is_antisymmetric(flipped):
     t, labels = flipped.table, flipped.labels
     for r1, r2 in {(rec.leaving, rec.entering) for rec in flipped.dual.pairs}:

@@ -56,13 +56,6 @@ def flow_count_table(g: Dag, tmax: int, max_states: int = DEFAULT_MAX_STATES) ->
     pos = {v: i for i, v in enumerate(order)}
     root, o_root = len(order), len(g.sources) - 1
     states = {(0,) * (root + 1): 1}
-
-    def over_limit() -> FrontierExplosionError:  # as soon as layer `new` at vertex k passes the limit
-        return FrontierExplosionError(
-            f"flow DP: {len(new)} states at vertex {k + 1} of {len(order)},"
-            f" over the limit of {max_states} (strengths 0..{tmax})"
-        )
-
     for k in reversed(range(len(order))):
         v = order[k]
         if not g.out_edges[v]:
@@ -77,27 +70,29 @@ def flow_count_table(g: Dag, tmax: int, max_states: int = DEFAULT_MAX_STATES) ->
             for a in range(o + 1):
                 units = state[k] + a
                 weight = value * math.comb(o, a)
-                if not bars:  # one in-edge, as at every source: its tail takes every unit
+                if bars:
+                    # stars and bars: the cuts split `units` into one share per in-edge;
+                    # the shares of parallel edges add up in one state
+                    keys = []
+                    for cuts in itertools.combinations(range(units + bars), bars):
+                        s = base.copy()
+                        prev = -1
+                        for p, cut in zip(tails, cuts):
+                            s[p] += cut - prev - 1
+                            prev = cut
+                        s[tails[-1]] += units + bars - 1 - prev
+                        keys.append(tuple(s))
+                else:  # one in-edge, as at every source: its tail takes every unit
                     base[tails[0]] += units
-                    key = tuple(base)
+                    keys = [tuple(base)]
                     base[tails[0]] -= units
+                for key in keys:
                     new[key] = new.get(key, 0) + weight
                     if len(new) > max_states:
-                        raise over_limit()
-                    continue
-                # stars and bars: the cuts split `units` into one share per in-edge;
-                # the shares of parallel edges add up in one state
-                for cuts in itertools.combinations(range(units + bars), bars):
-                    s = base.copy()
-                    prev = -1
-                    for p, cut in zip(tails, cuts):
-                        s[p] += cut - prev - 1
-                        prev = cut
-                    s[tails[-1]] += units + bars - 1 - prev
-                    key = tuple(s)
-                    new[key] = new.get(key, 0) + weight
-                    if len(new) > max_states:
-                        raise over_limit()
+                        raise FrontierExplosionError(
+                            f"flow DP: {len(new)} states at vertex {k + 1} of {len(order)},"
+                            f" over the limit of {max_states} (strengths 0..{tmax})"
+                        )
         states = new
     c = {state[root]: value for state, value in states.items()}
     return {

@@ -355,7 +355,7 @@ def maximal_cliques_by_flips(
                 a_append(j)
                 b_append(i)
             pair_append(p)
-    del ids, done, pair_ids, clique_of, pair_of, a_append, b_append, pair_append
+    del ids, done, pair_ids, clique_of, pair_of
     nodes, pair_nums = list(range(len(masks))), list(range(len(pairs)))
     return DualGraph(
         masks,

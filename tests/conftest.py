@@ -264,7 +264,7 @@ def compare_paths_at(
 def route_conflicts(g: Dag, f: Framing, r: Route, s: Route) -> list[VertexId]:
     """Shared inner vertices where r and s conflict (empty iff coherent)."""
     table = CoherenceTable(g, f, [tuple(r), tuple(s)])
-    return sorted(v for v, _, _ in table.conflict_cuts(0, 1))
+    return [v for v, _, _ in table.conflict_cuts(0, 1)]
 
 
 def routes_coherent(g: Dag, f: Framing, r: Route, s: Route) -> bool:

@@ -760,7 +760,7 @@ def test_table_agrees_with_path_comparison_under_every_framing():
                         assert _sign(d_out) == compare_paths_at(g, f, v, ri[ci:], rj[cj:], "out")
                         if d_in * d_out < 0:
                             conflicts.append((v, ci, cj))
-                    assert sorted(t.conflict_cuts(i, j)) == sorted(conflicts)
+                    assert t.conflict_cuts(i, j) == conflicts
                     assert t.coherent(i, j) == (not t.conflict_cuts(i, j))
 
 
